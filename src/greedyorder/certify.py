@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .core import (
     BipartiteGraph,
@@ -120,7 +120,8 @@ def order_sort1(cover: PathCover, n: int) -> Permutation:
         + [cover.paths[a][0] for a in range(k)]
         + [cover.paths[a][-1] for a in range(k, p)]
     )
-    assert len(prefix) == 2 * p - k
+    if len(prefix) != 2 * p - k:
+        raise PropositionViolatedError("sort1 prefix has %d vertices, not 2p - k" % len(prefix))
     return Permutation.from_order(prefix + _suffix(n, prefix))
 
 
@@ -163,9 +164,11 @@ def order_sort2(cover: PathCover, n: int) -> Permutation:
     k, p = cover.k, cover.p
     prefix = _starts_reversed(cover) + [cover.paths[a][0] for a in range(k)]
     half_small, half_big = _sort2_halves(cover)
-    assert len(half_small) == (n - p) // 2
+    if len(half_small) != (n - p) // 2:
+        raise PropositionViolatedError("sort2 smaller half has %d vertices" % len(half_small))
     order = prefix + half_small + half_big
-    assert len(order) == n
+    if len(order) != n:
+        raise PropositionViolatedError("sort2 order has %d of %d vertices" % (len(order), n))
     return Permutation.from_order(order)
 
 
@@ -187,7 +190,8 @@ def order_m12(cover: PathCover, n: int) -> Permutation:
     the isolated nodes in ascending index.  Requires a maximal cover.
     """
     order = _longer_walk_order(cover) + list(cover.isolated)
-    assert len(order) == n
+    if len(order) != n:
+        raise PropositionViolatedError("m12 order has %d of %d vertices" % (len(order), n))
     return Permutation.from_order(order)
 
 
@@ -200,7 +204,8 @@ def order_large_m12(cover: PathCover, n: int) -> Permutation:
     """All isolated vertices before all longer-path ones; otherwise the
     mirror of order_m12.  Requires a maximal cover."""
     order = list(cover.isolated) + _longer_walk_order(cover)
-    assert len(order) == n
+    if len(order) != n:
+        raise PropositionViolatedError("large m12 order has %d of %d vertices" % (len(order), n))
     return Permutation.from_order(order)
 
 
@@ -220,32 +225,54 @@ class BoundCertificate:
     eps: EpsilonParams
 
 
-def build_theorem1(g: BipartiteGraph) -> BoundCertificate:
-    """Certify a priority order for g with fraction at least 1/2 + 1/86.
+CONSTRUCTIONS = ("sort1", "sort2", "m12_order", "large_m12_order", "theorem1")
 
-    Pipeline: find a perfect matching, relabel V so it is the identity,
-    build the conflict digraph, grow a maximal path cover, evaluate all
-    four constructions and keep the one with the largest guarantee (ties
-    resolved in the listed order).  The returned pi is over the original
-    V labels.
+_Candidate = tuple[str, int, Callable[[PathCover, int], Permutation]]
+
+
+def _pipeline(
+    g: BipartiteGraph,
+) -> tuple[PathCover, EpsilonParams, tuple[int, ...], list[_Candidate]]:
+    """Find a perfect matching, relabel V so it is the identity, build
+    the conflict digraph, grow a maximal path cover and evaluate the
+    four constructions on it.
+
+    Returns the cover, its eps, the map from pair labels back to V, and
+    the four ``(name, count, order_fn)`` candidates in listed order.
     """
     m = find_perfect_matching(g)
     aligned, v_map = align_with_matching(g, m)
     sg = build_spoiling_graph(aligned)
     cover, _ = maximal_path_cover(sg)
     eps = compute_eps(cover, sg)
-    n = g.n
-    candidates = [
+    candidates: list[_Candidate] = [
         ("sort1", guarantee_sort1(cover), order_sort1),
         ("sort2", guarantee_sort2(cover), order_sort2),
         ("m12_order", guarantee_m12(cover, eps.m12), order_m12),
         ("large_m12_order", guarantee_large_m12(cover, eps.m12), order_large_m12),
     ]
-    name, count, build_order = max(candidates, key=lambda c: c[1])
-    pi_pairs = build_order(cover, n)
-    pi = Permutation.from_order([v_map[x] for x in pi_pairs.order])
-    fraction = Fraction(count, n)
-    if fraction < GUARANTEE_FLOOR:
+    return cover, eps, v_map, candidates
+
+
+def build_certificate(g: BipartiteGraph, construction: str = "theorem1") -> BoundCertificate:
+    """Certify g with one named construction, or the selector.
+
+    The selector ("theorem1") keeps the construction with the largest
+    guarantee, ties resolved in the listed order, and checks the
+    1/2 + 1/86 floor.  A single named construction carries no floor on
+    its fraction; it may be dominated on the given instance.  The
+    returned pi is over the original V labels.
+    """
+    if construction not in CONSTRUCTIONS:
+        raise UsageError("unknown construction %r" % (construction,))
+    cover, eps, v_map, candidates = _pipeline(g)
+    if construction == "theorem1":
+        name, count, build_order = max(candidates, key=lambda c: c[1])
+    else:
+        name, count, build_order = next(c for c in candidates if c[0] == construction)
+    pi = Permutation.from_order([v_map[x] for x in build_order(cover, g.n).order])
+    fraction = Fraction(count, g.n)
+    if construction == "theorem1" and fraction < GUARANTEE_FLOOR:
         raise PropositionViolatedError(
             "selector produced fraction %s below the %s floor" % (fraction, GUARANTEE_FLOOR)
         )
@@ -258,39 +285,9 @@ def build_theorem1(g: BipartiteGraph) -> BoundCertificate:
     )
 
 
-CONSTRUCTIONS = ("sort1", "sort2", "m12_order", "large_m12_order", "theorem1")
-
-
-def build_certificate(g: BipartiteGraph, construction: str = "theorem1") -> BoundCertificate:
-    """Certify g with one named construction, or the selector.
-
-    Unlike the selector, a single named construction carries no floor on
-    its fraction; it may be dominated on the given instance.
-    """
-    if construction == "theorem1":
-        return build_theorem1(g)
-    if construction not in CONSTRUCTIONS:
-        raise UsageError("unknown construction %r" % (construction,))
-    m = find_perfect_matching(g)
-    aligned, v_map = align_with_matching(g, m)
-    sg = build_spoiling_graph(aligned)
-    cover, _ = maximal_path_cover(sg)
-    eps = compute_eps(cover, sg)
-    table = {
-        "sort1": (guarantee_sort1(cover), order_sort1),
-        "sort2": (guarantee_sort2(cover), order_sort2),
-        "m12_order": (guarantee_m12(cover, eps.m12), order_m12),
-        "large_m12_order": (guarantee_large_m12(cover, eps.m12), order_large_m12),
-    }
-    count, build_order = table[construction]
-    pi = Permutation.from_order([v_map[x] for x in build_order(cover, g.n).order])
-    return BoundCertificate(
-        pi=pi,
-        construction=construction,
-        guaranteed_count=count,
-        guaranteed_fraction=Fraction(count, g.n),
-        eps=eps,
-    )
+def build_theorem1(g: BipartiteGraph) -> BoundCertificate:
+    """Certify a priority order for g with fraction at least 1/2 + 1/86."""
+    return build_certificate(g, "theorem1")
 
 
 # --- exact min-max program over the four guarantee forms -----------------
@@ -376,10 +373,14 @@ def selector_dual_certificate() -> tuple[Fraction, ...]:
     maximum everywhere on the feasible region.  Verified on return.
     """
     lam = (Fraction(2, 43), Fraction(36, 43), Fraction(2, 43), Fraction(3, 43))
-    assert all(x >= 0 for x in lam) and sum(lam) == 1
+    if any(x < 0 for x in lam) or sum(lam) != 1:
+        raise PropositionViolatedError("dual weights are not convex")
     combo = [sum(l * form[t] for l, form in zip(lam, _FORMS)) for t in range(4)]
     const, c1, c2, c3 = combo
-    assert c1 == 0, "eps1 is unconstrained so its combined weight must vanish"
-    assert c2 >= 0 and c3 >= 0
-    assert const == Fraction(22, 43)
+    if c1 != 0:
+        raise PropositionViolatedError("eps1 is unconstrained so its combined weight must vanish")
+    if c2 < 0 or c3 < 0:
+        raise PropositionViolatedError("dual weights give a negative eps2 or eps3 coefficient")
+    if const != Fraction(22, 43):
+        raise PropositionViolatedError("dual bound is %s, not 22/43" % const)
     return lam

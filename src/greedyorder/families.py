@@ -258,15 +258,22 @@ def gen_hamiltonian_random(n: int, extra_edges: int, seed: int) -> BipartiteGrap
     if extra_edges < 0:
         raise GenerationError("extra_edges must be nonnegative")
     cycle = {(i, i) for i in range(n)} | {(i, (i + 1) % n) for i in range(n)}
-    candidates = sorted(
-        (u, v) for u in range(n) for v in range(n) if (u, v) not in cycle
-    )
-    if extra_edges > len(candidates):
+    # Row u of the sorted chord list holds every v but u and u + 1 (mod n).
+    # Sampling chord numbers and decoding them draws the same chords as
+    # sampling the listed chords, without building the n^2 list.
+    row = n - 2
+    if extra_edges > n * row:
         raise GenerationError(
-            "extra_edges %d exceeds the %d available chords" % (extra_edges, len(candidates))
+            "extra_edges %d exceeds the %d available chords" % (extra_edges, n * row)
         )
     rng = random.Random(seed)
-    chords = rng.sample(candidates, extra_edges)
+    chords = []
+    for t in rng.sample(range(n * row), extra_edges):
+        u, v = divmod(t, row)
+        lo, hi = sorted((u, (u + 1) % n))
+        v += v >= lo
+        v += v >= hi
+        chords.append((u, v))
     return BipartiteGraph.from_edges(
         n,
         sorted(cycle) + sorted(chords),

@@ -21,7 +21,6 @@ from .certify import CONSTRUCTIONS, BoundCertificate
 from .core import BipartiteGraph, Permutation
 from .errors import SchemaError
 from .families import FAMILIES, FamilySpec
-from .spoil import PathCover
 
 __all__ = [
     "AdversarySettings",
@@ -36,7 +35,6 @@ __all__ = [
     "write_perm",
     "read_perm",
     "read_config",
-    "cover_to_doc",
     "certificate_to_doc",
     "adversary_result_to_doc",
     "exponent_report_to_doc",
@@ -272,10 +270,6 @@ def read_config(path: str) -> ExperimentConfig:
 
 def _frac(x: Fraction) -> str:
     return "%d/%d" % (x.numerator, x.denominator)
-
-
-def cover_to_doc(cover: PathCover) -> dict:
-    return {"paths": [list(p) for p in cover.paths]}
 
 
 def certificate_to_doc(cert: BoundCertificate) -> dict:

@@ -10,8 +10,10 @@ after rotating the two paths involved.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from functools import cached_property
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .core import BipartiteGraph
 from .errors import (
@@ -52,18 +54,21 @@ class SpoilGraph:
     def has_arc(self, i: int, j: int) -> bool:
         return (self.out_mask[i] >> j) & 1 == 1
 
+    @cached_property
+    def in_mask(self) -> tuple[int, ...]:
+        """Bit i of ``in_mask[j]`` is set iff there is an arc i -> j."""
+        masks = [0] * self.n
+        for i, m in enumerate(self.out_mask):
+            for j in _bits(m):
+                masks[j] |= 1 << i
+        return tuple(masks)
+
     @property
     def num_arcs(self) -> int:
         return sum(m.bit_count() for m in self.out_mask)
 
     def arcs(self) -> list[tuple[int, int]]:
-        res = []
-        for i, m in enumerate(self.out_mask):
-            while m:
-                j = (m & -m).bit_length() - 1
-                res.append((i, j))
-                m &= m - 1
-        return res
+        return [(i, j) for i, m in enumerate(self.out_mask) for j in _bits(m)]
 
 
 def build_spoiling_graph(g: BipartiteGraph) -> SpoilGraph:
@@ -85,7 +90,10 @@ def build_spoiling_graph(g: BipartiteGraph) -> SpoilGraph:
                 m |= 1 << j
         masks.append(m)
     sg = SpoilGraph(n=g.n, out_mask=tuple(masks))
-    assert sg.num_arcs == g.num_edges - g.n
+    if sg.num_arcs != g.num_edges - g.n:
+        raise PropositionViolatedError(
+            "conflict digraph has %d arcs, not edges - n = %d" % (sg.num_arcs, g.num_edges - g.n)
+        )
     return sg
 
 
@@ -269,77 +277,220 @@ def apply_step(cover: PathCover, sg: SpoilGraph, step: CoverStep) -> PathCover:
     raise InvalidGraphError("unknown op %r" % (step.op,))
 
 
-def _rotations_of(cover: PathCover, sg: SpoilGraph, idx: int) -> list[Optional[int]]:
-    """Available rotation cuts for path idx, with None (no rotation) first."""
-    p = cover.paths[idx]
-    opts: list[Optional[int]] = [None]
-    if len(p) >= 2 and sg.has_arc(p[-1], p[0]):
-        opts.extend(range(len(p) - 1))
-    return opts
-
-
 def _rotated(p: tuple[int, ...], cut: Optional[int]) -> tuple[int, ...]:
     if cut is None:
         return p
     return p[cut + 1 :] + p[: cut + 1]
 
 
+def _bits(mask: int) -> Iterator[int]:
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+_UNBALANCE = ("unbalance_start", "unbalance_end")
+
+
+class _CoverState:
+    """A normalized cover updated in place step by step, with the masks
+    the improvement scan reads.
+
+    ``paths`` and ``keys`` are the normalized path list and its
+    (length, smallest node) keys; keys are distinct, so a key's bisect
+    position is its path index.  ``starts`` holds the first node of
+    every path, ``ends`` the last node of every path with at least two
+    nodes, ``iso`` the single-node paths, and ``key_of`` maps each of
+    those endpoints to its path's key.
+    """
+
+    def __init__(self, sg: SpoilGraph, paths: Iterable[tuple[int, ...]]):
+        self.out = sg.out_mask
+        self.inn = sg.in_mask
+        self.paths: list[tuple[int, ...]] = []
+        self.keys: list[tuple[int, int]] = []
+        self.key_of: dict[int, tuple[int, int]] = {}
+        self.starts = self.ends = self.iso = 0
+        for p in paths:
+            self._add(p, min(p))
+
+    def _add(self, p: tuple[int, ...], lo: int) -> None:
+        key = (len(p), lo)
+        t = bisect_left(self.keys, key)
+        self.keys.insert(t, key)
+        self.paths.insert(t, p)
+        self.starts |= 1 << p[0]
+        self.key_of[p[0]] = key
+        if len(p) == 1:
+            self.iso |= 1 << p[0]
+        else:
+            self.ends |= 1 << p[-1]
+            self.key_of[p[-1]] = key
+
+    def _drop(self, t: int) -> None:
+        p = self.paths.pop(t)
+        self.keys.pop(t)
+        self.starts ^= 1 << p[0]
+        del self.key_of[p[0]]
+        if len(p) == 1:
+            self.iso ^= 1 << p[0]
+        else:
+            self.ends ^= 1 << p[-1]
+            del self.key_of[p[-1]]
+
+    def apply(self, step: CoverStep) -> int:
+        """Apply a step found by scan(); return the increase of the sum of
+        squared path lengths."""
+        i, j = step.i, step.j
+        lo_i, lo_j = self.keys[i][1], self.keys[j][1]
+        pi = _rotated(self.paths[i], step.rot_i)
+        pj = _rotated(self.paths[j], step.rot_j)
+        self._drop(max(i, j))
+        self._drop(min(i, j))
+        if step.op == "merge":
+            added = [(pi + pj, min(lo_i, lo_j))]
+        else:
+            if step.op == "unbalance_start":
+                moved, new_i, new_j = pj[0], (pj[0],) + pi, pj[1:]
+            else:
+                moved, new_i, new_j = pj[-1], pi + (pj[-1],), pj[:-1]
+            added = [(new_i, min(lo_i, moved)), (new_j, lo_j if moved != lo_j else min(new_j))]
+        for p, lo in added:
+            self._add(p, lo)
+        return sum(len(p) ** 2 for p, _ in added) - len(pi) ** 2 - len(pj) ** 2
+
+    def scan(self) -> Optional[CoverStep]:
+        """The next improvement step in scan order, or None.
+
+        Scan order: plain merges, then plain unbalances, then merges that
+        need rotating one or both involved paths, then unbalances
+        likewise.  Within a stage the path indices run lexicographically
+        and rotation cuts run no-rotation first.  This order is a
+        contract: the step log and the certificates depend on it.
+        """
+        return self._plain_merge() or self._plain_unbalance() or self._rotated_step()
+
+    def _plain_merge(self) -> Optional[CoverStep]:
+        out, starts, key_of = self.out, self.starts, self.key_of
+        for i, p in enumerate(self.paths):
+            hits = out[p[-1]] & (starts ^ (1 << p[0]))
+            if hits:
+                j = bisect_left(self.keys, min(key_of[x] for x in _bits(hits)))
+                return CoverStep(op="merge", i=i, j=j)
+        return None
+
+    def _plain_unbalance(self) -> Optional[CoverStep]:
+        # Donors j need 2 <= len j <= len i, so i runs over the longer
+        # paths.  No arc is a loop, so path i never hits its own endpoints.
+        out, inn, key_of = self.out, self.inn, self.key_of
+        multi_starts, ends = self.starts ^ self.iso, self.ends
+        for i in range(bisect_left(self.keys, (2,)), len(self.paths)):
+            p = self.paths[i]
+            hits = [(key_of[x], 0) for x in _bits(inn[p[0]] & multi_starts)]
+            hits += [(key_of[x], 1) for x in _bits(out[p[-1]] & ends)]
+            eligible = [h for h in hits if h[0][0] <= len(p)]
+            if eligible:
+                key, case = min(eligible)
+                return CoverStep(op=_UNBALANCE[case], i=i, j=bisect_left(self.keys, key))
+        return None
+
+    def _rotated_step(self) -> Optional[CoverStep]:
+        """The rotation stages, run only once both plain stages found
+        nothing.
+
+        A rotatable path (one with its closing arc) can start and end at
+        any of its nodes; any other path only at its own endpoints.  A
+        pair (i, j) can take a step with some cuts exactly when the
+        union of arcs out of (or into) i's possible endpoints meets j's
+        possible endpoints: the only combination without a rotation is
+        the plain one, which has no arc here.  Only the first pair that
+        passes this test has its cuts searched, one by one in scan order.
+        """
+        paths, out, inn = self.paths, self.out, self.inn
+        owner = [0] * len(out)
+        for t, p in enumerate(paths):
+            for x in p:
+                owner[x] = t
+        whole: list[int] = []
+        for p in paths:
+            whole.append(sum(1 << x for x in p) if len(p) >= 2 and (out[p[-1]] >> p[0]) & 1 else 0)
+
+        def reach(masks: Sequence[int], t: int, end: int) -> int:
+            if not whole[t]:
+                return masks[paths[t][end]]
+            acc = 0
+            for x in paths[t]:
+                acc |= masks[x]
+            return acc
+
+        first = [whole[t] or 1 << p[0] for t, p in enumerate(paths)]
+        last = [whole[t] or 1 << p[-1] for t, p in enumerate(paths)]
+        k = bisect_left(self.keys, (2,))
+        all_first = sum(first)  # the masks are disjoint, so sum is union
+        out_reach = [reach(out, t, -1) for t in range(len(paths))]
+        for i in range(len(paths)):
+            hits = out_reach[i] & (all_first ^ first[i])
+            if hits:
+                j = min(owner[x] for x in _bits(hits))
+                return self._cut_merge(i, j, first[j])
+
+        multi_first, multi_last = sum(first[k:]), sum(last[k:])
+        for i in range(k, len(paths)):
+            length = len(paths[i])
+            hits = (reach(inn, i, 0) & (multi_first ^ first[i])) | (
+                out_reach[i] & (multi_last ^ last[i])
+            )
+            donors = [owner[x] for x in _bits(hits) if len(paths[owner[x]]) <= length]
+            if donors:
+                j = min(donors)
+                return self._cut_unbalance(i, j, first[j], last[j])
+        return None
+
+    def _cuts(self, t: int) -> list[Optional[int]]:
+        p = self.paths[t]
+        if len(p) >= 2 and (self.out[p[-1]] >> p[0]) & 1:
+            return [None, *range(len(p) - 1)]
+        return [None]
+
+    def _cut_merge(self, i: int, j: int, first_j: int) -> CoverStep:
+        # Cut c moves the end of path i to pi[c] and the start of path j
+        # to pj[c + 1]; so a start at position q of pj is cut q - 1.
+        pi = self.paths[i]
+        for ci in self._cuts(i):
+            hits = self.out[pi[-1] if ci is None else pi[ci]] & first_j
+            if hits:
+                pos = {x: q for q, x in enumerate(self.paths[j])}
+                q = min(pos[x] for x in _bits(hits))
+                return CoverStep(op="merge", i=i, j=j, rot_i=ci, rot_j=None if q == 0 else q - 1)
+        raise PropositionViolatedError("rotated merge %d -> %d has no cuts" % (i, j))
+
+    def _cut_unbalance(self, i: int, j: int, first_j: int, last_j: int) -> CoverStep:
+        # Rank cuts of path j in scan order: no rotation is 0, cut c is
+        # c + 1.  A start at position q has rank q; an end at position q
+        # has rank q + 1, or 0 for the last node.
+        pi, pj = self.paths[i], self.paths[j]
+        for ci in self._cuts(i):
+            s, e = (pi[0], pi[-1]) if ci is None else (pi[ci + 1], pi[ci])
+            a, b = self.inn[s] & first_j, self.out[e] & last_j
+            if a or b:
+                pos = {x: q for q, x in enumerate(pj)}
+                ranked = [(pos[x], 0) for x in _bits(a)]
+                ranked += [((pos[x] + 1) % len(pj), 1) for x in _bits(b)]
+                rank, case = min(ranked)
+                return CoverStep(
+                    op=_UNBALANCE[case], i=i, j=j, rot_i=ci, rot_j=None if rank == 0 else rank - 1
+                )
+        raise PropositionViolatedError("rotated unbalance %d <- %d has no cuts" % (i, j))
+
+
 def find_improvement(cover: PathCover, sg: SpoilGraph) -> Optional[CoverStep]:
     """Deterministic scan for the next improvement step, or None.
 
-    Scan order: plain merges, then plain unbalances, then merges that
-    need rotating one or both involved paths, then unbalances likewise.
-    Within a stage the path indices run lexicographically and rotation
-    cuts run no-rotation first.
+    The same scan that maximal_path_cover runs after every step; see
+    _CoverState.scan for its order.
     """
-    paths = cover.paths
-    p = len(paths)
-
-    for i in range(p):
-        for j in range(p):
-            if i != j and sg.has_arc(paths[i][-1], paths[j][0]):
-                return CoverStep(op="merge", i=i, j=j)
-
-    for i in range(p):
-        for j in range(p):
-            if i == j or len(paths[i]) < len(paths[j]) or len(paths[j]) < 2:
-                continue
-            if sg.has_arc(paths[j][0], paths[i][0]):
-                return CoverStep(op="unbalance_start", i=i, j=j)
-            if sg.has_arc(paths[i][-1], paths[j][-1]):
-                return CoverStep(op="unbalance_end", i=i, j=j)
-
-    rot_opts = [_rotations_of(cover, sg, idx) for idx in range(p)]
-
-    for i in range(p):
-        for j in range(p):
-            if i == j:
-                continue
-            for ci in rot_opts[i]:
-                pi = _rotated(paths[i], ci)
-                for cj in rot_opts[j]:
-                    if ci is None and cj is None:
-                        continue
-                    pj = _rotated(paths[j], cj)
-                    if sg.has_arc(pi[-1], pj[0]):
-                        return CoverStep(op="merge", i=i, j=j, rot_i=ci, rot_j=cj)
-
-    for i in range(p):
-        for j in range(p):
-            if i == j or len(paths[i]) < len(paths[j]) or len(paths[j]) < 2:
-                continue
-            for ci in rot_opts[i]:
-                pi = _rotated(paths[i], ci)
-                for cj in rot_opts[j]:
-                    if ci is None and cj is None:
-                        continue
-                    pj = _rotated(paths[j], cj)
-                    if sg.has_arc(pj[0], pi[0]):
-                        return CoverStep(op="unbalance_start", i=i, j=j, rot_i=ci, rot_j=cj)
-                    if sg.has_arc(pi[-1], pj[-1]):
-                        return CoverStep(op="unbalance_end", i=i, j=j, rot_i=ci, rot_j=cj)
-
-    return None
+    return _CoverState(sg, cover.paths).scan()
 
 
 def is_maximal(cover: PathCover, sg: SpoilGraph) -> bool:
@@ -356,19 +507,21 @@ def maximal_path_cover(
 
     Starts from the all-isolated cover unless given one.  Every step
     strictly increases the sum of squared path lengths, which is bounded
-    by n^2, so the loop terminates.
+    by n^2, so the loop terminates.  The cover is updated in place
+    between steps; the final one is rebuilt and validated in full.
     """
     cover = initial if initial is not None else trivial_cover(sg.n)
     cover.validate_arcs(sg)
+    state = _CoverState(sg, cover.paths)
     log: list[CoverStep] = []
     max_iters = sg.n * sg.n + sg.n + 5
     for _ in range(max_iters):
-        step = find_improvement(cover, sg)
+        step = state.scan()
         if step is None:
-            return cover, (log if collect_log else None)
-        before = cover.sum_squares
-        cover = apply_step(cover, sg, step)
-        if cover.sum_squares <= before:
+            final = PathCover.from_paths(sg.n, state.paths)
+            final.validate_arcs(sg)
+            return final, (log if collect_log else None)
+        if state.apply(step) <= 0:
             raise PropositionViolatedError(
                 "improvement step failed to increase the squared-length sum"
             )

@@ -4,7 +4,9 @@ The corpus is a fixed list of 50 instances drawn from every generator
 family, all with n <= 14 so the exact adversary stays cheap.  The brute
 helpers here are written independently of the production code paths they
 check: the matching oracle is a bitmask DP, the adversary oracle is a
-factorial sweep over arrival orders.
+factorial sweep over arrival orders.  The reference cover scan tries
+every path pair and rotation cut with one arc test each, in the scan
+order that the production scan must reproduce step for step.
 """
 
 import itertools
@@ -20,6 +22,7 @@ from greedyorder import (
     generate,
     greedy_match,
 )
+from greedyorder.spoil import CoverStep, apply_step, trivial_cover
 
 
 def _corpus_specs():
@@ -102,6 +105,93 @@ def brute_max_matching_size(adj, n_right):
         return best
 
     return go(0, 0)
+
+
+def _rotations_of(cover, sg, idx):
+    """Available rotation cuts for path idx, with None (no rotation) first."""
+    p = cover.paths[idx]
+    opts = [None]
+    if len(p) >= 2 and sg.has_arc(p[-1], p[0]):
+        opts.extend(range(len(p) - 1))
+    return opts
+
+
+def _rotated(p, cut):
+    if cut is None:
+        return p
+    return p[cut + 1 :] + p[: cut + 1]
+
+
+def reference_find_improvement(cover, sg):
+    """The improvement scan written as plain nested loops over path
+    pairs and rotation cuts, with one arc test each.
+
+    Scan order: plain merges, then plain unbalances, then merges that
+    need rotating one or both involved paths, then unbalances likewise.
+    Within a stage the path indices run lexicographically and rotation
+    cuts run no-rotation first.
+    """
+    paths = cover.paths
+    p = len(paths)
+
+    for i in range(p):
+        for j in range(p):
+            if i != j and sg.has_arc(paths[i][-1], paths[j][0]):
+                return CoverStep(op="merge", i=i, j=j)
+
+    for i in range(p):
+        for j in range(p):
+            if i == j or len(paths[i]) < len(paths[j]) or len(paths[j]) < 2:
+                continue
+            if sg.has_arc(paths[j][0], paths[i][0]):
+                return CoverStep(op="unbalance_start", i=i, j=j)
+            if sg.has_arc(paths[i][-1], paths[j][-1]):
+                return CoverStep(op="unbalance_end", i=i, j=j)
+
+    rot_opts = [_rotations_of(cover, sg, idx) for idx in range(p)]
+
+    for i in range(p):
+        for j in range(p):
+            if i == j:
+                continue
+            for ci in rot_opts[i]:
+                pi = _rotated(paths[i], ci)
+                for cj in rot_opts[j]:
+                    if ci is None and cj is None:
+                        continue
+                    pj = _rotated(paths[j], cj)
+                    if sg.has_arc(pi[-1], pj[0]):
+                        return CoverStep(op="merge", i=i, j=j, rot_i=ci, rot_j=cj)
+
+    for i in range(p):
+        for j in range(p):
+            if i == j or len(paths[i]) < len(paths[j]) or len(paths[j]) < 2:
+                continue
+            for ci in rot_opts[i]:
+                pi = _rotated(paths[i], ci)
+                for cj in rot_opts[j]:
+                    if ci is None and cj is None:
+                        continue
+                    pj = _rotated(paths[j], cj)
+                    if sg.has_arc(pj[0], pi[0]):
+                        return CoverStep(op="unbalance_start", i=i, j=j, rot_i=ci, rot_j=cj)
+                    if sg.has_arc(pi[-1], pj[-1]):
+                        return CoverStep(op="unbalance_end", i=i, j=j, rot_i=ci, rot_j=cj)
+
+    return None
+
+
+def reference_maximal_path_cover(sg, initial=None):
+    """Replay the reference scan with apply_step, which rebuilds and
+    revalidates the whole cover after every step.  Returns (cover, log)."""
+    cover = initial if initial is not None else trivial_cover(sg.n)
+    log = []
+    while True:
+        step = reference_find_improvement(cover, sg)
+        if step is None:
+            return cover, log
+        cover = apply_step(cover, sg, step)
+        log.append(step)
 
 
 def random_pm_graph(rng, n, extra=None):

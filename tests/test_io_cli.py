@@ -3,6 +3,7 @@
 import csv
 import io as _io
 import json
+import os
 import random
 import subprocess
 import sys
@@ -428,3 +429,22 @@ def test_console_script_entry_point():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["n"] == 3
+
+
+def test_bound_writes_the_same_bytes_under_python_O(corpus_by_id, tmp_path):
+    # -O strips assert statements; the certificate's invariants must not
+    # depend on them.
+    path = str(tmp_path / "g.json")
+    gio.write_graph(path, corpus_by_id["iter3"].graph)
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(gio.__file__)))
+    outs = []
+    for flags in ([], ["-O"]):
+        proc = subprocess.run(
+            [sys.executable, *flags, "-m", "greedyorder.cli", "bound", path],
+            capture_output=True,
+            env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        outs.append(proc.stdout)
+    assert outs[0] == outs[1]
+    assert json.loads(outs[0])["guaranteed_count"] > 0

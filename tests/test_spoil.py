@@ -1,17 +1,24 @@
 """Conflict digraph construction and path-cover improvement machinery."""
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from conftest import reference_find_improvement, reference_maximal_path_cover
 
 from greedyorder import (
     BipartiteGraph,
+    FamilySpec,
     PathCover,
     align_with_matching,
     build_spoiling_graph,
     find_perfect_matching,
+    generate,
     is_maximal,
     maximal_path_cover,
     verify_maximality_conditions,
 )
+from greedyorder.certify import build_theorem1
 from greedyorder.spoil import (
     CoverStep,
     SpoilGraph,
@@ -193,3 +200,134 @@ def test_maximality_conditions_fail_on_improvable_cover():
     sg = build_spoiling_graph(six_cycle())
     report = verify_maximality_conditions(trivial_cover(3), sg)
     assert report != []
+
+
+# --- the scan against the reference scan ---------------------------------
+
+STEP_KINDS = {
+    (op, rotated) for op in ("merge", "unbalance_start", "unbalance_end") for rotated in (False, True)
+}
+
+
+def step_kind(step):
+    return step.op, (step.rot_i, step.rot_j) != (None, None)
+
+
+def walk_paths(rng, masks, nodes):
+    """Random valid paths over nodes: each walks random arcs to unused
+    nodes, so planted cycles often come out closable."""
+    left = set(nodes)
+    paths = []
+    while left:
+        cur = [rng.choice(sorted(left))]
+        left.discard(cur[0])
+        while rng.random() < 0.9:
+            nxt = [y for y in sorted(left) if (masks[cur[-1]] >> y) & 1]
+            if not nxt:
+                break
+            cur.append(rng.choice(nxt))
+            left.discard(cur[-1])
+        paths.append(tuple(cur))
+    return paths
+
+
+@st.composite
+def digraph_and_cover(draw):
+    """A random digraph on n <= 40 nodes and a valid starting cover.
+
+    Arcs are directed cycles over blocks of a shuffled order plus random
+    arcs at a drawn density.  The start is the trivial cover, random
+    walks, or a planted pair that only a rotated unbalance improves: a
+    closed path A and a path B, no longer, with one arc from B's start
+    into A or from A into B's end.
+    """
+    rng = draw(st.randoms(use_true_random=True))
+    n = draw(st.integers(1, 40))
+    density = draw(st.sampled_from((0.0, 0.02, 0.05, 0.1, 0.3)))
+    block = draw(st.integers(1, 8))
+    start = draw(st.sampled_from(("trivial", "walk", "planted start", "planted end")))
+    order = list(range(n))
+    rng.shuffle(order)
+    masks = [0] * n
+
+    def arc(a, b):
+        if a != b:
+            masks[a] |= 1 << b
+
+    planted = []
+    if start.startswith("planted") and n >= 4:
+        la = rng.randint(2, n - 2)
+        lb = rng.randint(2, min(la, n - la))
+        a_path, b_path = order[:la], order[la : la + lb]
+        for x, y in zip(a_path, a_path[1:] + a_path[:1]):
+            arc(x, y)
+        for x, y in zip(b_path, b_path[1:]):
+            arc(x, y)
+        if start == "planted start":
+            arc(b_path[0], rng.choice(a_path[1:]))
+        else:
+            arc(rng.choice(a_path[:-1]), b_path[-1])
+        planted = [tuple(a_path), tuple(b_path)]
+        order = order[la + lb :]
+    for t in range(0, len(order), block):
+        cyc = order[t : t + block]
+        for x, y in zip(cyc, cyc[1:] + cyc[:1]):
+            arc(x, y)
+    for a in range(n):
+        for b in range(n):
+            if rng.random() < density:
+                arc(a, b)
+    sg = SpoilGraph(n=n, out_mask=tuple(masks))
+    if start == "trivial":
+        return sg, None
+    used = {x for p in planted for x in p}
+    rest = walk_paths(rng, masks, [x for x in range(n) if x not in used])
+    return sg, PathCover.from_paths(n, planted + rest)
+
+
+def test_cover_and_log_equal_the_reference_replay():
+    seen = set()
+
+    @settings(
+        max_examples=300,
+        derandomize=True,
+        database=None,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(digraph_and_cover())
+    def check(case):
+        sg, initial = case
+        cover, log = maximal_path_cover(sg, initial, collect_log=True)
+        assert (cover, log) == reference_maximal_path_cover(sg, initial)
+        seen.update(step_kind(s) for s in log)
+
+    check()
+    assert seen == STEP_KINDS
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(digraph_and_cover(), st.randoms(use_true_random=True))
+def test_find_improvement_equals_the_reference_on_any_valid_cover(case, rng):
+    sg, _ = case
+    cover = PathCover.from_paths(sg.n, walk_paths(rng, sg.out_mask, range(sg.n)))
+    assert find_improvement(cover, sg) == reference_find_improvement(cover, sg)
+
+
+def test_corpus_covers_equal_the_reference_replay(corpus):
+    for inst in corpus:
+        g = inst.graph
+        aligned, _ = align_with_matching(g, find_perfect_matching(g))
+        sg = build_spoiling_graph(aligned)
+        cover, log = maximal_path_cover(sg, collect_log=True)
+        assert (cover, log) == reference_maximal_path_cover(sg), inst.instance_id
+
+
+def test_long_single_path_certifies():
+    n = 3000
+    g = generate(FamilySpec("hamiltonian_random", {"n": n, "extra_edges": 0}, seed=1))
+    aligned, _ = align_with_matching(g, find_perfect_matching(g))
+    cover, log = maximal_path_cover(build_spoiling_graph(aligned), collect_log=True)
+    assert cover.p == 1 and len(log) == n - 1
+    cert = build_theorem1(g)
+    assert cert.eps.p == 1
