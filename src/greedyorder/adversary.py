@@ -7,11 +7,35 @@ V-vertices are already matched, and the set of remaining arrivals
 depends only on which U-vertices were processed, so the pair of masks
 (processed U, matched V) is a sufficient memoization key; the order in
 which the processed prefix arrived cannot influence anything later.
+
+One search engine, `_ArrivalSearch`, serves the exact adversary, the
+masked minimum and the safety decision in `analysis.is_safe`.  It is a
+depth-first branch-and-bound on an explicit stack, so its depth is not
+limited by the interpreter's recursion limit.  It rests on one lemma.
+
+Forced pick: at any state, let v be the lowest-ranked free neighbor of
+a live arrival u.  Every completion of the state matches v.  The
+neighbors of u ranked below v are already matched and stay matched, so
+when u arrives either v has been taken meanwhile or greedy gives v to
+u.  Hence the number of counted vertices among these forced picks is a
+lower bound on the state's value, and it costs nothing beyond the scan
+that already lists the state's branches.
+
+The search is fail-soft.  A state searched under a cap returns its
+exact value when that value is below the cap, and otherwise a lower
+bound that is at least the cap.  A state is cut when its forced-pick
+bound reaches the cap; each child is searched under the cap
+min(best so far, cap) - gain; and branching stops as soon as the best
+value found equals the forced-pick bound.  Exact values and lower
+bounds are memoized in separate tables.  `nodes_expanded` counts the
+states whose branches were searched, plus terminal states; states cut
+by the bound and memo hits are not counted.
 """
 
 from __future__ import annotations
 
 import collections
+import math
 import random
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -29,6 +53,7 @@ __all__ = [
     "AdversaryResult",
     "worst_order_exact",
     "worst_order_masked_min",
+    "order_avoiding",
     "worst_order_heuristic",
     "adversary_regular_gadget",
     "adversary_projective",
@@ -57,114 +82,174 @@ class _BudgetExceeded(Exception):
     pass
 
 
-class _MinGame:
-    """Memoized DFS minimizing the number of greedy matches.
+def _scan(adj: Sequence[int], alive: int, free: int) -> tuple[int, list[tuple[int, int]], int]:
+    """One state's arrivals, in ascending label order.
 
-    Works in rank space: V-vertex r is the vertex of pi-rank r, so the
-    greedy choice is always the lowest set bit of the free-neighbor
-    mask.  Two shortcuts keep the state space small and do not affect
-    the value: an arrival with no free neighbor changes nothing and can
-    be processed immediately (matched V only grows, so it stays dead),
-    and among arrivals with identical free-neighbor masks only one needs
-    to be branched on.
+    Returns the mask of dead arrivals (no free neighbor; matched V only
+    grows, so they stay dead and are absorbed at once), the branches as
+    (arrival bit, greedy pick bit) pairs with one branch per distinct
+    free-neighbor mask (arrivals with equal masks are interchangeable
+    for good), and the mask of forced picks.  Works in rank space, so
+    the greedy pick is the lowest set bit of the free-neighbor mask.
+    """
+    dead = 0
+    forced = 0
+    branches: list[tuple[int, int]] = []
+    seen: set[int] = set()
+    while alive:
+        u_bit = alive & -alive
+        alive ^= u_bit
+        m = adj[u_bit.bit_length() - 1] & free
+        if not m:
+            dead |= u_bit
+        elif m not in seen:
+            seen.add(m)
+            v_bit = m & -m
+            forced |= v_bit
+            branches.append((u_bit, v_bit))
+    return dead, branches, forced
+
+
+class _ArrivalSearch:
+    """Minimum number of count_mask vertices that greedy matches, over
+    all arrival orders, by the forced-pick branch-and-bound of the
+    module docstring.
+
+    Memo keys are single ints, processed-U mask << n | matched-V mask.
+    Branches are tried in ascending arrival label, so `replay`, which
+    takes the first branch whose value equals its state's, rebuilds the
+    lexicographically first optimal branch sequence.
     """
 
-    def __init__(self, adj_rank: Sequence[int], n: int, count_mask: int, budget: int):
+    def __init__(self, adj_rank: Sequence[int], n: int, count_mask: int, budget: float):
         self.adj = list(adj_rank)
         self.n = n
         self.count_mask = count_mask
         self.budget = budget
         self.nodes = 0
-        self.memo: dict[tuple[int, int], int] = {}
+        self.exact: dict[int, int] = {}
+        self.lower: dict[int, int] = {}
         self.full = (1 << n) - 1
 
-    def value(self, u_mask: int, v_mask: int) -> int:
-        key = (u_mask, v_mask)
-        cached = self.memo.get(key)
-        if cached is not None:
-            return cached
-        self.nodes += 1
-        if self.nodes > self.budget:
-            raise _BudgetExceeded
-        adj = self.adj
-        free_inv = ~v_mask
-        dead = 0
-        branches: list[tuple[int, int]] = []
-        seen_masks: set[int] = set()
-        alive = self.full & ~u_mask
-        while alive:
-            u_bit = alive & -alive
-            alive &= alive - 1
-            m = adj[u_bit.bit_length() - 1] & free_inv
-            if m == 0:
-                dead |= u_bit
-            elif m not in seen_masks:
-                seen_masks.add(m)
-                branches.append((u_bit, m))
-        if not branches:
-            self.memo[key] = 0
-            return 0
-        base_u = u_mask | dead
-        best = self.n + 1
-        for u_bit, m in branches:
-            v_bit = m & -m
-            gain = 1 if (v_bit & self.count_mask) else 0
-            sub = gain + self.value(base_u | u_bit, v_mask | v_bit)
-            if sub < best:
-                best = sub
-        self.memo[key] = best
-        return best
+    def value(self, ub: int) -> int:
+        """The minimum if it is below ub, otherwise a lower bound >= ub.
+
+        Raises _BudgetExceeded once more than `budget` states are expanded.
+        """
+        adj, n, full, count_mask = self.adj, self.n, self.full, self.count_mask
+        exact, lower = self.exact, self.lower
+        budget = self.budget
+        nodes = self.nodes
+        # Suspended frames; the innermost frame lives in the f_* locals.
+        stack: list[tuple] = []
+        depth = 0
+        f_key = f_u = f_v = f_i = f_best = f_cap = f_lb = f_gain = 0
+        f_br: list[tuple[int, int]] = []
+        u_mask = v_mask = 0
+        cap = ub
+        while True:
+            # Enter state (u_mask, v_mask) under cap: either settle its
+            # value in val or open a frame for it.
+            key = u_mask << n | v_mask
+            val = exact.get(key)
+            if val is None:
+                val = lower.get(key, 0)
+                if val < cap:
+                    dead, branches, forced = _scan(adj, full ^ u_mask, full ^ v_mask)
+                    lb = (forced & count_mask).bit_count()
+                    if lb >= cap:
+                        val = lower[key] = lb
+                    else:
+                        nodes += 1
+                        if nodes > budget:
+                            self.nodes = nodes
+                            raise _BudgetExceeded
+                        if not branches:
+                            val = exact[key] = 0
+                        else:
+                            if depth:
+                                stack.append(
+                                    (f_key, f_u, f_v, f_br, f_i, f_best, f_cap, f_lb, f_gain)
+                                )
+                            depth += 1
+                            f_key, f_u, f_v, f_br, f_i = key, u_mask | dead, v_mask, branches, 0
+                            f_best, f_cap, f_lb = n + 1, cap, max(lb, val)
+                            val = None
+            # Hand settled values up until some frame has a child to search.
+            while True:
+                if val is not None:
+                    if not depth:
+                        self.nodes = nodes
+                        return val
+                    sub = f_gain + val
+                    if sub < f_best:
+                        f_best = sub
+                if f_best > f_lb:
+                    bound = f_cap if f_cap < f_best else f_best
+                    n_br = len(f_br)
+                    while f_i < n_br:
+                        u_bit, v_bit = f_br[f_i]
+                        f_i += 1
+                        gain = 1 if v_bit & count_mask else 0
+                        # A branch worth at least gain >= bound cannot beat
+                        # best; it only arises once best is 1 (under cap 1 a
+                        # counted pick would have cut the state), so best
+                        # stays a valid bound.
+                        if gain < bound:
+                            break
+                    else:
+                        u_bit = 0
+                    if u_bit:
+                        f_gain = gain
+                        u_mask, v_mask, cap = f_u | u_bit, f_v | v_bit, bound - gain
+                        break
+                val = f_best
+                if val < f_cap:
+                    exact[f_key] = val
+                else:
+                    lower[f_key] = val
+                depth -= 1
+                if depth:
+                    f_key, f_u, f_v, f_br, f_i, f_best, f_cap, f_lb, f_gain = stack.pop()
 
     def replay(self) -> list[int]:
-        """Rebuild one minimizing arrival order from the memo table."""
+        """One minimizing arrival order, rebuilt from the exact table
+        after `value` returned a value below its ub."""
+        adj, n, full, exact = self.adj, self.n, self.full, self.exact
         order: list[int] = []
-        u_mask, v_mask = 0, 0
-        while u_mask != self.full:
-            state_val = self.memo[(u_mask, v_mask)]
-            adj = self.adj
-            free_inv = ~v_mask
-            dead: list[int] = []
-            branches: list[tuple[int, int]] = []
-            seen_masks: set[int] = set()
-            alive = self.full & ~u_mask
-            while alive:
-                u_bit = alive & -alive
-                alive &= alive - 1
-                u = u_bit.bit_length() - 1
-                m = adj[u] & free_inv
-                if m == 0:
-                    dead.append(u)
-                elif m not in seen_masks:
-                    seen_masks.add(m)
-                    branches.append((u_bit, m))
-            order.extend(dead)
-            for u in dead:
-                u_mask |= 1 << u
+        u_mask = v_mask = 0
+        while True:
+            state_val = exact[u_mask << n | v_mask]
+            dead, branches, _ = _scan(adj, full ^ u_mask, full ^ v_mask)
+            u_mask |= dead
+            while dead:
+                u_bit = dead & -dead
+                dead ^= u_bit
+                order.append(u_bit.bit_length() - 1)
             if not branches:
-                break
-            for u_bit, m in branches:
-                v_bit = m & -m
-                gain = 1 if (v_bit & self.count_mask) else 0
-                if gain + self.memo.get((u_mask | u_bit, v_mask | v_bit), -1) == state_val:
+                return order
+            for u_bit, v_bit in branches:
+                gain = 1 if v_bit & self.count_mask else 0
+                sub = exact.get((u_mask | u_bit) << n | v_mask | v_bit)
+                if sub is not None and gain + sub == state_val:
                     order.append(u_bit.bit_length() - 1)
                     u_mask |= u_bit
                     v_mask |= v_bit
                     break
             else:
-                raise PropositionViolatedError("replay found no branch matching the memoized value")
-        return order
+                raise PropositionViolatedError("replay found no branch matching the searched value")
 
 
-def _mask_of(xs: Sequence[int]) -> int:
+def _rank_mask(pi: Permutation, vs: Sequence[int]) -> int:
+    rank = pi.rank
     m = 0
-    for x in xs:
-        m |= 1 << x
+    for v in vs:
+        m |= 1 << rank[v]
     return m
 
 
 def _adj_rank_masks(g: BipartiteGraph, pi: Permutation) -> list[int]:
-    rank = pi.rank
-    return [_mask_of([rank[v] for v in g.adj_u[u]]) for u in range(g.n)]
+    return [_rank_mask(pi, g.adj_u[u]) for u in range(g.n)]
 
 
 def worst_order_exact(
@@ -172,26 +257,29 @@ def worst_order_exact(
 ) -> AdversaryResult:
     """Minimize the greedy matched count over all arrival orders.
 
-    Memoized DFS over (processed U, matched V) states.  If the node
-    budget runs out the local-search heuristic supplies the answer and
-    exact is false.
+    Forced-pick branch-and-bound over (processed U, matched V) states
+    (see the module docstring), with no cap, so the value is exact.
+    sigma is the lexicographically first optimal branch sequence, and
+    nodes_expanded counts expanded and terminal states, not bound
+    cut-offs or memo hits.  If more than `budget` states are expanded
+    the local-search heuristic supplies the answer and exact is false.
     """
-    game = _MinGame(_adj_rank_masks(g, pi), g.n, (1 << g.n) - 1, budget)
+    search = _ArrivalSearch(_adj_rank_masks(g, pi), g.n, (1 << g.n) - 1, budget)
     try:
-        size = game.value(0, 0)
+        size = search.value(g.n + 1)
     except _BudgetExceeded:
         fallback = worst_order_heuristic(g, pi, iters=4000, seed=0)
         return AdversaryResult(
             sigma=fallback.sigma, size=fallback.size, exact=False,
             nodes_expanded=budget + fallback.nodes_expanded,
         )
-    sigma = Permutation.from_order(game.replay())
+    sigma = Permutation.from_order(search.replay())
     check = greedy_match(g, sigma, pi).size
     if check != size:
         raise PropositionViolatedError(
             "replayed order gives %d matches, search said %d" % (check, size)
         )
-    return AdversaryResult(sigma=sigma, size=size, exact=True, nodes_expanded=game.nodes)
+    return AdversaryResult(sigma=sigma, size=size, exact=True, nodes_expanded=search.nodes)
 
 
 def worst_order_masked_min(
@@ -202,18 +290,31 @@ def worst_order_masked_min(
 ) -> tuple[int, bool, int]:
     """Minimum over all arrival orders of how many vertices of v_subset
     get matched.  Returns (value, exact, nodes_expanded)."""
-    rank = pi.rank
-    count_mask = _mask_of([rank[v] for v in v_subset])
-    game = _MinGame(_adj_rank_masks(g, pi), g.n, count_mask, budget)
+    search = _ArrivalSearch(_adj_rank_masks(g, pi), g.n, _rank_mask(pi, v_subset), budget)
     try:
-        val = game.value(0, 0)
-        return val, True, game.nodes
+        return search.value(g.n + 1), True, search.nodes
     except _BudgetExceeded:
         sub = set(v_subset)
         fallback = worst_order_heuristic(g, pi, iters=4000, seed=0)
         out = greedy_match(g, fallback.sigma, pi)
         val = sum(1 for v in sub if out.matched_u_of_v[v] is not None)
         return val, False, budget
+
+
+def order_avoiding(
+    g: BipartiteGraph, pi: Permutation, v_subset: Sequence[int]
+) -> Optional[Permutation]:
+    """An arrival order under which greedy matches no vertex of
+    v_subset, or None when every order matches one of them.
+
+    The masked search runs with cap 1, so it only has to decide whether
+    the masked minimum is 0; the order is the first such branch
+    sequence.  There is no node budget.
+    """
+    search = _ArrivalSearch(_adj_rank_masks(g, pi), g.n, _rank_mask(pi, v_subset), math.inf)
+    if search.value(1):
+        return None
+    return Permutation.from_order(search.replay())
 
 
 def worst_order_heuristic(

@@ -16,7 +16,7 @@ import random
 import statistics
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Union
+from typing import Iterable, Optional, Sequence, Union
 
 from .adversary import (
     DEFAULT_BUDGET,
@@ -24,6 +24,7 @@ from .adversary import (
     adversary_planted_is,
     adversary_projective,
     adversary_regular_gadget,
+    order_avoiding,
     worst_order_exact,
     worst_order_heuristic,
 )
@@ -193,17 +194,43 @@ class SafetyResult:
     witness: Optional[Permutation]
 
 
+def _hall_safe(g: BipartiteGraph, s_list: Sequence[int]) -> bool:
+    """Two sufficient conditions for safety that hold for every pi: a
+    left vertex whose whole neighborhood lies inside s forces a match
+    into s, and a set whose neighborhood is larger than the outside
+    cannot park all neighbors elsewhere."""
+    s_set = set(s_list)
+    for nb in g.adj_u:
+        if nb and all(v in s_set for v in nb):
+            return True
+    closed = {u for v in s_list for u in g.adj_v[v]}
+    return len(closed) > g.n - len(s_list)
+
+
+def _unsafe_witness(
+    g: BipartiteGraph, pi: Permutation, s_list: Sequence[int]
+) -> Optional[Permutation]:
+    """The arrival order the search finds leaving all of s unmatched,
+    validated by replay, or None when s is safe under pi."""
+    witness = order_avoiding(g, pi, s_list)
+    if witness is not None:
+        replay = greedy_match(g, witness, pi)
+        if any(replay.matched_u_of_v[v] is not None for v in s_list):
+            raise PropositionViolatedError("safety witness failed replay validation")
+    return witness
+
+
 def is_safe(g: BipartiteGraph, pi: Permutation, s: Iterable[int]) -> SafetyResult:
     """Decide whether every arrival order matches at least one vertex of s.
 
-    The empty set is safe by convention.  Two sufficient conditions
-    short-circuit the search: a left vertex whose whole neighborhood
-    lies inside s forces a match into s, and a set whose neighborhood is
-    larger than the outside cannot park all neighbors elsewhere.
-    Otherwise a depth-first search over arrival prefixes looks for an
-    order that never touches s; arrivals with no free neighbor are
-    absorbed eagerly and arrivals with identical remaining choices are
-    branched once.
+    The empty set is safe by convention.  The Hall-type conditions of
+    `_hall_safe` short-circuit the search.  Otherwise the arrival-order
+    search of `adversary` (forced-pick branch-and-bound, no recursion
+    limit) computes the masked minimum with cap 1: s is unsafe exactly
+    when that minimum is 0, and the witness is the first branch
+    sequence, in ascending arrival order at every state, that reaches
+    it.  Arrivals with no free neighbor are absorbed eagerly and
+    arrivals with identical remaining choices are branched once.
     """
     n = g.n
     if len(pi) != n:
@@ -213,61 +240,10 @@ def is_safe(g: BipartiteGraph, pi: Permutation, s: Iterable[int]) -> SafetyResul
         return SafetyResult(True, None)
     if s_list[0] < 0 or s_list[-1] >= n:
         raise AnalysisParamError("subset contains vertices outside the graph")
-    s_set = set(s_list)
-    for u in range(n):
-        nb = g.adj_u[u]
-        if nb and all(v in s_set for v in nb):
-            return SafetyResult(True, None)
-    closed = {u for v in s_list for u in g.adj_v[v]}
-    if len(closed) > n - len(s_list):
+    if _hall_safe(g, s_list):
         return SafetyResult(True, None)
-
-    rank = pi.rank
-    by_rank = [sorted(g.adj_u[u], key=lambda v: rank[v]) for u in range(n)]
-    adj_mask = [sum(1 << v for v in g.adj_u[u]) for u in range(n)]
-    s_mask = sum(1 << v for v in s_list)
-    full = (1 << n) - 1
-    failed: set[tuple[int, int]] = set()
-    seq: list[int] = []
-
-    def dfs(u_mask: int, v_mask: int) -> bool:
-        added = 0
-        for u in range(n):
-            if not (u_mask >> u & 1) and adj_mask[u] & ~v_mask == 0:
-                u_mask |= 1 << u
-                seq.append(u)
-                added += 1
-        if u_mask == full:
-            return True
-        key = (u_mask, v_mask)
-        if key not in failed:
-            seen: set[int] = set()
-            for u in range(n):
-                if u_mask >> u & 1:
-                    continue
-                rest = adj_mask[u] & ~v_mask
-                if rest in seen:
-                    continue
-                seen.add(rest)
-                v = next(w for w in by_rank[u] if not v_mask >> w & 1)
-                if s_mask >> v & 1:
-                    continue
-                seq.append(u)
-                if dfs(u_mask | (1 << u), v_mask | (1 << v)):
-                    return True
-                seq.pop()
-            failed.add(key)
-        if added:
-            del seq[-added:]
-        return False
-
-    if not dfs(0, 0):
-        return SafetyResult(True, None)
-    witness = Permutation.from_order(seq)
-    replay = greedy_match(g, witness, pi)
-    if any(replay.matched_u_of_v[v] is not None for v in s_list):
-        raise PropositionViolatedError("safety witness failed replay validation")
-    return SafetyResult(False, witness)
+    witness = _unsafe_witness(g, pi, s_list)
+    return SafetyResult(witness is None, witness)
 
 
 @dataclass(frozen=True)
@@ -300,15 +276,17 @@ def enumerate_bad_sets(g: BipartiteGraph, size: int, mode: str = "full_pi") -> B
     bad: list[tuple[int, ...]] = []
     witnesses: dict[tuple[int, ...], tuple[Permutation, Permutation]] = {}
     for comb in itertools.combinations(range(n), size):
+        # The pi-independent half of is_safe runs once per set.
+        if _hall_safe(g, comb):
+            continue
         if mode == "canonical_pi":
             rest = [v for v in range(n) if v not in comb]
             candidates = [Permutation.from_order(rest + list(comb))]
         for pi in candidates:
-            result = is_safe(g, pi, comb)
-            if not result.safe:
+            witness = _unsafe_witness(g, pi, comb)
+            if witness is not None:
                 bad.append(comb)
-                assert result.witness is not None
-                witnesses[comb] = (pi, result.witness)
+                witnesses[comb] = (pi, witness)
                 break
     return BadSetReport(size, mode, tuple(bad), witnesses)
 
@@ -443,7 +421,8 @@ def _minimize_with_policy(g: BipartiteGraph, pi: Permutation, policy: str):
             key = (out.size, -len(half.intersection(losers)), perm)
             if best is None or key < best[0]:
                 best = (key, perm, losers)
-        assert best is not None
+        if best is None:
+            raise PropositionViolatedError("no arrival order was enumerated")
         return Permutation.from_order(best[1]), best[0][0], best[2]
     best_size: Optional[int] = None
     loser_sets: dict[tuple[int, ...], tuple[int, ...]] = {}
@@ -457,7 +436,8 @@ def _minimize_with_policy(g: BipartiteGraph, pi: Permutation, policy: str):
             cur = loser_sets.get(losers)
             if cur is None or perm < cur:
                 loser_sets[losers] = perm
-    assert best_size is not None
+    if best_size is None:
+        raise PropositionViolatedError("no arrival order was enumerated")
     scored = []
     for losers, perm in loser_sets.items():
         lset = set(losers)
@@ -514,7 +494,11 @@ def _priority_game_value(g: BipartiteGraph) -> int:
 
 def _arrival_game_value(g: BipartiteGraph) -> int:
     """Best guarantee when the left side's arrival order is chosen and
-    each arrival receives an adversarially chosen wanted free vertex."""
+    each arrival receives an adversarially chosen wanted free vertex.
+
+    Deliberately a separate search from the adversary's engine: it is
+    the independent side of the transposition cross-check, and solving
+    it with the engine would compare the engine with itself."""
     n = g.n
     adj_mask = [sum(1 << v for v in g.adj_u[u]) for u in range(n)]
     best_overall = 0

@@ -400,7 +400,8 @@ def minimal_tight_item_set(
         cand = sorted(seen)
         if best is None or (len(cand), cand) < (len(best), best):
             best = cand
-    assert best is not None
+    if best is None:
+        raise PropositionViolatedError("no remaining item to start a tight set from")
     return best
 
 

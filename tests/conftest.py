@@ -6,7 +6,10 @@ helpers here are written independently of the production code paths they
 check: the matching oracle is a bitmask DP, the adversary oracle is a
 factorial sweep over arrival orders.  The reference cover scan tries
 every path pair and rotation cut with one arc test each, in the scan
-order that the production scan must reproduce step for step.
+order that the production scan must reproduce step for step.  The
+reference arrival-order searches are the exhaustive memoised game and
+the safety depth-first search that the branch-and-bound engine replaced;
+the engine must return their values, orders and witnesses exactly.
 """
 
 import itertools
@@ -192,6 +195,136 @@ def reference_maximal_path_cover(sg, initial=None):
             return cover, log
         cover = apply_step(cover, sg, step)
         log.append(step)
+
+
+class _ReferenceMinGame:
+    """Memoized recursive DFS minimizing the number of greedy matches
+    that fall in count_mask, with no bound: every state is expanded.
+
+    Works in rank space, absorbs dead arrivals, branches once per
+    distinct free-neighbor mask in ascending arrival label, and replays
+    the first branch whose memoized value equals its state's.
+    """
+
+    def __init__(self, adj_rank, n, count_mask):
+        self.adj = list(adj_rank)
+        self.n = n
+        self.count_mask = count_mask
+        self.nodes = 0
+        self.memo = {}
+        self.full = (1 << n) - 1
+
+    def _branches(self, u_mask, v_mask):
+        dead, branches, seen = [], [], set()
+        for u in range(self.n):
+            if u_mask >> u & 1:
+                continue
+            m = self.adj[u] & ~v_mask
+            if m == 0:
+                dead.append(u)
+            elif m not in seen:
+                seen.add(m)
+                branches.append((u, m & -m))
+        return dead, branches
+
+    def value(self, u_mask=0, v_mask=0):
+        key = (u_mask, v_mask)
+        if key in self.memo:
+            return self.memo[key]
+        self.nodes += 1
+        dead, branches = self._branches(u_mask, v_mask)
+        base_u = u_mask | sum(1 << u for u in dead)
+        best = 0 if not branches else self.n + 1
+        for u, v_bit in branches:
+            gain = 1 if v_bit & self.count_mask else 0
+            best = min(best, gain + self.value(base_u | 1 << u, v_mask | v_bit))
+        self.memo[key] = best
+        return best
+
+    def replay(self):
+        order, u_mask, v_mask = [], 0, 0
+        while True:
+            state_val = self.memo[(u_mask, v_mask)]
+            dead, branches = self._branches(u_mask, v_mask)
+            order.extend(dead)
+            u_mask |= sum(1 << u for u in dead)
+            if not branches:
+                return order
+            for u, v_bit in branches:
+                gain = 1 if v_bit & self.count_mask else 0
+                if gain + self.memo[(u_mask | 1 << u, v_mask | v_bit)] == state_val:
+                    order.append(u)
+                    u_mask |= 1 << u
+                    v_mask |= v_bit
+                    break
+
+
+def reference_min_game(g, pi, v_subset):
+    """(minimum matched count inside v_subset, replayed order, states)."""
+    rank = pi.rank
+    adj = [sum(1 << rank[v] for v in g.adj_u[u]) for u in range(g.n)]
+    game = _ReferenceMinGame(adj, g.n, sum(1 << rank[v] for v in set(v_subset)))
+    value = game.value()
+    return value, game.replay(), game.nodes
+
+
+def reference_is_safe(g, pi, s):
+    """(safe, witness order or None) by the Hall pre-checks and a
+    recursive DFS over arrival prefixes that never gives an arrival a
+    vertex of s; the witness is the first such order in DFS order."""
+    n = g.n
+    s_list = sorted(set(s))
+    if not s_list:
+        return True, None
+    s_set = set(s_list)
+    for u in range(n):
+        nb = g.adj_u[u]
+        if nb and all(v in s_set for v in nb):
+            return True, None
+    if len({u for v in s_list for u in g.adj_v[v]}) > n - len(s_list):
+        return True, None
+    rank = pi.rank
+    by_rank = [sorted(g.adj_u[u], key=lambda v: rank[v]) for u in range(n)]
+    adj_mask = [sum(1 << v for v in g.adj_u[u]) for u in range(n)]
+    s_mask = sum(1 << v for v in s_list)
+    full = (1 << n) - 1
+    failed = set()
+    seq = []
+
+    def dfs(u_mask, v_mask):
+        added = 0
+        for u in range(n):
+            if not (u_mask >> u & 1) and adj_mask[u] & ~v_mask == 0:
+                u_mask |= 1 << u
+                seq.append(u)
+                added += 1
+        if u_mask == full:
+            return True
+        key = (u_mask, v_mask)
+        if key not in failed:
+            seen = set()
+            for u in range(n):
+                if u_mask >> u & 1:
+                    continue
+                rest = adj_mask[u] & ~v_mask
+                if rest in seen:
+                    continue
+                seen.add(rest)
+                v = next(w for w in by_rank[u] if not v_mask >> w & 1)
+                if s_mask >> v & 1:
+                    continue
+                seq.append(u)
+                if dfs(u_mask | (1 << u), v_mask | (1 << v)):
+                    return True
+                seq.pop()
+            failed.add(key)
+        if added:
+            del seq[-added:]
+        return False
+
+    if dfs(0, 0):
+        return False, seq
+    return True, None
 
 
 def random_pm_graph(rng, n, extra=None):

@@ -1,0 +1,120 @@
+"""The arrival-order search engine against the references it replaced.
+
+The exact adversary, the masked minimum and the safety decision share
+one forced-pick branch-and-bound.  Its values, replayed orders and
+safety witnesses must equal those of the unbounded memoised game and
+of the recursive safety search in conftest, and it must handle inputs
+far deeper than the interpreter's recursion limit.
+"""
+
+import collections
+import json
+import math
+
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from conftest import (
+    brute_force_min,
+    random_perm,
+    random_pm_graph,
+    reference_is_safe,
+    reference_min_game,
+)
+
+import greedyorder.io as gio
+from greedyorder import (
+    BipartiteGraph,
+    Permutation,
+    greedy_match,
+    is_safe,
+    worst_order_exact,
+    worst_order_masked_min,
+)
+from greedyorder.adversary import _adj_rank_masks, _ArrivalSearch
+from greedyorder.cli import main
+
+
+@st.composite
+def graph_pi_subset(draw):
+    """A random perfect-matching graph with n <= 10, a random priority
+    order and a nonempty subset of the right side: either any subset or
+    the lowest-priority vertices, which are the likeliest to be unsafe."""
+    rng = draw(st.randoms(use_true_random=True))
+    n = draw(st.integers(1, 10))
+    g = random_pm_graph(rng, n, extra=rng.randrange(0, 2 * n))
+    pi = random_perm(rng, n)
+    k = min(rng.randint(1, n), rng.randint(1, n))
+    if draw(st.booleans()):
+        subset = sorted(pi.order[n - k :])
+    else:
+        subset = sorted(rng.sample(range(n), k))
+    return g, pi, subset
+
+
+def test_engine_equals_the_references():
+    seen = collections.Counter()
+
+    @settings(
+        max_examples=300,
+        derandomize=True,
+        database=None,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(graph_pi_subset())
+    def check(case):
+        g, pi, subset = case
+        n = g.n
+        ref_size, ref_order, ref_nodes = reference_min_game(g, pi, range(n))
+        res = worst_order_exact(g, pi)
+        assert res.exact
+        assert (res.size, list(res.sigma.order)) == (ref_size, ref_order)
+        assert res.nodes_expanded <= ref_nodes
+        if n <= 7:
+            assert res.size == brute_force_min(g, pi)
+
+        masked, exact, _ = worst_order_masked_min(g, pi, subset)
+        assert exact
+        assert masked == reference_min_game(g, pi, subset)[0]
+
+        safety = is_safe(g, pi, subset)
+        witness = None if safety.witness is None else list(safety.witness.order)
+        assert (safety.safe, witness) == reference_is_safe(g, pi, subset)
+        assert safety.safe == (masked >= 1)
+
+        search = _ArrivalSearch(_adj_rank_masks(g, pi), n, (1 << n) - 1, math.inf)
+        assert search.value(n + 1) == ref_size
+        seen["bound cut-off"] += bool(search.lower)
+        seen["unsafe"] += not safety.safe
+        seen["safe"] += safety.safe
+
+    check()
+    assert seen["bound cut-off"] >= 20, seen
+    assert seen["unsafe"] >= 20 and seen["safe"] >= 20, seen
+
+
+def reversed_chain(n):
+    """u_i ~ v_{n-1-i}, v_{n-2-i}: under the identity order, leaving
+    v_{n-1} unmatched takes one arrival per level of an n-deep search."""
+    edges = {(i, n - 1 - i) for i in range(n)} | {(i, n - 2 - i) for i in range(n - 1)}
+    return BipartiteGraph.from_edges(n, sorted(edges))
+
+
+def test_deep_safety_search_has_no_recursion_limit():
+    n = 1500
+    g, pi = reversed_chain(n), Permutation.identity(n)
+    res = is_safe(g, pi, [n - 1])
+    assert not res.safe
+    out = greedy_match(g, res.witness, pi)
+    assert out.matched_u_of_v[n - 1] is None
+
+
+def test_cli_deep_safety_search_exits_zero(tmp_path, capsys):
+    n = 1500
+    graph = tmp_path / "chain.json"
+    gio.write_graph(str(graph), reversed_chain(n))
+    pi_path = tmp_path / "pi.json"
+    pi_path.write_text(json.dumps(list(range(n))))
+    assert main(["analyze", "safety", str(graph), "--pi", str(pi_path), "--set", str(n - 1)]) == 0
+    assert json.loads(capsys.readouterr().out)["safe"] is False
