@@ -531,7 +531,7 @@ def _arrival_game_value(g: BipartiteGraph) -> int:
 
 
 def _transposed(g: BipartiteGraph) -> BipartiteGraph:
-    return BipartiteGraph.from_edges(g.n, sorted((v, u) for u, v in g.edges))
+    return BipartiteGraph(n=g.n, adj_u=g.adj_v, adj_v=g.adj_u)
 
 
 def cross_check_interpretations(g: BipartiteGraph, n_cap: int = 5) -> bool:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import random
 import sys
 import time
@@ -319,7 +320,13 @@ def cmd_analyze_crosscheck(args) -> int:
 # --- parser wiring -----------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The argument parser for every subcommand.
+
+    Built once per process and shared by every call to ``main``; callers
+    must not mutate it (add arguments, change defaults).
+    """
     parser = _Parser(prog="greedyorder", description=__doc__)
     subs = parser.add_subparsers(dest="command", required=True)
 

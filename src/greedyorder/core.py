@@ -55,24 +55,33 @@ class BipartiteGraph:
         family: Optional[str] = None,
         params: Optional[dict] = None,
     ) -> "BipartiteGraph":
+        """Build a graph from (u, v) pairs given in any order.
+
+        Raises InvalidGraphError when n < 1, when an edge is out of range
+        or when an edge repeats.  Ranges are checked while the edges are
+        read and repeats once each U list is sorted, so with several
+        faults an out-of-range edge is named before an earlier repeat,
+        and the smallest repeated edge is the one named.
+        """
         if n < 1:
             raise InvalidGraphError("n must be at least 1, got %r" % (n,))
         adj_u: list[list[int]] = [[] for _ in range(n)]
-        adj_v: list[list[int]] = [[] for _ in range(n)]
-        seen: set[tuple[int, int]] = set()
-        for e in edges:
-            u, v = e
+        for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
                 raise InvalidGraphError("edge (%r, %r) out of range for n=%d" % (u, v, n))
-            if (u, v) in seen:
-                raise InvalidGraphError("duplicate edge (%d, %d)" % (u, v))
-            seen.add((u, v))
             adj_u[u].append(v)
-            adj_v[v].append(u)
+        adj_v: list[list[int]] = [[] for _ in range(n)]
+        for u, a in enumerate(adj_u):
+            a.sort()
+            if len(set(a)) < len(a):
+                v = next(x for x, y in zip(a, a[1:]) if x == y)
+                raise InvalidGraphError("duplicate edge (%d, %d)" % (u, v))
+            for v in a:
+                adj_v[v].append(u)
         return cls(
             n=n,
-            adj_u=tuple(tuple(sorted(a)) for a in adj_u),
-            adj_v=tuple(tuple(sorted(a)) for a in adj_v),
+            adj_u=tuple(map(tuple, adj_u)),
+            adj_v=tuple(map(tuple, adj_v)),
             family=family,
             params=params,
         )
@@ -262,19 +271,29 @@ def align_with_matching(
     """Relabel the V side so that m becomes the identity matching.
 
     Returns the relabeled graph and ``v_map`` with ``v_map[new] == old``,
-    kept so results can be reported in the original labeling.
+    kept so results can be reported in the original labeling.  The
+    adjacency is relabelled with no rebuild: each U list has its entries
+    renamed and is re-sorted, and the V lists are permuted, so they stay
+    sorted.
+    Raises InvalidGraphError if a pair of m is not an edge or m is not a
+    permutation.
     """
     if len(m.v_of_u) != g.n:
         raise DimensionMismatchError("matching size %d != n=%d" % (len(m.v_of_u), g.n))
     old_of_new = m.v_of_u
-    new_of_old = [-1] * g.n
-    for new, old in enumerate(old_of_new):
-        new_of_old[old] = new
     for u, v in enumerate(old_of_new):
         if v not in g.adj_u[u]:
             raise InvalidGraphError("matching pair (%d, %d) is not an edge" % (u, v))
-    edges = [(u, new_of_old[v]) for u in range(g.n) for v in g.adj_u[u]]
-    g2 = BipartiteGraph.from_edges(g.n, edges)
+    new_of_old = [-1] * g.n
+    for new, old in enumerate(old_of_new):
+        new_of_old[old] = new
+    if -1 in new_of_old:
+        raise InvalidGraphError("matching %r is not a permutation" % (list(old_of_new),))
+    g2 = BipartiteGraph(
+        n=g.n,
+        adj_u=tuple(tuple(sorted([new_of_old[v] for v in a])) for a in g.adj_u),
+        adj_v=tuple(g.adj_v[old] for old in old_of_new),
+    )
     return g2, tuple(old_of_new)
 
 
@@ -306,7 +325,8 @@ def check_prefix_bound(
         raise DimensionMismatchError("k=%d out of range for n=%d" % (k, g.n))
     out = greedy_match(g, sigma, pi)
     prefix = pi.order[:k]
-    partner_us = {m.u_of_v[v] for v in prefix}
+    u_of_v = m.u_of_v
+    partner_us = {u_of_v[v] for v in prefix}
     matched = 0
     ell = 0
     for v in prefix:

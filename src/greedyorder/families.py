@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import Mapping
 
 from .core import BipartiteGraph, Permutation, greedy_match
-from .errors import GenerationError
+from .errors import GenerationError, PropositionViolatedError
 
 Edge = tuple[int, int]
 
@@ -75,6 +75,16 @@ def _verify_gadget() -> None:
     _gadget_verified = True
 
 
+def _check_regular(g: BipartiteGraph, d: int) -> None:
+    """Raise PropositionViolatedError unless every vertex has degree d."""
+    for side, adj in (("U", g.adj_u), ("V", g.adj_v)):
+        for x, a in enumerate(adj):
+            if len(a) != d:
+                raise PropositionViolatedError(
+                    "%s vertex %d of %s has degree %d, not %d" % (side, x, g.family, len(a), d)
+                )
+
+
 def gen_fig1() -> BipartiteGraph:
     """Six-cycle on 3+3 vertices; the smallest graph where order matters."""
     edges = [(0, 0), (0, 1), (1, 1), (1, 2), (2, 2), (2, 0)]
@@ -100,8 +110,7 @@ def gen_regular89(d: int, t: int) -> BipartiteGraph:
                     for v in range(base + bj * d, base + (bj + 1) * d):
                         edges.append((u, v))
     g = BipartiteGraph.from_edges(3 * d * t, edges, family="regular89", params={"d": d, "t": t})
-    assert all(len(a) == 2 * d for a in g.adj_u)
-    assert all(len(a) == 2 * d for a in g.adj_v)
+    _check_regular(g, 2 * d)
     return g
 
 
@@ -125,8 +134,7 @@ def gen_tight_regular(d: int) -> BipartiteGraph:
         for v in range(d - 1, n):
             edges.append((u, v))
     g = BipartiteGraph.from_edges(n, edges, family="tight_regular", params={"d": d})
-    assert all(len(a) == d for a in g.adj_u)
-    assert all(len(a) == d for a in g.adj_v)
+    _check_regular(g, d)
     return g
 
 
@@ -184,13 +192,16 @@ def _audit_plane(g: BipartiteGraph, order: int) -> None:
     """Check the projective plane axioms the adversaries depend on."""
     q = order
     n = q * q + q + 1
-    assert g.n == n
-    assert all(len(a) == q + 1 for a in g.adj_u)
-    assert all(len(a) == q + 1 for a in g.adj_v)
+    if g.n != n:
+        raise PropositionViolatedError("plane of order %d has n=%d, not %d" % (q, g.n, n))
+    _check_regular(g, q + 1)
     for p1 in range(n):
         for p2 in range(p1 + 1, n):
             common = set(g.adj_u[p1]) & set(g.adj_u[p2])
-            assert len(common) == 1
+            if len(common) != 1:
+                raise PropositionViolatedError(
+                    "points %d and %d share %d lines, not 1" % (p1, p2, len(common))
+                )
 
 
 def gen_biclique_half(n: int) -> BipartiteGraph:
@@ -246,8 +257,8 @@ def gen_iterative(i: int) -> BipartiteGraph:
     g = BipartiteGraph.from_edges(size, edges, family="iterative", params={"i": i})
     for j in range(size):
         pc = bin(j).count("1")
-        assert len(g.adj_u[j]) == 1 + (i - pc)
-        assert len(g.adj_v[j]) == 1 + pc
+        if len(g.adj_u[j]) != 1 + (i - pc) or len(g.adj_v[j]) != 1 + pc:
+            raise PropositionViolatedError("iterative i=%d: vertex %d has wrong degrees" % (i, j))
     return g
 
 
@@ -305,8 +316,7 @@ def gen_random_regular(n: int, d: int, seed: int) -> BipartiteGraph:
     g = BipartiteGraph.from_edges(
         n, sorted(edges), family="random_regular", params={"n": n, "d": d, "seed": seed}
     )
-    assert all(len(a) == d for a in g.adj_u)
-    assert all(len(a) == d for a in g.adj_v)
+    _check_regular(g, d)
     return g
 
 
@@ -343,9 +353,9 @@ def gen_planted_is(n: int, d: int, eps: float, seed: int) -> BipartiteGraph:
             "degree_spread": (d, d),
         },
     )
-    assert all(len(a) == d for a in g.adj_u)
-    assert all(len(a) == d for a in g.adj_v)
-    assert all(v >= s for u in range(s) for v in g.adj_u[u])
+    _check_regular(g, d)
+    if any(v < s for u in range(s) for v in g.adj_u[u]):
+        raise PropositionViolatedError("planted block of size %d has an edge" % s)
     return g
 
 

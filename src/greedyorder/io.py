@@ -80,17 +80,22 @@ def _pair_list(value: Any, n: int, key: str, where: str) -> list[tuple[int, int]
     if not isinstance(value, list):
         raise _fail(where, "field %r must be a list of [u, v] pairs" % key)
     out = []
+    append = out.append
     for idx, item in enumerate(value):
-        if (
-            not isinstance(item, (list, tuple))
-            or len(item) != 2
-            or not all(isinstance(x, int) and not isinstance(x, bool) for x in item)
-        ):
-            raise _fail(where, "field %r entry %d is not an [u, v] integer pair" % (key, idx))
-        u, v = item
-        if not (0 <= u < n and 0 <= v < n):
-            raise _fail(where, "field %r entry %d out of range for n=%d" % (key, idx, n))
-        out.append((u, v))
+        if isinstance(item, (list, tuple)) and len(item) == 2:
+            u, v = item
+            # bool is an int subclass, and a final one.
+            if (
+                isinstance(u, int)
+                and isinstance(v, int)
+                and type(u) is not bool
+                and type(v) is not bool
+            ):
+                if 0 <= u < n and 0 <= v < n:
+                    append((u, v))
+                    continue
+                raise _fail(where, "field %r entry %d out of range for n=%d" % (key, idx, n))
+        raise _fail(where, "field %r entry %d is not an [u, v] integer pair" % (key, idx))
     return out
 
 
@@ -132,7 +137,7 @@ def graph_from_doc(
             v for _, v in matching
         ) != list(range(n)):
             raise _fail(where, "field 'matching' is not a perfect matching on both sides")
-    g = BipartiteGraph.from_edges(n, sorted(edges), family=family, params=params)
+    g = BipartiteGraph.from_edges(n, edges, family=family, params=params)
     return g, matching
 
 

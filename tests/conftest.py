@@ -10,6 +10,11 @@ order that the production scan must reproduce step for step.  The
 reference arrival-order searches are the exhaustive memoised game and
 the safety depth-first search that the branch-and-bound engine replaced;
 the engine must return their values, orders and witnesses exactly.
+The reference graph reader checks each edge pair with a generator of
+type tests, builds the graph from sorted edges with one set of edge
+tuples, and sorts every adjacency list on its own; the one-pass reader
+must accept the same documents, build the same graphs and fail with the
+same messages.
 """
 
 import itertools
@@ -25,6 +30,7 @@ from greedyorder import (
     generate,
     greedy_match,
 )
+from greedyorder.errors import InvalidGraphError, SchemaError
 from greedyorder.spoil import CoverStep, apply_step, trivial_cover
 
 
@@ -325,6 +331,83 @@ def reference_is_safe(g, pi, s):
     if dfs(0, 0):
         return False, seq
     return True, None
+
+
+def reference_from_edges(n, edges, family=None, params=None):
+    """Graph from edges with a set of edge tuples for the duplicate check;
+    it names the first fault in input order."""
+    if n < 1:
+        raise InvalidGraphError("n must be at least 1, got %r" % (n,))
+    adj_u = [[] for _ in range(n)]
+    adj_v = [[] for _ in range(n)]
+    seen = set()
+    for e in edges:
+        u, v = e
+        if not (0 <= u < n and 0 <= v < n):
+            raise InvalidGraphError("edge (%r, %r) out of range for n=%d" % (u, v, n))
+        if (u, v) in seen:
+            raise InvalidGraphError("duplicate edge (%d, %d)" % (u, v))
+        seen.add((u, v))
+        adj_u[u].append(v)
+        adj_v[v].append(u)
+    return BipartiteGraph(
+        n=n,
+        adj_u=tuple(tuple(sorted(a)) for a in adj_u),
+        adj_v=tuple(tuple(sorted(a)) for a in adj_v),
+        family=family,
+        params=params,
+    )
+
+
+def _schema_fail(where, message):
+    return SchemaError("%s: %s" % (where, message))
+
+
+def reference_pair_list(value, n, key, where):
+    """Pair-list check with one generator of type tests per entry."""
+    if not isinstance(value, list):
+        raise _schema_fail(where, "field %r must be a list of [u, v] pairs" % key)
+    out = []
+    for idx, item in enumerate(value):
+        if (
+            not isinstance(item, (list, tuple))
+            or len(item) != 2
+            or not all(isinstance(x, int) and not isinstance(x, bool) for x in item)
+        ):
+            raise _schema_fail(where, "field %r entry %d is not an [u, v] integer pair" % (key, idx))
+        u, v = item
+        if not (0 <= u < n and 0 <= v < n):
+            raise _schema_fail(where, "field %r entry %d out of range for n=%d" % (key, idx, n))
+        out.append((u, v))
+    return out
+
+
+def reference_graph_from_doc(doc, where="graph"):
+    """``io.graph_from_doc`` built on the two references above, with the
+    edges sorted before the graph is built."""
+    if not isinstance(doc, dict):
+        raise _schema_fail(where, "document must be an object")
+    n = doc.get("n")
+    if not isinstance(n, int) or isinstance(n, bool):
+        raise _schema_fail(where, "field %r must be an integer, got %r" % ("n", n))
+    if n < 1:
+        raise _schema_fail(where, "field 'n' must be positive")
+    edges = reference_pair_list(doc.get("edges"), n, "edges", where)
+    family = doc.get("family")
+    if family is not None and not isinstance(family, str):
+        raise _schema_fail(where, "field 'family' must be a string")
+    params = doc.get("params")
+    if params is not None and not isinstance(params, dict):
+        raise _schema_fail(where, "field 'params' must be an object")
+    matching = None
+    if "matching" in doc:
+        matching = reference_pair_list(doc["matching"], n, "matching", where)
+        if sorted(u for u, _ in matching) != list(range(n)) or sorted(
+            v for _, v in matching
+        ) != list(range(n)):
+            raise _schema_fail(where, "field 'matching' is not a perfect matching on both sides")
+    g = reference_from_edges(n, sorted(edges), family=family, params=params)
+    return g, matching
 
 
 def random_pm_graph(rng, n, extra=None):

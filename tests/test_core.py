@@ -4,8 +4,15 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import brute_max_matching_size, random_perm, random_pm_graph
+from conftest import (
+    brute_max_matching_size,
+    random_perm,
+    random_pm_graph,
+    reference_from_edges,
+)
 
 from greedyorder import (
     BipartiteGraph,
@@ -47,6 +54,66 @@ def test_from_edges_rejects_bad_input():
         BipartiteGraph.from_edges(3, [(-1, 0)])
     with pytest.raises(InvalidGraphError):
         BipartiteGraph.from_edges(3, [(0, 0), (0, 0)])
+
+
+def _built(n, edges):
+    try:
+        return BipartiteGraph.from_edges(n, edges)
+    except InvalidGraphError as exc:
+        return str(exc)
+
+
+@st.composite
+def edge_lists(draw):
+    """n and a random edge list in random order, valid or with faults."""
+    n = draw(st.integers(1, 9))
+    rng = draw(st.randoms(use_true_random=False))
+    pool = [(u, v) for u in range(n) for v in range(n)]
+    edges = rng.sample(pool, rng.randrange(0, len(pool) + 1))
+    for _ in range(draw(st.integers(0, 3))):
+        if draw(st.booleans()) and edges:
+            edges.insert(rng.randrange(len(edges) + 1), rng.choice(edges))
+        else:
+            bad = (rng.choice([-1, n, n + 2]), rng.randrange(n))
+            edges.insert(rng.randrange(len(edges) + 1), bad[:: rng.choice([1, -1])])
+    return n, edges
+
+
+def test_from_edges_equals_the_reference():
+    seen = set()
+
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(edge_lists())
+    def check(case):
+        n, edges = case
+        in_range = [(u, v) for u, v in edges if 0 <= u < n and 0 <= v < n]
+        repeats = sorted(e for e in set(in_range) if in_range.count(e) > 1)
+        if len(in_range) < len(edges):
+            # An out-of-range edge is named first, in input order.
+            kind = "range"
+            u, v = next(e for e in edges if e not in in_range)
+            expected = "edge (%r, %r) out of range for n=%d" % (u, v, n)
+        elif repeats:
+            kind = "repeat"
+            expected = "duplicate edge (%d, %d)" % repeats[0]
+        else:
+            kind = "valid"
+            expected = reference_from_edges(n, edges)
+        assert _built(n, edges) == expected
+        if kind != "valid":
+            with pytest.raises(InvalidGraphError):
+                reference_from_edges(n, edges)
+        if kind == "range" and repeats:
+            kind = "range and repeat"
+        seen.add(kind)
+
+    check()
+    assert seen == {"valid", "range", "repeat", "range and repeat"}
+
+
+def test_from_edges_names_a_range_fault_before_an_earlier_repeat():
+    assert _built(3, [(1, 1), (1, 1), (0, 5)]) == "edge (0, 5) out of range for n=3"
+    assert _built(3, [(2, 2), (2, 2), (0, 1), (0, 1)]) == "duplicate edge (0, 1)"
 
 
 def test_edges_property_is_sorted():
@@ -164,6 +231,31 @@ def test_align_with_matching_relabels_consistently():
         assert {(u, v_map[w]) for u, w in aligned.edges} == orig
 
 
+def test_align_with_matching_equals_a_rebuild():
+    relabelled = 0
+
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(st.integers(1, 12), st.randoms(use_true_random=False))
+    def check(n, rng):
+        nonlocal relabelled
+        base = random_pm_graph(rng, n, extra=rng.randrange(0, 3 * n))
+        label = random_perm(rng, n).order
+        g = BipartiteGraph.from_edges(n, [(u, label[v]) for u, v in base.edges])
+        for m in (PerfectMatching(v_of_u=label), find_perfect_matching(g)):
+            relabelled += not m.is_identity()
+            new_of_old = m.u_of_v
+            rebuilt = reference_from_edges(n, [(u, new_of_old[v]) for u, v in g.edges])
+            assert align_with_matching(g, m) == (rebuilt, m.v_of_u)
+
+    check()
+    assert relabelled >= 300
+    g = BipartiteGraph.from_edges(2, [(0, 0), (1, 0), (1, 1)])
+    with pytest.raises(InvalidGraphError, match="not an edge"):
+        align_with_matching(g, PerfectMatching(v_of_u=(1, 0)))
+    with pytest.raises(InvalidGraphError, match="not a permutation"):
+        align_with_matching(g, PerfectMatching(v_of_u=(0, 0)))
+
+
 def test_check_prefix_bound_holds_and_validates():
     rng = random.Random(71)
     g = random_pm_graph(rng, 6, extra=9)
@@ -176,6 +268,27 @@ def test_check_prefix_bound_holds_and_validates():
         assert stats.matched_in_prefix >= stats.bound
     with pytest.raises(DimensionMismatchError):
         check_prefix_bound(g, m, random_perm(rng, 6), random_perm(rng, 6), 7)
+
+
+def test_check_prefix_bound_counts_against_the_prefix_partners():
+    rng = random.Random(72)
+    for _ in range(100):
+        n = rng.randrange(1, 10)
+        g = random_pm_graph(rng, n)
+        label = random_perm(rng, n).order
+        g = BipartiteGraph.from_edges(n, [(u, label[v]) for u, v in g.edges])
+        m = find_perfect_matching(g)
+        pi, sigma = random_perm(rng, n), random_perm(rng, n)
+        k = rng.randrange(0, n + 1)
+        prefix = set(pi.order[:k])
+        partners = {u for u in range(n) if m.v_of_u[u] in prefix}
+        out = greedy_match(g, sigma, pi)
+        owners = [out.matched_u_of_v[v] for v in prefix]
+        stats = check_prefix_bound(g, m, pi, sigma, k)
+        assert stats.matched_in_prefix == sum(u is not None for u in owners)
+        assert stats.matched_outside_partners == sum(
+            u is not None and u not in partners for u in owners
+        )
 
 
 def test_verify_maximal_flags_missed_edge():

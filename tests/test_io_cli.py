@@ -1,21 +1,27 @@
 """JSON schemas, round trips, the experiment runner, and the CLI surface."""
 
+import ast
+import collections
 import csv
 import io as _io
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import random_pm_graph
+from conftest import random_pm_graph, reference_graph_from_doc
 
 import greedyorder.io as gio
 from greedyorder import BipartiteGraph, FamilySpec, Permutation, generate
 from greedyorder.cli import (
     CSV_COLUMNS,
+    build_parser,
     _raise_if_unsound,
     experiment_rows,
     main,
@@ -95,6 +101,134 @@ def test_graph_doc_validation_errors():
     doc["matching"] = [[0, 0], [1, 1], [2, 0]]  # v side repeats
     with pytest.raises(SchemaError):
         gio.graph_from_doc(doc)
+
+
+def _read(reader, doc):
+    try:
+        return reader(doc, where="doc.json")
+    except (SchemaError, InvalidGraphError) as exc:
+        return type(exc), str(exc)
+
+
+def test_graph_from_doc_equals_the_reference_reader_on_valid_docs():
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(st.integers(1, 12), st.randoms(use_true_random=False), st.booleans())
+    def check(n, rng, shuffle):
+        doc = gio.graph_to_doc(random_pm_graph(rng, n), matching=[(i, i) for i in range(n)])
+        doc["family"], doc["params"] = "random_pm", {"n": n}
+        if shuffle:
+            rng.shuffle(doc["edges"])
+            rng.shuffle(doc["matching"])
+        got = gio.graph_from_doc(doc)
+        assert got == reference_graph_from_doc(doc)
+        assert (got[0].family, got[0].params) == ("random_pm", {"n": n})
+
+    check()
+
+
+_NOT_AN_INDEX = [True, False, 1.0, "1", None, [0]]
+
+
+@st.composite
+def faulty_graph_docs(draw):
+    """A valid graph document with zero to four faults injected."""
+    n = draw(st.integers(1, 6))
+    rng = draw(st.randoms(use_true_random=False))
+    pool = [[u, v] for u in range(n) for v in range(n)]
+    doc = {"n": n, "edges": rng.sample(pool, rng.randrange(0, len(pool) + 1))}
+    if draw(st.booleans()):
+        order = list(range(n))
+        rng.shuffle(order)
+        doc["matching"] = [[u, v] for u, v in enumerate(order)]
+    faults = draw(
+        st.lists(
+            st.sampled_from(
+                [
+                    "repeat", "range", "index_type", "short", "long", "scalar",
+                    "tuple", "n_type", "n_small", "edges_type", "family", "params",
+                    "matching_range", "matching_repeat", "matching_shape",
+                ]
+            ),
+            max_size=4,
+        )
+    )
+    edges = doc["edges"]
+
+    def put(item):
+        edges.insert(rng.randrange(len(edges) + 1), item)
+
+    def matching_is_pairs():
+        pairs = doc.get("matching")
+        return bool(pairs) and isinstance(pairs, list) and len(pairs[0]) == 2
+
+    for fault in faults:
+        if fault == "repeat" and edges:
+            put(list(rng.choice(edges)))
+        elif fault == "range":
+            put([rng.choice([-1, n, n + 3]), rng.randrange(n)][:: rng.choice([1, -1])])
+        elif fault == "index_type":
+            put([rng.randrange(n), rng.choice(_NOT_AN_INDEX)][:: rng.choice([1, -1])])
+        elif fault == "short":
+            put([rng.randrange(n)])
+        elif fault == "long":
+            put([0, 0, 0])
+        elif fault == "scalar":
+            put(rng.choice([0, "0,0", None, {"u": 0, "v": 0}]))
+        elif fault == "tuple":
+            put((rng.randrange(n), rng.randrange(n)))
+        elif fault == "n_type":
+            doc["n"] = rng.choice(_NOT_AN_INDEX)
+        elif fault == "n_small":
+            doc["n"] = rng.choice([0, -2])
+        elif fault == "edges_type":
+            doc["edges"] = rng.choice([None, {}, "[[0, 0]]", (0, 0)])
+        elif fault == "family":
+            doc["family"] = rng.choice([3, ["fig1"], True])
+        elif fault == "params":
+            doc["params"] = rng.choice([[], "n=3", 1])
+        elif fault == "matching_range" and matching_is_pairs():
+            rng.choice(doc["matching"])[1] = n
+        elif fault == "matching_repeat" and matching_is_pairs():
+            doc["matching"].append(list(doc["matching"][0]))
+        elif fault == "matching_shape":
+            doc["matching"] = rng.choice([None, [[0]], [[0, False]], "identity"])
+    return doc, len(faults)
+
+
+def test_graph_from_doc_fails_like_the_reference_reader():
+    kinds = collections.Counter()
+
+    @settings(max_examples=500, derandomize=True, database=None, deadline=None)
+    @given(faulty_graph_docs())
+    def check(case):
+        doc, faults = case
+        got = _read(gio.graph_from_doc, doc)
+        assert got == _read(reference_graph_from_doc, doc)
+        if isinstance(got[0], type):
+            text = re.sub(r"[-0-9]", "", got[1].replace("doc.json: ", ""))
+            kinds[" ".join([got[0].__name__] + text.split()[:6])] += 1
+            kinds["several faults"] += faults > 1
+        else:
+            kinds["valid"] += 1
+
+    check()
+    assert set(kinds) == {
+        "InvalidGraphError duplicate edge (, )",
+        "SchemaError field 'edges' entry is not an",
+        "SchemaError field 'edges' entry out of range",
+        "SchemaError field 'edges' must be a list",
+        "SchemaError field 'family' must be a string",
+        "SchemaError field 'matching' entry is not an",
+        "SchemaError field 'matching' entry out of range",
+        "SchemaError field 'matching' is not a perfect",
+        "SchemaError field 'matching' must be a list",
+        "SchemaError field 'n' must be an integer,",
+        "SchemaError field 'n' must be positive",
+        "SchemaError field 'params' must be an object",
+        "several faults",
+        "valid",
+    }, sorted(kinds)
+    assert kinds["several faults"] >= 100 and kinds["valid"] >= 100
 
 
 def test_read_graph_bad_paths(tmp_path):
@@ -448,3 +582,38 @@ def test_bound_writes_the_same_bytes_under_python_O(corpus_by_id, tmp_path):
         outs.append(proc.stdout)
     assert outs[0] == outs[1]
     assert json.loads(outs[0])["guaranteed_count"] > 0
+
+
+def test_the_parser_is_built_once_and_shared(corpus, tmp_path, capsys):
+    assert build_parser() is build_parser()
+    first = tmp_path / "first.json"
+    again = tmp_path / "again.json"
+    for inst in corpus:
+        path = str(tmp_path / ("%s.json" % inst.instance_id))
+        gio.write_graph(path, inst.graph)
+        # A usage error and an option set on one call leave nothing
+        # behind in the shared parser for the next call.
+        assert main(["bound", path, "--construction", "sort9"]) == 1
+        assert main(["bound", path, "-o", str(first)]) == 0
+        assert main(["bound", path, "--construction", "sort2", "-o", str(again)]) == 0
+        assert main(["bound", path, "-o", str(again)]) == 0
+        assert first.read_bytes() == again.read_bytes()
+    assert "usage error" in capsys.readouterr().err
+
+
+def test_no_assert_statements_in_the_package():
+    # Invariants must raise errors that python -O cannot strip.
+    found = []
+    root = os.path.dirname(gio.__file__)
+    for folder, _, names in os.walk(root):
+        for name in sorted(names):
+            if name.endswith(".py"):
+                path = os.path.join(folder, name)
+                with open(path, encoding="utf-8") as fh:
+                    tree = ast.parse(fh.read(), filename=path)
+                found += [
+                    "%s:%d" % (os.path.relpath(path, root), node.lineno)
+                    for node in ast.walk(tree)
+                    if isinstance(node, ast.Assert)
+                ]
+    assert found == []
