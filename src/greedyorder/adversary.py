@@ -21,15 +21,25 @@ u.  Hence the number of counted vertices among these forced picks is a
 lower bound on the state's value, and it costs nothing beyond the scan
 that already lists the state's branches.
 
+Child bound (corollary): the branch that gives v to u removes u from the
+live arrivals and v from the free set.  An arrival whose pick was not v
+keeps it; one whose pick was v moves on to its next free neighbor, or
+dies if it has none.  So the child's forced picks are the state's, less
+v, plus the next picks of the other arrivals that shared v, and the
+parent's scan yields the forced-pick bound of every child.
+
 The search is fail-soft.  A state searched under a cap returns its
 exact value when that value is below the cap, and otherwise a lower
-bound that is at least the cap.  A state is cut when its forced-pick
-bound reaches the cap; each child is searched under the cap
-min(best so far, cap) - gain; and branching stops as soon as the best
-value found equals the forced-pick bound.  Exact values and lower
-bounds are memoized in separate tables.  `nodes_expanded` counts the
-states whose branches were searched, plus terminal states; states cut
-by the bound and memo hits are not counted.
+bound that is at least the cap.  Each child is searched under the cap
+min(best so far, cap) - gain, unless its gain plus its bound already
+reaches min(best so far, cap): then it is cut in its parent, which
+folds that sum into best without building the child's key, looking it
+up, scanning it or storing it.  The root is checked on entry.
+Branching stops as soon as the best value found equals the state's
+forced-pick bound.  Only states whose branches were searched, and
+terminal states, are memoized: exact values and lower bounds in
+separate tables.  `nodes_expanded` counts those states; cut children
+and memo hits are not counted.
 """
 
 from __future__ import annotations
@@ -42,7 +52,6 @@ from typing import Optional, Sequence
 
 from .core import (
     BipartiteGraph,
-    GreedyOutcome,
     Permutation,
     greedy_match,
     max_matching,
@@ -82,32 +91,73 @@ class _BudgetExceeded(Exception):
     pass
 
 
-def _scan(adj: Sequence[int], alive: int, free: int) -> tuple[int, list[tuple[int, int]], int]:
+# The group of a pick that one arrival alone has: taking it moves no
+# other arrival, so the branch's child bound is the state's.
+_ALONE = (0, 0)
+
+
+def _scan(
+    adj: Sequence[int], alive: int, free: int, count_mask: int
+) -> tuple[int, list[tuple[int, int, int, Sequence[int]]], int]:
     """One state's arrivals, in ascending label order.
 
     Returns the mask of dead arrivals (no free neighbor; matched V only
-    grows, so they stay dead and are absorbed at once), the branches as
-    (arrival bit, greedy pick bit) pairs with one branch per distinct
-    free-neighbor mask (arrivals with equal masks are interchangeable
-    for good), and the mask of forced picks.  Works in rank space, so
-    the greedy pick is the lowest set bit of the free-neighbor mask.
+    grows, so they stay dead and are absorbed at once), the branches and
+    the state's forced-pick bound.  Works in rank space, so an arrival's
+    pick is the lowest set bit of its free-neighbor mask and its next
+    pick the lowest bit above that.
+
+    One branch per distinct free-neighbor mask: arrivals with equal masks
+    are interchangeable for good.  Masks with different picks differ, so
+    only the arrivals of a shared pick are grouped and compared.  A
+    branch is (arrival bit, pick bit, next pick bit, (c, once)).  For a
+    shared pick, c counts the group's counted next picks outside the
+    forced picks, and once holds those that only one arrival of the
+    group moves on to; a lone pick has (0, 0).  The branch's gain plus
+    its child's forced-pick bound is the state's bound plus k, where k
+    is c, less one if the branch's own next pick is in once.
     """
-    dead = 0
-    forced = 0
-    branches: list[tuple[int, int]] = []
-    seen: set[int] = set()
+    dead = forced = 0
+    branches: list[tuple[int, int, int, Sequence[int]]] = []
+    # A shared pick's group is [next picks, next picks seen twice,
+    # masks...] until the scan ends; a mask holds its pick, a next pick
+    # never does, so the membership test only meets masks.
+    groups: list[list[int]] = []
+    first = [0] * (len(adj) + 1)
     while alive:
         u_bit = alive & -alive
         alive ^= u_bit
         m = adj[u_bit.bit_length() - 1] & free
         if not m:
             dead |= u_bit
-        elif m not in seen:
-            seen.add(m)
-            v_bit = m & -m
+            continue
+        v_bit = m & -m
+        if not v_bit & forced:
             forced |= v_bit
-            branches.append((u_bit, v_bit))
-    return dead, branches, forced
+            first[v_bit.bit_length()] = len(branches)
+            branches.append((u_bit, v_bit, 0, _ALONE))
+            continue
+        i = first[v_bit.bit_length()]
+        u0, _, _, group = branches[i]
+        if group is _ALONE:
+            m0 = adj[u0.bit_length() - 1] & free
+            rest = m0 ^ v_bit
+            x0 = rest & -rest
+            group = [x0, 0, m0]
+            groups.append(group)
+            branches[i] = (u0, v_bit, x0, group)
+        rest = m ^ v_bit
+        x = rest & -rest
+        group[1] |= group[0] & x
+        group[0] |= x
+        if m not in group:
+            group.append(m)
+            branches.append((u_bit, v_bit, x, group))
+    new = count_mask & ~forced
+    for group in groups:
+        nxt = group[0] & new
+        group[:] = (nxt.bit_count(), nxt & ~group[1])
+    return dead, branches, (forced & count_mask).bit_count()
 
 
 class _ArrivalSearch:
@@ -118,7 +168,8 @@ class _ArrivalSearch:
     Memo keys are single ints, processed-U mask << n | matched-V mask.
     Branches are tried in ascending arrival label, so `replay`, which
     takes the first branch whose value equals its state's, rebuilds the
-    lexicographically first optimal branch sequence.
+    lexicographically first optimal branch sequence.  `nodes` counts
+    expanded and terminal states, `cuts` the children cut by the bound.
     """
 
     def __init__(self, adj_rank: Sequence[int], n: int, count_mask: int, budget: float):
@@ -127,6 +178,7 @@ class _ArrivalSearch:
         self.count_mask = count_mask
         self.budget = budget
         self.nodes = 0
+        self.cuts = 0
         self.exact: dict[int, int] = {}
         self.lower: dict[int, int] = {}
         self.full = (1 << n) - 1
@@ -139,69 +191,77 @@ class _ArrivalSearch:
         adj, n, full, count_mask = self.adj, self.n, self.full, self.count_mask
         exact, lower = self.exact, self.lower
         budget = self.budget
-        nodes = self.nodes
+        nodes, cuts = self.nodes, self.cuts
         # Suspended frames; the innermost frame lives in the f_* locals.
         stack: list[tuple] = []
         depth = 0
-        f_key = f_u = f_v = f_i = f_best = f_cap = f_lb = f_gain = 0
-        f_br: list[tuple[int, int]] = []
+        f_key = f_u = f_v = f_i = f_best = f_cap = f_lb = f_slb = f_gain = 0
+        f_br: list[tuple[int, int, int, Sequence[int]]] = []
         u_mask = v_mask = 0
         cap = ub
         while True:
             # Enter state (u_mask, v_mask) under cap: either settle its
-            # value in val or open a frame for it.
+            # value in val or open a frame for it.  Only the root can be
+            # cut here: every other state's bound was checked by its parent.
             key = u_mask << n | v_mask
             val = exact.get(key)
             if val is None:
                 val = lower.get(key, 0)
                 if val < cap:
-                    dead, branches, forced = _scan(adj, full ^ u_mask, full ^ v_mask)
-                    lb = (forced & count_mask).bit_count()
+                    dead, branches, lb = _scan(adj, full ^ u_mask, full ^ v_mask, count_mask)
                     if lb >= cap:
-                        val = lower[key] = lb
+                        if depth:
+                            raise PropositionViolatedError(
+                                "a child's forced-pick bound disagrees with its parent's scan"
+                            )
+                        val = lb
                     else:
                         nodes += 1
                         if nodes > budget:
-                            self.nodes = nodes
+                            self.nodes, self.cuts = nodes, cuts
                             raise _BudgetExceeded
                         if not branches:
                             val = exact[key] = 0
                         else:
                             if depth:
                                 stack.append(
-                                    (f_key, f_u, f_v, f_br, f_i, f_best, f_cap, f_lb, f_gain)
+                                    (f_key, f_u, f_v, f_br, f_i, f_best, f_cap, f_lb, f_slb, f_gain)
                                 )
                             depth += 1
                             f_key, f_u, f_v, f_br, f_i = key, u_mask | dead, v_mask, branches, 0
-                            f_best, f_cap, f_lb = n + 1, cap, max(lb, val)
+                            f_best, f_cap, f_lb, f_slb = n + 1, cap, lb if lb > val else val, lb
                             val = None
             # Hand settled values up until some frame has a child to search.
             while True:
                 if val is not None:
                     if not depth:
-                        self.nodes = nodes
+                        self.nodes, self.cuts = nodes, cuts
                         return val
                     sub = f_gain + val
                     if sub < f_best:
                         f_best = sub
                 if f_best > f_lb:
                     bound = f_cap if f_cap < f_best else f_best
+                    # A child whose gain plus forced-pick bound, f_slb + k,
+                    # reaches the search bound cannot beat best: it is cut
+                    # here, and the sum folds into best as its lower bound.
+                    room = bound - f_slb
                     n_br = len(f_br)
                     while f_i < n_br:
-                        u_bit, v_bit = f_br[f_i]
+                        u_bit, v_bit, x, (k, once) = f_br[f_i]
                         f_i += 1
-                        gain = 1 if v_bit & count_mask else 0
-                        # A branch worth at least gain >= bound cannot beat
-                        # best; it only arises once best is 1 (under cap 1 a
-                        # counted pick would have cut the state), so best
-                        # stays a valid bound.
-                        if gain < bound:
+                        if x & once:
+                            k -= 1
+                        if k < room:
                             break
+                        cuts += 1
+                        if f_slb + k < f_best:
+                            f_best = f_slb + k
                     else:
                         u_bit = 0
                     if u_bit:
-                        f_gain = gain
-                        u_mask, v_mask, cap = f_u | u_bit, f_v | v_bit, bound - gain
+                        f_gain = 1 if v_bit & count_mask else 0
+                        u_mask, v_mask, cap = f_u | u_bit, f_v | v_bit, bound - f_gain
                         break
                 val = f_best
                 if val < f_cap:
@@ -210,17 +270,18 @@ class _ArrivalSearch:
                     lower[f_key] = val
                 depth -= 1
                 if depth:
-                    f_key, f_u, f_v, f_br, f_i, f_best, f_cap, f_lb, f_gain = stack.pop()
+                    f_key, f_u, f_v, f_br, f_i, f_best, f_cap, f_lb, f_slb, f_gain = stack.pop()
 
     def replay(self) -> list[int]:
         """One minimizing arrival order, rebuilt from the exact table
         after `value` returned a value below its ub."""
         adj, n, full, exact = self.adj, self.n, self.full, self.exact
+        count_mask = self.count_mask
         order: list[int] = []
         u_mask = v_mask = 0
         while True:
             state_val = exact[u_mask << n | v_mask]
-            dead, branches, _ = _scan(adj, full ^ u_mask, full ^ v_mask)
+            dead, branches, _ = _scan(adj, full ^ u_mask, full ^ v_mask, count_mask)
             u_mask |= dead
             while dead:
                 u_bit = dead & -dead
@@ -228,8 +289,8 @@ class _ArrivalSearch:
                 order.append(u_bit.bit_length() - 1)
             if not branches:
                 return order
-            for u_bit, v_bit in branches:
-                gain = 1 if v_bit & self.count_mask else 0
+            for u_bit, v_bit, _, _ in branches:
+                gain = 1 if v_bit & count_mask else 0
                 sub = exact.get((u_mask | u_bit) << n | v_mask | v_bit)
                 if sub is not None and gain + sub == state_val:
                     order.append(u_bit.bit_length() - 1)
@@ -576,10 +637,3 @@ def adversary_planted_is(
     order = _order_by_planned_partner(planned, rank)
     order.extend(range(planted_size))
     return Permutation.from_order(order)
-
-
-def run_constructed(
-    g: BipartiteGraph, sigma: Permutation, pi: Permutation
-) -> GreedyOutcome:
-    """Convenience: replay a constructed arrival order through greedy."""
-    return greedy_match(g, sigma, pi)

@@ -8,8 +8,12 @@ factorial sweep over arrival orders.  The reference cover scan tries
 every path pair and rotation cut with one arc test each, in the scan
 order that the production scan must reproduce step for step.  The
 reference arrival-order searches are the exhaustive memoised game and
-the safety depth-first search that the branch-and-bound engine replaced;
-the engine must return their values, orders and witnesses exactly.
+the safety depth-first search that the branch-and-bound engine replaced,
+and that engine as it stood before each child was bounded in its
+parent's scan; the engine must return their values, orders, witnesses
+and (against the last) node counts exactly.
+The Gale-Shapley oracle runs deferred acceptance from either side, so
+that greedy's matching can be checked to be the unique stable one.
 The reference graph reader checks each edge pair with a generator of
 type tests, builds the graph from sorted edges with one set of edge
 tuples, and sorts every adjacency list on its own; the one-pass reader
@@ -18,8 +22,10 @@ same messages.
 """
 
 import itertools
+import math
 import random
 from dataclasses import dataclass
+from typing import Sequence
 
 import pytest
 
@@ -30,7 +36,8 @@ from greedyorder import (
     generate,
     greedy_match,
 )
-from greedyorder.errors import InvalidGraphError, SchemaError
+from greedyorder.adversary import _BudgetExceeded
+from greedyorder.errors import InvalidGraphError, PropositionViolatedError, SchemaError
 from greedyorder.spoil import CoverStep, apply_step, trivial_cover
 
 
@@ -274,6 +281,183 @@ def reference_min_game(g, pi, v_subset):
     return value, game.replay(), game.nodes
 
 
+# The arrival-order search engine as it stood before children were
+# bounded in their parent's scan: every child is scanned on entry, and a
+# child cut by its forced-pick bound leaves a lower-bound memo entry.
+# Copied unchanged apart from the two names.
+
+
+def _reference_scan(adj: Sequence[int], alive: int, free: int) -> tuple[int, list[tuple[int, int]], int]:
+    """One state's arrivals, in ascending label order.
+
+    Returns the mask of dead arrivals (no free neighbor; matched V only
+    grows, so they stay dead and are absorbed at once), the branches as
+    (arrival bit, greedy pick bit) pairs with one branch per distinct
+    free-neighbor mask (arrivals with equal masks are interchangeable
+    for good), and the mask of forced picks.  Works in rank space, so
+    the greedy pick is the lowest set bit of the free-neighbor mask.
+    """
+    dead = 0
+    forced = 0
+    branches: list[tuple[int, int]] = []
+    seen: set[int] = set()
+    while alive:
+        u_bit = alive & -alive
+        alive ^= u_bit
+        m = adj[u_bit.bit_length() - 1] & free
+        if not m:
+            dead |= u_bit
+        elif m not in seen:
+            seen.add(m)
+            v_bit = m & -m
+            forced |= v_bit
+            branches.append((u_bit, v_bit))
+    return dead, branches, forced
+
+
+class _ReferenceArrivalSearch:
+    """Minimum number of count_mask vertices that greedy matches, over
+    all arrival orders, by the forced-pick branch-and-bound of the
+    module docstring.
+
+    Memo keys are single ints, processed-U mask << n | matched-V mask.
+    Branches are tried in ascending arrival label, so `replay`, which
+    takes the first branch whose value equals its state's, rebuilds the
+    lexicographically first optimal branch sequence.
+    """
+
+    def __init__(self, adj_rank: Sequence[int], n: int, count_mask: int, budget: float):
+        self.adj = list(adj_rank)
+        self.n = n
+        self.count_mask = count_mask
+        self.budget = budget
+        self.nodes = 0
+        self.exact: dict[int, int] = {}
+        self.lower: dict[int, int] = {}
+        self.full = (1 << n) - 1
+
+    def value(self, ub: int) -> int:
+        """The minimum if it is below ub, otherwise a lower bound >= ub.
+
+        Raises _BudgetExceeded once more than `budget` states are expanded.
+        """
+        adj, n, full, count_mask = self.adj, self.n, self.full, self.count_mask
+        exact, lower = self.exact, self.lower
+        budget = self.budget
+        nodes = self.nodes
+        # Suspended frames; the innermost frame lives in the f_* locals.
+        stack: list[tuple] = []
+        depth = 0
+        f_key = f_u = f_v = f_i = f_best = f_cap = f_lb = f_gain = 0
+        f_br: list[tuple[int, int]] = []
+        u_mask = v_mask = 0
+        cap = ub
+        while True:
+            # Enter state (u_mask, v_mask) under cap: either settle its
+            # value in val or open a frame for it.
+            key = u_mask << n | v_mask
+            val = exact.get(key)
+            if val is None:
+                val = lower.get(key, 0)
+                if val < cap:
+                    dead, branches, forced = _reference_scan(adj, full ^ u_mask, full ^ v_mask)
+                    lb = (forced & count_mask).bit_count()
+                    if lb >= cap:
+                        val = lower[key] = lb
+                    else:
+                        nodes += 1
+                        if nodes > budget:
+                            self.nodes = nodes
+                            raise _BudgetExceeded
+                        if not branches:
+                            val = exact[key] = 0
+                        else:
+                            if depth:
+                                stack.append(
+                                    (f_key, f_u, f_v, f_br, f_i, f_best, f_cap, f_lb, f_gain)
+                                )
+                            depth += 1
+                            f_key, f_u, f_v, f_br, f_i = key, u_mask | dead, v_mask, branches, 0
+                            f_best, f_cap, f_lb = n + 1, cap, max(lb, val)
+                            val = None
+            # Hand settled values up until some frame has a child to search.
+            while True:
+                if val is not None:
+                    if not depth:
+                        self.nodes = nodes
+                        return val
+                    sub = f_gain + val
+                    if sub < f_best:
+                        f_best = sub
+                if f_best > f_lb:
+                    bound = f_cap if f_cap < f_best else f_best
+                    n_br = len(f_br)
+                    while f_i < n_br:
+                        u_bit, v_bit = f_br[f_i]
+                        f_i += 1
+                        gain = 1 if v_bit & count_mask else 0
+                        # A branch worth at least gain >= bound cannot beat
+                        # best; it only arises once best is 1 (under cap 1 a
+                        # counted pick would have cut the state), so best
+                        # stays a valid bound.
+                        if gain < bound:
+                            break
+                    else:
+                        u_bit = 0
+                    if u_bit:
+                        f_gain = gain
+                        u_mask, v_mask, cap = f_u | u_bit, f_v | v_bit, bound - gain
+                        break
+                val = f_best
+                if val < f_cap:
+                    exact[f_key] = val
+                else:
+                    lower[f_key] = val
+                depth -= 1
+                if depth:
+                    f_key, f_u, f_v, f_br, f_i, f_best, f_cap, f_lb, f_gain = stack.pop()
+
+    def replay(self) -> list[int]:
+        """One minimizing arrival order, rebuilt from the exact table
+        after `value` returned a value below its ub."""
+        adj, n, full, exact = self.adj, self.n, self.full, self.exact
+        order: list[int] = []
+        u_mask = v_mask = 0
+        while True:
+            state_val = exact[u_mask << n | v_mask]
+            dead, branches, _ = _reference_scan(adj, full ^ u_mask, full ^ v_mask)
+            u_mask |= dead
+            while dead:
+                u_bit = dead & -dead
+                dead ^= u_bit
+                order.append(u_bit.bit_length() - 1)
+            if not branches:
+                return order
+            for u_bit, v_bit in branches:
+                gain = 1 if v_bit & self.count_mask else 0
+                sub = exact.get((u_mask | u_bit) << n | v_mask | v_bit)
+                if sub is not None and gain + sub == state_val:
+                    order.append(u_bit.bit_length() - 1)
+                    u_mask |= u_bit
+                    v_mask |= v_bit
+                    break
+            else:
+                raise PropositionViolatedError("replay found no branch matching the searched value")
+
+
+def reference_arrival_search(g, pi, v_subset, cap):
+    """The engine above on (g, pi) counting v_subset under cap: (value,
+    replayed order or None when the value reaches cap, states expanded,
+    lower-bound memo entries)."""
+    rank = pi.rank
+    adj = [sum(1 << rank[v] for v in g.adj_u[u]) for u in range(g.n)]
+    count_mask = sum(1 << rank[v] for v in set(v_subset))
+    search = _ReferenceArrivalSearch(adj, g.n, count_mask, math.inf)
+    value = search.value(cap)
+    order = search.replay() if value < cap else None
+    return value, order, search.nodes, len(search.lower)
+
+
 def reference_is_safe(g, pi, s):
     """(safe, witness order or None) by the Hall pre-checks and a
     recursive DFS over arrival prefixes that never gives an arrival a
@@ -331,6 +515,50 @@ def reference_is_safe(g, pi, s):
     if dfs(0, 0):
         return False, seq
     return True, None
+
+
+def _deferred_acceptance(prefs, prefers):
+    """Deferred acceptance with incomplete lists: prefs[p] lists the
+    proposer's acceptable receivers best first, and prefers(r, a, b)
+    tells whether receiver r prefers proposer a to b.  Returns the held
+    proposal of every receiver that holds one."""
+    held = {}
+    tried = [0] * len(prefs)
+    waiting = list(range(len(prefs)))
+    while waiting:
+        p = waiting.pop()
+        if tried[p] == len(prefs[p]):
+            continue
+        r = prefs[p][tried[p]]
+        tried[p] += 1
+        rival = held.get(r)
+        if rival is None:
+            held[r] = p
+        elif prefers(r, p, rival):
+            held[r] = p
+            waiting.append(rival)
+        else:
+            waiting.append(p)
+    return held
+
+
+def reference_gale_shapley(g, sigma, pi, proposing):
+    """Stable matching of g when every U ranks its neighbours by pi and
+    every V ranks its neighbours by sigma, by Gale-Shapley with side
+    `proposing` ("u" or "v") proposing.  Returns the V partner of each
+    U, or None, in the layout of GreedyOutcome.matched_v_of_u."""
+    mu = [None] * g.n
+    if proposing == "u":
+        prefs = [sorted(g.adj_u[u], key=lambda v: pi.rank[v]) for u in range(g.n)]
+        held = _deferred_acceptance(prefs, lambda v, a, b: sigma.rank[a] < sigma.rank[b])
+        for v, u in held.items():
+            mu[u] = v
+    else:
+        prefs = [sorted(g.adj_v[v], key=lambda u: sigma.rank[u]) for v in range(g.n)]
+        held = _deferred_acceptance(prefs, lambda u, a, b: pi.rank[a] < pi.rank[b])
+        for u, v in held.items():
+            mu[u] = v
+    return tuple(mu)
 
 
 def reference_from_edges(n, edges, family=None, params=None):

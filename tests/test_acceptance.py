@@ -24,7 +24,6 @@ from greedyorder.core import verify_maximal
 from greedyorder.adversary import (
     adversary_projective,
     adversary_regular_gadget,
-    run_constructed,
     worst_order_exact,
     worst_order_masked_min,
 )
@@ -209,7 +208,7 @@ def test_criterion_07_gadget_quota_exhaustive():
     bad = 0
     for order in itertools.permutations(range(9)):
         pi = Permutation.from_order(order)
-        out = run_constructed(g1, adversary_regular_gadget(pi, 3, 1), pi)
+        out = greedy_match(g1, adversary_regular_gadget(pi, 3, 1), pi)
         unmatched = 9 - out.size
         worst_slack = unmatched if worst_slack is None else min(worst_slack, unmatched)
         if unmatched < 1:
@@ -218,7 +217,7 @@ def test_criterion_07_gadget_quota_exhaustive():
     rng = random.Random(77)
     for _ in range(10_000):
         pi = random_perm(rng, 18)
-        out = run_constructed(g2, adversary_regular_gadget(pi, 3, 2), pi)
+        out = greedy_match(g2, adversary_regular_gadget(pi, 3, 2), pi)
         if 18 - out.size < 2:
             bad += 1
     elapsed = time.perf_counter() - start
@@ -249,7 +248,7 @@ def test_criterion_08_projective_planes():
     best_pi, best_size = None, -1
     for _ in range(10_000):
         pi = random_perm(rng, 13)
-        out = run_constructed(pg, adversary_projective(pg, pi, 3), pi)
+        out = greedy_match(pg, adversary_projective(pg, pi, 3), pi)
         if out.size > 10:
             over += 1
         if out.size > best_size:

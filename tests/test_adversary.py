@@ -18,7 +18,6 @@ from greedyorder import (
     adversary_regular_gadget,
     generate,
     greedy_match,
-    run_constructed,
     worst_order_exact,
     worst_order_heuristic,
     worst_order_masked_min,
@@ -106,15 +105,6 @@ def test_masked_min_full_subset_equals_exact():
     value, exact, _ = worst_order_masked_min(g, pi, range(6))
     assert exact
     assert value == worst_order_exact(g, pi).size
-
-
-def test_run_constructed_is_greedy_replay():
-    g = generate(FamilySpec("fig1"))
-    sigma = Permutation.from_order([1, 2, 0])
-    pi = Permutation.identity(3)
-    a = run_constructed(g, sigma, pi)
-    b = greedy_match(g, sigma, pi)
-    assert a == b
 
 
 def test_regular_gadget_adversary_hits_quota():

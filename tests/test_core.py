@@ -12,6 +12,7 @@ from conftest import (
     random_perm,
     random_pm_graph,
     reference_from_edges,
+    reference_gale_shapley,
 )
 
 from greedyorder import (
@@ -362,3 +363,26 @@ def test_adaptive_items_player_rejects_bad_strategy():
     no_pm = BipartiteGraph.from_edges(2, [(0, 0), (1, 0)])
     with pytest.raises(NoPerfectMatchingError):
         adaptive_items_player(no_pm, lambda item, interested: interested[0])
+
+
+@st.composite
+def graph_and_orders(draw):
+    """Any bipartite graph with n <= 9, perfect matching or not, with a
+    random arrival order and a random priority order."""
+    rng = draw(st.randoms(use_true_random=False))
+    n = draw(st.integers(1, 9))
+    pool = [(u, v) for u in range(n) for v in range(n)]
+    edges = sorted(rng.sample(pool, rng.randrange(0, len(pool) + 1)))
+    return BipartiteGraph.from_edges(n, edges), random_perm(rng, n), random_perm(rng, n)
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(graph_and_orders())
+def test_greedy_is_the_unique_stable_matching(case):
+    # U ranks V by pi and V ranks U by sigma.  Gale-Shapley returns the
+    # proposing side's best stable matching; both sides getting greedy's
+    # matching means it is the only stable one.
+    g, sigma, pi = case
+    greedy = greedy_match(g, sigma, pi).matched_v_of_u
+    assert reference_gale_shapley(g, sigma, pi, "u") == greedy
+    assert reference_gale_shapley(g, sigma, pi, "v") == greedy

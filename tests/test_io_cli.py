@@ -231,6 +231,36 @@ def test_graph_from_doc_fails_like_the_reference_reader():
     assert kinds["several faults"] >= 100 and kinds["valid"] >= 100
 
 
+def test_bound_exits_two_on_every_faulty_graph_file(tmp_path, capsys):
+    path = tmp_path / "doc.json"
+    outcomes = collections.Counter()
+
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(faulty_graph_docs())
+    def check(case):
+        # JSON turns tuple entries into lists, so the file, not the
+        # drawn doc, decides whether the reader must reject it.
+        path.write_text(json.dumps(case[0]))
+        try:
+            reference_graph_from_doc(json.loads(path.read_text()), where=str(path))
+            message = None
+        except (SchemaError, InvalidGraphError) as exc:
+            message = str(exc)
+        capsys.readouterr()
+        code = main(["bound", str(path)])
+        err = capsys.readouterr().err
+        if message is None:
+            # A valid graph without a perfect matching is a data error too.
+            assert code in (0, 2) and "Traceback" not in err
+            outcomes["valid, exit %d" % code] += 1
+        else:
+            assert (code, err) == (2, "error: %s\n" % message)
+            outcomes["faulty"] += 1
+
+    check()
+    assert outcomes["faulty"] >= 100 and outcomes["valid, exit 0"] >= 10, outcomes
+
+
 def test_read_graph_bad_paths(tmp_path):
     with pytest.raises(SchemaError):
         gio.read_graph(str(tmp_path / "absent.json"))

@@ -4,13 +4,17 @@ The exact adversary, the masked minimum and the safety decision share
 one forced-pick branch-and-bound.  Its values, replayed orders and
 safety witnesses must equal those of the unbounded memoised game and
 of the recursive safety search in conftest, and it must handle inputs
-far deeper than the interpreter's recursion limit.
+far deeper than the interpreter's recursion limit.  Bounding children
+in their parent's scan must change nothing but the work: against the
+engine that scanned every child, values, orders and node counts are
+equal and the lower-bound table is no larger.
 """
 
 import collections
 import json
 import math
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -18,6 +22,7 @@ from conftest import (
     brute_force_min,
     random_perm,
     random_pm_graph,
+    reference_arrival_search,
     reference_is_safe,
     reference_min_game,
 )
@@ -31,7 +36,7 @@ from greedyorder import (
     worst_order_exact,
     worst_order_masked_min,
 )
-from greedyorder.adversary import _adj_rank_masks, _ArrivalSearch
+from greedyorder.adversary import _adj_rank_masks, _ArrivalSearch, _BudgetExceeded, _rank_mask
 from greedyorder.cli import main
 
 
@@ -85,13 +90,59 @@ def test_engine_equals_the_references():
 
         search = _ArrivalSearch(_adj_rank_masks(g, pi), n, (1 << n) - 1, math.inf)
         assert search.value(n + 1) == ref_size
-        seen["bound cut-off"] += bool(search.lower)
+        seen["bound cut-off"] += bool(search.cuts)
         seen["unsafe"] += not safety.safe
         seen["safe"] += safety.safe
 
     check()
     assert seen["bound cut-off"] >= 20, seen
     assert seen["unsafe"] >= 20 and seen["safe"] >= 20, seen
+
+
+def test_engine_equals_the_child_scanning_engine():
+    tally = collections.Counter()
+
+    @settings(
+        max_examples=300,
+        derandomize=True,
+        database=None,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(graph_pi_subset())
+    def check(case):
+        g, pi, subset = case
+        n = g.n
+        for mode, v_subset, cap in (
+            ("exact", range(n), n + 1),
+            ("masked", subset, n + 1),
+            ("decision", subset, 1),
+        ):
+            ref_value, ref_order, ref_nodes, ref_lower = reference_arrival_search(
+                g, pi, v_subset, cap
+            )
+            adj, count_mask = _adj_rank_masks(g, pi), _rank_mask(pi, v_subset)
+            search = _ArrivalSearch(adj, n, count_mask, math.inf)
+            value = search.value(cap)
+            order = search.replay() if value < cap else None
+            assert (value, order, search.nodes) == (ref_value, ref_order, ref_nodes), mode
+            assert len(search.lower) <= ref_lower, mode
+            tally[mode + " lower"] += len(search.lower)
+            tally[mode + " reference lower"] += ref_lower
+            tally[mode + " cuts"] += search.cuts
+            # The budget still counts expanded states: the search's own
+            # count suffices, and one less stops it there.
+            assert _ArrivalSearch(adj, n, count_mask, ref_nodes).value(cap) == ref_value
+            if ref_nodes:
+                short = _ArrivalSearch(adj, n, count_mask, ref_nodes - 1)
+                with pytest.raises(_BudgetExceeded):
+                    short.value(cap)
+                assert short.nodes == ref_nodes
+
+    check()
+    for mode in ("exact", "masked", "decision"):
+        assert tally[mode + " cuts"] > 0, tally
+        assert tally[mode + " lower"] < tally[mode + " reference lower"], tally
 
 
 def reversed_chain(n):
