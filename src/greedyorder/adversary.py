@@ -59,11 +59,15 @@ from .core import (
 from .errors import FamilyShapeError, HallInfeasibleError, PropositionViolatedError
 
 __all__ = [
+    "ADVERSARY_MODES",
     "AdversaryResult",
+    "attack",
     "worst_order_exact",
     "worst_order_masked_min",
     "order_avoiding",
     "worst_order_heuristic",
+    "worst_order_sampled",
+    "worst_order_constructive",
     "adversary_regular_gadget",
     "adversary_projective",
     "adversary_biclique",
@@ -436,6 +440,24 @@ def worst_order_heuristic(
     )
 
 
+def worst_order_sampled(
+    g: BipartiteGraph, pi: Permutation, draws: int = 100, seed: int = 0
+) -> AdversaryResult:
+    """The first best of `draws` arrival orders drawn uniformly from
+    random.Random(seed).  The size is an upper bound on the true minimum;
+    nodes_expanded counts the draws."""
+    rng = random.Random(seed)
+    best, best_val = None, g.n + 1
+    for _ in range(draws):
+        order = list(range(g.n))
+        rng.shuffle(order)
+        sigma = Permutation.from_order(order)
+        val = greedy_match(g, sigma, pi).size
+        if val < best_val:
+            best, best_val = sigma, val
+    return AdversaryResult(sigma=best, size=best_val, exact=False, nodes_expanded=draws)
+
+
 def _order_by_planned_partner(
     pairs: Sequence[tuple[int, int]], rank: Sequence[int]
 ) -> list[int]:
@@ -637,3 +659,50 @@ def adversary_planted_is(
     order = _order_by_planned_partner(planned, rank)
     order.extend(range(planted_size))
     return Permutation.from_order(order)
+
+
+# The closed-form adversary of each structured family, (g, pi) -> sigma.
+CONSTRUCTIVE = {
+    "regular89": lambda g, pi: adversary_regular_gadget(
+        pi, int((g.params or {})["d"]), int((g.params or {})["t"])
+    ),
+    "fano": lambda g, pi: adversary_projective(g, pi, 2),
+    "pg23": lambda g, pi: adversary_projective(g, pi, 3),
+    "biclique_half": lambda g, pi: adversary_biclique(pi, g.n),
+    "planted_is": adversary_planted_is,
+}
+
+
+def worst_order_constructive(g: BipartiteGraph, pi: Permutation) -> AdversaryResult:
+    """The order that the graph's family adversary in CONSTRUCTIVE builds.
+
+    Raises FamilyShapeError for a family without one.  The size is an
+    upper bound on the true minimum."""
+    build = CONSTRUCTIVE.get(g.family)
+    if build is None:
+        raise FamilyShapeError("no constructive adversary for family %r" % (g.family,))
+    sigma = build(g, pi)
+    return AdversaryResult(
+        sigma=sigma, size=greedy_match(g, sigma, pi).size, exact=False, nodes_expanded=0
+    )
+
+
+# Every sigma-player by mode name, with the settings it reads.  A front
+# end passes all the settings it has; each player takes its own and
+# keeps its defaults for the rest.
+ATTACKS = {
+    "exact": (worst_order_exact, ("budget",)),
+    "heuristic": (worst_order_heuristic, ("iters", "seed")),
+    "sampled": (worst_order_sampled, ("draws", "seed")),
+    "constructive": (worst_order_constructive, ()),
+}
+ADVERSARY_MODES = tuple(ATTACKS)
+# The exact adversary comes first and is every front end's default.
+DEFAULT_MODE = ADVERSARY_MODES[0]
+
+
+def attack(mode: str, g: BipartiteGraph, pi: Permutation, **settings) -> AdversaryResult:
+    """Attack pi with the adversary named `mode`, passing it the settings
+    (budget, iters, draws, seed) that it reads."""
+    player, reads = ATTACKS[mode]
+    return player(g, pi, **{k: settings[k] for k in reads if k in settings})

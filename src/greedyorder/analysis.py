@@ -19,20 +19,17 @@ from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Union
 
 from .adversary import (
+    ADVERSARY_MODES,
     DEFAULT_BUDGET,
-    adversary_biclique,
-    adversary_planted_is,
-    adversary_projective,
-    adversary_regular_gadget,
+    DEFAULT_MODE,
+    attack,
     order_avoiding,
     worst_order_exact,
-    worst_order_heuristic,
 )
 from .core import BipartiteGraph, Permutation, greedy_match
 from .errors import (
     AnalysisParamError,
     DimensionMismatchError,
-    FamilyShapeError,
     PropositionViolatedError,
     UsageError,
 )
@@ -310,58 +307,37 @@ class MonteCarloSummary:
     upper_bound_only: bool
 
 
-def _constructive_sigma(g: BipartiteGraph, pi: Permutation) -> Permutation:
-    family = g.family
-    params = g.params or {}
-    if family == "regular89":
-        return adversary_regular_gadget(pi, int(params["d"]), int(params["t"]))
-    if family == "fano":
-        return adversary_projective(g, pi, 2)
-    if family == "pg23":
-        return adversary_projective(g, pi, 3)
-    if family == "biclique_half":
-        return adversary_biclique(pi, g.n)
-    if family == "planted_is":
-        return adversary_planted_is(g, pi)
-    raise FamilyShapeError("no constructive adversary for family %r" % (family,))
-
-
 def monte_carlo_random_pi(
     g: BipartiteGraph,
     trials: int,
-    adversary_mode: str = "exact",
+    adversary_mode: str = DEFAULT_MODE,
     seed: int = 0,
     budget: int = DEFAULT_BUDGET,
     iters: int = 4000,
 ) -> MonteCarloSummary:
-    """Attack `trials` uniformly random priority orders and summarize.
+    """Attack `trials` uniformly random priority orders with
+    `adversary.attack(adversary_mode, ...)` and summarize.
 
     Per-trial randomness derives from seed and the trial counter, so
     results do not depend on scheduling or trial order.
     """
     if trials < 1:
         raise AnalysisParamError("trials must be positive")
-    if adversary_mode not in ("exact", "heuristic", "constructive"):
+    if adversary_mode not in ADVERSARY_MODES:
         raise UsageError("unknown adversary mode %r" % (adversary_mode,))
     n = g.n
     sizes: list[int] = []
-    upper_only = adversary_mode != "exact"
+    upper_only = False
     for trial in range(trials):
         trial_seed = seed * 1_000_003 + trial
         rng = random.Random(trial_seed)
         order = list(range(n))
         rng.shuffle(order)
         pi = Permutation.from_order(order)
-        if adversary_mode == "exact":
-            res = worst_order_exact(g, pi, budget=budget)
-            if not res.exact:
-                upper_only = True
-            sizes.append(res.size)
-        elif adversary_mode == "heuristic":
-            sizes.append(worst_order_heuristic(g, pi, iters=iters, seed=trial_seed).size)
-        else:
-            sigma = _constructive_sigma(g, pi)
-            sizes.append(greedy_match(g, sigma, pi).size)
+        res = attack(adversary_mode, g, pi, budget=budget, iters=iters, seed=trial_seed)
+        if not res.exact:
+            upper_only = True
+        sizes.append(res.size)
     fractions = [sz / n for sz in sizes]
     return MonteCarloSummary(
         trials=trials,

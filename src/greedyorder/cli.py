@@ -2,9 +2,8 @@
 
 Exit codes: 0 success, 1 usage error, 2 data error (bad schema or
 infeasible input), 3 internal invariant violation.  All randomness is
-seeded; an experiment run writes rows in config order regardless of
-thread count, so identical configs give identical tables apart from the
-runtime_ms column.
+seeded; an experiment run writes rows in config order, so identical
+configs give identical tables apart from the runtime_ms column.
 """
 
 from __future__ import annotations
@@ -12,14 +11,20 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
-import random
+import itertools
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from typing import Optional, Sequence
 
 from . import io as gio
-from .adversary import DEFAULT_BUDGET, worst_order_exact, worst_order_heuristic
+from .adversary import (
+    ADVERSARY_MODES,
+    DEFAULT_BUDGET,
+    DEFAULT_MODE,
+    attack,
+    worst_order_exact,
+    worst_order_heuristic,
+)
 from .analysis import (
     AnalysisParams,
     bound_exponents,
@@ -30,7 +35,7 @@ from .analysis import (
     monte_carlo_random_pi,
 )
 from .certify import CONSTRUCTIONS, build_certificate
-from .core import Permutation, greedy_match
+from .core import Permutation
 from .errors import (
     GreedyOrderError,
     LengthOrderViolatedError,
@@ -58,9 +63,9 @@ def _emit(args, doc) -> None:
         sys.stdout.write(text)
 
 
-def _common_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--seed", type=int, default=None, help="master random seed")
-    sub.add_argument("--threads", type=int, default=1, help="worker threads for row-parallel work")
+def _common_flags(sub: argparse.ArgumentParser, seeded: bool = False) -> None:
+    if seeded:
+        sub.add_argument("--seed", type=int, default=None, help="master random seed")
     sub.add_argument("-o", "--output", default=None, help="output file (default: stdout)")
 
 
@@ -138,27 +143,16 @@ def _experiment_cell(config: gio.ExperimentConfig, idx: int, spec: FamilySpec, m
             cert.guaranteed_fraction.denominator,
         )
         adv = config.adversary
-        if adv.mode == "exact":
-            res = worst_order_exact(g, cert.pi, budget=adv.budget)
-            a_min, a_exact, nodes = res.size, res.exact, res.nodes_expanded
-        elif adv.mode == "heuristic":
-            res = worst_order_heuristic(g, cert.pi, iters=adv.iters, seed=row_seed)
-            a_min, a_exact, nodes = res.size, False, res.nodes_expanded
-        else:
-            rng = random.Random(row_seed)
-            a_min = g.n + 1
-            for _ in range(config.trials):
-                order = list(range(g.n))
-                rng.shuffle(order)
-                a_min = min(a_min, greedy_match(g, Permutation.from_order(order), cert.pi).size)
-            a_exact, nodes = False, config.trials
-        row["adversary_min"] = a_min
-        row["adversary_exact"] = "true" if a_exact else "false"
-        row["nodes_expanded"] = nodes
-        if a_exact and cert.guaranteed_count > a_min:
+        res = attack(
+            adv.mode, g, cert.pi, budget=adv.budget, iters=adv.iters, draws=config.trials, seed=row_seed
+        )
+        row["adversary_min"] = res.size
+        row["adversary_exact"] = "true" if res.exact else "false"
+        row["nodes_expanded"] = res.nodes_expanded
+        if res.exact and cert.guaranteed_count > res.size:
             row["error"] = "soundness violation: certified %d > exact minimum %d" % (
                 cert.guaranteed_count,
-                a_min,
+                res.size,
             )
     except GreedyOrderError as exc:
         row["error"] = "%s: %s" % (type(exc).__name__, exc)
@@ -166,21 +160,13 @@ def _experiment_cell(config: gio.ExperimentConfig, idx: int, spec: FamilySpec, m
     return row
 
 
-def experiment_rows(config: gio.ExperimentConfig, threads: int = 1) -> list[dict]:
+def experiment_rows(config: gio.ExperimentConfig) -> list[dict]:
     """Compute every instance x method row, in config order, never raising."""
-    cells = []
-    row_index = 0
-    for idx, spec in enumerate(config.instances):
-        for method in config.methods:
-            row_seed = config.seed * 1_000_003 + row_index
-            cells.append((idx, spec, method, row_seed))
-            row_index += 1
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(
-                pool.map(lambda c: _experiment_cell(config, c[0], c[1], c[2], c[3]), cells)
-            )
-    return [_experiment_cell(config, *c) for c in cells]
+    cells = itertools.product(enumerate(config.instances), config.methods)
+    return [
+        _experiment_cell(config, idx, spec, method, config.seed * 1_000_003 + row_index)
+        for row_index, ((idx, spec), method) in enumerate(cells)
+    ]
 
 
 def _raise_if_unsound(rows: Sequence[dict]) -> None:
@@ -194,14 +180,14 @@ def _raise_if_unsound(rows: Sequence[dict]) -> None:
         )
 
 
-def run_experiment(config: gio.ExperimentConfig, threads: int = 1) -> list[dict]:
+def run_experiment(config: gio.ExperimentConfig) -> list[dict]:
     """One row per instance x method: generate, certify, attack.
 
     Row errors land in the error column and the run continues; a
     certified count exceeding an exact adversary minimum raises after
     all rows are computed.
     """
-    rows = experiment_rows(config, threads=threads)
+    rows = experiment_rows(config)
     _raise_if_unsound(rows)
     return rows
 
@@ -214,17 +200,8 @@ def write_rows_csv(rows: Sequence[dict], fh) -> None:
 
 
 def cmd_experiment(args) -> int:
-    config = gio.read_config(args.config)
-    if args.seed is not None:
-        config = gio.ExperimentConfig(
-            instances=config.instances,
-            methods=config.methods,
-            adversary=config.adversary,
-            trials=config.trials,
-            seed=args.seed,
-            output_path=config.output_path,
-        )
-    rows = experiment_rows(config, threads=args.threads)
+    config = gio.read_config(args.config, seed=args.seed)
+    rows = experiment_rows(config)
     path = args.output or config.output_path
     if path:
         with open(path, "w", encoding="utf-8", newline="") as fh:
@@ -338,7 +315,7 @@ def build_parser() -> _Parser:
     p_gen.add_argument("--i", type=int)
     p_gen.add_argument("--extra-edges", dest="extra_edges", type=int)
     p_gen.add_argument("--eps", type=float)
-    _common_flags(p_gen)
+    _common_flags(p_gen, seeded=True)
     p_gen.set_defaults(func=cmd_gen)
 
     p_bound = subs.add_parser("bound", help="certify a priority order for a graph")
@@ -353,12 +330,12 @@ def build_parser() -> _Parser:
     p_adv.add_argument("--exact", action="store_true")
     p_adv.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     p_adv.add_argument("--iters", type=int, default=10_000)
-    _common_flags(p_adv)
+    _common_flags(p_adv, seeded=True)
     p_adv.set_defaults(func=cmd_adversary)
 
     p_exp = subs.add_parser("experiment", help="run a config of instances x methods to CSV")
     p_exp.add_argument("config")
-    _common_flags(p_exp)
+    _common_flags(p_exp, seeded=True)
     p_exp.set_defaults(func=cmd_experiment)
 
     p_ana = subs.add_parser("analyze", help="safety, bad sets, exponents, simulations")
@@ -391,12 +368,12 @@ def build_parser() -> _Parser:
     a_mc.add_argument(
         "--adversary-mode",
         dest="adversary_mode",
-        default="exact",
-        choices=("exact", "heuristic", "constructive"),
+        default=DEFAULT_MODE,
+        choices=ADVERSARY_MODES,
     )
     a_mc.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     a_mc.add_argument("--iters", type=int, default=4000)
-    _common_flags(a_mc)
+    _common_flags(a_mc, seeded=True)
     a_mc.set_defaults(func=cmd_analyze_montecarlo)
 
     a_it = ana_subs.add_parser("iterate")

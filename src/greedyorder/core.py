@@ -145,10 +145,6 @@ class PerfectMatching:
             inv[v] = u
         return tuple(inv)
 
-    @property
-    def pairs(self) -> list[tuple[int, int]]:
-        return list(enumerate(self.v_of_u))
-
     def is_identity(self) -> bool:
         return all(v == u for u, v in enumerate(self.v_of_u))
 

@@ -421,21 +421,6 @@ def _planted_pairing(n: int, d: int, s: int, rng: random.Random) -> list[int]:
     raise GenerationError("rejection budget exceeded while repairing the pairing")
 
 
-FAMILIES = (
-    "fig1",
-    "badset_chain",
-    "regular89",
-    "tight_regular",
-    "fano",
-    "pg23",
-    "hamiltonian_random",
-    "random_regular",
-    "biclique_half",
-    "planted_is",
-    "iterative",
-)
-
-
 @dataclass(frozen=True)
 class FamilySpec:
     """A reproducible recipe: family name, parameter map, seed.
@@ -450,47 +435,36 @@ class FamilySpec:
     seed: int = 0
 
 
-def _spec_param(spec: FamilySpec, key: str, *aliases: str):
-    for k in (key,) + aliases:
-        if k in spec.params:
-            return spec.params[k]
-    raise GenerationError(
-        "family %r requires parameter %r" % (spec.family, key)
-    )
+# Each family's generator and its arguments in call order: a params key
+# with its cast and any aliases, then the spec's seed if `seeded`.
+_FAMILY_TABLE = {
+    "fig1": (gen_fig1, (), False),
+    "badset_chain": (gen_badset_chain, ((int, "copies", "i"),), False),
+    "regular89": (gen_regular89, ((int, "d"), (int, "t")), False),
+    "tight_regular": (gen_tight_regular, ((int, "d"),), False),
+    "fano": (gen_fano, (), False),
+    "pg23": (gen_pg23, (), False),
+    "hamiltonian_random": (gen_hamiltonian_random, ((int, "n"), (int, "extra_edges")), True),
+    "random_regular": (gen_random_regular, ((int, "n"), (int, "d")), True),
+    "biclique_half": (gen_biclique_half, ((int, "n"),), False),
+    "planted_is": (gen_planted_is, ((int, "n"), (int, "d"), (float, "eps")), True),
+    "iterative": (gen_iterative, ((int, "i"),), False),
+}
+FAMILIES = tuple(_FAMILY_TABLE)
 
 
 def generate(spec: FamilySpec) -> BipartiteGraph:
     """Build the graph a FamilySpec describes."""
-    fam = spec.family
-    if fam == "fig1":
-        return gen_fig1()
-    if fam == "badset_chain":
-        return gen_badset_chain(int(_spec_param(spec, "copies", "i")))
-    if fam == "regular89":
-        return gen_regular89(int(_spec_param(spec, "d")), int(_spec_param(spec, "t")))
-    if fam == "tight_regular":
-        return gen_tight_regular(int(_spec_param(spec, "d")))
-    if fam == "fano":
-        return gen_fano()
-    if fam == "pg23":
-        return gen_pg23()
-    if fam == "hamiltonian_random":
-        return gen_hamiltonian_random(
-            int(_spec_param(spec, "n")), int(_spec_param(spec, "extra_edges")), spec.seed
-        )
-    if fam == "random_regular":
-        return gen_random_regular(
-            int(_spec_param(spec, "n")), int(_spec_param(spec, "d")), spec.seed
-        )
-    if fam == "biclique_half":
-        return gen_biclique_half(int(_spec_param(spec, "n")))
-    if fam == "planted_is":
-        return gen_planted_is(
-            int(_spec_param(spec, "n")),
-            int(_spec_param(spec, "d")),
-            float(_spec_param(spec, "eps")),
-            spec.seed,
-        )
-    if fam == "iterative":
-        return gen_iterative(int(_spec_param(spec, "i")))
-    raise GenerationError("unknown family %r" % (fam,))
+    # Membership by equality: an unhashable name is unknown, not a TypeError.
+    if spec.family not in FAMILIES:
+        raise GenerationError("unknown family %r" % (spec.family,))
+    gen, params, seeded = _FAMILY_TABLE[spec.family]
+    args = []
+    for cast, *keys in params:
+        key = next((k for k in keys if k in spec.params), None)
+        if key is None:
+            raise GenerationError("family %r requires parameter %r" % (spec.family, keys[0]))
+        args.append(cast(spec.params[key]))
+    if seeded:
+        args.append(spec.seed)
+    return gen(*args)

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any, Mapping, Optional, Sequence
 
-from .adversary import DEFAULT_BUDGET, AdversaryResult
+from .adversary import ADVERSARY_MODES, DEFAULT_BUDGET, DEFAULT_MODE, AdversaryResult
 from .analysis import BadSetReport, ExponentReport, IterativeTrace, MonteCarloSummary, SafetyResult
 from .certify import CONSTRUCTIONS, BoundCertificate
 from .core import BipartiteGraph, Permutation
@@ -185,12 +185,13 @@ def read_perm(path: str, n: Optional[int] = None) -> Permutation:
 class AdversarySettings:
     """How experiment rows attack a certified order.
 
-    mode "exact" searches to optimality within the node budget;
-    "heuristic" runs the local search for iters iterations; "sampled"
-    takes the minimum over `trials` random arrival orders.
+    mode names an `adversary.ATTACKS` entry: "exact" searches to
+    optimality within the node budget; "heuristic" runs the local search
+    for iters iterations; "sampled" takes the minimum over `trials`
+    random arrival orders; "constructive" runs the family's adversary.
     """
 
-    mode: str = "exact"
+    mode: str = DEFAULT_MODE
     budget: int = DEFAULT_BUDGET
     iters: int = 4000
 
@@ -242,8 +243,8 @@ def config_from_doc(doc: Any, where: str = "config") -> ExperimentConfig:
     adv_doc = doc.get("adversary", {})
     if not isinstance(adv_doc, dict):
         raise _fail(where, "field 'adversary' must be an object")
-    mode = adv_doc.get("mode", "exact")
-    if mode not in ("exact", "heuristic", "sampled"):
+    mode = adv_doc.get("mode", DEFAULT_MODE)
+    if mode not in ADVERSARY_MODES:
         raise _fail(where, "unknown adversary mode %r" % (mode,))
     budget = adv_doc.get("budget", DEFAULT_BUDGET)
     iters = adv_doc.get("iters", 4000)
@@ -266,8 +267,13 @@ def config_from_doc(doc: Any, where: str = "config") -> ExperimentConfig:
     )
 
 
-def read_config(path: str) -> ExperimentConfig:
-    return config_from_doc(_load_json(path), where=path)
+def read_config(path: str, seed: Optional[int] = None) -> ExperimentConfig:
+    """Read a config file; a given seed acts as if the file had held it."""
+    doc = _load_json(path)
+    config = config_from_doc(doc, where=path)
+    if seed is None:
+        return config
+    return config_from_doc({**doc, "seed": seed}, where=path)
 
 
 # --- result documents -------------------------------------------------------

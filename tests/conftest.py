@@ -19,11 +19,19 @@ type tests, builds the graph from sorted edges with one set of edge
 tuples, and sorts every adjacency list on its own; the one-pass reader
 must accept the same documents, build the same graphs and fail with the
 same messages.
+The reference family dispatch is the if-chain over family names that the
+family table replaced, and the reference experiment cell and Monte Carlo
+loop are the per-mode if-chains that the attack table replaced; the
+tables must give the same graphs, rows, summaries and errors.
 """
 
 import itertools
 import math
+import os
 import random
+import statistics
+import sys
+import time
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -36,8 +44,29 @@ from greedyorder import (
     generate,
     greedy_match,
 )
-from greedyorder.adversary import _BudgetExceeded
-from greedyorder.errors import InvalidGraphError, PropositionViolatedError, SchemaError
+from greedyorder import families
+from greedyorder.adversary import (
+    _BudgetExceeded,
+    adversary_biclique,
+    adversary_planted_is,
+    adversary_projective,
+    adversary_regular_gadget,
+    worst_order_exact,
+    worst_order_heuristic,
+)
+from greedyorder.analysis import MonteCarloSummary
+from greedyorder.certify import build_certificate
+from greedyorder.cli import CSV_COLUMNS
+from greedyorder.errors import (
+    AnalysisParamError,
+    FamilyShapeError,
+    GenerationError,
+    GreedyOrderError,
+    InvalidGraphError,
+    PropositionViolatedError,
+    SchemaError,
+    UsageError,
+)
 from greedyorder.spoil import CoverStep, apply_step, trivial_cover
 
 
@@ -636,6 +665,211 @@ def reference_graph_from_doc(doc, where="graph"):
             raise _schema_fail(where, "field 'matching' is not a perfect matching on both sides")
     g = reference_from_edges(n, sorted(edges), family=family, params=params)
     return g, matching
+
+
+def _reference_spec_param(spec, key, *aliases):
+    for k in (key,) + aliases:
+        if k in spec.params:
+            return spec.params[k]
+    raise GenerationError(
+        "family %r requires parameter %r" % (spec.family, key)
+    )
+
+
+def reference_generate(spec):
+    """``families.generate`` as the if-chain it was before the family table."""
+    fam = spec.family
+    if fam == "fig1":
+        return families.gen_fig1()
+    if fam == "badset_chain":
+        return families.gen_badset_chain(int(_reference_spec_param(spec, "copies", "i")))
+    if fam == "regular89":
+        return families.gen_regular89(
+            int(_reference_spec_param(spec, "d")), int(_reference_spec_param(spec, "t"))
+        )
+    if fam == "tight_regular":
+        return families.gen_tight_regular(int(_reference_spec_param(spec, "d")))
+    if fam == "fano":
+        return families.gen_fano()
+    if fam == "pg23":
+        return families.gen_pg23()
+    if fam == "hamiltonian_random":
+        return families.gen_hamiltonian_random(
+            int(_reference_spec_param(spec, "n")),
+            int(_reference_spec_param(spec, "extra_edges")),
+            spec.seed,
+        )
+    if fam == "random_regular":
+        return families.gen_random_regular(
+            int(_reference_spec_param(spec, "n")), int(_reference_spec_param(spec, "d")), spec.seed
+        )
+    if fam == "biclique_half":
+        return families.gen_biclique_half(int(_reference_spec_param(spec, "n")))
+    if fam == "planted_is":
+        return families.gen_planted_is(
+            int(_reference_spec_param(spec, "n")),
+            int(_reference_spec_param(spec, "d")),
+            float(_reference_spec_param(spec, "eps")),
+            spec.seed,
+        )
+    if fam == "iterative":
+        return families.gen_iterative(int(_reference_spec_param(spec, "i")))
+    raise GenerationError("unknown family %r" % (fam,))
+
+
+def perfbench_specs(*names):
+    """Every distinct family spec that the benchmark's workloads (those
+    named, or all) generate, over all variants, in full and smoke size."""
+    sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(__file__)), "perfbench"))
+    try:
+        import workloads
+    finally:
+        sys.path.pop(0)
+    seen = {}
+    for name, workload in workloads.WORKLOADS.items():
+        if names and name not in names:
+            continue
+        for variant in range(workloads.POOL):
+            for smoke in (False, True):
+                for inst in workload.instances(variant, smoke):
+                    key = (inst["family"], repr(sorted(inst["params"].items())), inst["seed"])
+                    seen.setdefault(
+                        key, FamilySpec(inst["family"], inst["params"], seed=inst["seed"])
+                    )
+    return list(seen.values())
+
+
+@pytest.fixture(scope="session")
+def built_specs():
+    """Every corpus and benchmark spec with its graph, or with the
+    GenerationError it raises, generated once for the session."""
+    out = []
+    for spec in [spec for _, spec in CORPUS_SPECS] + perfbench_specs():
+        try:
+            out.append((spec, generate(spec)))
+        except GenerationError as exc:
+            out.append((spec, exc))
+    return out
+
+
+def reference_experiment_cell(config, idx, spec, method, row_seed):
+    """One experiment row, with the per-mode attack chain of the
+    experiment runner before the attack table."""
+    t0 = time.perf_counter()
+    row = {col: "" for col in CSV_COLUMNS}
+    row["instance_id"] = "%s-%03d" % (spec.family, idx)
+    row["family"] = spec.family
+    row["construction"] = method
+    row["seed"] = row_seed
+    try:
+        g = reference_generate(spec)
+        row["n"] = g.n
+        cert = build_certificate(g, method)
+        row["certified_count"] = cert.guaranteed_count
+        row["fraction"] = "%d/%d" % (
+            cert.guaranteed_fraction.numerator,
+            cert.guaranteed_fraction.denominator,
+        )
+        adv = config.adversary
+        if adv.mode == "exact":
+            res = worst_order_exact(g, cert.pi, budget=adv.budget)
+            a_min, a_exact, nodes = res.size, res.exact, res.nodes_expanded
+        elif adv.mode == "heuristic":
+            res = worst_order_heuristic(g, cert.pi, iters=adv.iters, seed=row_seed)
+            a_min, a_exact, nodes = res.size, False, res.nodes_expanded
+        else:
+            rng = random.Random(row_seed)
+            a_min = g.n + 1
+            for _ in range(config.trials):
+                order = list(range(g.n))
+                rng.shuffle(order)
+                a_min = min(a_min, greedy_match(g, Permutation.from_order(order), cert.pi).size)
+            a_exact, nodes = False, config.trials
+        row["adversary_min"] = a_min
+        row["adversary_exact"] = "true" if a_exact else "false"
+        row["nodes_expanded"] = nodes
+        if a_exact and cert.guaranteed_count > a_min:
+            row["error"] = "soundness violation: certified %d > exact minimum %d" % (
+                cert.guaranteed_count,
+                a_min,
+            )
+    except GreedyOrderError as exc:
+        row["error"] = "%s: %s" % (type(exc).__name__, exc)
+    row["runtime_ms"] = int(round((time.perf_counter() - t0) * 1000))
+    return row
+
+
+def reference_experiment_rows(config):
+    cells = []
+    row_index = 0
+    for idx, spec in enumerate(config.instances):
+        for method in config.methods:
+            row_seed = config.seed * 1_000_003 + row_index
+            cells.append((idx, spec, method, row_seed))
+            row_index += 1
+    return [reference_experiment_cell(config, *c) for c in cells]
+
+
+def _reference_constructive_sigma(g, pi):
+    family = g.family
+    params = g.params or {}
+    if family == "regular89":
+        return adversary_regular_gadget(pi, int(params["d"]), int(params["t"]))
+    if family == "fano":
+        return adversary_projective(g, pi, 2)
+    if family == "pg23":
+        return adversary_projective(g, pi, 3)
+    if family == "biclique_half":
+        return adversary_biclique(pi, g.n)
+    if family == "planted_is":
+        return adversary_planted_is(g, pi)
+    raise FamilyShapeError("no constructive adversary for family %r" % (family,))
+
+
+def reference_monte_carlo(g, trials, adversary_mode="exact", seed=0, budget=10_000_000, iters=4000):
+    """``analysis.monte_carlo_random_pi`` with its per-mode chain from
+    before the attack table."""
+    if trials < 1:
+        raise AnalysisParamError("trials must be positive")
+    if adversary_mode not in ("exact", "heuristic", "constructive"):
+        raise UsageError("unknown adversary mode %r" % (adversary_mode,))
+    n = g.n
+    sizes = []
+    upper_only = adversary_mode != "exact"
+    for trial in range(trials):
+        trial_seed = seed * 1_000_003 + trial
+        rng = random.Random(trial_seed)
+        order = list(range(n))
+        rng.shuffle(order)
+        pi = Permutation.from_order(order)
+        if adversary_mode == "exact":
+            res = worst_order_exact(g, pi, budget=budget)
+            if not res.exact:
+                upper_only = True
+            sizes.append(res.size)
+        elif adversary_mode == "heuristic":
+            sizes.append(worst_order_heuristic(g, pi, iters=iters, seed=trial_seed).size)
+        else:
+            sigma = _reference_constructive_sigma(g, pi)
+            sizes.append(greedy_match(g, sigma, pi).size)
+    fractions = [sz / n for sz in sizes]
+    return MonteCarloSummary(
+        trials=trials,
+        mean_size=statistics.fmean(sizes),
+        min_size=min(sizes),
+        mean_fraction=statistics.fmean(fractions),
+        min_fraction=min(fractions),
+        stddev_fraction=statistics.pstdev(fractions),
+        upper_bound_only=upper_only,
+    )
+
+
+def outcome(fn, *args, **kwargs):
+    """A call's result, or the class and message of what it raised."""
+    try:
+        return fn(*args, **kwargs)
+    except Exception as exc:  # noqa: BLE001 - the error itself is compared
+        return (type(exc), str(exc))
 
 
 def random_pm_graph(rng, n, extra=None):

@@ -22,6 +22,7 @@ from greedyorder import (
     worst_order_heuristic,
     worst_order_masked_min,
 )
+from greedyorder.adversary import worst_order_sampled
 
 
 def test_exact_matches_brute_on_six_cycle():
@@ -80,6 +81,26 @@ def test_heuristic_upper_bounds_exact_and_is_deterministic():
         assert not h1.exact
         assert greedy_match(g, h1.sigma, pi).size == h1.size
         assert h1.size >= worst_order_exact(g, pi).size
+
+
+def test_sampled_returns_the_first_best_draw():
+    rng = random.Random(17)
+    for seed in range(30):
+        n = rng.randrange(2, 8)
+        g = random_pm_graph(rng, n)
+        pi = random_perm(rng, n)
+        res = worst_order_sampled(g, pi, draws=12, seed=seed)
+        draws = random.Random(seed)
+        sizes = []
+        for _ in range(12):
+            order = list(range(n))
+            draws.shuffle(order)
+            sizes.append((greedy_match(g, Permutation.from_order(order), pi).size, order))
+        size, order = min(sizes, key=lambda s: s[0])
+        assert (res.sigma.order, res.size, res.exact, res.nodes_expanded) == (
+            tuple(order), size, False, 12
+        )
+        assert res.size >= worst_order_exact(g, pi).size
 
 
 def test_masked_min_against_masked_brute():

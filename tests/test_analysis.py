@@ -8,7 +8,7 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from conftest import random_perm, random_pm_graph
+from conftest import outcome, random_perm, random_pm_graph, reference_monte_carlo
 
 from greedyorder import (
     AnalysisParams,
@@ -302,6 +302,33 @@ def test_monte_carlo_constructive_uses_family_attack():
     s = monte_carlo_random_pi(g, trials=20, adversary_mode="constructive", seed=3)
     assert s.upper_bound_only
     assert 0.5 <= s.mean_fraction <= 1.0
+
+
+def test_monte_carlo_sampled_mode():
+    g = generate(FamilySpec("biclique_half", {"n": 8}))
+    a = monte_carlo_random_pi(g, trials=10, adversary_mode="sampled", seed=4)
+    assert a == monte_carlo_random_pi(g, trials=10, adversary_mode="sampled", seed=4)
+    assert a.upper_bound_only
+    e = monte_carlo_random_pi(g, trials=10, adversary_mode="exact", seed=4)
+    assert a.min_size >= e.min_size and a.mean_size >= e.mean_size
+
+
+def test_monte_carlo_equals_the_reference_dispatch(built_specs):
+    """Summaries, and errors, equal those of the per-mode chain the attack
+    table replaced, for every mode that chain accepted, on every corpus
+    and benchmark graph; the exact mode only where n <= 10, and once more
+    with a budget small enough to fall back to the heuristic."""
+    graphs = [g for _, g in built_specs if isinstance(g, BipartiteGraph)]
+    for i, g in enumerate(graphs):
+        runs = [("heuristic", {"iters": 15}), ("constructive", {})]
+        if g.n <= 10:
+            runs.append(("exact", {}))
+        if g.n <= 6:
+            runs.append(("exact", {"budget": 2}))
+        for mode, settings in runs:
+            kwargs = dict(trials=2, adversary_mode=mode, seed=i, **settings)
+            got = outcome(monte_carlo_random_pi, g, **kwargs)
+            assert got == outcome(reference_monte_carlo, g, **kwargs), (g.family, g.params, mode)
 
 
 def test_monte_carlo_guards():

@@ -205,7 +205,7 @@ def test_find_perfect_matching_on_corpus(corpus):
         g = inst.graph
         m = find_perfect_matching(g)
         assert sorted(m.v_of_u) == list(range(g.n))
-        for u, v in m.pairs:
+        for u, v in enumerate(m.v_of_u):
             assert v in g.adj_u[u], inst.instance_id
         assert m.u_of_v[m.v_of_u[0]] == 0
 

@@ -1,5 +1,6 @@
 """JSON schemas, round trips, the experiment runner, and the CLI surface."""
 
+import argparse
 import ast
 import collections
 import csv
@@ -15,10 +16,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_pm_graph, reference_graph_from_doc
+import conftest
+from conftest import random_pm_graph, reference_experiment_rows, reference_graph_from_doc
 
+import greedyorder.cli as cli
 import greedyorder.io as gio
-from greedyorder import BipartiteGraph, FamilySpec, Permutation, generate
+from greedyorder import BipartiteGraph, FamilySpec, Permutation, generate, monte_carlo_random_pi
+from greedyorder.adversary import ADVERSARY_MODES
 from greedyorder.cli import (
     CSV_COLUMNS,
     build_parser,
@@ -28,7 +32,7 @@ from greedyorder.cli import (
     run_experiment,
     write_rows_csv,
 )
-from greedyorder.errors import InvalidGraphError, PropositionViolatedError, SchemaError
+from greedyorder.errors import InvalidGraphError, PropositionViolatedError, SchemaError, UsageError
 
 FIG1_DOC = {
     "n": 3,
@@ -357,13 +361,6 @@ def test_experiment_rows_shape_and_soundness():
     assert rows[0]["fraction"] == "2/3"
 
 
-def test_experiment_rows_thread_invariant():
-    config = small_config()
-    one = experiment_rows(config, threads=1)
-    two = experiment_rows(config, threads=3)
-    assert rows_without_runtime(one) == rows_without_runtime(two)
-
-
 def test_experiment_rows_sampled_and_heuristic_modes():
     sampled = experiment_rows(small_config(adversary={"mode": "sampled"}, trials=20))
     for row in sampled:
@@ -373,6 +370,57 @@ def test_experiment_rows_sampled_and_heuristic_modes():
     heur = experiment_rows(small_config(adversary={"mode": "heuristic", "iters": 150}))
     for row in heur:
         assert row["adversary_exact"] == "false"
+
+
+def test_experiment_constructive_mode():
+    config = small_config(
+        instances=[{"family": "biclique_half", "params": {"n": n}} for n in (6, 10)]
+        + [{"family": "fig1"}],
+        adversary={"mode": "constructive"},
+    )
+    rows = experiment_rows(config)
+    for row in rows[:4]:
+        assert row["error"] == ""
+        assert row["adversary_exact"] == "false"
+        assert row["certified_count"] <= row["adversary_min"]
+    assert rows[4]["error"] == "FamilyShapeError: no constructive adversary for family 'fig1'"
+
+
+def test_experiment_rows_equal_the_reference_dispatch(built_specs, monkeypatch):
+    """Rows, runtime aside, equal those of the per-mode chain the attack
+    table replaced, for every mode that chain accepted, on every corpus
+    and benchmark spec; the exact mode only where n <= 14, and once more
+    with a budget small enough to fall back to the heuristic.  Both sides
+    share one generated graph per spec: generation has its own
+    differential test."""
+    built = {repr(spec): g for spec, g in built_specs}
+
+    def generate_built(spec):
+        g = built[repr(spec)]
+        if isinstance(g, Exception):
+            raise g
+        return g
+
+    monkeypatch.setattr(cli, "generate", generate_built)
+    monkeypatch.setattr(conftest, "reference_generate", generate_built)
+    specs = [spec for spec, _ in built_specs]
+    small = [spec for spec, g in built_specs if not isinstance(g, Exception) and g.n <= 14]
+    runs = [
+        (specs, {"mode": "heuristic", "iters": 20}, ["sort2"]),
+        (specs, {"mode": "sampled"}, ["theorem1"]),
+        (small, {"mode": "exact"}, ["theorem1"]),
+        (small[:12], {"mode": "exact", "budget": 3}, ["large_m12_order"]),
+    ]
+    for instances, adversary, methods in runs:
+        config = gio.ExperimentConfig(
+            instances=tuple(instances),
+            methods=tuple(methods),
+            adversary=gio.AdversarySettings(**adversary),
+            trials=3,
+            seed=6,
+        )
+        got = rows_without_runtime(experiment_rows(config))
+        assert got == rows_without_runtime(reference_experiment_rows(config)), adversary
 
 
 def test_experiment_row_error_is_contained():
@@ -491,7 +539,7 @@ def test_cli_experiment_deterministic_csv(tmp_path):
     cfg.write_text(gio.canonical_dumps(config_doc))
     out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
     assert main(["experiment", str(cfg), "-o", str(out1)]) == 0
-    assert main(["experiment", str(cfg), "-o", str(out2), "--threads", "2"]) == 0
+    assert main(["experiment", str(cfg), "-o", str(out2)]) == 0
 
     def strip_runtime(text):
         rows = list(csv.DictReader(_io.StringIO(text)))
@@ -501,6 +549,66 @@ def test_cli_experiment_deterministic_csv(tmp_path):
     rows = list(csv.DictReader(_io.StringIO(out1.read_text())))
     assert len(rows) == 4
     assert all(r["error"] == "" for r in rows)
+
+
+def test_cli_experiment_seed_acts_as_the_file_seed(tmp_path):
+    """--seed S gives the table of the same file holding seed S, derived
+    instance seeds included."""
+    doc = {
+        "instances": [
+            {"family": "hamiltonian_random", "params": {"n": 9, "extra_edges": 6}},
+            {"family": "random_regular", "params": {"n": 8, "d": 3}},
+            {"family": "random_regular", "params": {"n": 8, "d": 3}, "seed": 5},
+        ],
+        "methods": ["theorem1"],
+        "seed": 0,
+    }
+    tables = []
+    for file_seed, flag in ((0, ["--seed", "9"]), (9, [])):
+        cfg = tmp_path / ("config%d.json" % file_seed)
+        cfg.write_text(gio.canonical_dumps({**doc, "seed": file_seed}))
+        out = tmp_path / ("rows%d.csv" % file_seed)
+        assert main(["experiment", str(cfg), "-o", str(out), *flag]) == 0
+        tables.append(rows_without_runtime(list(csv.DictReader(_io.StringIO(out.read_text())))))
+    assert tables[0] == tables[1]
+
+
+def test_cli_seed_only_where_it_is_read(tmp_path, capsys):
+    graph = write_fig1(tmp_path)
+    assert main(["bound", graph, "--seed", "1"]) == 1
+    assert "usage error" in capsys.readouterr().err
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"instances": [], "methods": ["theorem1"]}))
+    assert main(["experiment", str(cfg), "--threads", "2"]) == 1
+    parser = build_parser()
+    for argv in (
+        ["gen", "--family", "fig1"],
+        ["adversary", graph, "--pi", "pi.json"],
+        ["experiment", str(cfg)],
+        ["analyze", "montecarlo", graph],
+    ):
+        assert parser.parse_args(argv + ["--seed", "3"]).seed == 3
+
+
+def test_adversary_mode_names_agree():
+    """The montecarlo choices, the config reader's modes and the attack
+    table name the same adversaries."""
+    parser = build_parser()
+    for name in ("analyze", "montecarlo"):
+        (subs,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        parser = subs.choices[name]
+    (action,) = [a for a in parser._actions if a.dest == "adversary_mode"]
+    assert tuple(action.choices) == ADVERSARY_MODES
+    base = {"instances": [{"family": "fig1"}], "methods": ["theorem1"]}
+    g = generate(FamilySpec("biclique_half", {"n": 6}))
+    for mode in ADVERSARY_MODES:
+        assert gio.config_from_doc({**base, "adversary": {"mode": mode}}).adversary.mode == mode
+        assert monte_carlo_random_pi(g, trials=1, adversary_mode=mode, iters=10).trials == 1
+    for mode in ("psychic", "Exact", None):
+        with pytest.raises(SchemaError):
+            gio.config_from_doc({**base, "adversary": {"mode": mode}})
+        with pytest.raises(UsageError):
+            monte_carlo_random_pi(g, trials=1, adversary_mode=mode)
 
 
 def test_cli_experiment_empty_instances_header_only(tmp_path, capsys):
