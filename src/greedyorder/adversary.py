@@ -53,6 +53,7 @@ from typing import Optional, Sequence
 from .core import (
     BipartiteGraph,
     Permutation,
+    _check_dims,
     greedy_match,
     max_matching,
 )
@@ -317,6 +318,17 @@ def _adj_rank_masks(g: BipartiteGraph, pi: Permutation) -> list[int]:
     return [_rank_mask(pi, g.adj_u[u]) for u in range(g.n)]
 
 
+def _greedy_size(adj_rank: Sequence[int], order: Sequence[int], full: int) -> int:
+    """greedy_match(g, order, pi).size from adj_rank = _adj_rank_masks(g, pi)
+    and full = (1 << n) - 1: each arrival takes its lowest free bit."""
+    free = full
+    for u in order:
+        m = adj_rank[u] & free
+        if m:
+            free ^= m & -m
+    return (full ^ free).bit_count()
+
+
 def worst_order_exact(
     g: BipartiteGraph, pi: Permutation, budget: int = DEFAULT_BUDGET
 ) -> AdversaryResult:
@@ -392,15 +404,13 @@ def worst_order_heuristic(
     result is an upper bound on the true minimum and is deterministic
     for a fixed seed.
     """
+    _check_dims(g, pi, "pi")
     rng = random.Random(seed)
     n = g.n
-
-    def evaluate(order: list[int]) -> int:
-        return greedy_match(g, Permutation.from_order(order), pi).size
-
+    adj, full = _adj_rank_masks(g, pi), (1 << n) - 1
     cur = list(range(n))
     rng.shuffle(cur)
-    cur_val = evaluate(cur)
+    cur_val = _greedy_size(adj, cur, full)
     best, best_val = cur[:], cur_val
     stale = 0
     restart_after = max(100, 2 * n)
@@ -419,7 +429,7 @@ def worst_order_heuristic(
                 cand = rest[:c] + block + rest[c:]
         else:
             cand = cur[:]
-        val = evaluate(cand)
+        val = _greedy_size(adj, cand, full)
         if val <= cur_val:
             if val < cur_val:
                 stale = 0
@@ -431,7 +441,7 @@ def worst_order_heuristic(
         if stale >= restart_after:
             cur = list(range(n))
             rng.shuffle(cur)
-            cur_val = evaluate(cur)
+            cur_val = _greedy_size(adj, cur, full)
             if cur_val < best_val:
                 best, best_val = cur[:], cur_val
             stale = 0
@@ -446,16 +456,18 @@ def worst_order_sampled(
     """The first best of `draws` arrival orders drawn uniformly from
     random.Random(seed).  The size is an upper bound on the true minimum;
     nodes_expanded counts the draws."""
+    _check_dims(g, pi, "pi")
     rng = random.Random(seed)
+    adj, full = _adj_rank_masks(g, pi), (1 << g.n) - 1
     best, best_val = None, g.n + 1
     for _ in range(draws):
         order = list(range(g.n))
         rng.shuffle(order)
-        sigma = Permutation.from_order(order)
-        val = greedy_match(g, sigma, pi).size
+        val = _greedy_size(adj, order, full)
         if val < best_val:
-            best, best_val = sigma, val
-    return AdversaryResult(sigma=best, size=best_val, exact=False, nodes_expanded=draws)
+            best, best_val = order, val
+    sigma = None if best is None else Permutation.from_order(best)
+    return AdversaryResult(sigma=sigma, size=best_val, exact=False, nodes_expanded=draws)
 
 
 def _order_by_planned_partner(
@@ -496,10 +508,9 @@ def adversary_regular_gadget(pi: Permutation, d: int, t: int) -> Permutation:
         hits = [sum(1 for v in target if (v - base) // d == b) for b in range(3)]
         b_star = hits.index(max(hits))
         other_u = [u for u in range(base, base + 3 * d) if (u - base) // d != b_star]
-        adj = [
-            [j for j, v in enumerate(high) if (v - base) // d != (u - base) // d]
-            for u in other_u
-        ]
+        # A U-vertex's row depends only on its block: one row per block.
+        rows = [tuple(j for j, v in enumerate(high) if (v - base) // d != b) for b in range(3)]
+        adj = [rows[(u - base) // d] for u in other_u]
         pairs = max_matching(adj, len(high))
         if len(pairs) != len(other_u):
             raise PropositionViolatedError("block matching onto the high set must be perfect")
@@ -607,6 +618,13 @@ def adversary_biclique(pi: Permutation, n: int) -> Permutation:
     return Permutation.from_order(order)
 
 
+def _family_param(g: BipartiteGraph, key: str) -> int:
+    """The integer `key` of g's params, or FamilyShapeError naming it."""
+    if not g.params or key not in g.params:
+        raise FamilyShapeError("%s not given and absent from graph params" % key)
+    return int(g.params[key])
+
+
 def adversary_planted_is(
     g: BipartiteGraph, pi: Permutation, planted_size: Optional[int] = None
 ) -> Permutation:
@@ -618,15 +636,16 @@ def adversary_planted_is(
     matched onto the highest-priority vertices they can reach and arrive
     by ascending partner priority; the planted U-set arrives last.  A
     few prefix vertices may be reachable only from the planted U-side,
-    in which case the match is padded with the cheapest non-planted
-    vertices above the prefix.  Planted V-vertices beyond the consumed
+    in which case the match is padded with the shortest run of the
+    cheapest non-planted vertices above the prefix that completes it.
+    A target raises a maximum matching by at most one, so a matching
+    of p pairs grows the run by |outside| - p at once, ending where
+    one-by-one growth would.  Planted V-vertices beyond the consumed
     range lose all their neighbors, so they stay unmatched.
     """
     n = g.n
     if planted_size is None:
-        if not g.params or "planted_size" not in g.params:
-            raise FamilyShapeError("planted_size not given and absent from graph params")
-        planted_size = int(g.params["planted_size"])
+        planted_size = _family_param(g, "planted_size")
     if not (0 <= planted_size <= n // 2):
         raise FamilyShapeError("planted_size %d out of range" % planted_size)
     rank = pi.rank
@@ -642,19 +661,21 @@ def adversary_planted_is(
         (v for v in reach if rank[v] >= q_cut and v >= planted_size),
         key=lambda v: rank[v],
     )
-    next_extra = 0
+    taken, short = 0, len(outside) - len(targets)
     while True:
+        if short > 0:
+            if taken + short > len(extra):
+                raise HallInfeasibleError(
+                    "non-planted U-side cannot be matched away from the planted targets"
+                )
+            targets += extra[taken : taken + short]
+            taken += short
         pos = {v: i for i, v in enumerate(targets)}
         adj = [[pos[v] for v in g.adj_u[u] if v in pos] for u in outside]
         pairs = max_matching(adj, len(targets))
-        if len(pairs) == len(outside):
+        short = len(outside) - len(pairs)
+        if not short:
             break
-        if next_extra == len(extra):
-            raise HallInfeasibleError(
-                "non-planted U-side cannot be matched away from the planted targets"
-            )
-        targets.append(extra[next_extra])
-        next_extra += 1
     planned = [(outside[i], targets[j]) for i, j in pairs]
     order = _order_by_planned_partner(planned, rank)
     order.extend(range(planted_size))
@@ -664,7 +685,7 @@ def adversary_planted_is(
 # The closed-form adversary of each structured family, (g, pi) -> sigma.
 CONSTRUCTIVE = {
     "regular89": lambda g, pi: adversary_regular_gadget(
-        pi, int((g.params or {})["d"]), int((g.params or {})["t"])
+        pi, _family_param(g, "d"), _family_param(g, "t")
     ),
     "fano": lambda g, pi: adversary_projective(g, pi, 2),
     "pg23": lambda g, pi: adversary_projective(g, pi, 3),

@@ -319,7 +319,9 @@ def monte_carlo_random_pi(
     `adversary.attack(adversary_mode, ...)` and summarize.
 
     Per-trial randomness derives from seed and the trial counter, so
-    results do not depend on scheduling or trial order.
+    results do not depend on scheduling or trial order.  The heuristic
+    and sampled players reuse the trial seed that shuffled pi, so the
+    first arrival order each tries is pi's order: sigma and pi correlate.
     """
     if trials < 1:
         raise AnalysisParamError("trials must be positive")

@@ -8,7 +8,6 @@ lowest-priority unmatched neighbor, where priority rank 0 under pi means
 
 from __future__ import annotations
 
-import collections
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -207,38 +206,34 @@ def max_matching(adj: Sequence[Iterable[int]], n_right: int) -> list[tuple[int, 
     match_r = [-1] * n_right
     INF = n_left + n_right + 1
 
-    def bfs() -> bool:
-        dist = [INF] * n_left
-        q = collections.deque()
-        for i in range(n_left):
-            if match_l[i] == -1:
-                dist[i] = 0
-                q.append(i)
-        found = False
-        while q:
-            i = q.popleft()
-            for j in adj_l[i]:
-                k = match_r[j]
-                if k == -1:
-                    found = True
-                elif dist[k] == INF:
-                    dist[k] = dist[i] + 1
-                    q.append(k)
-        bfs.dist = dist  # type: ignore[attr-defined]
-        return found
-
+    # One frame per augmenting step; layers rise along a path, so dist[i] holds.
     def dfs(i: int) -> bool:
-        dist = bfs.dist  # type: ignore[attr-defined]
+        nxt = dist[i] + 1
         for j in adj_l[i]:
             k = match_r[j]
-            if k == -1 or (dist[k] == dist[i] + 1 and dfs(k)):
+            if k == -1 or (dist[k] == nxt and dfs(k)):
                 match_l[i] = j
                 match_r[j] = i
                 return True
         dist[i] = INF
         return False
 
-    while bfs():
+    while True:
+        # Layer from the free left vertices; the list is read as a queue.
+        dist = [INF if m != -1 else 0 for m in match_l]
+        queue = [i for i in range(n_left) if match_l[i] == -1]
+        found = False
+        for i in queue:
+            nxt = dist[i] + 1
+            for j in adj_l[i]:
+                k = match_r[j]
+                if k == -1:
+                    found = True
+                elif dist[k] == INF:
+                    dist[k] = nxt
+                    queue.append(k)
+        if not found:
+            break
         for i in range(n_left):
             if match_l[i] == -1:
                 dfs(i)

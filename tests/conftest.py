@@ -23,8 +23,15 @@ The reference family dispatch is the if-chain over family names that the
 family table replaced, and the reference experiment cell and Monte Carlo
 loop are the per-mode if-chains that the attack table replaced; the
 tables must give the same graphs, rows, summaries and errors.
+The reference matching and arrival-order players are Hopcroft-Karp with a separate
+breadth-first pass, the planted-set adversary that matches once per
+added target, the gadget that builds one adjacency row per U-vertex,
+and the local search and sampler that score each candidate with
+greedy_match; the production code must return the same pairs, orders
+and results, or fail with the same error.
 """
 
+import collections
 import itertools
 import math
 import os
@@ -46,6 +53,7 @@ from greedyorder import (
 )
 from greedyorder import families
 from greedyorder.adversary import (
+    AdversaryResult,
     _BudgetExceeded,
     adversary_biclique,
     adversary_planted_is,
@@ -62,6 +70,7 @@ from greedyorder.errors import (
     FamilyShapeError,
     GenerationError,
     GreedyOrderError,
+    HallInfeasibleError,
     InvalidGraphError,
     PropositionViolatedError,
     SchemaError,
@@ -150,6 +159,188 @@ def brute_max_matching_size(adj, n_right):
         return best
 
     return go(0, 0)
+
+
+def reference_max_matching(adj, n_right):
+    """Hopcroft-Karp with a deque breadth-first pass that hands its
+    layers to the depth-first pass through a function attribute."""
+    n_left = len(adj)
+    adj_l = [tuple(a) for a in adj]
+    match_l = [-1] * n_left
+    match_r = [-1] * n_right
+    INF = n_left + n_right + 1
+
+    def bfs():
+        dist = [INF] * n_left
+        q = collections.deque()
+        for i in range(n_left):
+            if match_l[i] == -1:
+                dist[i] = 0
+                q.append(i)
+        found = False
+        while q:
+            i = q.popleft()
+            for j in adj_l[i]:
+                k = match_r[j]
+                if k == -1:
+                    found = True
+                elif dist[k] == INF:
+                    dist[k] = dist[i] + 1
+                    q.append(k)
+        bfs.dist = dist
+        return found
+
+    def dfs(i):
+        dist = bfs.dist
+        for j in adj_l[i]:
+            k = match_r[j]
+            if k == -1 or (dist[k] == dist[i] + 1 and dfs(k)):
+                match_l[i] = j
+                match_r[j] = i
+                return True
+        dist[i] = INF
+        return False
+
+    while bfs():
+        for i in range(n_left):
+            if match_l[i] == -1:
+                dfs(i)
+    return [(i, match_l[i]) for i in range(n_left) if match_l[i] != -1]
+
+
+def _reference_by_partner(pairs, rank):
+    return [u for u, v in sorted(pairs, key=lambda uv: rank[uv[1]])]
+
+
+def reference_regular_gadget(pi, d, t):
+    """The gadget adversary with one adjacency row built per U-vertex."""
+    if d < 1 or t < 1:
+        raise FamilyShapeError("d and t must be positive")
+    n = 3 * d * t
+    if len(pi) != n:
+        raise FamilyShapeError("pi has %d entries, expected %d" % (len(pi), n))
+    rank = pi.rank
+    order = []
+    for c in range(t):
+        base = 3 * d * c
+        copy_v = sorted(range(base, base + 3 * d), key=lambda v: rank[v])
+        high, target = copy_v[: 2 * d], copy_v[2 * d :]
+        hits = [sum(1 for v in target if (v - base) // d == b) for b in range(3)]
+        b_star = hits.index(max(hits))
+        other_u = [u for u in range(base, base + 3 * d) if (u - base) // d != b_star]
+        adj = [
+            [j for j, v in enumerate(high) if (v - base) // d != (u - base) // d]
+            for u in other_u
+        ]
+        pairs = reference_max_matching(adj, len(high))
+        if len(pairs) != len(other_u):
+            raise PropositionViolatedError("block matching onto the high set must be perfect")
+        planned = [(other_u[i], high[j]) for i, j in pairs]
+        order.extend(_reference_by_partner(planned, rank))
+        order.extend(range(base + b_star * d, base + (b_star + 1) * d))
+    return Permutation.from_order(order)
+
+
+def reference_planted_is(g, pi, planted_size=None):
+    """The planted-set adversary that runs one maximum matching per
+    padding target it adds."""
+    n = g.n
+    if planted_size is None:
+        if not g.params or "planted_size" not in g.params:
+            raise FamilyShapeError("planted_size not given and absent from graph params")
+        planted_size = int(g.params["planted_size"])
+    if not (0 <= planted_size <= n // 2):
+        raise FamilyShapeError("planted_size %d out of range" % planted_size)
+    rank = pi.rank
+    outside = list(range(planted_size, n))
+    reach = {v for u in outside for v in g.adj_u[u]}
+    q_cut = n - planted_size
+    targets = sorted(v for v in reach if rank[v] < q_cut)
+    extra = sorted(
+        (v for v in reach if rank[v] >= q_cut and v >= planted_size),
+        key=lambda v: rank[v],
+    )
+    next_extra = 0
+    while True:
+        pos = {v: i for i, v in enumerate(targets)}
+        adj = [[pos[v] for v in g.adj_u[u] if v in pos] for u in outside]
+        pairs = reference_max_matching(adj, len(targets))
+        if len(pairs) == len(outside):
+            break
+        if next_extra == len(extra):
+            raise HallInfeasibleError(
+                "non-planted U-side cannot be matched away from the planted targets"
+            )
+        targets.append(extra[next_extra])
+        next_extra += 1
+    planned = [(outside[i], targets[j]) for i, j in pairs]
+    order = _reference_by_partner(planned, rank)
+    order.extend(range(planted_size))
+    return Permutation.from_order(order)
+
+
+def reference_heuristic(g, pi, iters=10_000, seed=0):
+    """The local search scoring every candidate with greedy_match."""
+    rng = random.Random(seed)
+    n = g.n
+
+    def evaluate(order):
+        return greedy_match(g, Permutation.from_order(order), pi).size
+
+    cur = list(range(n))
+    rng.shuffle(cur)
+    cur_val = evaluate(cur)
+    best, best_val = cur[:], cur_val
+    stale = 0
+    restart_after = max(100, 2 * n)
+    for _ in range(iters):
+        if n >= 2:
+            if rng.random() < 0.5:
+                i = rng.randrange(n - 1)
+                cand = cur[:]
+                cand[i], cand[i + 1] = cand[i + 1], cand[i]
+            else:
+                a = rng.randrange(n)
+                b = rng.randrange(a + 1, n + 1)
+                block = cur[a:b]
+                rest = cur[:a] + cur[b:]
+                c = rng.randrange(len(rest) + 1)
+                cand = rest[:c] + block + rest[c:]
+        else:
+            cand = cur[:]
+        val = evaluate(cand)
+        if val <= cur_val:
+            if val < cur_val:
+                stale = 0
+            cur, cur_val = cand, val
+            if val < best_val:
+                best, best_val = cand[:], val
+        else:
+            stale += 1
+        if stale >= restart_after:
+            cur = list(range(n))
+            rng.shuffle(cur)
+            cur_val = evaluate(cur)
+            if cur_val < best_val:
+                best, best_val = cur[:], cur_val
+            stale = 0
+    return AdversaryResult(
+        sigma=Permutation.from_order(best), size=best_val, exact=False, nodes_expanded=iters
+    )
+
+
+def reference_sampled(g, pi, draws=100, seed=0):
+    """The sampler scoring every draw with greedy_match."""
+    rng = random.Random(seed)
+    best, best_val = None, g.n + 1
+    for _ in range(draws):
+        order = list(range(g.n))
+        rng.shuffle(order)
+        sigma = Permutation.from_order(order)
+        val = greedy_match(g, sigma, pi).size
+        if val < best_val:
+            best, best_val = sigma, val
+    return AdversaryResult(sigma=best, size=best_val, exact=False, nodes_expanded=draws)
 
 
 def _rotations_of(cover, sg, idx):

@@ -6,10 +6,24 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import brute_force_min, random_perm, random_pm_graph
+import conftest
+from conftest import (
+    brute_force_min,
+    outcome,
+    random_perm,
+    random_pm_graph,
+    reference_heuristic,
+    reference_planted_is,
+    reference_regular_gadget,
+    reference_sampled,
+)
 
+import greedyorder.adversary as adversary_mod
 from greedyorder import (
+    BipartiteGraph,
     FamilySpec,
     Permutation,
     adversary_biclique,
@@ -183,3 +197,128 @@ def test_planted_adversary_replays_validly():
         assert sorted(sigma.order) == list(range(60))
         out = greedy_match(g, sigma, pi)
         assert 30 <= out.size <= 60
+
+
+def _random_graph(rng, n):
+    """n per side and each U-row a random subset, empty rows included."""
+    edges = [(u, v) for u in range(n) for v in rng.sample(range(n), rng.randrange(n + 1))]
+    return BipartiteGraph.from_edges(n, edges)
+
+
+def test_heuristic_and_sampled_equal_the_greedy_scored_reference():
+    """Scoring in rank space keeps every result: the same sigma, size,
+    exact flag and node count, or the same error for a pi of the wrong
+    length."""
+    seen = set()
+
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(st.integers(1, 12), st.randoms(use_true_random=False), st.integers(0, 2**32))
+    def check(n, rng, seed):
+        g = _random_graph(rng, n)
+        pi = random_perm(rng, n + (rng.random() < 0.1) * rng.choice([-1, 1]))
+        iters, draws = rng.randrange(0, 400), rng.randrange(1 if len(pi) != n else 0, 60)
+        got = outcome(worst_order_heuristic, g, pi, iters=iters, seed=seed)
+        assert got == outcome(reference_heuristic, g, pi, iters=iters, seed=seed)
+        assert outcome(worst_order_sampled, g, pi, draws=draws, seed=seed) == outcome(
+            reference_sampled, g, pi, draws=draws, seed=seed
+        )
+        seen.add("error" if isinstance(got, tuple) else "result")
+
+    check()
+    assert seen == {"error", "result"}
+
+
+def test_regular_gadget_equals_the_reference():
+    """The three block rows give the same orders and the same errors as
+    one row per U-vertex."""
+    seen = set()
+
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(st.integers(0, 5), st.integers(0, 3), st.randoms(use_true_random=False))
+    def check(d, t, rng):
+        n = 3 * max(d, 1) * max(t, 1) + (rng.random() < 0.1)
+        pi = random_perm(rng, n)
+        got = outcome(adversary_regular_gadget, pi, d, t)
+        assert got == outcome(reference_regular_gadget, pi, d, t)
+        seen.add("error" if isinstance(got, tuple) else "order")
+
+    check()
+    assert seen == {"error", "order"}
+
+
+PLANTED_SPECS = [
+    FamilySpec("planted_is", {"n": n, "d": d, "eps": eps}, seed=seed)
+    for n, d, eps, seed in ((12, 3, 0.3, 1), (20, 4, 0.3, 2), (30, 4, 0.4, 1), (60, 5, 0.2, 1))
+]
+
+
+def test_planted_adversary_equals_the_one_target_at_a_time_reference(monkeypatch):
+    """Padding the targets by |outside| - p at a time ends on the same
+    prefix as padding one at a time, or raises the same error when the
+    extras run out."""
+    planted = [generate(spec) for spec in PLANTED_SPECS]
+    calls = []
+    ref_matching = conftest.reference_max_matching
+
+    def counted(adj, n_right):
+        calls.append(1)
+        return ref_matching(adj, n_right)
+
+    monkeypatch.setattr(conftest, "reference_max_matching", counted)
+    seen = set()
+
+    @settings(max_examples=400, derandomize=True, database=None, deadline=None)
+    @given(st.integers(0, len(planted)), st.randoms(use_true_random=False))
+    def check(pick, rng):
+        if pick < len(planted):
+            g = planted[pick]
+        else:
+            # Any graph may carry a planted size: its "planted" block
+            # need not be independent, and its params may lack the size.
+            g = _random_graph(rng, rng.randrange(1, 13))
+            size = rng.randrange(-1, g.n // 2 + 2)
+            g = BipartiteGraph.from_edges(
+                g.n, g.edges, family="planted_is",
+                params=None if size < 0 else {"planted_size": size},
+            )
+        pi = random_perm(rng, g.n)
+        size = rng.choice([None, None, rng.randrange(-1, g.n // 2 + 2)])
+        calls.clear()
+        want = outcome(reference_planted_is, g, pi, size)
+        assert outcome(adversary_planted_is, g, pi, size) == want
+        if isinstance(want, tuple):
+            seen.add(want[0].__name__)
+        else:
+            seen.add("padded one at a time" if len(calls) > 1 else "one matching")
+
+    check()
+    assert seen == {
+        "one matching", "padded one at a time", "HallInfeasibleError", "FamilyShapeError",
+    }
+
+
+def test_planted_adversary_runs_one_matching(monkeypatch):
+    """On the benchmark's planted graph, n=600, the one-target-at-a-time
+    loop needs two to four matchings per order; padding by the shortfall
+    needs one.  (On sparser planted graphs it can need several.)"""
+    g = generate(FamilySpec("planted_is", {"n": 600, "d": 20, "eps": 0.1}, seed=13))
+    calls = {"ref": 0, "new": 0}
+    ref_matching, new_matching = conftest.reference_max_matching, adversary_mod.max_matching
+
+    def counter(side, matching):
+        def counted(adj, n_right):
+            calls[side] += 1
+            return matching(adj, n_right)
+        return counted
+
+    monkeypatch.setattr(conftest, "reference_max_matching", counter("ref", ref_matching))
+    monkeypatch.setattr(adversary_mod, "max_matching", counter("new", new_matching))
+    rng = random.Random(5)
+    ref_calls = []
+    for _ in range(8):
+        pi = random_perm(rng, g.n)
+        calls.update(ref=0, new=0)
+        assert adversary_planted_is(g, pi) == reference_planted_is(g, pi)
+        assert calls["new"] == 1
+        ref_calls.append(calls["ref"])
+    assert min(ref_calls) >= 2 and max(ref_calls) >= 4, ref_calls

@@ -13,6 +13,7 @@ from conftest import (
     random_pm_graph,
     reference_from_edges,
     reference_gale_shapley,
+    reference_max_matching,
 )
 
 from greedyorder import (
@@ -198,6 +199,41 @@ def test_max_matching_against_bitmask_dp():
         ]
         got = len(max_matching(adj, nr))
         assert got == brute_max_matching_size(adj, nr)
+
+
+@st.composite
+def ragged_adjacency(draw):
+    """Left rows of any length, empty ones included, listing distinct
+    right indices in any order, with the two sides of any sizes."""
+    n_left, n_right = draw(st.integers(0, 10)), draw(st.integers(0, 10))
+    rng = draw(st.randoms(use_true_random=False))
+    return [rng.sample(range(n_right), rng.randrange(n_right + 1)) for _ in range(n_left)], n_right
+
+
+def test_max_matching_equals_the_reference():
+    seen = set()
+
+    @settings(max_examples=400, derandomize=True, database=None, deadline=None)
+    @given(ragged_adjacency())
+    def check(case):
+        adj, n_right = case
+        pairs = max_matching(adj, n_right)
+        assert pairs == reference_max_matching(adj, n_right)
+        assert len(pairs) == brute_max_matching_size(adj, n_right)
+        if len(adj) != n_right:
+            seen.add("unequal sides")
+        if any(not a for a in adj):
+            seen.add("empty row")
+        if len({len(a) for a in adj}) > 1:
+            seen.add("ragged")
+
+    check()
+    assert seen == {"unequal sides", "empty row", "ragged"}
+    # One augmenting path through every vertex, in both orders of each row.
+    n = 200
+    chain = [[n - 1 - i, n - 2 - i] if i < n - 1 else [0] for i in range(n)]
+    for adj in (chain, [a[::-1] for a in chain]):
+        assert max_matching(adj, n) == reference_max_matching(adj, n)
 
 
 def test_find_perfect_matching_on_corpus(corpus):

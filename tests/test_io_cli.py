@@ -662,6 +662,29 @@ def test_cli_analyze_montecarlo_matches_library(tmp_path, capsys):
     assert doc["upper_bound_only"] is False
 
 
+def test_cli_montecarlo_regular89_without_params_is_data_error(tmp_path, capsys):
+    """A regular89 file lacking d or t is a data error naming the key."""
+    path = tmp_path / "g.json"
+    for params, key in (({}, "d"), ({"d": 1}, "t")):
+        path.write_text(gio.canonical_dumps(dict(FIG1_DOC, family="regular89", params=params)))
+        argv = ["analyze", "montecarlo", str(path), "--adversary-mode", "constructive"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err == "error: %s not given and absent from graph params\n" % key
+
+
+def test_cli_bound_certifies_the_reversed_chain_at_n_900(tmp_path, capsys):
+    """Each augmenting step of Hopcroft-Karp takes one frame: u_i is
+    adjacent to v_{n-1-i} and v_{n-2-i}, so one path runs n levels deep,
+    and n=900 fits in the default recursion limit with room to spare."""
+    n = 900
+    edges = [(i, n - 1 - i) for i in range(n)] + [(i, n - 2 - i) for i in range(n - 1)]
+    path = tmp_path / "chain.json"
+    gio.write_graph(str(path), BipartiteGraph.from_edges(n, sorted(edges)))
+    assert main(["bound", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["guaranteed_count"] > n // 2
+
+
 def test_cli_analyze_iterate(tmp_path, capsys):
     gpath = tmp_path / "iter3.json"
     gio.write_graph(str(gpath), generate(FamilySpec("iterative", {"i": 3})))
