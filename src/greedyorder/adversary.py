@@ -622,7 +622,11 @@ def _family_param(g: BipartiteGraph, key: str) -> int:
     """The integer `key` of g's params, or FamilyShapeError naming it."""
     if not g.params or key not in g.params:
         raise FamilyShapeError("%s not given and absent from graph params" % key)
-    return int(g.params[key])
+    value = g.params[key]
+    try:
+        return int(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise FamilyShapeError("graph param %r must be an integer, got %r" % (key, value)) from exc
 
 
 def adversary_planted_is(

@@ -33,8 +33,14 @@ from .errors import (
     PropositionViolatedError,
     UsageError,
 )
+from .families import derived_seed
 
 Rational = Union[int, str, Fraction]
+
+# The names `enumerate_bad_sets` and `iterative_process` accept, in the
+# order the CLI lists them; each first entry is the default.
+BAD_SET_MODES = ("full_pi", "canonical_pi")
+MINIMIZER_POLICIES = ("first_found", "max_losers_low", "exhaustive_worst_for_next_round")
 
 
 def entropy(p: float) -> float:
@@ -264,12 +270,12 @@ def enumerate_bad_sets(g: BipartiteGraph, size: int, mode: str = "full_pi") -> B
     n = g.n
     if not (1 <= size <= n):
         raise AnalysisParamError("size %d out of range for n=%d" % (size, n))
+    if mode not in BAD_SET_MODES:
+        raise UsageError("unknown mode %r" % (mode,))
     if mode == "full_pi":
         if n > 8:
             raise UsageError("full_pi mode enumerates all priority orders; n <= 8 required")
         candidates = [Permutation.from_order(p) for p in itertools.permutations(range(n))]
-    elif mode != "canonical_pi":
-        raise UsageError("unknown mode %r" % (mode,))
     bad: list[tuple[int, ...]] = []
     witnesses: dict[tuple[int, ...], tuple[Permutation, Permutation]] = {}
     for comb in itertools.combinations(range(n), size):
@@ -331,7 +337,7 @@ def monte_carlo_random_pi(
     sizes: list[int] = []
     upper_only = False
     for trial in range(trials):
-        trial_seed = seed * 1_000_003 + trial
+        trial_seed = derived_seed(seed, trial)
         rng = random.Random(trial_seed)
         order = list(range(n))
         rng.shuffle(order)
@@ -380,14 +386,20 @@ def _exact_sigma(g: BipartiteGraph, pi: Permutation):
     return res
 
 
+def _promoted(pi: Permutation, losers: Iterable[int]) -> Permutation:
+    """pi with the losers moved to the top, each group kept in pi's order."""
+    lset = set(losers)
+    return Permutation.from_order(sorted(pi.order, key=lambda v: v not in lset))
+
+
 def _minimize_with_policy(g: BipartiteGraph, pi: Permutation, policy: str):
     n = g.n
+    if policy not in MINIMIZER_POLICIES:
+        raise UsageError("unknown minimizer policy %r" % (policy,))
     if policy == "first_found":
         res = _exact_sigma(g, pi)
         out = greedy_match(g, res.sigma, pi)
         return res.sigma, res.size, tuple(out.unmatched_v())
-    if policy not in ("max_losers_low", "exhaustive_worst_for_next_round"):
-        raise UsageError("unknown minimizer policy %r" % (policy,))
     if n > 9:
         raise UsageError("policy %r enumerates all arrival orders; n <= 9 required" % (policy,))
     if policy == "max_losers_low":
@@ -418,9 +430,7 @@ def _minimize_with_policy(g: BipartiteGraph, pi: Permutation, policy: str):
         raise PropositionViolatedError("no arrival order was enumerated")
     scored = []
     for losers, perm in loser_sets.items():
-        lset = set(losers)
-        promoted = [v for v in pi.order if v in lset] + [v for v in pi.order if v not in lset]
-        nxt = _exact_sigma(g, Permutation.from_order(promoted))
+        nxt = _exact_sigma(g, _promoted(pi, losers))
         scored.append((nxt.size, losers, perm))
     next_value, losers, perm = min(scored)
     return Permutation.from_order(perm), best_size, losers
@@ -456,9 +466,7 @@ def iterative_process(
         records.append(IterationRecord(pi, sigma, size, losers))
         if 2 * size > n:
             break
-        lset = set(losers)
-        promoted = [v for v in pi.order if v in lset] + [v for v in pi.order if v not in lset]
-        pi = Permutation.from_order(promoted)
+        pi = _promoted(pi, losers)
     return IterativeTrace(tuple(records), cap_reached)
 
 

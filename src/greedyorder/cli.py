@@ -17,15 +17,10 @@ import time
 from typing import Optional, Sequence
 
 from . import io as gio
-from .adversary import (
-    ADVERSARY_MODES,
-    DEFAULT_BUDGET,
-    DEFAULT_MODE,
-    attack,
-    worst_order_exact,
-    worst_order_heuristic,
-)
+from .adversary import ADVERSARY_MODES, DEFAULT_BUDGET, DEFAULT_MODE, attack
 from .analysis import (
+    BAD_SET_MODES,
+    MINIMIZER_POLICIES,
     AnalysisParams,
     bound_exponents,
     cross_check_interpretations,
@@ -36,15 +31,8 @@ from .analysis import (
 )
 from .certify import CONSTRUCTIONS, build_certificate
 from .core import Permutation
-from .errors import (
-    GreedyOrderError,
-    LengthOrderViolatedError,
-    MatchingNotAlignedError,
-    MissingArcError,
-    PropositionViolatedError,
-    UsageError,
-)
-from .families import FAMILIES, FamilySpec, generate
+from .errors import GreedyOrderError, PropositionViolatedError, UsageError
+from .families import FAMILIES, FamilySpec, derived_seed, generate
 
 __all__ = ["main", "run_experiment", "experiment_rows", "write_rows_csv", "CSV_COLUMNS"]
 
@@ -55,12 +43,10 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _emit(args, doc) -> None:
-    text = gio.canonical_dumps(doc)
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        gio.write_doc(args.output, doc)
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(gio.canonical_dumps(doc))
 
 
 def _common_flags(sub: argparse.ArgumentParser, seeded: bool = False) -> None:
@@ -100,10 +86,8 @@ def cmd_bound(args) -> int:
 def cmd_adversary(args) -> int:
     g, _ = gio.read_graph(args.graph)
     pi = gio.read_perm(args.pi, n=g.n)
-    if args.exact:
-        res = worst_order_exact(g, pi, budget=args.budget)
-    else:
-        res = worst_order_heuristic(g, pi, iters=args.iters, seed=args.seed or 0)
+    mode = "exact" if args.exact else "heuristic"
+    res = attack(mode, g, pi, budget=args.budget, iters=args.iters, seed=args.seed or 0)
     _emit(args, gio.adversary_result_to_doc(res))
     return 0
 
@@ -164,7 +148,7 @@ def experiment_rows(config: gio.ExperimentConfig) -> list[dict]:
     """Compute every instance x method row, in config order, never raising."""
     cells = itertools.product(enumerate(config.instances), config.methods)
     return [
-        _experiment_cell(config, idx, spec, method, config.seed * 1_000_003 + row_index)
+        _experiment_cell(config, idx, spec, method, derived_seed(config.seed, row_index))
         for row_index, ((idx, spec), method) in enumerate(cells)
     ]
 
@@ -242,8 +226,7 @@ def cmd_analyze_exponents(args) -> int:
     if report.flags:
         print("flags: %s" % ", ".join(report.flags))
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(gio.canonical_dumps(gio.exponent_report_to_doc(report)))
+        gio.write_doc(args.output, gio.exponent_report_to_doc(report))
     return 0
 
 
@@ -351,7 +334,7 @@ def build_parser() -> _Parser:
     a_bad = ana_subs.add_parser("badsets")
     a_bad.add_argument("graph")
     a_bad.add_argument("--size", type=int, required=True)
-    a_bad.add_argument("--mode", default="full_pi", choices=("full_pi", "canonical_pi"))
+    a_bad.add_argument("--mode", default=BAD_SET_MODES[0], choices=BAD_SET_MODES)
     _common_flags(a_bad)
     a_bad.set_defaults(func=cmd_analyze_badsets)
 
@@ -380,11 +363,7 @@ def build_parser() -> _Parser:
     a_it.add_argument("graph")
     a_it.add_argument("--pi", default=None, help="starting priority order (default: identity)")
     a_it.add_argument("--cap", type=int, default=32)
-    a_it.add_argument(
-        "--policy",
-        default="first_found",
-        choices=("first_found", "max_losers_low", "exhaustive_worst_for_next_round"),
-    )
+    a_it.add_argument("--policy", default=MINIMIZER_POLICIES[0], choices=MINIMIZER_POLICIES)
     _common_flags(a_it)
     a_it.set_defaults(func=cmd_analyze_iterate)
 
@@ -397,27 +376,19 @@ def build_parser() -> _Parser:
     return parser
 
 
+# The stderr label of each exit code that `GreedyOrderError.exit_code` declares.
+_EXIT_LABELS = {1: "usage error", 2: "error", 3: "internal invariant violated"}
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
         result = args.func(args)
         return 0 if result is None else result
-    except UsageError as exc:
-        print("usage error: %s" % exc, file=sys.stderr)
-        return 1
-    except (
-        PropositionViolatedError,
-        MatchingNotAlignedError,
-        MissingArcError,
-        LengthOrderViolatedError,
-        AssertionError,
-    ) as exc:
-        print("internal invariant violated: %s" % exc, file=sys.stderr)
-        return 3
     except GreedyOrderError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
+        print("%s: %s" % (_EXIT_LABELS[exc.exit_code], exc), file=sys.stderr)
+        return exc.exit_code
 
 
 if __name__ == "__main__":

@@ -8,8 +8,8 @@ lowest-priority unmatched neighbor, where priority rank 0 under pi means
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional, Sequence
+from dataclasses import dataclass
+from typing import Iterable, Optional, Sequence
 
 from .errors import (
     DimensionMismatchError,
@@ -31,8 +31,6 @@ __all__ = [
     "check_prefix_bound",
     "verify_maximal",
     "verify_stability",
-    "adaptive_items_player",
-    "minimal_tight_item_set",
 ]
 
 
@@ -368,84 +366,3 @@ def verify_stability(
                 return False
     return True
 
-
-# --- adaptive items player ----------------------------------------------
-
-
-def minimal_tight_item_set(
-    adj_v: Sequence[Sequence[int]],
-    remaining_items: set[int],
-    remaining_buyers: set[int],
-) -> list[int]:
-    """Find a minimal tight set among the remaining items.
-
-    Tight means the number of remaining buyers interested in the set
-    equals the set size.  The full remaining set is always tight when a
-    perfect matching on the remaining market exists, so a minimal one
-    exists.  Deterministic: among all single-item closures the smallest
-    by (size, sorted contents) wins.
-    """
-    items = sorted(remaining_items)
-    rel = [
-        [u for u in adj_v[v] if u in remaining_buyers] if v in remaining_items else []
-        for v in range(len(adj_v))
-    ]
-    # perfect matching of remaining items to remaining buyers
-    pairs = max_matching([rel[v] for v in items], max(remaining_buyers) + 1 if remaining_buyers else 0)
-    if len(pairs) != len(items):
-        raise PropositionViolatedError("remaining market lost its perfect matching")
-    item_of_buyer = {}
-    for i, u in pairs:
-        item_of_buyer[u] = items[i]
-    best: Optional[list[int]] = None
-    for v0 in items:
-        seen = {v0}
-        stack = [v0]
-        while stack:
-            v = stack.pop()
-            for u in rel[v]:
-                w = item_of_buyer[u]
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        cand = sorted(seen)
-        if best is None or (len(cand), cand) < (len(best), best):
-            best = cand
-    if best is None:
-        raise PropositionViolatedError("no remaining item to start a tight set from")
-    return best
-
-
-def adaptive_items_player(
-    g: BipartiteGraph,
-    buyer_strategy: Callable[[int, list[int]], int],
-) -> GreedyOutcome:
-    """Offer items one at a time so that every buyer strategy ends in a
-    perfect matching.
-
-    Each round finds a minimal tight set of remaining items, offers its
-    smallest item, and lets ``buyer_strategy(item, interested)`` pick the
-    buyer who takes it.  Requires g to admit a perfect matching.
-    """
-    find_perfect_matching(g)  # raises if absent
-    remaining_items = set(range(g.n))
-    remaining_buyers = set(range(g.n))
-    mu: list[Optional[int]] = [None] * g.n
-    mv: list[Optional[int]] = [None] * g.n
-    while remaining_items:
-        tight = minimal_tight_item_set(g.adj_v, remaining_items, remaining_buyers)
-        item = tight[0]
-        interested = [u for u in g.adj_v[item] if u in remaining_buyers]
-        if not interested:
-            raise PropositionViolatedError("offered item %d has no interested buyer" % item)
-        buyer = buyer_strategy(item, interested)
-        if buyer not in interested:
-            raise InvalidGraphError(
-                "buyer_strategy returned %r, not one of %r" % (buyer, interested)
-            )
-        mu[buyer] = item
-        mv[item] = buyer
-        remaining_items.discard(item)
-        remaining_buyers.discard(buyer)
-    size = sum(1 for x in mu if x is not None)
-    return GreedyOutcome(matched_v_of_u=tuple(mu), matched_u_of_v=tuple(mv), size=size)

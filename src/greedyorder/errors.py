@@ -1,12 +1,17 @@
 """Exception hierarchy shared across the package.
 
-Exit-code mapping used by the CLI: usage errors exit 1, data errors
-(schema, infeasible inputs) exit 2, internal invariant violations exit 3.
+Each class declares the CLI exit code it maps to in ``exit_code``.
+UsageError exits 1.  The internal invariant violations,
+MatchingNotAlignedError, MissingArcError, LengthOrderViolatedError and
+PropositionViolatedError, exit 3.  Every other class is a data error
+(schema, bad family parameters, infeasible inputs) and exits 2.
 """
 
 
 class GreedyOrderError(Exception):
     """Base class for all package errors."""
+
+    exit_code = 2
 
 
 class InvalidGraphError(GreedyOrderError):
@@ -24,17 +29,25 @@ class NoPerfectMatchingError(GreedyOrderError):
 class MatchingNotAlignedError(GreedyOrderError):
     """A matching was expected to pair index i with index i but does not."""
 
+    exit_code = 3
+
 
 class MissingArcError(GreedyOrderError):
     """A path-cover operation requires an arc that is not present."""
+
+    exit_code = 3
 
 
 class LengthOrderViolatedError(GreedyOrderError):
     """An unbalance step was asked to move a vertex onto a shorter path."""
 
+    exit_code = 3
+
 
 class PropositionViolatedError(GreedyOrderError):
-    """An internal counting invariant failed; indicates a bug, exits 3."""
+    """An internal counting invariant failed; indicates a bug."""
+
+    exit_code = 3
 
 
 class FamilyShapeError(GreedyOrderError):
@@ -46,7 +59,8 @@ class HallInfeasibleError(GreedyOrderError):
 
 
 class GenerationError(GreedyOrderError):
-    """A randomized generator exhausted its rejection/repair budget."""
+    """A family name or parameter was unusable, or a randomized generator
+    exhausted its rejection/repair budget."""
 
 
 class AnalysisParamError(GreedyOrderError):
@@ -59,3 +73,5 @@ class SchemaError(GreedyOrderError):
 
 class UsageError(GreedyOrderError):
     """Bad command-line usage."""
+
+    exit_code = 1

@@ -435,6 +435,11 @@ class FamilySpec:
     seed: int = 0
 
 
+def derived_seed(seed: int, index: int) -> int:
+    """The seed of the index-th instance, row or trial under a master seed."""
+    return seed * 1_000_003 + index
+
+
 # Each family's generator and its arguments in call order: a params key
 # with its cast and any aliases, then the spec's seed if `seeded`.
 _FAMILY_TABLE = {
@@ -464,7 +469,12 @@ def generate(spec: FamilySpec) -> BipartiteGraph:
         key = next((k for k in keys if k in spec.params), None)
         if key is None:
             raise GenerationError("family %r requires parameter %r" % (spec.family, keys[0]))
-        args.append(cast(spec.params[key]))
+        value = spec.params[key]
+        try:
+            args.append(cast(value))
+        except (TypeError, ValueError, OverflowError) as exc:
+            msg = "family %r parameter %r must be %s, got %r"
+            raise GenerationError(msg % (spec.family, key, cast.__name__, value)) from exc
     if seeded:
         args.append(spec.seed)
     return gen(*args)

@@ -20,7 +20,7 @@ from .analysis import BadSetReport, ExponentReport, IterativeTrace, MonteCarloSu
 from .certify import CONSTRUCTIONS, BoundCertificate
 from .core import BipartiteGraph, Permutation
 from .errors import SchemaError
-from .families import FAMILIES, FamilySpec
+from .families import FAMILIES, FamilySpec, derived_seed
 
 __all__ = [
     "AdversarySettings",
@@ -216,7 +216,7 @@ def _spec_from_doc(doc: Any, idx: int, default_seed: int, where: str) -> FamilyS
     params = doc.get("params", {})
     if not isinstance(params, dict):
         raise _fail(where, "%s: field 'params' must be an object" % slot)
-    seed = doc.get("seed", default_seed * 1_000_003 + idx)
+    seed = doc.get("seed", derived_seed(default_seed, idx))
     if not isinstance(seed, int) or isinstance(seed, bool):
         raise _fail(where, "%s: field 'seed' must be an integer" % slot)
     return FamilySpec(family=family, params=params, seed=seed)

@@ -29,15 +29,12 @@ from greedyorder import (
 )
 from greedyorder.core import (
     PerfectMatching,
-    adaptive_items_player,
-    minimal_tight_item_set,
     verify_maximal,
 )
 from greedyorder.errors import (
     DimensionMismatchError,
     InvalidGraphError,
     NoPerfectMatchingError,
-    PropositionViolatedError,
 )
 
 FIG1_EDGES = [(0, 0), (0, 1), (1, 1), (1, 2), (2, 0), (2, 2)]
@@ -362,43 +359,6 @@ def test_stability_on_random_runs():
         out = greedy_match(g, sigma, pi)
         assert verify_maximal(g, out)
         assert verify_stability(g, sigma, pi, out)
-
-
-def test_minimal_tight_item_set_on_six_cycle():
-    g = fig1()
-    # every proper subset of items has more interested buyers than items
-    tight = minimal_tight_item_set(g.adj_v, {0, 1, 2}, {0, 1, 2})
-    assert tight == [0, 1, 2]
-
-
-def test_minimal_tight_item_set_requires_remaining_pm():
-    g = fig1()
-    with pytest.raises(PropositionViolatedError):
-        minimal_tight_item_set(g.adj_v, {0, 1}, {0})
-
-
-def test_adaptive_items_player_forces_perfect_matching(corpus):
-    strategies = [
-        lambda item, interested: interested[0],
-        lambda item, interested: interested[-1],
-    ]
-    rng = random.Random(9)
-    strategies.append(lambda item, interested: rng.choice(interested))
-    for inst in corpus:
-        if inst.graph.n > 8:
-            continue
-        for strat in strategies:
-            out = adaptive_items_player(inst.graph, strat)
-            assert out.size == inst.graph.n, inst.instance_id
-
-
-def test_adaptive_items_player_rejects_bad_strategy():
-    g = fig1()
-    with pytest.raises(InvalidGraphError):
-        adaptive_items_player(g, lambda item, interested: -1)
-    no_pm = BipartiteGraph.from_edges(2, [(0, 0), (1, 0)])
-    with pytest.raises(NoPerfectMatchingError):
-        adaptive_items_player(no_pm, lambda item, interested: interested[0])
 
 
 @st.composite

@@ -224,11 +224,28 @@ def test_generate_dispatch_covers_all_families(corpus):
         assert inst.graph.family == inst.spec.family
 
 
+def _reference_cast_fails(spec):
+    """True when the reference chain raises from its own int() or float()
+    of a parameter, not from a generator it calls."""
+    try:
+        reference_generate(spec)
+    except (TypeError, ValueError, OverflowError) as exc:
+        tb = exc.__traceback__
+        while tb.tb_next is not None:
+            tb = tb.tb_next
+        return tb.tb_frame.f_code is reference_generate.__code__
+    except GenerationError:
+        return False
+    return False
+
+
 def test_generate_equals_the_reference_chain():
     """The family table builds the graph, or raises the error, that the
     if-chain it replaced did: on every corpus and benchmark spec and on
     400 seeded specs with missing, aliased, ill-typed or out-of-range
-    parameters and unknown or unhashable names."""
+    parameters and unknown or unhashable names.  Where the chain's cast
+    of a parameter raised, the table raises GenerationError naming the
+    key and its value."""
     assert FAMILIES == (
         "fig1", "badset_chain", "regular89", "tight_regular", "fano", "pg23",
         "hamiltonian_random", "random_regular", "biclique_half", "planted_is", "iterative",
@@ -238,10 +255,14 @@ def test_generate_equals_the_reference_chain():
     values = (-1, 0, 1, 2, 3, 4, 6, 2.5, 0.3, "3", "x", None, True)
     names = FAMILIES + ("nonesuch", None, "")
     specs = [spec for _, spec in CORPUS_SPECS] + perfbench_specs() + [FamilySpec(["fig1"])]
+    specs += [
+        FamilySpec("regular89", {"d": float("inf"), "t": 1}),
+        FamilySpec("planted_is", {"n": 10, "d": 3, "eps": 10**400}),
+    ]
     for _ in range(400):
         params = {k: rng.choice(values) for k in rng.sample(keys, rng.randrange(len(keys) + 1))}
         specs.append(FamilySpec(rng.choice(names), params, seed=rng.randrange(4)))
-    raised = 0
+    raised = cast_failures = 0
     for spec in specs:
         got, want = outcome(generate, spec), outcome(reference_generate, spec)
         if isinstance(want, BipartiteGraph):
@@ -249,10 +270,17 @@ def test_generate_equals_the_reference_chain():
             assert (got.n, got.edges, got.family, got.params) == (
                 want.n, want.edges, want.family, want.params
             ), spec
+        elif _reference_cast_fails(spec):
+            cast_failures += 1
+            assert got[0] is GenerationError, spec
+            assert any(
+                ("parameter %r" % key) in got[1] and got[1].endswith("got %r" % (value,))
+                for key, value in spec.params.items()
+            ), (spec, got)
         else:
             raised += 1
             assert got == want, spec
-    assert raised >= 200
+    assert raised >= 200 and cast_failures >= 30
 
 
 def test_generate_rejects_unknown_and_missing():

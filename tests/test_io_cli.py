@@ -20,9 +20,16 @@ import conftest
 from conftest import random_pm_graph, reference_experiment_rows, reference_graph_from_doc
 
 import greedyorder.cli as cli
+import greedyorder.errors as errors_mod
 import greedyorder.io as gio
 from greedyorder import BipartiteGraph, FamilySpec, Permutation, generate, monte_carlo_random_pi
-from greedyorder.adversary import ADVERSARY_MODES
+from greedyorder.adversary import ADVERSARY_MODES, worst_order_exact, worst_order_heuristic
+from greedyorder.analysis import (
+    BAD_SET_MODES,
+    MINIMIZER_POLICIES,
+    enumerate_bad_sets,
+    iterative_process,
+)
 from greedyorder.cli import (
     CSV_COLUMNS,
     build_parser,
@@ -32,7 +39,13 @@ from greedyorder.cli import (
     run_experiment,
     write_rows_csv,
 )
-from greedyorder.errors import InvalidGraphError, PropositionViolatedError, SchemaError, UsageError
+from greedyorder.errors import (
+    GreedyOrderError,
+    InvalidGraphError,
+    PropositionViolatedError,
+    SchemaError,
+    UsageError,
+)
 
 FIG1_DOC = {
     "n": 3,
@@ -511,6 +524,24 @@ def test_cli_bound_missing_file_is_data_error(tmp_path, capsys):
     assert main(["bound", str(tmp_path / "nope.json")]) == 2
 
 
+def test_cli_adversary_passes_its_settings_to_the_player(tmp_path, capsys):
+    """--exact runs the exact player with --budget; otherwise the
+    heuristic runs with --iters and --seed."""
+    g = generate(FamilySpec("random_regular", {"n": 9, "d": 3}, seed=1))
+    pi = Permutation.from_order([4, 7, 0, 2, 8, 1, 5, 3, 6])
+    graph, pi_path, out = tmp_path / "g.json", tmp_path / "pi.json", tmp_path / "adv.json"
+    gio.write_graph(str(graph), g)
+    pi_path.write_text(json.dumps(list(pi.order)))
+    settings = ["--budget", "5", "--iters", "7", "--seed", "4"]
+    assert main(["adversary", str(graph), "--pi", str(pi_path), "--exact", *settings]) == 0
+    exact = worst_order_exact(g, pi, budget=5)
+    assert not exact.exact
+    assert capsys.readouterr().out == gio.canonical_dumps(gio.adversary_result_to_doc(exact))
+    assert main(["adversary", str(graph), "--pi", str(pi_path), *settings, "-o", str(out)]) == 0
+    heuristic = worst_order_heuristic(g, pi, iters=7, seed=4)
+    assert out.read_text() == gio.canonical_dumps(gio.adversary_result_to_doc(heuristic))
+
+
 def test_cli_adversary_exact_and_heuristic(tmp_path, capsys):
     graph = write_fig1(tmp_path)
     pi_path = tmp_path / "pi.json"
@@ -611,6 +642,30 @@ def test_adversary_mode_names_agree():
             monte_carlo_random_pi(g, trials=1, adversary_mode=mode)
 
 
+def test_analyze_choices_are_the_library_names():
+    """iterate --policy and badsets --mode offer, in order and with the
+    first as default, exactly the names the analysis functions accept."""
+    assert BAD_SET_MODES == ("full_pi", "canonical_pi")
+    assert MINIMIZER_POLICIES == ("first_found", "max_losers_low", "exhaustive_worst_for_next_round")
+    (subs,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    analyze = subs.choices["analyze"]
+    (ana_subs,) = [a for a in analyze._actions if isinstance(a, argparse._SubParsersAction)]
+    choices = (("iterate", "policy", MINIMIZER_POLICIES), ("badsets", "mode", BAD_SET_MODES))
+    for sub, dest, names in choices:
+        (action,) = [a for a in ana_subs.choices[sub]._actions if a.dest == dest]
+        assert tuple(action.choices) == names and action.default == names[0]
+    g = generate(FamilySpec("fig1"))
+    for policy in MINIMIZER_POLICIES:
+        assert iterative_process(g, Permutation.identity(3), cap=2, minimizer_policy=policy).records
+    for mode in BAD_SET_MODES:
+        assert enumerate_bad_sets(g, 1, mode=mode).search_mode == mode
+    for name in ("nonesuch", "Full_pi", None):
+        with pytest.raises(UsageError):
+            iterative_process(g, Permutation.identity(3), cap=2, minimizer_policy=name)
+        with pytest.raises(UsageError):
+            enumerate_bad_sets(g, 1, mode=name)
+
+
 def test_cli_experiment_empty_instances_header_only(tmp_path, capsys):
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps({"instances": [], "methods": ["theorem1"]}))
@@ -673,6 +728,35 @@ def test_cli_montecarlo_regular89_without_params_is_data_error(tmp_path, capsys)
         assert err == "error: %s not given and absent from graph params\n" % key
 
 
+def test_cli_malformed_family_params_are_data_errors(tmp_path, capsys):
+    """A family parameter that int() or float() rejects exits 2 with one
+    error line in montecarlo and lands in the row's error in experiment."""
+    path = tmp_path / "g.json"
+    for family, params, key in (
+        ("regular89", {"d": "x", "t": 1}, "d"),
+        ("planted_is", {"planted_size": "x"}, "planted_size"),
+    ):
+        path.write_text(gio.canonical_dumps(dict(FIG1_DOC, family=family, params=params)))
+        argv = ["analyze", "montecarlo", str(path), "--adversary-mode", "constructive"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err == "error: graph param %r must be an integer, got 'x'\n" % key
+    cfg = tmp_path / "config.json"
+    instances = [
+        {"family": "random_regular", "params": {"n": "x", "d": 3}},
+        {"family": "random_regular", "params": {"n": None, "d": 3}},
+        {"family": "planted_is", "params": {"n": 10, "d": 3, "eps": "x"}},
+    ]
+    cfg.write_text(json.dumps({"instances": instances, "methods": ["theorem1"]}))
+    assert main(["experiment", str(cfg)]) == 0
+    rows = list(csv.DictReader(_io.StringIO(capsys.readouterr().out)))
+    assert [r["error"] for r in rows] == [
+        "GenerationError: family 'random_regular' parameter 'n' must be int, got 'x'",
+        "GenerationError: family 'random_regular' parameter 'n' must be int, got None",
+        "GenerationError: family 'planted_is' parameter 'eps' must be float, got 'x'",
+    ]
+
+
 def test_cli_bound_certifies_the_reversed_chain_at_n_900(tmp_path, capsys):
     """Each augmenting step of Hopcroft-Karp takes one frame: u_i is
     adjacent to v_{n-1-i} and v_{n-2-i}, so one path runs n levels deep,
@@ -714,6 +798,44 @@ def test_cli_invariant_violation_exit_code(monkeypatch, capsys):
     monkeypatch.setattr(cli_mod, "generate", explode)
     assert main(["gen", "--family", "fig1"]) == 3
     assert "invariant" in capsys.readouterr().err
+
+
+# The exit code each error class declares, where it is not the data-error 2.
+EXIT_CODES = {
+    "UsageError": 1,
+    "MatchingNotAlignedError": 3,
+    "MissingArcError": 3,
+    "LengthOrderViolatedError": 3,
+    "PropositionViolatedError": 3,
+}
+EXIT_LABELS = {1: "usage error", 2: "error", 3: "internal invariant violated"}
+
+
+def test_every_error_class_declares_its_exit_code(monkeypatch, capsys):
+    """main returns the code an error class declares and writes one
+    stderr line, its label and the message; other exceptions escape."""
+    classes = [
+        c for c in vars(errors_mod).values()
+        if isinstance(c, type) and issubclass(c, GreedyOrderError)
+    ]
+    assert len(classes) == 14
+    for cls in classes:
+        code = EXIT_CODES.get(cls.__name__, 2)
+        assert cls.exit_code == code, cls
+
+        def explode(spec, cls=cls):
+            raise cls("synthetic %s" % cls.__name__)
+
+        monkeypatch.setattr(cli, "generate", explode)
+        assert main(["gen", "--family", "fig1"]) == code, cls
+        assert capsys.readouterr().err == "%s: synthetic %s\n" % (EXIT_LABELS[code], cls.__name__)
+
+    def fail(spec):
+        raise AssertionError("not a package error")
+
+    monkeypatch.setattr(cli, "generate", fail)
+    with pytest.raises(AssertionError):
+        main(["gen", "--family", "fig1"])
 
 
 def test_console_script_entry_point():
