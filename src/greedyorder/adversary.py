@@ -57,7 +57,10 @@ from .core import (
     greedy_match,
     max_matching,
 )
-from .errors import FamilyShapeError, HallInfeasibleError, PropositionViolatedError
+from .errors import (
+    AnalysisParamError, FamilyShapeError, HallInfeasibleError, PropositionViolatedError,
+)
+from .families import _strict_int
 
 __all__ = [
     "ADVERSARY_MODES",
@@ -318,6 +321,13 @@ def _adj_rank_masks(g: BipartiteGraph, pi: Permutation) -> list[int]:
     return [_rank_mask(pi, g.adj_u[u]) for u in range(g.n)]
 
 
+def _check_subset(g: BipartiteGraph, pi: Permutation, v_subset: Sequence[int]) -> None:
+    """Raise unless pi has g.n entries and v_subset lies in 0..n-1."""
+    _check_dims(g, pi, "pi")
+    if any(not 0 <= v < g.n for v in v_subset):
+        raise AnalysisParamError("subset contains vertices outside the graph")
+
+
 def _greedy_size(adj_rank: Sequence[int], order: Sequence[int], full: int) -> int:
     """greedy_match(g, order, pi).size from adj_rank = _adj_rank_masks(g, pi)
     and full = (1 << n) - 1: each arrival takes its lowest free bit."""
@@ -341,6 +351,7 @@ def worst_order_exact(
     cut-offs or memo hits.  If more than `budget` states are expanded
     the local-search heuristic supplies the answer and exact is false.
     """
+    _check_dims(g, pi, "pi")
     search = _ArrivalSearch(_adj_rank_masks(g, pi), g.n, (1 << g.n) - 1, budget)
     try:
         size = search.value(g.n + 1)
@@ -367,6 +378,7 @@ def worst_order_masked_min(
 ) -> tuple[int, bool, int]:
     """Minimum over all arrival orders of how many vertices of v_subset
     get matched.  Returns (value, exact, nodes_expanded)."""
+    _check_subset(g, pi, v_subset)
     search = _ArrivalSearch(_adj_rank_masks(g, pi), g.n, _rank_mask(pi, v_subset), budget)
     try:
         return search.value(g.n + 1), True, search.nodes
@@ -386,12 +398,17 @@ def order_avoiding(
 
     The masked search runs with cap 1, so it only has to decide whether
     the masked minimum is 0; the order is the first such branch
-    sequence.  There is no node budget.
+    sequence, checked by greedy replay.  There is no node budget.
     """
+    _check_subset(g, pi, v_subset)
     search = _ArrivalSearch(_adj_rank_masks(g, pi), g.n, _rank_mask(pi, v_subset), math.inf)
     if search.value(1):
         return None
-    return Permutation.from_order(search.replay())
+    sigma = Permutation.from_order(search.replay())
+    matched = greedy_match(g, sigma, pi).matched_u_of_v
+    if any(matched[v] is not None for v in v_subset):
+        raise PropositionViolatedError("safety witness failed replay validation")
+    return sigma
 
 
 def worst_order_heuristic(
@@ -405,6 +422,8 @@ def worst_order_heuristic(
     for a fixed seed.
     """
     _check_dims(g, pi, "pi")
+    if iters < 0:
+        raise AnalysisParamError("iters must be nonnegative")
     rng = random.Random(seed)
     n = g.n
     adj, full = _adj_rank_masks(g, pi), (1 << n) - 1
@@ -457,6 +476,8 @@ def worst_order_sampled(
     random.Random(seed).  The size is an upper bound on the true minimum;
     nodes_expanded counts the draws."""
     _check_dims(g, pi, "pi")
+    if draws < 1:
+        raise AnalysisParamError("draws must be positive")
     rng = random.Random(seed)
     adj, full = _adj_rank_masks(g, pi), (1 << g.n) - 1
     best, best_val = None, g.n + 1
@@ -466,7 +487,7 @@ def worst_order_sampled(
         val = _greedy_size(adj, order, full)
         if val < best_val:
             best, best_val = order, val
-    sigma = None if best is None else Permutation.from_order(best)
+    sigma = Permutation.from_order(best)
     return AdversaryResult(sigma=sigma, size=best_val, exact=False, nodes_expanded=draws)
 
 
@@ -526,62 +547,23 @@ def adversary_projective(
     """Arrival order leaving the last target_size vertices of pi unmatched
     in a projective-plane incidence graph.
 
-    The neighbors of that target set (padded with the smallest outside
-    U-vertices if a few short) are matched perfectly onto the remaining
-    V-vertices and arrive by ascending partner priority; the leftover
-    U-vertices have no edge into the target set, so it survives.
+    Only the target set's neighborhood is planned: its U-neighbors are
+    matched into the other V-vertices and arrive by ascending partner
+    priority, so each takes a vertex outside the target set; the other
+    U-vertices follow by index and have no edge into the target set.
     """
     n = g.n
     if not (1 <= target_size <= n):
         raise FamilyShapeError("target_size %d out of range" % target_size)
-    rank = pi.rank
-    v_last = set(pi.order[n - target_size :])
-    keep = [v for v in pi.order if v not in v_last]
-    nbrs = sorted({u for v in v_last for u in g.adj_v[v]})
-    if len(nbrs) > len(keep):
-        raise HallInfeasibleError(
-            "target set has %d neighbors but only %d vertices remain" % (len(nbrs), len(keep))
-        )
-    keep_pos = {v: i for i, v in enumerate(keep)}
-    adj = [[keep_pos[v] for v in g.adj_u[u] if v in keep_pos] for u in nbrs]
-    # Saturate the target set's neighborhood first; padding vertices only
-    # join through augmentation, which never unseats a matched neighbor.
-    pairs = max_matching(adj, len(keep))
+    rank, cut = pi.rank, n - target_size
+    nbrs = sorted({u for v in pi.order[cut:] for u in g.adj_v[v]})
+    adj = [[rank[v] for v in g.adj_u[u] if rank[v] < cut] for u in nbrs]
+    pairs = max_matching(adj, cut)
     if len(pairs) != len(nbrs):
         raise HallInfeasibleError("cannot saturate the target set's neighborhood")
-    match_u = {nbrs[i]: j for i, j in pairs}
-    match_v = {j: u for u, j in match_u.items()}
-    for j in range(len(keep)):
-        if j in match_v:
-            continue
-        parent_u: dict[int, int] = {}
-        stack = [j]
-        free_u = None
-        while stack and free_u is None:
-            jj = stack.pop()
-            for u in g.adj_v[keep[jj]]:
-                if u in parent_u:
-                    continue
-                parent_u[u] = jj
-                if u not in match_u:
-                    free_u = u
-                    break
-                stack.append(match_u[u])
-        if free_u is None:
-            raise HallInfeasibleError("remaining vertices cannot all be matched")
-        u = free_u
-        while True:
-            jj = parent_u[u]
-            prev = match_v.get(jj)
-            match_v[jj] = u
-            match_u[u] = jj
-            if jj == j:
-                break
-            u = prev
-    planned = [(u, keep[j]) for u, j in match_u.items()]
-    order = _order_by_planned_partner(planned, rank)
-    used = set(order)
-    order.extend(u for u in range(n) if u not in used)
+    order = _order_by_planned_partner([(nbrs[i], pi.order[j]) for i, j in pairs], rank)
+    planned = set(order)
+    order.extend(u for u in range(n) if u not in planned)
     return Permutation.from_order(order)
 
 
@@ -624,7 +606,7 @@ def _family_param(g: BipartiteGraph, key: str) -> int:
         raise FamilyShapeError("%s not given and absent from graph params" % key)
     value = g.params[key]
     try:
-        return int(value)
+        return _strict_int(value)
     except (TypeError, ValueError, OverflowError) as exc:
         raise FamilyShapeError("graph param %r must be an integer, got %r" % (key, value)) from exc
 
@@ -703,6 +685,7 @@ def worst_order_constructive(g: BipartiteGraph, pi: Permutation) -> AdversaryRes
 
     Raises FamilyShapeError for a family without one.  The size is an
     upper bound on the true minimum."""
+    _check_dims(g, pi, "pi")
     build = CONSTRUCTIVE.get(g.family)
     if build is None:
         raise FamilyShapeError("no constructive adversary for family %r" % (g.family,))

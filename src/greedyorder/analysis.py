@@ -22,6 +22,7 @@ from .adversary import (
     ADVERSARY_MODES,
     DEFAULT_BUDGET,
     DEFAULT_MODE,
+    _check_subset,
     attack,
     order_avoiding,
     worst_order_exact,
@@ -29,7 +30,6 @@ from .adversary import (
 from .core import BipartiteGraph, Permutation, greedy_match
 from .errors import (
     AnalysisParamError,
-    DimensionMismatchError,
     PropositionViolatedError,
     UsageError,
 )
@@ -210,42 +210,23 @@ def _hall_safe(g: BipartiteGraph, s_list: Sequence[int]) -> bool:
     return len(closed) > g.n - len(s_list)
 
 
-def _unsafe_witness(
-    g: BipartiteGraph, pi: Permutation, s_list: Sequence[int]
-) -> Optional[Permutation]:
-    """The arrival order the search finds leaving all of s unmatched,
-    validated by replay, or None when s is safe under pi."""
-    witness = order_avoiding(g, pi, s_list)
-    if witness is not None:
-        replay = greedy_match(g, witness, pi)
-        if any(replay.matched_u_of_v[v] is not None for v in s_list):
-            raise PropositionViolatedError("safety witness failed replay validation")
-    return witness
-
-
 def is_safe(g: BipartiteGraph, pi: Permutation, s: Iterable[int]) -> SafetyResult:
     """Decide whether every arrival order matches at least one vertex of s.
 
     The empty set is safe by convention.  The Hall-type conditions of
-    `_hall_safe` short-circuit the search.  Otherwise the arrival-order
-    search of `adversary` (forced-pick branch-and-bound, no recursion
-    limit) computes the masked minimum with cap 1: s is unsafe exactly
-    when that minimum is 0, and the witness is the first branch
-    sequence, in ascending arrival order at every state, that reaches
-    it.  Arrivals with no free neighbor are absorbed eagerly and
-    arrivals with identical remaining choices are branched once.
+    `_hall_safe` short-circuit the search.  Otherwise `order_avoiding`
+    (forced-pick branch-and-bound, no recursion limit) decides whether
+    the masked minimum is 0: s is unsafe exactly when it is, and the
+    witness is the first branch sequence, in ascending arrival order at
+    every state, that reaches it, checked by replay through greedy_match.
+    Arrivals with no free neighbor are absorbed eagerly and arrivals with
+    identical remaining choices are branched once.
     """
-    n = g.n
-    if len(pi) != n:
-        raise DimensionMismatchError("pi has %d entries, graph has %d" % (len(pi), n))
     s_list = sorted(set(s))
-    if not s_list:
+    _check_subset(g, pi, s_list)
+    if not s_list or _hall_safe(g, s_list):
         return SafetyResult(True, None)
-    if s_list[0] < 0 or s_list[-1] >= n:
-        raise AnalysisParamError("subset contains vertices outside the graph")
-    if _hall_safe(g, s_list):
-        return SafetyResult(True, None)
-    witness = _unsafe_witness(g, pi, s_list)
+    witness = order_avoiding(g, pi, s_list)
     return SafetyResult(witness is None, witness)
 
 
@@ -286,7 +267,7 @@ def enumerate_bad_sets(g: BipartiteGraph, size: int, mode: str = "full_pi") -> B
             rest = [v for v in range(n) if v not in comb]
             candidates = [Permutation.from_order(rest + list(comb))]
         for pi in candidates:
-            witness = _unsafe_witness(g, pi, comb)
+            witness = order_avoiding(g, pi, comb)
             if witness is not None:
                 bad.append(comb)
                 witnesses[comb] = (pi, witness)

@@ -435,6 +435,13 @@ class FamilySpec:
     seed: int = 0
 
 
+def _strict_int(value: object) -> int:
+    """int(value), but ValueError for a bool or a number with a fraction."""
+    if isinstance(value, bool) or (not isinstance(value, (int, str)) and int(value) != value):
+        raise ValueError("%r is not an integer" % (value,))
+    return int(value)
+
+
 def derived_seed(seed: int, index: int) -> int:
     """The seed of the index-th instance, row or trial under a master seed."""
     return seed * 1_000_003 + index
@@ -471,7 +478,7 @@ def generate(spec: FamilySpec) -> BipartiteGraph:
             raise GenerationError("family %r requires parameter %r" % (spec.family, keys[0]))
         value = spec.params[key]
         try:
-            args.append(cast(value))
+            args.append(_strict_int(value) if cast is int else cast(value))
         except (TypeError, ValueError, OverflowError) as exc:
             msg = "family %r parameter %r must be %s, got %r"
             raise GenerationError(msg % (spec.family, key, cast.__name__, value)) from exc

@@ -36,7 +36,8 @@ from greedyorder import (
     worst_order_heuristic,
     worst_order_masked_min,
 )
-from greedyorder.adversary import worst_order_sampled
+from greedyorder.adversary import order_avoiding, worst_order_constructive, worst_order_sampled
+from greedyorder.errors import AnalysisParamError, DimensionMismatchError, HallInfeasibleError
 
 
 def test_exact_matches_brute_on_six_cycle():
@@ -173,6 +174,59 @@ def test_projective_adversary_on_pg23():
         sigma = adversary_projective(g, pi, 3)
         out = greedy_match(g, sigma, pi)
         assert out.size <= 10
+
+
+def test_projective_adversary_leaves_the_last_q_unmatched():
+    """Planning only the target set's neighborhood leaves the last q
+    vertices of pi unmatched and matches every other one, n - q in all,
+    on every fano order and on 1000 seeded pg23 orders.  A target set
+    whose neighbors outnumber the other vertices is infeasible."""
+    fano, pg = generate(FamilySpec("fano")), generate(FamilySpec("pg23"))
+    rng = random.Random(127)
+    cases = [(fano, 2, Permutation.from_order(p)) for p in itertools.permutations(range(7))]
+    cases += [(pg, 3, random_perm(rng, 13)) for _ in range(1000)]
+    for g, q, pi in cases:
+        out = greedy_match(g, adversary_projective(g, pi, q), pi)
+        assert out.size == g.n - q, pi.order
+        assert all(out.matched_u_of_v[v] is None for v in pi.order[-q:]), pi.order
+    with pytest.raises(HallInfeasibleError):
+        adversary_projective(fano, Permutation.identity(7), 3)
+
+
+def test_search_and_constructive_entry_points_check_their_inputs():
+    """A pi of the wrong length is a DimensionMismatchError, and a subset
+    vertex outside 0..n-1 an AnalysisParamError, not an IndexError or a
+    vertex counted through a negative index."""
+    g = generate(FamilySpec("fano"))
+    for short in (Permutation.identity(6), Permutation.identity(8)):
+        for call in (
+            lambda: worst_order_exact(g, short),
+            lambda: worst_order_masked_min(g, short, [0]),
+            lambda: worst_order_constructive(g, short),
+            lambda: order_avoiding(g, short, [0]),
+        ):
+            with pytest.raises(DimensionMismatchError):
+                call()
+    pi = Permutation.identity(7)
+    for subset in ([-1], [7], [0, 7]):
+        for player in (worst_order_masked_min, order_avoiding):
+            with pytest.raises(AnalysisParamError) as info:
+                player(g, pi, subset)
+            assert str(info.value) == "subset contains vertices outside the graph"
+
+
+def test_player_settings_outside_their_domain():
+    """draws < 1 and iters < 0 raise AnalysisParamError, as trials < 1
+    does; the smallest valid settings still return an order."""
+    g = generate(FamilySpec("fano"))
+    pi = Permutation.identity(7)
+    for draws in (0, -2):
+        with pytest.raises(AnalysisParamError, match="^draws must be positive$"):
+            worst_order_sampled(g, pi, draws=draws)
+    with pytest.raises(AnalysisParamError, match="^iters must be nonnegative$"):
+        worst_order_heuristic(g, pi, iters=-3)
+    assert worst_order_sampled(g, pi, draws=1).sigma is not None
+    assert worst_order_heuristic(g, pi, iters=0).nodes_expanded == 0
 
 
 def test_biclique_adversary_bounds():

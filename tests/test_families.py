@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+import conftest
 from conftest import CORPUS_SPECS, outcome, perfbench_specs, reference_generate
 
 from greedyorder import (
@@ -224,6 +225,14 @@ def test_generate_dispatch_covers_all_families(corpus):
         assert inst.graph.family == inst.spec.family
 
 
+def _strict_reference_int(value):
+    """int(), except that booleans and non-integral floats are cast
+    failures, as they are for the family table's int keys."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError("%r is not an integer" % (value,))
+    return int(value)
+
+
 def _reference_cast_fails(spec):
     """True when the reference chain raises from its own int() or float()
     of a parameter, not from a generator it calls."""
@@ -233,19 +242,21 @@ def _reference_cast_fails(spec):
         tb = exc.__traceback__
         while tb.tb_next is not None:
             tb = tb.tb_next
-        return tb.tb_frame.f_code is reference_generate.__code__
+        return tb.tb_frame.f_code in (reference_generate.__code__, _strict_reference_int.__code__)
     except GenerationError:
         return False
     return False
 
 
-def test_generate_equals_the_reference_chain():
+def test_generate_equals_the_reference_chain(monkeypatch):
     """The family table builds the graph, or raises the error, that the
     if-chain it replaced did: on every corpus and benchmark spec and on
     400 seeded specs with missing, aliased, ill-typed or out-of-range
     parameters and unknown or unhashable names.  Where the chain's cast
     of a parameter raised, the table raises GenerationError naming the
-    key and its value."""
+    key and its value.  The chain's int() counts booleans and
+    non-integral floats as cast failures, which the table no longer
+    truncates."""
     assert FAMILIES == (
         "fig1", "badset_chain", "regular89", "tight_regular", "fano", "pg23",
         "hamiltonian_random", "random_regular", "biclique_half", "planted_is", "iterative",
@@ -258,10 +269,13 @@ def test_generate_equals_the_reference_chain():
     specs += [
         FamilySpec("regular89", {"d": float("inf"), "t": 1}),
         FamilySpec("planted_is", {"n": 10, "d": 3, "eps": 10**400}),
+        FamilySpec("regular89", {"d": 2.9, "t": 1}),
+        FamilySpec("regular89", {"d": 2, "t": True}),
     ]
     for _ in range(400):
         params = {k: rng.choice(values) for k in rng.sample(keys, rng.randrange(len(keys) + 1))}
         specs.append(FamilySpec(rng.choice(names), params, seed=rng.randrange(4)))
+    monkeypatch.setattr(conftest, "int", _strict_reference_int, raising=False)
     raised = cast_failures = 0
     for spec in specs:
         got, want = outcome(generate, spec), outcome(reference_generate, spec)

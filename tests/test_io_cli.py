@@ -542,6 +542,20 @@ def test_cli_adversary_passes_its_settings_to_the_player(tmp_path, capsys):
     assert out.read_text() == gio.canonical_dumps(gio.adversary_result_to_doc(heuristic))
 
 
+def test_cli_player_settings_outside_their_domain_are_data_errors(tmp_path, capsys):
+    """A negative --iters reaches the heuristic player, which rejects it:
+    exit 2 with one error line and no output."""
+    graph = write_fig1(tmp_path)
+    pi_path = tmp_path / "pi.json"
+    pi_path.write_text("[2, 1, 0]\n")
+    for argv in (
+        ["adversary", graph, "--pi", str(pi_path), "--iters", "-3"],
+        ["analyze", "montecarlo", graph, "--adversary-mode", "heuristic", "--iters", "-3"],
+    ):
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", "error: iters must be nonnegative\n")
+
+
 def test_cli_adversary_exact_and_heuristic(tmp_path, capsys):
     graph = write_fig1(tmp_path)
     pi_path = tmp_path / "pi.json"
@@ -729,23 +743,29 @@ def test_cli_montecarlo_regular89_without_params_is_data_error(tmp_path, capsys)
 
 
 def test_cli_malformed_family_params_are_data_errors(tmp_path, capsys):
-    """A family parameter that int() or float() rejects exits 2 with one
-    error line in montecarlo and lands in the row's error in experiment."""
+    """A family parameter that int() or float() rejects, or a boolean or
+    non-integral float where an integer is due, exits 2 with one error
+    line in montecarlo and lands in the row's error in experiment."""
     path = tmp_path / "g.json"
     for family, params, key in (
         ("regular89", {"d": "x", "t": 1}, "d"),
         ("planted_is", {"planted_size": "x"}, "planted_size"),
+        ("regular89", {"d": 2.9, "t": 1}, "d"),
+        ("regular89", {"d": 1, "t": True}, "t"),
+        ("planted_is", {"planted_size": True}, "planted_size"),
     ):
         path.write_text(gio.canonical_dumps(dict(FIG1_DOC, family=family, params=params)))
         argv = ["analyze", "montecarlo", str(path), "--adversary-mode", "constructive"]
         assert main(argv) == 2
         err = capsys.readouterr().err
-        assert err == "error: graph param %r must be an integer, got 'x'\n" % key
+        assert err == "error: graph param %r must be an integer, got %r\n" % (key, params[key])
     cfg = tmp_path / "config.json"
     instances = [
         {"family": "random_regular", "params": {"n": "x", "d": 3}},
         {"family": "random_regular", "params": {"n": None, "d": 3}},
         {"family": "planted_is", "params": {"n": 10, "d": 3, "eps": "x"}},
+        {"family": "random_regular", "params": {"n": 2.9, "d": 3}},
+        {"family": "random_regular", "params": {"n": 8, "d": True}},
     ]
     cfg.write_text(json.dumps({"instances": instances, "methods": ["theorem1"]}))
     assert main(["experiment", str(cfg)]) == 0
@@ -754,6 +774,8 @@ def test_cli_malformed_family_params_are_data_errors(tmp_path, capsys):
         "GenerationError: family 'random_regular' parameter 'n' must be int, got 'x'",
         "GenerationError: family 'random_regular' parameter 'n' must be int, got None",
         "GenerationError: family 'planted_is' parameter 'eps' must be float, got 'x'",
+        "GenerationError: family 'random_regular' parameter 'n' must be int, got 2.9",
+        "GenerationError: family 'random_regular' parameter 'd' must be int, got True",
     ]
 
 

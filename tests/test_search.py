@@ -11,6 +11,7 @@ equal and the lower-bound table is no larger.
 """
 
 import collections
+import itertools
 import json
 import math
 
@@ -30,14 +31,23 @@ from conftest import (
 import greedyorder.io as gio
 from greedyorder import (
     BipartiteGraph,
+    FamilySpec,
     Permutation,
+    generate,
     greedy_match,
     is_safe,
     worst_order_exact,
     worst_order_masked_min,
 )
-from greedyorder.adversary import _adj_rank_masks, _ArrivalSearch, _BudgetExceeded, _rank_mask
+from greedyorder.adversary import (
+    _adj_rank_masks,
+    _ArrivalSearch,
+    _BudgetExceeded,
+    _rank_mask,
+    order_avoiding,
+)
 from greedyorder.cli import main
+from greedyorder.errors import PropositionViolatedError
 
 
 @st.composite
@@ -169,3 +179,38 @@ def test_cli_deep_safety_search_exits_zero(tmp_path, capsys):
     pi_path.write_text(json.dumps(list(range(n))))
     assert main(["analyze", "safety", str(graph), "--pi", str(pi_path), "--set", str(n - 1)]) == 0
     assert json.loads(capsys.readouterr().out)["safe"] is False
+
+
+def test_a_wrong_replay_is_caught(tmp_path, capsys, monkeypatch):
+    """worst_order_exact and order_avoiding replay the order the search
+    rebuilt through greedy_match.  When `replay` returns an order that
+    neither reaches the minimum nor leaves the set unmatched, both raise
+    PropositionViolatedError, and `adversary --exact` and `analyze
+    safety` exit 3 with one stderr line."""
+    g, pi, s = generate(FamilySpec("fano")), Permutation.identity(7), [5, 6]
+    assert order_avoiding(g, pi, s) is not None
+    least = worst_order_exact(g, pi).size
+    for order in itertools.permutations(range(7)):
+        out = greedy_match(g, Permutation.from_order(order), pi)
+        if out.size > least and any(out.matched_u_of_v[v] is not None for v in s):
+            break
+    else:
+        pytest.fail("no order matches more than the minimum and a vertex of s")
+    monkeypatch.setattr(_ArrivalSearch, "replay", lambda self: list(order))
+    with pytest.raises(PropositionViolatedError, match="^replayed order gives"):
+        worst_order_exact(g, pi)
+    with pytest.raises(PropositionViolatedError, match="^safety witness failed replay validation$"):
+        order_avoiding(g, pi, s)
+    with pytest.raises(PropositionViolatedError, match="^safety witness failed replay validation$"):
+        is_safe(g, pi, s)
+    graph, pi_path = tmp_path / "fano.json", tmp_path / "pi.json"
+    gio.write_graph(str(graph), g)
+    pi_path.write_text(json.dumps(list(pi.order)))
+    for argv in (
+        ["adversary", str(graph), "--pi", str(pi_path), "--exact"],
+        ["analyze", "safety", str(graph), "--pi", str(pi_path), "--set", "5,6"],
+    ):
+        assert main(argv) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("internal invariant violated: ") and err.count("\n") == 1, err
