@@ -37,9 +37,9 @@ folds that sum into best without building the child's key, looking it
 up, scanning it or storing it.  The root is checked on entry.
 Branching stops as soon as the best value found equals the state's
 forced-pick bound.  Only states whose branches were searched, and
-terminal states, are memoized: exact values and lower bounds in
-separate tables.  `nodes_expanded` counts those states; cut children
-and memo hits are not counted.
+terminal states, are memoized, exact values and lower bounds in one
+table: v as v and b as ~b.  `nodes_expanded` counts those states; cut
+children and memo hits are not counted.
 """
 
 from __future__ import annotations
@@ -187,8 +187,7 @@ class _ArrivalSearch:
         self.budget = budget
         self.nodes = 0
         self.cuts = 0
-        self.exact: dict[int, int] = {}
-        self.lower: dict[int, int] = {}
+        self.memo: dict[int, int] = {}
         self.full = (1 << n) - 1
 
     def value(self, ub: int) -> int:
@@ -197,7 +196,7 @@ class _ArrivalSearch:
         Raises _BudgetExceeded once more than `budget` states are expanded.
         """
         adj, n, full, count_mask = self.adj, self.n, self.full, self.count_mask
-        exact, lower = self.exact, self.lower
+        memo = self.memo
         budget = self.budget
         nodes, cuts = self.nodes, self.cuts
         # Suspended frames; the innermost frame lives in the f_* locals.
@@ -212,9 +211,9 @@ class _ArrivalSearch:
             # value in val or open a frame for it.  Only the root can be
             # cut here: every other state's bound was checked by its parent.
             key = u_mask << n | v_mask
-            val = exact.get(key)
-            if val is None:
-                val = lower.get(key, 0)
+            val = memo.get(key, -1)
+            if val < 0:
+                val = ~val
                 if val < cap:
                     dead, branches, lb = _scan(adj, full ^ u_mask, full ^ v_mask, count_mask)
                     if lb >= cap:
@@ -229,7 +228,7 @@ class _ArrivalSearch:
                             self.nodes, self.cuts = nodes, cuts
                             raise _BudgetExceeded
                         if not branches:
-                            val = exact[key] = 0
+                            val = memo[key] = 0
                         else:
                             if depth:
                                 stack.append(
@@ -272,23 +271,20 @@ class _ArrivalSearch:
                         u_mask, v_mask, cap = f_u | u_bit, f_v | v_bit, bound - f_gain
                         break
                 val = f_best
-                if val < f_cap:
-                    exact[f_key] = val
-                else:
-                    lower[f_key] = val
+                memo[f_key] = val if val < f_cap else ~val
                 depth -= 1
                 if depth:
                     f_key, f_u, f_v, f_br, f_i, f_best, f_cap, f_lb, f_slb, f_gain = stack.pop()
 
     def replay(self) -> list[int]:
-        """One minimizing arrival order, rebuilt from the exact table
-        after `value` returned a value below its ub."""
-        adj, n, full, exact = self.adj, self.n, self.full, self.exact
+        """One minimizing arrival order, rebuilt from the memo's exact
+        values after `value` returned a value below its ub."""
+        adj, n, full, memo = self.adj, self.n, self.full, self.memo
         count_mask = self.count_mask
         order: list[int] = []
         u_mask = v_mask = 0
         while True:
-            state_val = exact[u_mask << n | v_mask]
+            state_val = memo[u_mask << n | v_mask]
             dead, branches, _ = _scan(adj, full ^ u_mask, full ^ v_mask, count_mask)
             u_mask |= dead
             while dead:
@@ -299,8 +295,8 @@ class _ArrivalSearch:
                 return order
             for u_bit, v_bit, _, _ in branches:
                 gain = 1 if v_bit & count_mask else 0
-                sub = exact.get((u_mask | u_bit) << n | v_mask | v_bit)
-                if sub is not None and gain + sub == state_val:
+                sub = memo.get((u_mask | u_bit) << n | v_mask | v_bit, -1)
+                if sub >= 0 and gain + sub == state_val:
                     order.append(u_bit.bit_length() - 1)
                     u_mask |= u_bit
                     v_mask |= v_bit
@@ -352,6 +348,8 @@ def worst_order_exact(
     the local-search heuristic supplies the answer and exact is false.
     """
     _check_dims(g, pi, "pi")
+    if budget < 1:
+        raise AnalysisParamError("budget must be positive")
     search = _ArrivalSearch(_adj_rank_masks(g, pi), g.n, (1 << g.n) - 1, budget)
     try:
         size = search.value(g.n + 1)
@@ -379,6 +377,8 @@ def worst_order_masked_min(
     """Minimum over all arrival orders of how many vertices of v_subset
     get matched.  Returns (value, exact, nodes_expanded)."""
     _check_subset(g, pi, v_subset)
+    if budget < 1:
+        raise AnalysisParamError("budget must be positive")
     search = _ArrivalSearch(_adj_rank_masks(g, pi), g.n, _rank_mask(pi, v_subset), budget)
     try:
         return search.value(g.n + 1), True, search.nodes

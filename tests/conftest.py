@@ -7,7 +7,11 @@ check: the matching oracle is a bitmask DP, the adversary oracle is a
 factorial sweep over arrival orders.  The reference cover scan tries
 every path pair and rotation cut with one arc test each, in the scan
 order that the production scan must reproduce step for step.  The
-reference arrival-order searches are the exhaustive memoised game and
+step functions apply a merge, unbalance, rotation or whole step by
+rebuilding and revalidating the cover, and the maximality audit lists
+every structural fact of a maximal cover that fails; the production
+cover loop applies its steps in place and must reach the same covers.
+The reference arrival-order searches are the exhaustive memoised game and
 the safety depth-first search that the branch-and-bound engine replaced,
 and that engine as it stood before each child was bounded in its
 parent's scan; the engine must return their values, orders, witnesses
@@ -72,11 +76,13 @@ from greedyorder.errors import (
     GreedyOrderError,
     HallInfeasibleError,
     InvalidGraphError,
+    LengthOrderViolatedError,
+    MissingArcError,
     PropositionViolatedError,
     SchemaError,
     UsageError,
 )
-from greedyorder.spoil import CoverStep, apply_step, trivial_cover
+from greedyorder.spoil import CoverStep, PathCover, SpoilGraph, trivial_cover
 
 
 def _corpus_specs():
@@ -341,6 +347,152 @@ def reference_sampled(g, pi, draws=100, seed=0):
         if val < best_val:
             best, best_val = sigma, val
     return AdversaryResult(sigma=best, size=best_val, exact=False, nodes_expanded=draws)
+
+
+def apply_rotation(cover: PathCover, sg: SpoilGraph, idx: int, cut: int) -> PathCover:
+    """Rotate path idx at cut position; needs the closing arc end -> start.
+
+    The new path is ``p[cut+1:] + p[:cut+1]`` for cut in 0..len-2.
+    """
+    p = cover.paths[idx]
+    if len(p) < 2:
+        raise InvalidGraphError("cannot rotate a single-node path")
+    if not (0 <= cut <= len(p) - 2):
+        raise InvalidGraphError("cut %d out of range for path of length %d" % (cut, len(p)))
+    if not sg.has_arc(p[-1], p[0]):
+        raise MissingArcError("rotation needs closing arc %d -> %d" % (p[-1], p[0]))
+    rotated = p[cut + 1 :] + p[: cut + 1]
+    paths = list(cover.paths)
+    paths[idx] = rotated
+    return PathCover.from_paths(cover.n, paths)
+
+
+def apply_merge(cover: PathCover, sg: SpoilGraph, i: int, j: int) -> PathCover:
+    """Concatenate path j after path i using the arc end(i) -> start(j)."""
+    if i == j:
+        raise InvalidGraphError("merge needs two distinct paths")
+    pi, pj = cover.paths[i], cover.paths[j]
+    if not sg.has_arc(pi[-1], pj[0]):
+        raise MissingArcError("merge needs arc %d -> %d" % (pi[-1], pj[0]))
+    paths = [p for t, p in enumerate(cover.paths) if t not in (i, j)]
+    paths.append(pi + pj)
+    return PathCover.from_paths(cover.n, paths)
+
+
+def apply_unbalance(cover: PathCover, sg: SpoilGraph, i: int, j: int, mode: str) -> PathCover:
+    """Move one endpoint of path j onto path i.
+
+    Requires len(path i) >= len(path j) >= 2; moving the only node of a
+    single-node path is a merge, not an unbalance.  Mode "start" moves
+    path j's first node to the front of path i (arc taken: that node to
+    path i's first).  Mode "end" moves path j's last node to the back of
+    path i (arc taken: path i's last to that node).
+    """
+    if i == j:
+        raise InvalidGraphError("unbalance needs two distinct paths")
+    pi, pj = cover.paths[i], cover.paths[j]
+    if len(pj) < 2:
+        raise LengthOrderViolatedError("donor path must have at least 2 nodes")
+    if len(pi) < len(pj):
+        raise LengthOrderViolatedError(
+            "receiving path (len %d) shorter than donor (len %d)" % (len(pi), len(pj))
+        )
+    if mode == "start":
+        moved = pj[0]
+        if not sg.has_arc(moved, pi[0]):
+            raise MissingArcError("unbalance needs arc %d -> %d" % (moved, pi[0]))
+        new_i = (moved,) + pi
+        new_j = pj[1:]
+    elif mode == "end":
+        moved = pj[-1]
+        if not sg.has_arc(pi[-1], moved):
+            raise MissingArcError("unbalance needs arc %d -> %d" % (pi[-1], moved))
+        new_i = pi + (moved,)
+        new_j = pj[:-1]
+    else:
+        raise InvalidGraphError("unknown unbalance mode %r" % (mode,))
+    paths = [p for t, p in enumerate(cover.paths) if t not in (i, j)]
+    paths.extend([new_i, new_j])
+    return PathCover.from_paths(cover.n, paths)
+
+
+def apply_step(cover: PathCover, sg: SpoilGraph, step: CoverStep) -> PathCover:
+    """Apply a CoverStep: rotations first, then the operation.
+
+    Rotations change path endpoints but keep the normalized position of
+    each path (length and node set are unchanged), so the indices stay
+    valid between the two phases.
+    """
+    work = cover
+    if step.rot_i is not None:
+        work = apply_rotation(work, sg, step.i, step.rot_i)
+    if step.rot_j is not None:
+        work = apply_rotation(work, sg, step.j, step.rot_j)
+    if step.op == "merge":
+        return apply_merge(work, sg, step.i, step.j)
+    if step.op == "unbalance_start":
+        return apply_unbalance(work, sg, step.i, step.j, "start")
+    if step.op == "unbalance_end":
+        return apply_unbalance(work, sg, step.i, step.j, "end")
+    raise InvalidGraphError("unknown op %r" % (step.op,))
+
+
+def verify_maximality_conditions(cover: PathCover, sg: SpoilGraph) -> list[str]:
+    """Check the structural facts that hold for every maximal cover.
+
+    Paths are indexed in normalized order, isolated ones first.  Returns
+    human-readable descriptions of violated facts (empty when all hold):
+
+    1. an end t of a longer path has no arc into an isolated node or a
+       start, except to the start of its own path;
+    2. no arc from the end of a later (not shorter) path to the end of an
+       earlier longer path;
+    3. no arc from an isolated node to a start;
+    4. no arc between two distinct isolated nodes;
+    5. no arc from the start of an earlier longer path to the start of a
+       later (not shorter) one.
+    """
+    issues: list[str] = []
+    k = cover.k
+    paths = cover.paths
+    p = len(paths)
+    iso = cover.isolated
+    starts = {paths[a][0]: a for a in range(k, p)}
+
+    for a in range(k, p):
+        t = paths[a][-1]
+        for q in iso:
+            if sg.has_arc(t, q):
+                issues.append("end %d of path %d has arc to isolated %d" % (t, a, q))
+        for s, b in starts.items():
+            if b != a and sg.has_arc(t, s):
+                issues.append("end %d of path %d has arc to start %d of path %d" % (t, a, s, b))
+
+    for b in range(k, p):
+        for a in range(k, b):
+            if sg.has_arc(paths[b][-1], paths[a][-1]):
+                issues.append(
+                    "arc between ends %d -> %d of paths %d, %d" % (paths[b][-1], paths[a][-1], b, a)
+                )
+
+    for q in iso:
+        for s in starts:
+            if sg.has_arc(q, s):
+                issues.append("arc from isolated %d to start %d" % (q, s))
+
+    for q1 in iso:
+        for q2 in iso:
+            if q1 != q2 and sg.has_arc(q1, q2):
+                issues.append("arc between isolated nodes %d -> %d" % (q1, q2))
+
+    for a in range(k, p):
+        for b in range(a + 1, p):
+            if sg.has_arc(paths[a][0], paths[b][0]):
+                issues.append(
+                    "arc between starts %d -> %d of paths %d, %d" % (paths[a][0], paths[b][0], a, b)
+                )
+
+    return issues
 
 
 def _rotations_of(cover, sg, idx):
@@ -1090,14 +1242,16 @@ def record_acceptance(num, label, ok, detail=""):
     ACCEPTANCE_LINES.append((num, label, bool(ok), detail))
 
 
-def src_line_count():
-    """Newline count of src/greedyorder/*.py, as `wc -l` gives it: the
-    size that ROADMAP aim 2 tracks."""
-    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src", "greedyorder")
+def line_count(*parts):
+    """Newline count of the *.py files in a directory under the repo
+    root, as `wc -l` gives it.  src/greedyorder is the size that ROADMAP
+    aim 2 tracks; tests is printed beside it, so that code moved from
+    one to the other shows as a move."""
+    root = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, *parts)
     total = 0
-    for name in sorted(os.listdir(src)):
+    for name in sorted(os.listdir(root)):
         if name.endswith(".py"):
-            with open(os.path.join(src, name), encoding="utf-8") as fh:
+            with open(os.path.join(root, name), encoding="utf-8") as fh:
                 total += fh.read().count("\n")
     return total
 
@@ -1109,4 +1263,5 @@ def pytest_terminal_summary(terminalreporter):
         if detail:
             line += "   [%s]" % detail
         terminalreporter.write_line(line)
-    terminalreporter.write_line("src/greedyorder/*.py: %d lines" % src_line_count())
+    terminalreporter.write_line("src/greedyorder/*.py: %d lines" % line_count("src", "greedyorder"))
+    terminalreporter.write_line("tests/*.py: %d lines" % line_count("tests"))

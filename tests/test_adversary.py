@@ -216,8 +216,9 @@ def test_search_and_constructive_entry_points_check_their_inputs():
 
 
 def test_player_settings_outside_their_domain():
-    """draws < 1 and iters < 0 raise AnalysisParamError, as trials < 1
-    does; the smallest valid settings still return an order."""
+    """draws < 1, iters < 0 and a search budget < 1 raise
+    AnalysisParamError, as trials < 1 does; the smallest valid settings
+    still return an order, and a budget of 1 falls back to the heuristic."""
     g = generate(FamilySpec("fano"))
     pi = Permutation.identity(7)
     for draws in (0, -2):
@@ -225,8 +226,16 @@ def test_player_settings_outside_their_domain():
             worst_order_sampled(g, pi, draws=draws)
     with pytest.raises(AnalysisParamError, match="^iters must be nonnegative$"):
         worst_order_heuristic(g, pi, iters=-3)
+    for budget in (0, -5):
+        with pytest.raises(AnalysisParamError, match="^budget must be positive$"):
+            worst_order_exact(g, pi, budget=budget)
+        with pytest.raises(AnalysisParamError, match="^budget must be positive$"):
+            worst_order_masked_min(g, pi, [5, 6], budget=budget)
     assert worst_order_sampled(g, pi, draws=1).sigma is not None
     assert worst_order_heuristic(g, pi, iters=0).nodes_expanded == 0
+    res = worst_order_exact(g, pi, budget=1)
+    assert (res.exact, res.nodes_expanded) == (False, 1 + 4000)
+    assert worst_order_masked_min(g, pi, [5, 6], budget=1)[1:] == (False, 1)
 
 
 def test_biclique_adversary_bounds():
@@ -270,7 +279,7 @@ def test_heuristic_and_sampled_equal_the_greedy_scored_reference():
     def check(n, rng, seed):
         g = _random_graph(rng, n)
         pi = random_perm(rng, n + (rng.random() < 0.1) * rng.choice([-1, 1]))
-        iters, draws = rng.randrange(0, 400), rng.randrange(1 if len(pi) != n else 0, 60)
+        iters, draws = rng.randrange(0, 400), rng.randrange(1, 60)
         got = outcome(worst_order_heuristic, g, pi, iters=iters, seed=seed)
         assert got == outcome(reference_heuristic, g, pi, iters=iters, seed=seed)
         assert outcome(worst_order_sampled, g, pi, draws=draws, seed=seed) == outcome(

@@ -543,17 +543,26 @@ def test_cli_adversary_passes_its_settings_to_the_player(tmp_path, capsys):
 
 
 def test_cli_player_settings_outside_their_domain_are_data_errors(tmp_path, capsys):
-    """A negative --iters reaches the heuristic player, which rejects it:
-    exit 2 with one error line and no output."""
+    """A negative --iters reaches the heuristic player, and a --budget
+    below 1 the exact search, which reject them: exit 2 with one error
+    line and no output."""
     graph = write_fig1(tmp_path)
     pi_path = tmp_path / "pi.json"
     pi_path.write_text("[2, 1, 0]\n")
-    for argv in (
-        ["adversary", graph, "--pi", str(pi_path), "--iters", "-3"],
-        ["analyze", "montecarlo", graph, "--adversary-mode", "heuristic", "--iters", "-3"],
+    for argv, message in (
+        (["adversary", graph, "--pi", str(pi_path), "--iters", "-3"], "iters must be nonnegative"),
+        (
+            ["analyze", "montecarlo", graph, "--adversary-mode", "heuristic", "--iters", "-3"],
+            "iters must be nonnegative",
+        ),
+        (
+            ["adversary", graph, "--pi", str(pi_path), "--exact", "--budget", "0"],
+            "budget must be positive",
+        ),
+        (["analyze", "montecarlo", graph, "--budget", "0"], "budget must be positive"),
     ):
         assert main(argv) == 2
-        assert capsys.readouterr() == ("", "error: iters must be nonnegative\n")
+        assert capsys.readouterr() == ("", "error: %s\n" % message)
 
 
 def test_cli_adversary_exact_and_heuristic(tmp_path, capsys):

@@ -7,7 +7,7 @@ of the recursive safety search in conftest, and it must handle inputs
 far deeper than the interpreter's recursion limit.  Bounding children
 in their parent's scan must change nothing but the work: against the
 engine that scanned every child, values, orders and node counts are
-equal and the lower-bound table is no larger.
+equal and the memo holds no more lower bounds.
 """
 
 import collections
@@ -136,8 +136,9 @@ def test_engine_equals_the_child_scanning_engine():
             value = search.value(cap)
             order = search.replay() if value < cap else None
             assert (value, order, search.nodes) == (ref_value, ref_order, ref_nodes), mode
-            assert len(search.lower) <= ref_lower, mode
-            tally[mode + " lower"] += len(search.lower)
+            lower = sum(1 for v in search.memo.values() if v < 0)
+            assert lower <= ref_lower, mode
+            tally[mode + " lower"] += lower
             tally[mode + " reference lower"] += ref_lower
             tally[mode + " cuts"] += search.cuts
             # The budget still counts expanded states: the search's own
@@ -153,6 +154,39 @@ def test_engine_equals_the_child_scanning_engine():
     for mode in ("exact", "masked", "decision"):
         assert tally[mode + " cuts"] > 0, tally
         assert tally[mode + " lower"] < tally[mode + " reference lower"], tally
+
+
+def test_a_search_reused_under_a_higher_cap_stays_exact():
+    """The memo tags lower bounds apart from exact values.  Within one
+    call a stored lower bound is never entered again under a higher cap,
+    but a second call on the same search is: after the decision at cap 1,
+    the uncapped minimum and its order equal a fresh search's."""
+    reopened = 0
+
+    @settings(
+        max_examples=200,
+        derandomize=True,
+        database=None,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(graph_pi_subset())
+    def check(case):
+        nonlocal reopened
+        g, pi, subset = case
+        n = g.n
+        adj, count_mask = _adj_rank_masks(g, pi), _rank_mask(pi, subset)
+        fresh = _ArrivalSearch(adj, n, count_mask, math.inf)
+        value = fresh.value(n + 1)
+        reused = _ArrivalSearch(adj, n, count_mask, math.inf)
+        reused.value(1)
+        lower = sum(1 for v in reused.memo.values() if v < 0)
+        assert reused.value(n + 1) == value
+        assert reused.replay() == fresh.replay()
+        reopened += lower > sum(1 for v in reused.memo.values() if v < 0)
+
+    check()
+    assert reopened >= 5, reopened
 
 
 def reversed_chain(n):

@@ -4,7 +4,15 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import reference_find_improvement, reference_maximal_path_cover
+from conftest import (
+    apply_merge,
+    apply_rotation,
+    apply_step,
+    apply_unbalance,
+    reference_find_improvement,
+    reference_maximal_path_cover,
+    verify_maximality_conditions,
+)
 
 from greedyorder import (
     BipartiteGraph,
@@ -16,16 +24,11 @@ from greedyorder import (
     generate,
     is_maximal,
     maximal_path_cover,
-    verify_maximality_conditions,
 )
 from greedyorder.certify import build_theorem1
 from greedyorder.spoil import (
     CoverStep,
     SpoilGraph,
-    apply_merge,
-    apply_rotation,
-    apply_step,
-    apply_unbalance,
     find_improvement,
     trivial_cover,
 )
