@@ -1,0 +1,95 @@
+"""The package's outputs, pinned by digest.
+
+Each test computes one category of outputs over fixed inputs, encodes
+it as canonical JSON and compares its SHA-256 with the digest written
+below.  A refactor that claims to change no output must pass these
+unchanged; a change that alters an output on purpose re-records the
+digest it moves and says so in CHANGES.md; a failing check prints the
+digest it computed.
+"""
+
+import hashlib
+import json
+import random
+
+import pytest
+
+from conftest import CORPUS_SPECS, random_perm
+
+import greedyorder.io as gio
+from greedyorder import generate, worst_order_exact, worst_order_masked_min
+from greedyorder.adversary import order_avoiding
+from greedyorder.analysis import enumerate_bad_sets
+from greedyorder.cli import main
+
+PINNED = {
+    "bound": "b878db4e9fb59309633a520906ef3a3b3f2bf5c20e98bf6606e34260e04a2d78",
+    "worst_order_exact": "f04148b5643cf3ea381e78857fcdd8b2568528a09b90864388ab10d70f2ecaf4",
+    "worst_order_masked_min": "34e0e6c513de0819aa643d5255ab983b934e5f043088b23100b9dd529391c36f",
+    "order_avoiding": "d1449210c1598987f575ccca382948d91b09a9cfe25bae0a349a358d60f58546",
+    "enumerate_bad_sets": "340743b1536dd45f7e6f0ba234f87df7284756a64228ecb29220d8d363480fa2",
+}
+
+
+def check_pinned(category, doc):
+    text = json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    assert digest == PINNED[category], "%s: %s" % (category, digest)
+
+
+@pytest.fixture(scope="module")
+def graphs():
+    return [(name, generate(spec)) for name, spec in CORPUS_SPECS]
+
+
+def seeded_cases(graphs, n_max):
+    """Three seeded priority orders per corpus graph with n <= n_max, each
+    with a seeded subset and the lowest-priority vertices of a seeded size."""
+    for idx, (name, g) in enumerate(graphs):
+        if g.n > n_max:
+            continue
+        rng = random.Random(1000 + idx)
+        for _ in range(3):
+            pi = random_perm(rng, g.n)
+            k = rng.randint(1, g.n)
+            yield name, g, pi, sorted(rng.sample(range(g.n), k)), sorted(pi.order[g.n - k :])
+
+
+def test_bound_certificates_are_pinned(graphs, tmp_path, capsys):
+    doc = {}
+    for name, g in graphs:
+        path = tmp_path / ("%s.json" % name)
+        gio.write_graph(str(path), g)
+        code = main(["bound", str(path)])
+        out, err = capsys.readouterr()
+        doc[name] = [code, out, err]
+    check_pinned("bound", doc)
+
+
+def test_exact_adversary_is_pinned(graphs):
+    doc = []
+    for name, g, pi, _, _ in seeded_cases(graphs, 11):
+        res = worst_order_exact(g, pi)
+        doc.append([name, list(res.sigma.order), res.size, res.exact, res.nodes_expanded])
+    check_pinned("worst_order_exact", doc)
+
+
+def test_masked_minima_and_safety_witnesses_are_pinned(graphs):
+    masked, avoiding = [], []
+    for name, g, pi, subset, lowest in seeded_cases(graphs, 11):
+        for s in (subset, lowest):
+            masked.append([name, s, list(worst_order_masked_min(g, pi, s))])
+            witness = order_avoiding(g, pi, s)
+            avoiding.append([name, s, None if witness is None else list(witness.order)])
+    assert any(w is not None for _, _, w in avoiding)
+    assert any(w is None for _, _, w in avoiding)
+    check_pinned("worst_order_masked_min", masked)
+    check_pinned("order_avoiding", avoiding)
+
+
+def test_bad_set_reports_are_pinned(graphs):
+    doc = {}
+    for name, g in graphs:
+        if 2 <= g.n <= 6:
+            doc[name] = gio.badset_report_to_doc(enumerate_bad_sets(g, 2, "full_pi"))
+    check_pinned("enumerate_bad_sets", doc)
