@@ -38,8 +38,11 @@ up, scanning it or storing it.  The root is checked on entry.
 Branching stops as soon as the best value found equals the state's
 forced-pick bound.  Only states whose branches were searched, and
 terminal states, are memoized, exact values and lower bounds in one
-table: v as v and b as ~b.  `nodes_expanded` counts those states; cut
-children and memo hits are not counted.
+table that only the search reads.  `nodes_expanded` counts those
+states; cut children and memo hits are not counted.  A child that lowers
+its parent's best is the parent's choice.  Branches go in ascending label,
+best only falls strictly and a cut never lowers it below the cap, so the
+choices from the root give the lexicographically first optimal sequence.
 """
 
 from __future__ import annotations
@@ -97,6 +100,20 @@ class AdversaryResult:
 
 class _BudgetExceeded(Exception):
     pass
+
+
+SETTING_FLOORS = {
+    "budget": (1, "budget must be positive"),
+    "iters": (0, "iters must be nonnegative"),
+    "draws": (1, "draws must be positive"),
+}
+
+
+def _check_settings(**settings: int) -> None:
+    """Raise AnalysisParamError for the first setting below its floor."""
+    for name, (floor, message) in SETTING_FLOORS.items():
+        if settings.get(name, floor) < floor:
+            raise AnalysisParamError(message)
 
 
 # The group of a pick that one arrival alone has: taking it moves no
@@ -173,11 +190,11 @@ class _ArrivalSearch:
     all arrival orders, by the forced-pick branch-and-bound of the
     module docstring.
 
-    Memo keys are single ints, processed-U mask << n | matched-V mask.
-    Branches are tried in ascending arrival label, so `replay`, which
-    takes the first branch whose value equals its state's, rebuilds the
-    lexicographically first optimal branch sequence.  `nodes` counts
-    expanded and terminal states, `cuts` the children cut by the bound.
+    State keys are single ints, processed-U mask << n | matched-V mask.
+    The memo, private to `value`, stores an exact value v as v and a
+    lower bound b as ~b; `chosen` maps a state's key to its choice's.
+    `nodes` counts expanded and terminal states, `cuts` the children cut
+    by the bound.
     """
 
     def __init__(self, adj_rank: Sequence[int], n: int, count_mask: int, budget: float):
@@ -188,6 +205,7 @@ class _ArrivalSearch:
         self.nodes = 0
         self.cuts = 0
         self.memo: dict[int, int] = {}
+        self.chosen: dict[int, int] = {}
         self.full = (1 << n) - 1
 
     def value(self, ub: int) -> int:
@@ -196,8 +214,7 @@ class _ArrivalSearch:
         Raises _BudgetExceeded once more than `budget` states are expanded.
         """
         adj, n, full, count_mask = self.adj, self.n, self.full, self.count_mask
-        memo = self.memo
-        budget = self.budget
+        memo, chosen, budget = self.memo, self.chosen, self.budget
         nodes, cuts = self.nodes, self.cuts
         # Suspended frames; the innermost frame lives in the f_* locals.
         stack: list[tuple] = []
@@ -238,7 +255,7 @@ class _ArrivalSearch:
                             f_key, f_u, f_v, f_br, f_i = key, u_mask | dead, v_mask, branches, 0
                             f_best, f_cap, f_lb, f_slb = n + 1, cap, lb if lb > val else val, lb
                             val = None
-            # Hand settled values up until some frame has a child to search.
+            # Hand the settled value of state key up until a frame has a child to search.
             while True:
                 if val is not None:
                     if not depth:
@@ -247,6 +264,7 @@ class _ArrivalSearch:
                     sub = f_gain + val
                     if sub < f_best:
                         f_best = sub
+                        chosen[f_key] = key
                 if f_best > f_lb:
                     bound = f_cap if f_cap < f_best else f_best
                     # A child whose gain plus forced-pick bound, f_slb + k,
@@ -274,35 +292,28 @@ class _ArrivalSearch:
                 memo[f_key] = val if val < f_cap else ~val
                 depth -= 1
                 if depth:
+                    key = f_key
                     f_key, f_u, f_v, f_br, f_i, f_best, f_cap, f_lb, f_slb, f_gain = stack.pop()
 
     def replay(self) -> list[int]:
-        """One minimizing arrival order, rebuilt from the memo's exact
-        values after `value` returned a value below its ub."""
-        adj, n, full, memo = self.adj, self.n, self.full, self.memo
-        count_mask = self.count_mask
+        """One minimizing arrival order, after `value` returned a value
+        below its ub: at each recorded choice from the root, the arrivals
+        that died there in label order, then the one that took the pick."""
+        adj, n, full, chosen = self.adj, self.n, self.full, self.chosen
         order: list[int] = []
-        u_mask = v_mask = 0
+        key = 0
         while True:
-            state_val = memo[u_mask << n | v_mask]
-            dead, branches, _ = _scan(adj, full ^ u_mask, full ^ v_mask, count_mask)
-            u_mask |= dead
-            while dead:
-                u_bit = dead & -dead
-                dead ^= u_bit
-                order.append(u_bit.bit_length() - 1)
-            if not branches:
+            # A state without a choice is terminal: every arrival left is dead.
+            step = key ^ chosen.get(key, full << n | key)
+            key ^= step
+            joined, v_bit, took = step >> n, step & full, []
+            while joined:
+                u = (joined & -joined).bit_length() - 1
+                joined &= joined - 1
+                (took if adj[u] & v_bit else order).append(u)
+            order += took
+            if not v_bit:
                 return order
-            for u_bit, v_bit, _, _ in branches:
-                gain = 1 if v_bit & count_mask else 0
-                sub = memo.get((u_mask | u_bit) << n | v_mask | v_bit, -1)
-                if sub >= 0 and gain + sub == state_val:
-                    order.append(u_bit.bit_length() - 1)
-                    u_mask |= u_bit
-                    v_mask |= v_bit
-                    break
-            else:
-                raise PropositionViolatedError("replay found no branch matching the searched value")
 
 
 def _rank_mask(pi: Permutation, vs: Sequence[int]) -> int:
@@ -348,8 +359,7 @@ def worst_order_exact(
     the local-search heuristic supplies the answer and exact is false.
     """
     _check_dims(g, pi, "pi")
-    if budget < 1:
-        raise AnalysisParamError("budget must be positive")
+    _check_settings(budget=budget)
     search = _ArrivalSearch(_adj_rank_masks(g, pi), g.n, (1 << g.n) - 1, budget)
     try:
         size = search.value(g.n + 1)
@@ -377,8 +387,7 @@ def worst_order_masked_min(
     """Minimum over all arrival orders of how many vertices of v_subset
     get matched.  Returns (value, exact, nodes_expanded)."""
     _check_subset(g, pi, v_subset)
-    if budget < 1:
-        raise AnalysisParamError("budget must be positive")
+    _check_settings(budget=budget)
     search = _ArrivalSearch(_adj_rank_masks(g, pi), g.n, _rank_mask(pi, v_subset), budget)
     try:
         return search.value(g.n + 1), True, search.nodes
@@ -422,8 +431,7 @@ def worst_order_heuristic(
     for a fixed seed.
     """
     _check_dims(g, pi, "pi")
-    if iters < 0:
-        raise AnalysisParamError("iters must be nonnegative")
+    _check_settings(iters=iters)
     rng = random.Random(seed)
     n = g.n
     adj, full = _adj_rank_masks(g, pi), (1 << n) - 1
@@ -476,8 +484,7 @@ def worst_order_sampled(
     random.Random(seed).  The size is an upper bound on the true minimum;
     nodes_expanded counts the draws."""
     _check_dims(g, pi, "pi")
-    if draws < 1:
-        raise AnalysisParamError("draws must be positive")
+    _check_settings(draws=draws)
     rng = random.Random(seed)
     adj, full = _adj_rank_masks(g, pi), (1 << g.n) - 1
     best, best_val = None, g.n + 1
@@ -711,6 +718,7 @@ DEFAULT_MODE = ADVERSARY_MODES[0]
 
 def attack(mode: str, g: BipartiteGraph, pi: Permutation, **settings) -> AdversaryResult:
     """Attack pi with the adversary named `mode`, passing it the settings
-    (budget, iters, draws, seed) that it reads."""
+    (budget, iters, draws, seed) that it reads, after checking them all."""
+    _check_settings(**settings)
     player, reads = ATTACKS[mode]
     return player(g, pi, **{k: settings[k] for k in reads if k in settings})

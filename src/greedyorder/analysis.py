@@ -392,8 +392,6 @@ def _minimize_with_policy(g: BipartiteGraph, pi: Permutation, policy: str):
             key = (out.size, -len(half.intersection(losers)), perm)
             if best is None or key < best[0]:
                 best = (key, perm, losers)
-        if best is None:
-            raise PropositionViolatedError("no arrival order was enumerated")
         return Permutation.from_order(best[1]), best[0][0], best[2]
     best_size: Optional[int] = None
     loser_sets: dict[tuple[int, ...], tuple[int, ...]] = {}
@@ -407,8 +405,6 @@ def _minimize_with_policy(g: BipartiteGraph, pi: Permutation, policy: str):
             cur = loser_sets.get(losers)
             if cur is None or perm < cur:
                 loser_sets[losers] = perm
-    if best_size is None:
-        raise PropositionViolatedError("no arrival order was enumerated")
     scored = []
     for losers, perm in loser_sets.items():
         nxt = _exact_sigma(g, _promoted(pi, losers))

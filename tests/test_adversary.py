@@ -36,7 +36,7 @@ from greedyorder import (
     worst_order_heuristic,
     worst_order_masked_min,
 )
-from greedyorder.adversary import order_avoiding, worst_order_constructive, worst_order_sampled
+from greedyorder.adversary import attack, order_avoiding, worst_order_constructive, worst_order_sampled
 from greedyorder.errors import AnalysisParamError, DimensionMismatchError, HallInfeasibleError
 
 
@@ -217,8 +217,10 @@ def test_search_and_constructive_entry_points_check_their_inputs():
 
 def test_player_settings_outside_their_domain():
     """draws < 1, iters < 0 and a search budget < 1 raise
-    AnalysisParamError, as trials < 1 does; the smallest valid settings
-    still return an order, and a budget of 1 falls back to the heuristic."""
+    AnalysisParamError, as trials < 1 does, and `attack` rejects them
+    also for a player that does not read them; the smallest valid
+    settings still return an order, and a budget of 1 falls back to the
+    heuristic."""
     g = generate(FamilySpec("fano"))
     pi = Permutation.identity(7)
     for draws in (0, -2):
@@ -231,6 +233,10 @@ def test_player_settings_outside_their_domain():
             worst_order_exact(g, pi, budget=budget)
         with pytest.raises(AnalysisParamError, match="^budget must be positive$"):
             worst_order_masked_min(g, pi, [5, 6], budget=budget)
+    with pytest.raises(AnalysisParamError, match="^budget must be positive$"):
+        attack("heuristic", g, pi, budget=0)
+    with pytest.raises(AnalysisParamError, match="^iters must be nonnegative$"):
+        attack("exact", g, pi, iters=-3)
     assert worst_order_sampled(g, pi, draws=1).sigma is not None
     assert worst_order_heuristic(g, pi, iters=0).nodes_expanded == 0
     res = worst_order_exact(g, pi, budget=1)

@@ -57,8 +57,11 @@ def test_fig1_shape():
 
 
 def test_gadget_second_trace_witness():
-    """Priority (v3,v1,v2,v0) with arrivals (u1,u2,u0,u3) parks v0 and v2."""
+    """Identity arrivals under priority (v3,v2,v1,v0) park v0 and v1, and
+    priority (v3,v1,v2,v0) with arrivals (u1,u2,u0,u3) parks v0 and v2."""
     g = BipartiteGraph.from_edges(4, GADGET4_EDGES)
+    out = greedy_match(g, Permutation.identity(4), Permutation.from_order((3, 2, 1, 0)))
+    assert set(out.unmatched_v()) == {0, 1}
     out = greedy_match(
         g, Permutation.from_order((1, 2, 0, 3)), Permutation.from_order((3, 1, 2, 0))
     )

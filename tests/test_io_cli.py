@@ -543,9 +543,9 @@ def test_cli_adversary_passes_its_settings_to_the_player(tmp_path, capsys):
 
 
 def test_cli_player_settings_outside_their_domain_are_data_errors(tmp_path, capsys):
-    """A negative --iters reaches the heuristic player, and a --budget
-    below 1 the exact search, which reject them: exit 2 with one error
-    line and no output."""
+    """A negative --iters or a --budget below 1 is rejected whichever
+    player is chosen, the one that reads it or not: exit 2 with one
+    error line and no output."""
     graph = write_fig1(tmp_path)
     pi_path = tmp_path / "pi.json"
     pi_path.write_text("[2, 1, 0]\n")
@@ -560,6 +560,19 @@ def test_cli_player_settings_outside_their_domain_are_data_errors(tmp_path, caps
             "budget must be positive",
         ),
         (["analyze", "montecarlo", graph, "--budget", "0"], "budget must be positive"),
+        (["adversary", graph, "--pi", str(pi_path), "--budget", "0"], "budget must be positive"),
+        (
+            ["adversary", graph, "--pi", str(pi_path), "--exact", "--iters", "-3"],
+            "iters must be nonnegative",
+        ),
+        (
+            ["analyze", "montecarlo", graph, "--adversary-mode", "heuristic", "--budget", "0"],
+            "budget must be positive",
+        ),
+        (
+            ["analyze", "montecarlo", graph, "--adversary-mode", "exact", "--iters", "-3"],
+            "iters must be nonnegative",
+        ),
     ):
         assert main(argv) == 2
         assert capsys.readouterr() == ("", "error: %s\n" % message)

@@ -28,6 +28,7 @@ from conftest import (
     reference_min_game,
 )
 
+import greedyorder.adversary as adversary
 import greedyorder.io as gio
 from greedyorder import (
     BipartiteGraph,
@@ -156,6 +157,44 @@ def test_engine_equals_the_child_scanning_engine():
         assert tally[mode + " lower"] < tally[mode + " reference lower"], tally
 
 
+def test_replay_follows_the_recorded_choices(monkeypatch):
+    """`value` records each state's chosen branch, so `replay` scans no
+    state again: with the scan disabled after the search, the replayed
+    orders still equal the reference engine's in every mode."""
+    tally = collections.Counter()
+
+    def no_scan(*args):
+        raise AssertionError("replay scanned a state")
+
+    @settings(
+        max_examples=200,
+        derandomize=True,
+        database=None,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(graph_pi_subset())
+    def check(case):
+        g, pi, subset = case
+        n = g.n
+        for mode, v_subset, cap in (
+            ("exact", range(n), n + 1),
+            ("masked", subset, n + 1),
+            ("decision", subset, 1),
+        ):
+            ref_value, ref_order, _, _ = reference_arrival_search(g, pi, v_subset, cap)
+            search = _ArrivalSearch(_adj_rank_masks(g, pi), n, _rank_mask(pi, v_subset), math.inf)
+            assert search.value(cap) == ref_value
+            if ref_order is not None:
+                with monkeypatch.context() as patch:
+                    patch.setattr(adversary, "_scan", no_scan)
+                    assert search.replay() == ref_order, mode
+                tally[mode] += 1
+
+    check()
+    assert min(tally[mode] for mode in ("exact", "masked", "decision")) >= 20, tally
+
+
 def test_a_search_reused_under_a_higher_cap_stays_exact():
     """The memo tags lower bounds apart from exact values.  Within one
     call a stored lower bound is never entered again under a higher cap,
@@ -203,6 +242,15 @@ def test_deep_safety_search_has_no_recursion_limit():
     assert not res.safe
     out = greedy_match(g, res.witness, pi)
     assert out.matched_u_of_v[n - 1] is None
+
+
+def test_deep_safety_witness_equals_the_recursive_reference():
+    """At n=400 the recursive reference still fits the recursion limit,
+    and the witness the choices replay is the one it finds first."""
+    n = 400
+    g, pi = reversed_chain(n), Permutation.identity(n)
+    res = is_safe(g, pi, [n - 1])
+    assert (res.safe, list(res.witness.order)) == reference_is_safe(g, pi, [n - 1])
 
 
 def test_cli_deep_safety_search_exits_zero(tmp_path, capsys):
