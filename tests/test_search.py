@@ -7,7 +7,8 @@ of the recursive safety search in conftest, and it must handle inputs
 far deeper than the interpreter's recursion limit.  Bounding children
 in their parent's scan must change nothing but the work: against the
 engine that scanned every child, values, orders and node counts are
-equal and the memo holds no more lower bounds.
+equal and the memo holds no more lower bounds.  The order is replayed
+from the branches the search recorded, without scanning a state again.
 """
 
 import collections
