@@ -19,7 +19,7 @@ from conftest import CORPUS_SPECS, random_perm
 import greedyorder.io as gio
 from greedyorder import generate, worst_order_exact, worst_order_masked_min
 from greedyorder.adversary import order_avoiding
-from greedyorder.analysis import enumerate_bad_sets
+from greedyorder.analysis import MINIMIZER_POLICIES, enumerate_bad_sets, iterative_process
 from greedyorder.cli import main
 
 PINNED = {
@@ -28,6 +28,7 @@ PINNED = {
     "worst_order_masked_min": "34e0e6c513de0819aa643d5255ab983b934e5f043088b23100b9dd529391c36f",
     "order_avoiding": "d1449210c1598987f575ccca382948d91b09a9cfe25bae0a349a358d60f58546",
     "enumerate_bad_sets": "340743b1536dd45f7e6f0ba234f87df7284756a64228ecb29220d8d363480fa2",
+    "iterative_process": "c41f8463a8492e909e5c6dbe38e614587fb3181e27b2d57331743ec89c7fdd34",
 }
 
 
@@ -93,3 +94,14 @@ def test_bad_set_reports_are_pinned(graphs):
         if 2 <= g.n <= 6:
             doc[name] = gio.badset_report_to_doc(enumerate_bad_sets(g, 2, "full_pi"))
     check_pinned("enumerate_bad_sets", doc)
+
+
+def test_iterative_traces_are_pinned(graphs):
+    doc = []
+    for idx, (name, g) in enumerate(graphs):
+        if g.n <= 7:
+            pi = random_perm(random.Random(idx), g.n)
+            for policy in MINIMIZER_POLICIES:
+                trace = iterative_process(g, pi, 8, policy)
+                doc.append([name, policy, gio.iterative_trace_to_doc(trace)])
+    check_pinned("iterative_process", doc)
