@@ -9,9 +9,10 @@ depends only on which U-vertices were processed, so the pair of masks
 which the processed prefix arrived cannot influence anything later.
 
 One search engine, `_ArrivalSearch`, serves the exact adversary, the
-masked minimum and the safety decision in `analysis.is_safe`.  It is a
-depth-first branch-and-bound on an explicit stack, so its depth is not
-limited by the interpreter's recursion limit.  It rests on one lemma.
+masked minimum and the safety decision, all through `_masked_search`
+with its one budget fallback and one replay check.  It is a depth-first
+branch-and-bound on an explicit stack, free of the recursion limit, and
+rests on one lemma.
 
 Forced pick: at any state, let v be the lowest-ranked free neighbor of
 a live arrival u.  Every completion of the state matches v.  The
@@ -346,36 +347,45 @@ def _greedy_size(adj_rank: Sequence[int], order: Sequence[int], full: int) -> in
     return (full ^ free).bit_count()
 
 
+def _masked_search(
+    g: BipartiteGraph, pi: Permutation, v_subset: Sequence[int], cap: int, budget: float
+) -> tuple[int, Optional[Permutation], bool, int]:
+    """(value, sigma, exact, nodes_expanded) for the least number of
+    distinct v_subset vertices that greedy matches.  A value reaching cap
+    is a lower bound without sigma; below cap, sigma is the first optimal
+    branch sequence, checked by greedy replay.  Past `budget` states the
+    heuristic's order gives sigma and an upper bound, and exact is false."""
+    _check_subset(g, pi, v_subset)
+    _check_settings(budget=budget)
+    search = _ArrivalSearch(_adj_rank_masks(g, pi), g.n, _rank_mask(pi, v_subset), budget)
+    try:
+        value = search.value(cap)
+    except _BudgetExceeded:
+        fallback = worst_order_heuristic(g, pi, iters=4000, seed=0)
+        sigma, exact, nodes = fallback.sigma, False, budget + fallback.nodes_expanded
+    else:
+        if value >= cap:
+            return value, None, True, search.nodes
+        sigma, exact, nodes = Permutation.from_order(search.replay()), True, search.nodes
+    matched = greedy_match(g, sigma, pi).matched_u_of_v
+    count = sum(1 for v in set(v_subset) if matched[v] is not None)
+    if exact and count != value:
+        raise PropositionViolatedError(
+            "the replayed order matches %d subset vertices, the search said %d" % (count, value)
+        )
+    return count, sigma, exact, nodes
+
+
 def worst_order_exact(
     g: BipartiteGraph, pi: Permutation, budget: int = DEFAULT_BUDGET
 ) -> AdversaryResult:
-    """Minimize the greedy matched count over all arrival orders.
-
-    Forced-pick branch-and-bound over (processed U, matched V) states
-    (see the module docstring), with no cap, so the value is exact.
-    sigma is the lexicographically first optimal branch sequence, and
-    nodes_expanded counts expanded and terminal states, not bound
-    cut-offs or memo hits.  If more than `budget` states are expanded
-    the local-search heuristic supplies the answer and exact is false.
-    """
-    _check_dims(g, pi, "pi")
-    _check_settings(budget=budget)
-    search = _ArrivalSearch(_adj_rank_masks(g, pi), g.n, (1 << g.n) - 1, budget)
-    try:
-        size = search.value(g.n + 1)
-    except _BudgetExceeded:
-        fallback = worst_order_heuristic(g, pi, iters=4000, seed=0)
-        return AdversaryResult(
-            sigma=fallback.sigma, size=fallback.size, exact=False,
-            nodes_expanded=budget + fallback.nodes_expanded,
-        )
-    sigma = Permutation.from_order(search.replay())
-    check = greedy_match(g, sigma, pi).size
-    if check != size:
-        raise PropositionViolatedError(
-            "replayed order gives %d matches, search said %d" % (check, size)
-        )
-    return AdversaryResult(sigma=sigma, size=size, exact=True, nodes_expanded=search.nodes)
+    """Minimize the greedy matched count over all arrival orders: the
+    masked search over every vertex, uncapped.  sigma is the
+    lexicographically first optimal branch sequence; nodes_expanded
+    counts expanded and terminal states, not cut children or memo hits,
+    and the heuristic's fallback past `budget` is inexact."""
+    size, sigma, exact, nodes = _masked_search(g, pi, range(g.n), g.n + 1, budget)
+    return AdversaryResult(sigma=sigma, size=size, exact=exact, nodes_expanded=nodes)
 
 
 def worst_order_masked_min(
@@ -384,40 +394,20 @@ def worst_order_masked_min(
     v_subset: Sequence[int],
     budget: int = DEFAULT_BUDGET,
 ) -> tuple[int, bool, int]:
-    """Minimum over all arrival orders of how many vertices of v_subset
-    get matched.  Returns (value, exact, nodes_expanded)."""
-    _check_subset(g, pi, v_subset)
-    _check_settings(budget=budget)
-    search = _ArrivalSearch(_adj_rank_masks(g, pi), g.n, _rank_mask(pi, v_subset), budget)
-    try:
-        return search.value(g.n + 1), True, search.nodes
-    except _BudgetExceeded:
-        sub = set(v_subset)
-        fallback = worst_order_heuristic(g, pi, iters=4000, seed=0)
-        out = greedy_match(g, fallback.sigma, pi)
-        val = sum(1 for v in sub if out.matched_u_of_v[v] is not None)
-        return val, False, budget
+    """Minimum over all arrival orders of how many distinct vertices of
+    v_subset get matched.  Returns (value, exact, nodes_expanded)."""
+    value, _, exact, nodes = _masked_search(g, pi, v_subset, g.n + 1, budget)
+    return value, exact, nodes
 
 
 def order_avoiding(
     g: BipartiteGraph, pi: Permutation, v_subset: Sequence[int]
 ) -> Optional[Permutation]:
     """An arrival order under which greedy matches no vertex of
-    v_subset, or None when every order matches one of them.
-
-    The masked search runs with cap 1, so it only has to decide whether
-    the masked minimum is 0; the order is the first such branch
-    sequence, checked by greedy replay.  There is no node budget.
-    """
-    _check_subset(g, pi, v_subset)
-    search = _ArrivalSearch(_adj_rank_masks(g, pi), g.n, _rank_mask(pi, v_subset), math.inf)
-    if search.value(1):
-        return None
-    sigma = Permutation.from_order(search.replay())
-    matched = greedy_match(g, sigma, pi).matched_u_of_v
-    if any(matched[v] is not None for v in v_subset):
-        raise PropositionViolatedError("safety witness failed replay validation")
-    return sigma
+    v_subset, or None when every order matches one of them: the masked
+    search with cap 1 and no node budget, which only decides whether the
+    masked minimum is 0."""
+    return _masked_search(g, pi, v_subset, 1, math.inf)[1]
 
 
 def worst_order_heuristic(

@@ -383,33 +383,25 @@ def _minimize_with_policy(g: BipartiteGraph, pi: Permutation, policy: str):
         return res.sigma, res.size, tuple(out.unmatched_v())
     if n > 9:
         raise UsageError("policy %r enumerates all arrival orders; n <= 9 required" % (policy,))
-    if policy == "max_losers_low":
-        half = set(pi.order[: (n + 1) // 2])
-        best = None
-        for perm in itertools.permutations(range(n)):
-            out = greedy_match(g, Permutation.from_order(perm), pi)
-            losers = tuple(out.unmatched_v())
-            key = (out.size, -len(half.intersection(losers)), perm)
-            if best is None or key < best[0]:
-                best = (key, perm, losers)
-        return Permutation.from_order(best[1]), best[0][0], best[2]
-    best_size: Optional[int] = None
+    # One pass for both policies keeps, for each loser set at the least
+    # size, the first order that leaves it: permutations() yields orders
+    # lexicographically, and both policies break ties by the smaller order.
+    best_size = n + 1
     loser_sets: dict[tuple[int, ...], tuple[int, ...]] = {}
     for perm in itertools.permutations(range(n)):
         out = greedy_match(g, Permutation.from_order(perm), pi)
-        if best_size is None or out.size < best_size:
-            best_size = out.size
-            loser_sets = {}
+        if out.size < best_size:
+            best_size, loser_sets = out.size, {}
         if out.size == best_size:
-            losers = tuple(out.unmatched_v())
-            cur = loser_sets.get(losers)
-            if cur is None or perm < cur:
-                loser_sets[losers] = perm
-    scored = []
-    for losers, perm in loser_sets.items():
-        nxt = _exact_sigma(g, _promoted(pi, losers))
-        scored.append((nxt.size, losers, perm))
-    next_value, losers, perm = min(scored)
+            loser_sets.setdefault(tuple(out.unmatched_v()), perm)
+    if policy == "max_losers_low":
+        half = set(pi.order[: (n + 1) // 2])
+        losers, perm = min(loser_sets.items(), key=lambda lp: (-len(half & set(lp[0])), lp[1]))
+    else:
+        _, losers, perm = min(
+            (_exact_sigma(g, _promoted(pi, losers)).size, losers, perm)
+            for losers, perm in loser_sets.items()
+        )
     return Permutation.from_order(perm), best_size, losers
 
 

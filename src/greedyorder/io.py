@@ -15,11 +15,13 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any, Mapping, Optional, Sequence
 
-from .adversary import ADVERSARY_MODES, DEFAULT_BUDGET, DEFAULT_MODE, AdversaryResult
+from .adversary import (
+    ADVERSARY_MODES, DEFAULT_BUDGET, DEFAULT_MODE, AdversaryResult, _check_settings,
+)
 from .analysis import BadSetReport, ExponentReport, IterativeTrace, MonteCarloSummary, SafetyResult
 from .certify import CONSTRUCTIONS, BoundCertificate
 from .core import BipartiteGraph, Permutation
-from .errors import SchemaError
+from .errors import AnalysisParamError, SchemaError
 from .families import FAMILIES, FamilySpec, derived_seed
 
 __all__ = [
@@ -246,11 +248,12 @@ def config_from_doc(doc: Any, where: str = "config") -> ExperimentConfig:
     mode = adv_doc.get("mode", DEFAULT_MODE)
     if mode not in ADVERSARY_MODES:
         raise _fail(where, "unknown adversary mode %r" % (mode,))
-    budget = adv_doc.get("budget", DEFAULT_BUDGET)
-    iters = adv_doc.get("iters", 4000)
-    for label, value in (("budget", budget), ("iters", iters)):
-        if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-            raise _fail(where, "adversary field %r must be a positive integer" % label)
+    adv_doc = {"budget": DEFAULT_BUDGET, "iters": 4000, **adv_doc}
+    budget, iters = (_get_int(adv_doc, k, where + ": adversary") for k in ("budget", "iters"))
+    try:
+        _check_settings(budget=budget, iters=iters)
+    except AnalysisParamError as exc:
+        raise _fail(where, "adversary %s" % exc) from exc
     trials = doc.get("trials", 100)
     if not isinstance(trials, int) or isinstance(trials, bool) or trials < 1:
         raise _fail(where, "field 'trials' must be a positive integer")

@@ -143,6 +143,14 @@ def test_masked_min_full_subset_equals_exact():
     assert value == worst_order_exact(g, pi).size
 
 
+def test_masked_min_counts_a_repeated_vertex_once():
+    """The search's mask ignores repeats, so the replay check must too;
+    vertex 0, first under pi, is matched by every order."""
+    g, pi = generate(FamilySpec("fano")), Permutation.identity(7)
+    assert worst_order_masked_min(g, pi, [5, 5, 6]) == worst_order_masked_min(g, pi, [5, 6])
+    assert worst_order_masked_min(g, pi, [0, 0, 6]) == worst_order_masked_min(g, pi, [0, 6])
+
+
 def test_regular_gadget_adversary_hits_quota():
     rng = random.Random(101)
     for d, t in ((1, 1), (2, 1), (3, 1), (3, 2), (2, 2)):
@@ -241,7 +249,7 @@ def test_player_settings_outside_their_domain():
     assert worst_order_heuristic(g, pi, iters=0).nodes_expanded == 0
     res = worst_order_exact(g, pi, budget=1)
     assert (res.exact, res.nodes_expanded) == (False, 1 + 4000)
-    assert worst_order_masked_min(g, pi, [5, 6], budget=1)[1:] == (False, 1)
+    assert worst_order_masked_min(g, pi, [5, 6], budget=1)[1:] == (False, 1 + 4000)
 
 
 def test_biclique_adversary_bounds():

@@ -24,6 +24,7 @@ from greedyorder import (
     is_safe,
     iterative_process,
     monte_carlo_random_pi,
+    worst_order_exact,
 )
 from greedyorder.errors import (
     AnalysisParamError,
@@ -389,6 +390,35 @@ def test_iterative_policies_agree_on_values():
     # choice (and hence later rounds' length) may differ
     first = {policy: s[0] for policy, s in sizes.items()}
     assert len(set(first.values())) == 1
+
+
+def test_exhaustive_policies_follow_their_rules_over_all_orders():
+    """Each exhaustive policy's first round against its rule applied to
+    every arrival order of the least size: max_losers_low takes the most
+    losers in pi's first half, then the first order;
+    exhaustive_worst_for_next_round the least next-round minimum, then
+    the least loser tuple, then the first order."""
+    rng = random.Random(389)
+    for _ in range(40):
+        n = rng.randrange(2, 7)
+        g, pi = random_pm_graph(rng, n), random_perm(rng, n)
+        orders = [Permutation.from_order(p) for p in itertools.permutations(range(n))]
+        outs = [(greedy_match(g, sigma, pi), tuple(sigma.order)) for sigma in orders]
+        least = min(out.size for out, _ in outs)
+        low = [(tuple(out.unmatched_v()), order) for out, order in outs if out.size == least]
+        half = set(pi.order[: (n + 1) // 2])
+
+        def next_min(losers):
+            top = [v for v in pi.order if v in losers] + [v for v in pi.order if v not in losers]
+            return worst_order_exact(g, Permutation.from_order(top)).size
+
+        expected = {
+            "max_losers_low": min(low, key=lambda lo: (-len(half.intersection(lo[0])), lo[1])),
+            "exhaustive_worst_for_next_round": min(low, key=lambda lo: (next_min(lo[0]), *lo)),
+        }
+        for policy, (losers, order) in expected.items():
+            rec = iterative_process(g, pi, cap=1, minimizer_policy=policy).records[0]
+            assert (tuple(rec.sigma.order), rec.size, rec.losers) == (order, least, losers)
 
 
 def test_exhaustive_policy_needs_small_n():

@@ -334,6 +334,8 @@ def test_config_validation_errors():
         {**base, "instances": [{"family": "nonesuch"}]},
         {**base, "adversary": {"mode": "psychic"}},
         {**base, "adversary": {"budget": 0}},
+        {**base, "adversary": {"iters": -1}},
+        {**base, "adversary": {"iters": 2.0}},
         {**base, "trials": 0},
         {**base, "seed": True},
         {**base, "output_path": 7},
@@ -341,6 +343,12 @@ def test_config_validation_errors():
     for doc in bad:
         with pytest.raises(SchemaError):
             gio.config_from_doc(doc)
+    # The floors are the players' own: a heuristic of 0 iterations is
+    # valid, and a budget below 1 is named with the file.
+    config = gio.config_from_doc({**base, "adversary": {"mode": "heuristic", "iters": 0}})
+    assert config.adversary.iters == 0
+    with pytest.raises(SchemaError, match="^cfg.json: adversary budget must be positive$"):
+        gio.config_from_doc({**base, "adversary": {"budget": 0}}, "cfg.json")
 
 
 # --- experiment rows ---------------------------------------------------------
@@ -740,6 +748,10 @@ def test_cli_analyze_safety(tmp_path, capsys):
     assert doc["safe"] is False
     assert doc["witness"] == [0, 2, 1]
     assert main(["analyze", "safety", graph, "--pi", str(pi_path), "--set", "0,zero"]) == 1
+    capsys.readouterr()
+    # The empty set is safe by convention.
+    assert main(["analyze", "safety", graph, "--pi", str(pi_path), "--set", ""]) == 0
+    assert json.loads(capsys.readouterr().out) == {"safe": True, "witness": None}
 
 
 def test_cli_analyze_montecarlo_matches_library(tmp_path, capsys):
@@ -822,6 +834,12 @@ def test_cli_analyze_iterate(tmp_path, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert [rec["size"] for rec in doc["records"]] == [4, 4, 4, 8]
     assert doc["cap_reached"] is False
+    # Without --pi the first round uses the identity priority order.
+    pi_path.write_text(json.dumps(list(range(8))))
+    assert main(["analyze", "iterate", str(gpath), "--pi", str(pi_path)]) == 0
+    with_identity = capsys.readouterr().out
+    assert main(["analyze", "iterate", str(gpath)]) == 0
+    assert capsys.readouterr().out == with_identity
 
 
 def test_cli_analyze_crosscheck(tmp_path, capsys):
