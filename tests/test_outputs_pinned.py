@@ -18,7 +18,7 @@ from conftest import CORPUS_SPECS, random_perm
 
 import greedyorder.io as gio
 from greedyorder import generate, worst_order_exact, worst_order_masked_min
-from greedyorder.adversary import order_avoiding
+from greedyorder.adversary import ADVERSARY_MODES, order_avoiding
 from greedyorder.analysis import MINIMIZER_POLICIES, enumerate_bad_sets, iterative_process
 from greedyorder.cli import main
 
@@ -29,6 +29,11 @@ PINNED = {
     "order_avoiding": "d1449210c1598987f575ccca382948d91b09a9cfe25bae0a349a358d60f58546",
     "enumerate_bad_sets": "340743b1536dd45f7e6f0ba234f87df7284756a64228ecb29220d8d363480fa2",
     "iterative_process": "c41f8463a8492e909e5c6dbe38e614587fb3181e27b2d57331743ec89c7fdd34",
+    "cli_adversary_exact": "0d84a664f841a89ec59508e25b0598c2db6bfbfa25501783505095e1bcca4b64",
+    "cli_adversary_heuristic": "bfbac92c631f266234c4309dcde592ccb3dbbc55af5a73edd11c75dae5362f81",
+    "cli_analyze_safety": "ac99a68dc04da4af60555d0cd99ff8dabcd5613b93ddc61433e4f87ae78fc8dc",
+    "cli_analyze_montecarlo": "b0b0d1c27ad02def499ec5eb1f8be18173fe8a0a01373f4e1e3a123a7c9c9d4a",
+    "cli_analyze_exponents": "2ec9c0e87e1f3066b9fe946c858a1f9a7dfdf6cb79f19a023165aff806b09043",
 }
 
 
@@ -105,3 +110,62 @@ def test_iterative_traces_are_pinned(graphs):
                 trace = iterative_process(g, pi, 8, policy)
                 doc.append([name, policy, gio.iterative_trace_to_doc(trace)])
     check_pinned("iterative_process", doc)
+
+
+def cli_run(capsys, argv):
+    code = main(argv)
+    out, err = capsys.readouterr()
+    return [code, out, err]
+
+
+def cli_cases(graphs, tmp_path, n_max):
+    """seeded_cases with the graph and pi written to files for the CLI."""
+    for idx, (name, g, pi, subset, lowest) in enumerate(seeded_cases(graphs, n_max)):
+        gpath, pipath = tmp_path / ("g%d.json" % idx), tmp_path / ("pi%d.json" % idx)
+        gio.write_graph(str(gpath), g)
+        gio.write_perm(str(pipath), pi)
+        yield idx, name, str(gpath), str(pipath), subset, lowest
+
+
+def test_cli_adversary_documents_are_pinned(graphs, tmp_path, capsys):
+    exact, heuristic = [], []
+    for idx, name, gpath, pipath, _, _ in cli_cases(graphs, tmp_path, 11):
+        exact.append([name, cli_run(capsys, ["adversary", gpath, "--pi", pipath, "--exact"])])
+        argv = ["adversary", gpath, "--pi", pipath, "--iters", "200", "--seed", str(idx)]
+        heuristic.append([name, cli_run(capsys, argv)])
+    check_pinned("cli_adversary_exact", exact)
+    check_pinned("cli_adversary_heuristic", heuristic)
+
+
+def test_cli_safety_documents_are_pinned(graphs, tmp_path, capsys):
+    doc = []
+    for _, name, gpath, pipath, subset, lowest in cli_cases(graphs, tmp_path, 11):
+        for s in (subset, lowest):
+            argv = ["analyze", "safety", gpath, "--pi", pipath, "--set", ",".join(map(str, s))]
+            doc.append([name, s, cli_run(capsys, argv)])
+    check_pinned("cli_analyze_safety", doc)
+
+
+def test_cli_montecarlo_documents_are_pinned(graphs, tmp_path, capsys):
+    doc = []
+    for idx, (name, g) in enumerate(graphs):
+        if g.n > 8:
+            continue
+        path = str(tmp_path / ("%s.json" % name))
+        gio.write_graph(path, g)
+        for mode in ADVERSARY_MODES:
+            argv = ["analyze", "montecarlo", path, "--trials", "4", "--adversary-mode", mode]
+            argv += ["--iters", "50", "--seed", str(idx)]
+            doc.append([name, mode, cli_run(capsys, argv)])
+    check_pinned("cli_analyze_montecarlo", doc)
+
+
+def test_cli_exponent_table_and_document_are_pinned(tmp_path, capsys):
+    doc = []
+    settings = [[], ["--eps", "0", "--alpha", "1/5", "--beta", "1/4"]]
+    settings += [["--eps", "1/10", "--alpha", "1/10", "--beta", "1/5"], ["--alpha", "abc"]]
+    for idx, flags in enumerate(settings):
+        out = tmp_path / ("exp%d.json" % idx)
+        run = cli_run(capsys, ["analyze", "exponents", *flags, "-o", str(out)])
+        doc.append([flags, run, out.read_text() if out.exists() else None])
+    check_pinned("cli_analyze_exponents", doc)
