@@ -336,15 +336,16 @@ def _check_subset(g: BipartiteGraph, pi: Permutation, v_subset: Sequence[int]) -
         raise AnalysisParamError("subset contains vertices outside the graph")
 
 
-def _greedy_size(adj_rank: Sequence[int], order: Sequence[int], full: int) -> int:
-    """greedy_match(g, order, pi).size from adj_rank = _adj_rank_masks(g, pi)
-    and full = (1 << n) - 1: each arrival takes its lowest free bit."""
+def _greedy_size(adj_rank: Sequence[int], order: Sequence[int], full: int, count: int) -> int:
+    """How many ranks of the mask `count` greedy_match(g, order, pi)
+    matches, from adj_rank = _adj_rank_masks(g, pi) and full = (1 << n) - 1:
+    each arrival takes its lowest free bit."""
     free = full
     for u in order:
         m = adj_rank[u] & free
         if m:
             free ^= m & -m
-    return (full ^ free).bit_count()
+    return ((full ^ free) & count).bit_count()
 
 
 def _masked_search(
@@ -353,16 +354,18 @@ def _masked_search(
     """(value, sigma, exact, nodes_expanded) for the least number of
     distinct v_subset vertices that greedy matches.  A value reaching cap
     is a lower bound without sigma; below cap, sigma is the first optimal
-    branch sequence, checked by greedy replay.  Past `budget` states the
-    heuristic's order gives sigma and an upper bound, and exact is false."""
+    branch sequence, checked by greedy replay.  Past `budget` states a
+    local search of 4000 iterations scoring the subset's count gives sigma
+    and an upper bound, and exact is false."""
     _check_subset(g, pi, v_subset)
     _check_settings(budget=budget)
-    search = _ArrivalSearch(_adj_rank_masks(g, pi), g.n, _rank_mask(pi, v_subset), budget)
+    adj, mask = _adj_rank_masks(g, pi), _rank_mask(pi, v_subset)
+    search = _ArrivalSearch(adj, g.n, mask, budget)
     try:
         value = search.value(cap)
     except _BudgetExceeded:
-        fallback = worst_order_heuristic(g, pi, iters=4000, seed=0)
-        sigma, exact, nodes = fallback.sigma, False, budget + fallback.nodes_expanded
+        order, _ = _local_search(adj, g.n, mask, 4000, 0)
+        sigma, exact, nodes = Permutation.from_order(order), False, budget + 4000
     else:
         if value >= cap:
             return value, None, True, search.nodes
@@ -410,24 +413,16 @@ def order_avoiding(
     return _masked_search(g, pi, v_subset, 1, math.inf)[1]
 
 
-def worst_order_heuristic(
-    g: BipartiteGraph, pi: Permutation, iters: int = 10_000, seed: int = 0
-) -> AdversaryResult:
-    """Random-restart local search over arrival orders.
-
-    Moves are adjacent transpositions and single-block relocations; a
-    move is kept when it does not increase the matched count.  The
-    result is an upper bound on the true minimum and is deterministic
-    for a fixed seed.
-    """
-    _check_dims(g, pi, "pi")
-    _check_settings(iters=iters)
+def _local_search(
+    adj: Sequence[int], n: int, count: int, iters: int, seed: int
+) -> tuple[list[int], int]:
+    """The local search of worst_order_heuristic, scoring each arrival
+    order by _greedy_size(adj, order, full, count): (best order, score)."""
     rng = random.Random(seed)
-    n = g.n
-    adj, full = _adj_rank_masks(g, pi), (1 << n) - 1
+    full = (1 << n) - 1
     cur = list(range(n))
     rng.shuffle(cur)
-    cur_val = _greedy_size(adj, cur, full)
+    cur_val = _greedy_size(adj, cur, full, count)
     best, best_val = cur[:], cur_val
     stale = 0
     restart_after = max(100, 2 * n)
@@ -446,7 +441,7 @@ def worst_order_heuristic(
                 cand = rest[:c] + block + rest[c:]
         else:
             cand = cur[:]
-        val = _greedy_size(adj, cand, full)
+        val = _greedy_size(adj, cand, full, count)
         if val <= cur_val:
             if val < cur_val:
                 stale = 0
@@ -458,12 +453,28 @@ def worst_order_heuristic(
         if stale >= restart_after:
             cur = list(range(n))
             rng.shuffle(cur)
-            cur_val = _greedy_size(adj, cur, full)
+            cur_val = _greedy_size(adj, cur, full, count)
             if cur_val < best_val:
                 best, best_val = cur[:], cur_val
             stale = 0
+    return best, best_val
+
+
+def worst_order_heuristic(
+    g: BipartiteGraph, pi: Permutation, iters: int = 10_000, seed: int = 0
+) -> AdversaryResult:
+    """Random-restart local search over arrival orders.
+
+    Moves are adjacent transpositions and single-block relocations; a
+    move is kept when it does not increase the matched count.  The
+    result is an upper bound on the true minimum and is deterministic
+    for a fixed seed.
+    """
+    _check_dims(g, pi, "pi")
+    _check_settings(iters=iters)
+    best, size = _local_search(_adj_rank_masks(g, pi), g.n, (1 << g.n) - 1, iters, seed)
     return AdversaryResult(
-        sigma=Permutation.from_order(best), size=best_val, exact=False, nodes_expanded=iters
+        sigma=Permutation.from_order(best), size=size, exact=False, nodes_expanded=iters
     )
 
 
@@ -481,7 +492,7 @@ def worst_order_sampled(
     for _ in range(draws):
         order = list(range(g.n))
         rng.shuffle(order)
-        val = _greedy_size(adj, order, full)
+        val = _greedy_size(adj, order, full, full)
         if val < best_val:
             best, best_val = order, val
     sigma = Permutation.from_order(best)
@@ -608,14 +619,12 @@ def _family_param(g: BipartiteGraph, key: str) -> int:
         raise FamilyShapeError("graph param %r must be an integer, got %r" % (key, value)) from exc
 
 
-def adversary_planted_is(
-    g: BipartiteGraph, pi: Permutation, planted_size: Optional[int] = None
-) -> Permutation:
+def adversary_planted_is(g: BipartiteGraph, pi: Permutation) -> Permutation:
     """Arrival order exploiting a planted balanced independent set.
 
-    The first planted_size indices on each side are assumed to span no
-    edges (the generator's convention; the size is read from the graph's
-    params when not given).  All U-vertices outside the planted set are
+    The first planted_size indices on each side, planted_size read from
+    the graph's params, are assumed to span no edges (the generator's
+    convention).  All U-vertices outside the planted set are
     matched onto the highest-priority vertices they can reach and arrive
     by ascending partner priority; the planted U-set arrives last.  A
     few prefix vertices may be reachable only from the planted U-side,
@@ -627,8 +636,7 @@ def adversary_planted_is(
     range lose all their neighbors, so they stay unmatched.
     """
     n = g.n
-    if planted_size is None:
-        planted_size = _family_param(g, "planted_size")
+    planted_size = _family_param(g, "planted_size")
     if not (0 <= planted_size <= n // 2):
         raise FamilyShapeError("planted_size %d out of range" % planted_size)
     rank = pi.rank

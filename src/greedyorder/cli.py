@@ -88,7 +88,7 @@ def cmd_adversary(args) -> int:
     pi = gio.read_perm(args.pi, n=g.n)
     mode = "exact" if args.exact else "heuristic"
     res = attack(mode, g, pi, budget=args.budget, iters=args.iters, seed=args.seed or 0)
-    _emit(args, gio.adversary_result_to_doc(res))
+    _emit(args, gio.to_doc(res))
     return 0
 
 
@@ -122,10 +122,7 @@ def _experiment_cell(config: gio.ExperimentConfig, idx: int, spec: FamilySpec, m
         row["n"] = g.n
         cert = build_certificate(g, method)
         row["certified_count"] = cert.guaranteed_count
-        row["fraction"] = "%d/%d" % (
-            cert.guaranteed_fraction.numerator,
-            cert.guaranteed_fraction.denominator,
-        )
+        row["fraction"] = gio.to_doc(cert.guaranteed_fraction)
         adv = config.adversary
         res = attack(
             adv.mode, g, cert.pi, budget=adv.budget, iters=adv.iters, draws=config.trials, seed=row_seed
@@ -211,22 +208,16 @@ def _parse_set(text: str) -> list[int]:
 
 def cmd_analyze_exponents(args) -> int:
     params = AnalysisParams(eps=args.eps, alpha=args.alpha, beta=args.beta)
-    report = bound_exponents(params)
-    lines = [
-        ("badset_exp", report.badset_exp),
-        ("order_exp", report.order_exp),
-        ("expansion_exp_literal", report.expansion_exp_literal),
-        ("expansion_exp_rescaled", report.expansion_exp_rescaled),
-        ("combined_order", report.combined_order),
-        ("combined_expansion", report.combined_expansion),
-    ]
+    doc = gio.to_doc(bound_exponents(params))
     print("%-26s %16s" % ("exponent", "value"))
-    for name, value in lines:
-        print("%-26s %16.9f" % (name, value))
-    if report.flags:
-        print("flags: %s" % ", ".join(report.flags))
+    # The report's exponents are its float fields, in declared order.
+    for name, value in doc.items():
+        if isinstance(value, float):
+            print("%-26s %16.9f" % (name, value))
+    if doc["flags"]:
+        print("flags: %s" % ", ".join(doc["flags"]))
     if args.output:
-        gio.write_doc(args.output, gio.exponent_report_to_doc(report))
+        gio.write_doc(args.output, doc)
     return 0
 
 
@@ -241,7 +232,7 @@ def cmd_analyze_safety(args) -> int:
     g, _ = gio.read_graph(args.graph)
     pi = gio.read_perm(args.pi, n=g.n)
     result = is_safe(g, pi, _parse_set(args.set))
-    _emit(args, gio.safety_result_to_doc(result))
+    _emit(args, gio.to_doc(result))
     return 0
 
 

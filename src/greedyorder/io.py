@@ -1,9 +1,10 @@
 """Canonical JSON documents for graphs, orders, covers, and results.
 
 Writers always emit the canonical form: keys sorted, two-space indent,
-edges sorted lexicographically, one trailing newline.  Readers accept
-any schema-valid document and normalize, so write(read(x)) is the
-identity on canonical files.  Shape problems raise SchemaError naming
+edges sorted lexicographically, one trailing newline.  A result
+document is its dataclass's fields by name, through `to_doc`.  Readers
+accept any schema-valid document and normalize, so write(read(x)) is
+the identity on canonical files.  Shape problems raise SchemaError naming
 the file and field; semantic problems (say, an edge list that is not a
 valid graph) surface through the usual construction errors.
 """
@@ -11,14 +12,12 @@ valid graph) surface through the usual construction errors.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass
 from fractions import Fraction
 from typing import Any, Mapping, Optional, Sequence
 
-from .adversary import (
-    ADVERSARY_MODES, DEFAULT_BUDGET, DEFAULT_MODE, AdversaryResult, _check_settings,
-)
-from .analysis import BadSetReport, ExponentReport, IterativeTrace, MonteCarloSummary, SafetyResult
+from .adversary import ADVERSARY_MODES, DEFAULT_BUDGET, DEFAULT_MODE, _check_settings
+from .analysis import BadSetReport, IterativeTrace, MonteCarloSummary
 from .certify import CONSTRUCTIONS, BoundCertificate
 from .core import BipartiteGraph, Permutation
 from .errors import AnalysisParamError, SchemaError
@@ -32,16 +31,13 @@ __all__ = [
     "graph_from_doc",
     "write_graph",
     "read_graph",
-    "perm_to_doc",
     "perm_from_doc",
     "write_perm",
     "read_perm",
     "read_config",
+    "to_doc",
     "certificate_to_doc",
-    "adversary_result_to_doc",
-    "exponent_report_to_doc",
     "badset_report_to_doc",
-    "safety_result_to_doc",
     "monte_carlo_to_doc",
     "iterative_trace_to_doc",
     "write_doc",
@@ -139,6 +135,10 @@ def graph_from_doc(
             v for _, v in matching
         ) != list(range(n)):
             raise _fail(where, "field 'matching' is not a perfect matching on both sides")
+        edge_set = set(edges)
+        for idx, pair in enumerate(matching):
+            if pair not in edge_set:
+                raise _fail(where, "field 'matching' pair %d is not an edge" % idx)
     g = BipartiteGraph.from_edges(n, edges, family=family, params=params)
     return g, matching
 
@@ -156,10 +156,6 @@ def read_graph(path: str) -> tuple[BipartiteGraph, Optional[list[tuple[int, int]
 # --- permutations ---------------------------------------------------------
 
 
-def perm_to_doc(p: Permutation) -> list[int]:
-    return list(p.order)
-
-
 def perm_from_doc(doc: Any, n: Optional[int] = None, where: str = "permutation") -> Permutation:
     if not isinstance(doc, list) or not all(
         isinstance(x, int) and not isinstance(x, bool) for x in doc
@@ -173,7 +169,7 @@ def perm_from_doc(doc: Any, n: Optional[int] = None, where: str = "permutation")
 
 
 def write_perm(path: str, p: Permutation) -> None:
-    write_doc(path, perm_to_doc(p))
+    write_doc(path, to_doc(p))
 
 
 def read_perm(path: str, n: Optional[int] = None) -> Permutation:
@@ -218,18 +214,16 @@ def _spec_from_doc(doc: Any, idx: int, default_seed: int, where: str) -> FamilyS
     params = doc.get("params", {})
     if not isinstance(params, dict):
         raise _fail(where, "%s: field 'params' must be an object" % slot)
-    seed = doc.get("seed", derived_seed(default_seed, idx))
-    if not isinstance(seed, int) or isinstance(seed, bool):
-        raise _fail(where, "%s: field 'seed' must be an integer" % slot)
+    doc = {"seed": derived_seed(default_seed, idx), **doc}
+    seed = _get_int(doc, "seed", "%s: %s" % (where, slot))
     return FamilySpec(family=family, params=params, seed=seed)
 
 
 def config_from_doc(doc: Any, where: str = "config") -> ExperimentConfig:
     if not isinstance(doc, dict):
         raise _fail(where, "document must be an object")
-    seed = doc.get("seed", 0)
-    if not isinstance(seed, int) or isinstance(seed, bool):
-        raise _fail(where, "field 'seed' must be an integer")
+    doc = {"seed": ExperimentConfig.seed, "trials": ExperimentConfig.trials, **doc}
+    seed = _get_int(doc, "seed", where)
     raw_instances = doc.get("instances")
     if not isinstance(raw_instances, list):
         raise _fail(where, "field 'instances' must be a list")
@@ -245,17 +239,17 @@ def config_from_doc(doc: Any, where: str = "config") -> ExperimentConfig:
     adv_doc = doc.get("adversary", {})
     if not isinstance(adv_doc, dict):
         raise _fail(where, "field 'adversary' must be an object")
-    mode = adv_doc.get("mode", DEFAULT_MODE)
+    adv_doc = {**vars(AdversarySettings()), **adv_doc}
+    mode = adv_doc["mode"]
     if mode not in ADVERSARY_MODES:
         raise _fail(where, "unknown adversary mode %r" % (mode,))
-    adv_doc = {"budget": DEFAULT_BUDGET, "iters": 4000, **adv_doc}
     budget, iters = (_get_int(adv_doc, k, where + ": adversary") for k in ("budget", "iters"))
     try:
         _check_settings(budget=budget, iters=iters)
     except AnalysisParamError as exc:
         raise _fail(where, "adversary %s" % exc) from exc
-    trials = doc.get("trials", 100)
-    if not isinstance(trials, int) or isinstance(trials, bool) or trials < 1:
+    trials = _get_int(doc, "trials", where)
+    if trials < 1:
         raise _fail(where, "field 'trials' must be a positive integer")
     output_path = doc.get("output_path")
     if output_path is not None and not isinstance(output_path, str):
@@ -282,89 +276,43 @@ def read_config(path: str, seed: Optional[int] = None) -> ExperimentConfig:
 # --- result documents -------------------------------------------------------
 
 
-def _frac(x: Fraction) -> str:
-    return "%d/%d" % (x.numerator, x.denominator)
+def to_doc(value: Any) -> Any:
+    """The JSON form of a result: a Permutation is its order list, a
+    Fraction "p/q", a dataclass its fields by name and a tuple or list a
+    list, each entry converted in turn; anything else is returned as is."""
+    if isinstance(value, Permutation):
+        return list(value.order)
+    if isinstance(value, Fraction):
+        return "%d/%d" % (value.numerator, value.denominator)
+    if is_dataclass(value):
+        return {f.name: to_doc(getattr(value, f.name)) for f in fields(value)}
+    if isinstance(value, (tuple, list)):
+        return [to_doc(x) for x in value]
+    return value
 
 
 def certificate_to_doc(cert: BoundCertificate) -> dict:
+    eps = cert.eps
     return {
         "construction": cert.construction,
         "guaranteed_count": cert.guaranteed_count,
-        "fraction": _frac(cert.guaranteed_fraction),
-        "eps": {
-            "e1": _frac(cert.eps.eps1),
-            "e2": _frac(cert.eps.eps2),
-            "e3": _frac(cert.eps.eps3),
-        },
-        "pi": list(cert.pi.order),
-    }
-
-
-def adversary_result_to_doc(res: AdversaryResult) -> dict:
-    return {
-        "sigma": list(res.sigma.order),
-        "size": res.size,
-        "exact": res.exact,
-        "nodes_expanded": res.nodes_expanded,
-    }
-
-
-def exponent_report_to_doc(report: ExponentReport) -> dict:
-    p = report.params
-    return {
-        "params": {"eps": _frac(p.eps), "alpha": _frac(p.alpha), "beta": _frac(p.beta)},
-        "badset_exp": report.badset_exp,
-        "order_exp": report.order_exp,
-        "expansion_exp_literal": report.expansion_exp_literal,
-        "expansion_exp_rescaled": report.expansion_exp_rescaled,
-        "combined_order": report.combined_order,
-        "combined_expansion": report.combined_expansion,
-        "flags": list(report.flags),
-    }
-
-
-def safety_result_to_doc(res: SafetyResult) -> dict:
-    return {
-        "safe": res.safe,
-        "witness": None if res.witness is None else list(res.witness.order),
+        "fraction": to_doc(cert.guaranteed_fraction),
+        "eps": {"e1": to_doc(eps.eps1), "e2": to_doc(eps.eps2), "e3": to_doc(eps.eps3)},
+        "pi": to_doc(cert.pi),
     }
 
 
 def badset_report_to_doc(report: BadSetReport) -> dict:
-    return {
-        "set_size": report.set_size,
-        "search_mode": report.search_mode,
-        "bad_sets": [list(s) for s in report.bad_sets],
-        "witnesses": {
-            ",".join(map(str, s)): {"pi": list(pi.order), "sigma": list(sigma.order)}
-            for s, (pi, sigma) in report.witnesses.items()
-        },
+    witnesses = {
+        ",".join(map(str, s)): {"pi": to_doc(pi), "sigma": to_doc(sigma)}
+        for s, (pi, sigma) in report.witnesses.items()
     }
+    return {**to_doc(report), "witnesses": witnesses}
 
 
 def monte_carlo_to_doc(summary: MonteCarloSummary) -> dict:
-    return {
-        "trials": summary.trials,
-        "mean_size": summary.mean_size,
-        "min_size": summary.min_size,
-        "mean_fraction": summary.mean_fraction,
-        "min_fraction": summary.min_fraction,
-        "stddev_fraction": summary.stddev_fraction,
-        "upper_bound_only": summary.upper_bound_only,
-    }
+    return to_doc(summary)
 
 
 def iterative_trace_to_doc(trace: IterativeTrace) -> dict:
-    return {
-        "iterations_used": trace.iterations_used,
-        "cap_reached": trace.cap_reached,
-        "records": [
-            {
-                "pi": list(r.pi.order),
-                "sigma": list(r.sigma.order),
-                "size": r.size,
-                "losers": list(r.losers),
-            }
-            for r in trace.records
-        ],
-    }
+    return {**to_doc(trace), "iterations_used": trace.iterations_used}

@@ -247,14 +247,13 @@ def reference_regular_gadget(pi, d, t):
     return Permutation.from_order(order)
 
 
-def reference_planted_is(g, pi, planted_size=None):
+def reference_planted_is(g, pi):
     """The planted-set adversary that runs one maximum matching per
     padding target it adds."""
     n = g.n
-    if planted_size is None:
-        if not g.params or "planted_size" not in g.params:
-            raise FamilyShapeError("planted_size not given and absent from graph params")
-        planted_size = int(g.params["planted_size"])
+    if not g.params or "planted_size" not in g.params:
+        raise FamilyShapeError("planted_size not given and absent from graph params")
+    planted_size = int(g.params["planted_size"])
     if not (0 <= planted_size <= n // 2):
         raise FamilyShapeError("planted_size %d out of range" % planted_size)
     rank = pi.rank
@@ -285,13 +284,17 @@ def reference_planted_is(g, pi, planted_size=None):
     return Permutation.from_order(order)
 
 
-def reference_heuristic(g, pi, iters=10_000, seed=0):
-    """The local search scoring every candidate with greedy_match."""
+def reference_heuristic(g, pi, iters=10_000, seed=0, subset=None):
+    """The local search scoring every candidate with greedy_match: by its
+    size, or with a subset by how many of its vertices are matched."""
     rng = random.Random(seed)
     n = g.n
 
     def evaluate(order):
-        return greedy_match(g, Permutation.from_order(order), pi).size
+        out = greedy_match(g, Permutation.from_order(order), pi)
+        if subset is None:
+            return out.size
+        return sum(out.matched_u_of_v[v] is not None for v in set(subset))
 
     cur = list(range(n))
     rng.shuffle(cur)
@@ -1006,6 +1009,9 @@ def reference_graph_from_doc(doc, where="graph"):
             v for _, v in matching
         ) != list(range(n)):
             raise _schema_fail(where, "field 'matching' is not a perfect matching on both sides")
+        non_edges = [idx for idx, pair in enumerate(matching) if pair not in edges]
+        if non_edges:
+            raise _schema_fail(where, "field 'matching' pair %d is not an edge" % non_edges[0])
     g = reference_from_edges(n, sorted(edges), family=family, params=params)
     return g, matching
 

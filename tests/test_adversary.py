@@ -282,6 +282,29 @@ def _random_graph(rng, n):
     return BipartiteGraph.from_edges(n, edges)
 
 
+def test_masked_fallback_scores_the_subset():
+    """Past its budget the masked minimum is the local search's best
+    order by how many subset vertices greedy matches, not by how many
+    vertices in all."""
+    for family, subset in (("fano", [5, 6]), ("pg23", [10, 11, 12])):
+        g = generate(FamilySpec(family))
+        pi = Permutation.identity(g.n)
+        assert worst_order_masked_min(g, pi, subset)[:2] == (0, True)
+        assert worst_order_masked_min(g, pi, subset, budget=1) == (0, False, 1 + 4000)
+    rng = random.Random(23)
+    fallbacks = 0
+    for _ in range(12):
+        g = _random_graph(rng, rng.randrange(4, 10))
+        pi = random_perm(rng, g.n)
+        subset = rng.sample(range(g.n), rng.randrange(1, g.n + 1))
+        value, exact, nodes = worst_order_masked_min(g, pi, subset, budget=1)
+        if not exact:
+            ref = reference_heuristic(g, pi, iters=4000, seed=0, subset=subset)
+            assert (value, nodes) == (ref.size, 1 + 4000)
+            fallbacks += 1
+    assert fallbacks >= 8
+
+
 def test_heuristic_and_sampled_equal_the_greedy_scored_reference():
     """Scoring in rank space keeps every result: the same sigma, size,
     exact flag and node count, or the same error for a pi of the wrong
@@ -351,18 +374,18 @@ def test_planted_adversary_equals_the_one_target_at_a_time_reference(monkeypatch
             g = planted[pick]
         else:
             # Any graph may carry a planted size: its "planted" block
-            # need not be independent, and its params may lack the size.
+            # need not be independent, and its params may lack the size
+            # or hold one out of range.
             g = _random_graph(rng, rng.randrange(1, 13))
-            size = rng.randrange(-1, g.n // 2 + 2)
+            size = rng.randrange(-2, g.n // 2 + 2)
             g = BipartiteGraph.from_edges(
                 g.n, g.edges, family="planted_is",
-                params=None if size < 0 else {"planted_size": size},
+                params=None if size == -2 else {"planted_size": size},
             )
         pi = random_perm(rng, g.n)
-        size = rng.choice([None, None, rng.randrange(-1, g.n // 2 + 2)])
         calls.clear()
-        want = outcome(reference_planted_is, g, pi, size)
-        assert outcome(adversary_planted_is, g, pi, size) == want
+        want = outcome(reference_planted_is, g, pi)
+        assert outcome(adversary_planted_is, g, pi) == want
         if isinstance(want, tuple):
             seen.add(want[0].__name__)
         else:

@@ -118,6 +118,9 @@ def test_graph_doc_validation_errors():
     doc["matching"] = [[0, 0], [1, 1], [2, 0]]  # v side repeats
     with pytest.raises(SchemaError):
         gio.graph_from_doc(doc)
+    doc = {"n": 2, "edges": [[0, 0], [1, 1]], "matching": [[0, 1], [1, 0]]}  # not edges
+    with pytest.raises(SchemaError, match="^graph: field 'matching' pair 0 is not an edge$"):
+        gio.graph_from_doc(doc)
 
 
 def _read(reader, doc):
@@ -157,6 +160,8 @@ def faulty_graph_docs(draw):
         order = list(range(n))
         rng.shuffle(order)
         doc["matching"] = [[u, v] for u, v in enumerate(order)]
+        if draw(st.booleans()):  # else the matching may use non-edges
+            doc["edges"] += [list(pair) for pair in doc["matching"] if pair not in doc["edges"]]
     faults = draw(
         st.lists(
             st.sampled_from(
@@ -180,7 +185,8 @@ def faulty_graph_docs(draw):
 
     for fault in faults:
         if fault == "repeat" and edges:
-            put(list(rng.choice(edges)))
+            item = rng.choice(edges)  # a copy, unless a scalar fault put it
+            put(list(item) if isinstance(item, (list, tuple)) else item)
         elif fault == "range":
             put([rng.choice([-1, n, n + 3]), rng.randrange(n)][:: rng.choice([1, -1])])
         elif fault == "index_type":
@@ -239,6 +245,7 @@ def test_graph_from_doc_fails_like_the_reference_reader():
         "SchemaError field 'matching' entry out of range",
         "SchemaError field 'matching' is not a perfect",
         "SchemaError field 'matching' must be a list",
+        "SchemaError field 'matching' pair is not an",
         "SchemaError field 'n' must be an integer,",
         "SchemaError field 'n' must be positive",
         "SchemaError field 'params' must be an object",
@@ -317,7 +324,9 @@ def test_config_defaults_and_seed_derivation():
     }
     config = gio.config_from_doc(doc)
     assert config.seed == 5 and config.trials == 100
-    assert config.adversary.mode == "exact"
+    assert config.adversary == gio.AdversarySettings(mode="exact", budget=10_000_000, iters=4000)
+    config = gio.config_from_doc({**doc, "adversary": {"mode": "heuristic"}})
+    assert (config.adversary.budget, config.adversary.iters) == (10_000_000, 4000)
     assert config.instances[0].seed == 5 * 1_000_003 + 0
     assert config.instances[1].seed == 5 * 1_000_003 + 1
     assert config.instances[2].seed == 77
@@ -337,7 +346,9 @@ def test_config_validation_errors():
         {**base, "adversary": {"iters": -1}},
         {**base, "adversary": {"iters": 2.0}},
         {**base, "trials": 0},
+        {**base, "trials": 2.0},
         {**base, "seed": True},
+        {**base, "instances": [{"family": "fig1", "seed": "1"}]},
         {**base, "output_path": 7},
     ]
     for doc in bad:
@@ -349,6 +360,8 @@ def test_config_validation_errors():
     assert config.adversary.iters == 0
     with pytest.raises(SchemaError, match="^cfg.json: adversary budget must be positive$"):
         gio.config_from_doc({**base, "adversary": {"budget": 0}}, "cfg.json")
+    with pytest.raises(SchemaError, match=r"^cfg.json: instances\[0\]: field 'seed' must be an"):
+        gio.config_from_doc({**base, "instances": [{"family": "fig1", "seed": 1.5}]}, "cfg.json")
 
 
 # --- experiment rows ---------------------------------------------------------
@@ -544,10 +557,10 @@ def test_cli_adversary_passes_its_settings_to_the_player(tmp_path, capsys):
     assert main(["adversary", str(graph), "--pi", str(pi_path), "--exact", *settings]) == 0
     exact = worst_order_exact(g, pi, budget=5)
     assert not exact.exact
-    assert capsys.readouterr().out == gio.canonical_dumps(gio.adversary_result_to_doc(exact))
+    assert capsys.readouterr().out == gio.canonical_dumps(gio.to_doc(exact))
     assert main(["adversary", str(graph), "--pi", str(pi_path), *settings, "-o", str(out)]) == 0
     heuristic = worst_order_heuristic(g, pi, iters=7, seed=4)
-    assert out.read_text() == gio.canonical_dumps(gio.adversary_result_to_doc(heuristic))
+    assert out.read_text() == gio.canonical_dumps(gio.to_doc(heuristic))
 
 
 def test_cli_player_settings_outside_their_domain_are_data_errors(tmp_path, capsys):
