@@ -17,7 +17,7 @@ import pytest
 from conftest import CORPUS_SPECS, random_perm
 
 import greedyorder.io as gio
-from greedyorder import generate, worst_order_exact, worst_order_masked_min
+from greedyorder import FamilySpec, generate, worst_order_exact, worst_order_masked_min
 from greedyorder.adversary import ADVERSARY_MODES, order_avoiding
 from greedyorder.analysis import MINIMIZER_POLICIES, enumerate_bad_sets, iterative_process
 from greedyorder.cli import main
@@ -35,6 +35,23 @@ PINNED = {
     "cli_analyze_montecarlo": "b0b0d1c27ad02def499ec5eb1f8be18173fe8a0a01373f4e1e3a123a7c9c9d4a",
     "cli_analyze_exponents": "2ec9c0e87e1f3066b9fe946c858a1f9a7dfdf6cb79f19a023165aff806b09043",
 }
+
+
+# The SHA-256 of canonical_dumps(graph_to_doc(g)) for each seeded family
+# at the benchmark's sizes: a change to the generators' draws or to the
+# writer's bytes moves one of these.
+PINNED_GRAPHS = [
+    ("planted_is", {"n": 600, "d": 20, "eps": 0.1}, 13,
+     "01324b55cd6d90fc7f3c34b70e9ec71a3a647544f3b0c4b5fe5784f907ac7690"),
+    ("planted_is", {"n": 150, "d": 10, "eps": 0.1}, 1,
+     "0947aea1542571e3e4c1024d43300aa0898cd5eb93f96d4486c941d4d48a59d7"),
+    ("random_regular", {"n": 60, "d": 4}, 1,
+     "7c0a91bb740f3a1a501e22f8ec0675ab3e012548998ecd2c68cc0335d6bb3b99"),
+    ("random_regular", {"n": 60, "d": 4}, 2,
+     "b781b78b270a636466319d77b744c5877fa0260c4c0b2b120ce8a9c5868069e7"),
+    ("hamiltonian_random", {"n": 250, "extra_edges": 0}, 1,
+     "f0755799e877157203c0f706e0ab2a3591bfb35ff8d39bc1f9c383ecc3e5675f"),
+]
 
 
 def check_pinned(category, doc):
@@ -59,6 +76,12 @@ def seeded_cases(graphs, n_max):
             pi = random_perm(rng, g.n)
             k = rng.randint(1, g.n)
             yield name, g, pi, sorted(rng.sample(range(g.n), k)), sorted(pi.order[g.n - k :])
+
+
+@pytest.mark.parametrize("family, params, seed, digest", PINNED_GRAPHS)
+def test_generated_graph_files_are_pinned(family, params, seed, digest):
+    text = gio.canonical_dumps(gio.graph_to_doc(generate(FamilySpec(family, params, seed=seed))))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_bound_certificates_are_pinned(graphs, tmp_path, capsys):
