@@ -329,61 +329,78 @@ def _planted_pairing(n: int, d: int, s: int, rng: random.Random) -> list[int]:
     """Stub assignment avoiding duplicate edges and the forbidden block.
 
     assign[i] is the right vertex paired with left stub i (stub i belongs
-    to left vertex i // d).  A swap of two stub targets changes exactly
-    two edges, so violations are re-counted locally.
+    to left vertex i // d).  An edge of multiplicity c counts c - 1
+    violations, plus c if both its ends are planted.  Each step draws a
+    stub and, if its edge is a violation, a second stub to swap targets
+    with; the swap is kept when it lowers the violation count, and with
+    probability 0.2 when it keeps it.
+
+    The draws are those of ``rng.randrange(stubs)``, made as
+    ``Random._randbelow_with_getrandbits`` makes them, and of
+    ``rng.random()``, in the same order, so a seed gives the same pairing
+    as the plain loop in the tests.
     """
     stubs = n * d
-
-    def edge_viol(e: Edge, c: int) -> int:
-        if c <= 0:
-            return 0
-        extra = c - 1
-        if e[0] < s and e[1] < s:
-            extra += c
-        return extra
-
+    getrandbits, random_ = rng.getrandbits, rng.random
+    k = stubs.bit_length()
+    # Edge (u, v) is keyed u * n + v, so stub t's edge is row[t] + assign[t].
+    # The first planted_stubs stubs belong to planted left vertices.
+    row = [t // d * n for t in range(stubs)]
+    planted_stubs = s * d
     for _restart in range(50):
         assign = [v for v in range(n) for _ in range(d)]
         rng.shuffle(assign)
-        mult: dict[Edge, int] = {}
-        for i, v in enumerate(assign):
-            e = (i // d, v)
-            mult[e] = mult.get(e, 0) + 1
-
-        def apply(e: Edge, dc: int) -> int:
-            c0 = mult.get(e, 0)
-            c1 = c0 + dc
-            if c1:
-                mult[e] = c1
-            else:
-                mult.pop(e, None)
-            return edge_viol(e, c1) - edge_viol(e, c0)
-
-        total = sum(edge_viol(e, c) for e, c in mult.items())
-        for _step in range(200 * stubs):
-            if total == 0:
-                return assign
-            i = rng.randrange(stubs)
-            ei = (i // d, assign[i])
-            if edge_viol(ei, mult[ei]) == 0:
-                continue
-            j = rng.randrange(stubs)
-            if i == j or assign[i] == assign[j]:
-                continue
-            ej = (j // d, assign[j])
-            ni = (i // d, assign[j])
-            nj = (j // d, assign[i])
-            delta = apply(ei, -1) + apply(ej, -1) + apply(ni, 1) + apply(nj, 1)
-            if delta < 0 or (delta == 0 and rng.random() < 0.2):
-                assign[i], assign[j] = assign[j], assign[i]
-                total += delta
-            else:
-                apply(nj, -1)
-                apply(ni, -1)
-                apply(ej, 1)
-                apply(ei, 1)
+        mult: dict[int, int] = {}
+        for r, v in zip(row, assign):
+            mult[r + v] = mult.get(r + v, 0) + 1
+        # clean[t]: stub t's edge is simple and outside the planted block.
+        clean = bytearray(
+            mult[row[t] + v] == 1 and (t >= planted_stubs or v >= s)
+            for t, v in enumerate(assign)
+        )
+        # Each stub on a forbidden edge adds one violation.
+        total = sum(c - 1 for c in mult.values())
+        total += sum(v < s for v in assign[:planted_stubs])
         if total == 0:
             return assign
+        for _step in range(200 * stubs):
+            i = getrandbits(k)
+            while i >= stubs:
+                i = getrandbits(k)
+            if clean[i]:
+                continue
+            j = getrandbits(k)
+            while j >= stubs:
+                j = getrandbits(k)
+            a, b = assign[i], assign[j]
+            if i == j or a == b:
+                continue
+            ri, rj = row[i], row[j]
+            if ri == rj:
+                # One left vertex: the swap leaves every edge as it is.
+                if random_() < 0.2:
+                    assign[i], assign[j] = b, a
+                    clean[i], clean[j] = clean[j], clean[i]
+                continue
+            # Four distinct edges: (ui, a) and (uj, b) lose a stub, (ui, b)
+            # and (uj, a) gain one.
+            ci, cj, ni, nj = mult[ri + a], mult[rj + b], ri + b, rj + a
+            delta = (mult.get(ni, 0) > 0) + (mult.get(nj, 0) > 0) - (ci > 1) - (cj > 1)
+            delta += ((i < planted_stubs) - (j < planted_stubs)) * ((b < s) - (a < s))
+            if delta < 0 or (delta == 0 and random_() < 0.2):
+                mult[ri + a] = ci - 1
+                mult[rj + b] = cj - 1
+                mult[ni] = mult.get(ni, 0) + 1
+                mult[nj] = mult.get(nj, 0) + 1
+                assign[i], assign[j] = b, a
+                total += delta
+                if total == 0:
+                    return assign
+                # The four edges are edges of ui and uj: refresh their stubs.
+                for lo in (i - i % d, j - j % d):
+                    for t in range(lo, lo + d):
+                        v = assign[t]
+                        clean[t] = mult[row[t] + v] == 1 and (t >= planted_stubs or v >= s)
     raise GenerationError("rejection budget exceeded while repairing the pairing")
 
 

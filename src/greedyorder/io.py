@@ -1,7 +1,10 @@
 """Canonical JSON documents for graphs, orders, covers, and results.
 
-Writers always emit the canonical form: keys sorted, two-space indent,
-edges sorted lexicographically, one trailing newline.  A result
+Writers always emit the canonical form, the text of
+``json.dumps(doc, sort_keys=True, indent=2)`` plus one trailing newline
+(keys sorted, two-space indent), with edges sorted lexicographically.
+`canonical_dumps` writes it without json's pure-Python indenting
+encoder; a property test holds it to json.dumps's bytes.  A result
 document is its dataclass's fields by name, through `to_doc`.  Readers
 accept any schema-valid document and normalize, so write(read(x)) is
 the identity on canonical files.  Shape problems raise SchemaError naming
@@ -14,7 +17,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field, fields, is_dataclass
 from fractions import Fraction
-from typing import Any, Mapping, Optional, Sequence
+from itertools import chain
+from json.encoder import encode_basestring_ascii
+from typing import Any, Callable, Mapping, Optional, Sequence
 
 from .adversary import ADVERSARY_MODES, DEFAULT_BUDGET, DEFAULT_MODE, _check_settings
 from .analysis import BadSetReport, IterativeTrace, MonteCarloSummary
@@ -45,7 +50,52 @@ __all__ = [
 
 
 def canonical_dumps(doc: Any) -> str:
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    """``json.dumps(doc, sort_keys=True, indent=2) + "\\n"``, byte for byte.
+
+    json's C encoder does not indent, so this emitter walks the dicts with
+    str keys, the lists and the tuples itself and writes a list of plain
+    ints, or of plain [int, int] pairs, in one join.  Everything else
+    (scalars, dicts with other keys, subclasses) goes through json.dumps
+    and is re-indented to its depth.
+    """
+    chunks: list[str] = []
+    _emit(doc, "\n", chunks.append)
+    chunks.append("\n")
+    return "".join(chunks)
+
+
+def _emit(value: Any, nl: str, write: Callable[[str], Any]) -> None:
+    """Write value's canonical JSON, where nl is a newline followed by the
+    indent of the line that value starts on."""
+    kind = type(value)
+    inner = nl + "  "
+    if kind is dict and value and all(type(key) is str for key in value):
+        sep = "{" + inner
+        for key in sorted(value):
+            write(sep + encode_basestring_ascii(key) + ": ")
+            _emit(value[key], inner, write)
+            sep = "," + inner
+        write(nl + "}")
+        return
+    if (kind is list or kind is tuple) and value:
+        sep = "," + inner
+        kinds = set(map(type, value))
+        if kinds == {int}:
+            write("[" + inner + sep.join(map(str, value)) + nl + "]")
+        elif (
+            kinds <= {list, tuple}
+            and set(map(len, value)) == {2}
+            and set(map(type, chain.from_iterable(value))) == {int}
+        ):
+            pair = "[" + inner + "  %d," + inner + "  %d" + inner + "]"
+            write("[" + inner + sep.join([pair % (u, v) for u, v in value]) + nl + "]")
+        else:
+            for idx, item in enumerate(value):
+                write(sep if idx else "[" + inner)
+                _emit(item, inner, write)
+            write(nl + "]")
+        return
+    write(json.dumps(value, sort_keys=True, indent=2).replace("\n", nl))
 
 
 def write_doc(path: str, doc: Any) -> None:

@@ -24,9 +24,12 @@ tuples, and sorts every adjacency list on its own; the one-pass reader
 must accept the same documents, build the same graphs and fail with the
 same messages.
 The reference family dispatch is the if-chain over family names that the
-family table replaced, and the reference experiment cell and Monte Carlo
-loop are the per-mode if-chains that the attack table replaced; the
-tables must give the same graphs, rows, summaries and errors.
+family table replaced, and the reference planted pairing is the stub-swap
+loop with tuple-keyed multiplicities and ``rng.randrange`` draws that the
+planted generator must reproduce draw for draw.  The reference
+experiment cell and Monte Carlo loop are the per-mode if-chains that the
+attack table replaced; the tables must give the same graphs, rows,
+summaries and errors.
 The reference matching and arrival-order players are Hopcroft-Karp with a separate
 breadth-first pass, the planted-set adversary that matches once per
 added target, the gadget that builds one adjacency row per U-vertex,
@@ -1014,6 +1017,74 @@ def reference_graph_from_doc(doc, where="graph"):
             raise _schema_fail(where, "field 'matching' pair %d is not an edge" % non_edges[0])
     g = reference_from_edges(n, sorted(edges), family=family, params=params)
     return g, matching
+
+
+Edge = tuple[int, int]
+
+
+def reference_planted_pairing(n: int, d: int, s: int, rng: random.Random) -> list[int]:
+    """``families._planted_pairing`` as the plain stub-swap loop: tuple-keyed
+    multiplicities, ``rng.randrange`` draws, and every tried swap applied
+    and then undone.  Stub assignment avoiding duplicate edges and the
+    forbidden block.
+
+    assign[i] is the right vertex paired with left stub i (stub i belongs
+    to left vertex i // d).  A swap of two stub targets changes exactly
+    two edges, so violations are re-counted locally.
+    """
+    stubs = n * d
+
+    def edge_viol(e: Edge, c: int) -> int:
+        if c <= 0:
+            return 0
+        extra = c - 1
+        if e[0] < s and e[1] < s:
+            extra += c
+        return extra
+
+    for _restart in range(50):
+        assign = [v for v in range(n) for _ in range(d)]
+        rng.shuffle(assign)
+        mult: dict[Edge, int] = {}
+        for i, v in enumerate(assign):
+            e = (i // d, v)
+            mult[e] = mult.get(e, 0) + 1
+
+        def apply(e: Edge, dc: int) -> int:
+            c0 = mult.get(e, 0)
+            c1 = c0 + dc
+            if c1:
+                mult[e] = c1
+            else:
+                mult.pop(e, None)
+            return edge_viol(e, c1) - edge_viol(e, c0)
+
+        total = sum(edge_viol(e, c) for e, c in mult.items())
+        for _step in range(200 * stubs):
+            if total == 0:
+                return assign
+            i = rng.randrange(stubs)
+            ei = (i // d, assign[i])
+            if edge_viol(ei, mult[ei]) == 0:
+                continue
+            j = rng.randrange(stubs)
+            if i == j or assign[i] == assign[j]:
+                continue
+            ej = (j // d, assign[j])
+            ni = (i // d, assign[j])
+            nj = (j // d, assign[i])
+            delta = apply(ei, -1) + apply(ej, -1) + apply(ni, 1) + apply(nj, 1)
+            if delta < 0 or (delta == 0 and rng.random() < 0.2):
+                assign[i], assign[j] = assign[j], assign[i]
+                total += delta
+            else:
+                apply(nj, -1)
+                apply(ni, -1)
+                apply(ej, 1)
+                apply(ei, 1)
+        if total == 0:
+            return assign
+    raise GenerationError("rejection budget exceeded while repairing the pairing")
 
 
 def _reference_spec_param(spec, key, *aliases):

@@ -1,12 +1,22 @@
 """Structural audits of every generator family and the dispatch layer."""
 
+import collections
 import itertools
+import math
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import conftest
-from conftest import CORPUS_SPECS, outcome, perfbench_specs, reference_generate
+from conftest import (
+    CORPUS_SPECS,
+    outcome,
+    perfbench_specs,
+    reference_generate,
+    reference_planted_pairing,
+)
 
 from greedyorder import (
     BipartiteGraph,
@@ -19,6 +29,7 @@ from greedyorder import (
 from greedyorder.families import (
     FAMILIES,
     GADGET4_EDGES,
+    _planted_pairing,
     gen_badset_chain,
     gen_biclique_half,
     gen_fano,
@@ -219,6 +230,57 @@ def test_planted_is_structure():
     for u in range(s):
         for v in g.adj_u[u]:
             assert v >= s
+
+
+class _CountingRandom(random.Random):
+    """A Random that counts its shuffles: one per start of the pairing."""
+
+    shuffles = 0
+
+    def shuffle(self, x):
+        self.shuffles += 1
+        super().shuffle(x)
+
+
+def _planted_size(n, eps):
+    return int(math.floor((1.0 - eps) * n / 2.0 + 1e-9))
+
+
+@st.composite
+def pairing_cases(draw):
+    """(n, d, eps, seed) for a planted pairing with d <= n - s."""
+    n = draw(st.integers(1, 9))
+    eps = draw(st.floats(0.01, 0.99))
+    d = draw(st.integers(1, n - _planted_size(n, eps)))
+    return n, d, eps, draw(st.integers(0, 2**32))
+
+
+def test_planted_pairing_makes_the_draws_of_the_reference_loop():
+    # The pairing draws its stubs with getrandbits as randrange does; if
+    # some Python build draws differently, this fails before any graph
+    # changes.  The pairing, the error and the generator's state after the
+    # call must all match the loop that calls rng.randrange.
+    seen = collections.Counter()
+
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(pairing_cases())
+    @example((7, 4, 0.1, 15))  # the first pairing fails, the second succeeds
+    @example((3, 3, 0.1, 0))  # d > n - s: every start fails
+    def check(case):
+        n, d, eps, seed = case
+        s = _planted_size(n, eps)
+        fast, slow = _CountingRandom(seed), _CountingRandom(seed)
+        got = outcome(_planted_pairing, n, d, s, fast)
+        assert got == outcome(reference_planted_pairing, n, d, s, slow)
+        assert (fast.getstate(), fast.shuffles) == (slow.getstate(), slow.shuffles)
+        if isinstance(got, tuple):
+            assert got == (GenerationError, "rejection budget exceeded while repairing the pairing")
+            seen["error"] += 1
+        else:
+            seen["restart" if fast.shuffles > 1 else "first start"] += 1
+
+    check()
+    assert seen["error"] and seen["restart"] and seen["first start"] >= 200, seen
 
 
 def test_generate_dispatch_covers_all_families(corpus):

@@ -13,11 +13,16 @@ import subprocess
 import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import conftest
-from conftest import random_pm_graph, reference_experiment_rows, reference_graph_from_doc
+from conftest import (
+    outcome,
+    random_pm_graph,
+    reference_experiment_rows,
+    reference_graph_from_doc,
+)
 
 import greedyorder.cli as cli
 import greedyorder.errors as errors_mod
@@ -67,6 +72,70 @@ def test_canonical_dumps_is_stable():
     assert text.endswith("\n")
     assert text.index('"a"') < text.index('"b"')
     assert json.loads(text) == {"b": 1, "a": [2, {"z": 0, "y": 1}]}
+
+
+_PLAIN_INTS = st.integers() | st.integers(-(2**70), 2**70)
+_PAIRS = st.tuples(_PLAIN_INTS, _PLAIN_INTS) | st.lists(_PLAIN_INTS, min_size=2, max_size=2)
+_SCALARS = (
+    st.none()
+    | st.booleans()
+    | _PLAIN_INTS
+    | st.floats(allow_nan=True, allow_infinity=True)
+    | st.sampled_from([float("nan"), float("inf"), float("-inf"), -0.0])
+    | st.text(max_size=5)
+    | st.sampled_from(["", "\"\\\n\t\x00\x7f", "é ü", "\u2028", "\U0001f600"])
+)
+_KEYS = st.text(max_size=3) | st.sampled_from(["a", "b", "é", "\n", "A"])
+
+
+def _json_docs():
+    """Nested documents with the int lists and pair lists the writer joins
+    in one go, mixed with bools, non-pairs and dicts with non-str keys."""
+
+    def lists(items):
+        return st.lists(items, max_size=5)
+
+    leaves = (
+        _SCALARS
+        | lists(_PLAIN_INTS)
+        | lists(_PLAIN_INTS | st.booleans())
+        | lists(_PAIRS)
+        | lists(_PAIRS | _PLAIN_INTS | st.lists(_PLAIN_INTS, max_size=3))
+        | lists(st.lists(_PLAIN_INTS | st.booleans(), min_size=2, max_size=2))
+    )
+    return st.recursive(
+        leaves,
+        lambda kids: (
+            lists(kids)
+            | st.tuples(kids, kids)
+            | st.dictionaries(_KEYS, kids, max_size=4)
+            | st.dictionaries(_PLAIN_INTS | st.booleans() | st.none() | st.floats(), kids, max_size=3)
+            | st.dictionaries(_KEYS | _PLAIN_INTS, kids, max_size=3)
+        ),
+        max_leaves=12,
+    )
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(_json_docs())
+@example(
+    {
+        "empty": [[], {}, (), [[]], [{}], {"a": []}],
+        "ints": [[1, True], [True, 1], [-(2**80), 2**80]],
+        "scalars": [None, float("nan"), float("inf"), float("-inf"), -0.0, 1e300],
+        "pairs": [[[1, 2], [3]], [[1, 2], 3], [(1, 2), [3, 4]], [[1, True]], [[-(2**80), 0]]],
+        "é\n": "ü\u2028\"\\",
+    }
+)
+@example({1: [[0, 1]], 2: {"b": [1], "a": [(2, 3)]}})
+@example([{1: 0, "a": 1}])
+def test_canonical_dumps_writes_the_bytes_of_indented_json_dumps(doc):
+    # The canonical form is json.dumps(sort_keys=True, indent=2); a dict
+    # whose keys json cannot sort fails the same way on both sides.
+    def reference(doc):
+        return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+    assert outcome(gio.canonical_dumps, doc) == outcome(reference, doc)
 
 
 def test_graph_doc_round_trip_on_corpus(corpus, tmp_path):
@@ -218,23 +287,61 @@ def faulty_graph_docs(draw):
     return doc, len(faults)
 
 
+# One fixed document per outcome of the reader, checked beside the drawn
+# ones, so that every kind is met whatever faulty_graph_docs draws.
+GRAPH_DOC_PER_KIND = {
+    "InvalidGraphError duplicate edge (, )": {"n": 2, "edges": [[0, 0], [1, 1], [0, 0]]},
+    "SchemaError field 'edges' entry is not an": {"n": 2, "edges": [[0, 0], [1]]},
+    "SchemaError field 'edges' entry out of range": {"n": 2, "edges": [[0, 2]]},
+    "SchemaError field 'edges' must be a list": {"n": 2, "edges": None},
+    "SchemaError field 'family' must be a string": {"n": 1, "edges": [[0, 0]], "family": 3},
+    "SchemaError field 'matching' entry is not an": {
+        "n": 1, "edges": [[0, 0]], "matching": [[0, False]],
+    },
+    "SchemaError field 'matching' entry out of range": {
+        "n": 1, "edges": [[0, 0]], "matching": [[0, 1]],
+    },
+    "SchemaError field 'matching' is not a perfect": {
+        "n": 2, "edges": [[0, 0], [1, 1]], "matching": [[0, 0], [1, 1], [0, 0]],
+    },
+    "SchemaError field 'matching' must be a list": {
+        "n": 1, "edges": [[0, 0]], "matching": "identity",
+    },
+    "SchemaError field 'matching' pair is not an": {
+        "n": 2, "edges": [[0, 0], [1, 1]], "matching": [[0, 1], [1, 0]],
+    },
+    "SchemaError field 'n' must be an integer,": {"n": True, "edges": []},
+    "SchemaError field 'n' must be positive": {"n": 0, "edges": []},
+    "SchemaError field 'params' must be an object": {"n": 1, "edges": [[0, 0]], "params": []},
+    "valid": FIG1_DOC,
+}
+
+
 def test_graph_from_doc_fails_like_the_reference_reader():
     kinds = collections.Counter()
+
+    def kind_of(doc):
+        got = _read(gio.graph_from_doc, doc)
+        assert got == _read(reference_graph_from_doc, doc)
+        if isinstance(got[0], type):
+            text = re.sub(r"[-0-9]", "", got[1].replace("doc.json: ", ""))
+            return " ".join([got[0].__name__] + text.split()[:6])
+        return "valid"
 
     @settings(max_examples=500, derandomize=True, database=None, deadline=None)
     @given(faulty_graph_docs())
     def check(case):
         doc, faults = case
-        got = _read(gio.graph_from_doc, doc)
-        assert got == _read(reference_graph_from_doc, doc)
-        if isinstance(got[0], type):
-            text = re.sub(r"[-0-9]", "", got[1].replace("doc.json: ", ""))
-            kinds[" ".join([got[0].__name__] + text.split()[:6])] += 1
+        kind = kind_of(doc)
+        kinds[kind] += 1
+        if kind != "valid":
             kinds["several faults"] += faults > 1
-        else:
-            kinds["valid"] += 1
 
     check()
+    assert kinds["several faults"] >= 100 and kinds["valid"] >= 100
+    for kind, doc in GRAPH_DOC_PER_KIND.items():
+        assert kind_of(doc) == kind
+        kinds[kind] += 1
     assert set(kinds) == {
         "InvalidGraphError duplicate edge (, )",
         "SchemaError field 'edges' entry is not an",
@@ -252,7 +359,6 @@ def test_graph_from_doc_fails_like_the_reference_reader():
         "several faults",
         "valid",
     }, sorted(kinds)
-    assert kinds["several faults"] >= 100 and kinds["valid"] >= 100
 
 
 def test_bound_exits_two_on_every_faulty_graph_file(tmp_path, capsys):
