@@ -20,10 +20,12 @@ import greedyorder.io as gio
 from greedyorder import FamilySpec, generate, worst_order_exact, worst_order_masked_min
 from greedyorder.adversary import ADVERSARY_MODES, order_avoiding
 from greedyorder.analysis import MINIMIZER_POLICIES, enumerate_bad_sets, iterative_process
+from greedyorder.certify import CONSTRUCTIONS
 from greedyorder.cli import main
 
 PINNED = {
     "bound": "b878db4e9fb59309633a520906ef3a3b3f2bf5c20e98bf6606e34260e04a2d78",
+    "bound_constructions": "737c55c607ec8fe998ef7eef05b8ce21c9b34ad421d474c55a24c60ea3689c1b",
     "worst_order_exact": "f04148b5643cf3ea381e78857fcdd8b2568528a09b90864388ab10d70f2ecaf4",
     "worst_order_masked_min": "34e0e6c513de0819aa643d5255ab983b934e5f043088b23100b9dd529391c36f",
     "order_avoiding": "d1449210c1598987f575ccca382948d91b09a9cfe25bae0a349a358d60f58546",
@@ -93,6 +95,18 @@ def test_bound_certificates_are_pinned(graphs, tmp_path, capsys):
         out, err = capsys.readouterr()
         doc[name] = [code, out, err]
     check_pinned("bound", doc)
+
+
+def test_named_construction_certificates_are_pinned(graphs, tmp_path, capsys):
+    doc = []
+    for name, g in graphs:
+        path = tmp_path / ("%s.json" % name)
+        gio.write_graph(str(path), g)
+        for construction in CONSTRUCTIONS:
+            code = main(["bound", str(path), "--construction", construction])
+            out, err = capsys.readouterr()
+            doc.append([name, construction, code, out, err])
+    check_pinned("bound_constructions", doc)
 
 
 def test_exact_adversary_is_pinned(graphs):
