@@ -63,6 +63,7 @@ from .core import (
 )
 from .errors import (
     AnalysisParamError, FamilyShapeError, HallInfeasibleError, PropositionViolatedError,
+    UsageError,
 )
 from .families import _strict_int
 
@@ -717,6 +718,8 @@ DEFAULT_MODE = ADVERSARY_MODES[0]
 def attack(mode: str, g: BipartiteGraph, pi: Permutation, **settings) -> AdversaryResult:
     """Attack pi with the adversary named `mode`, passing it the settings
     (budget, iters, draws, seed) that it reads, after checking them all."""
+    if mode not in ATTACKS:
+        raise UsageError("unknown adversary mode %r" % (mode,))
     _check_settings(**settings)
     player, reads = ATTACKS[mode]
     return player(g, pi, **{k: settings[k] for k in reads if k in settings})

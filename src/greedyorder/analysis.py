@@ -19,7 +19,6 @@ from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Union
 
 from .adversary import (
-    ADVERSARY_MODES,
     DEFAULT_BUDGET,
     DEFAULT_MODE,
     _check_subset,
@@ -153,29 +152,26 @@ def bound_exponents(params: AnalysisParams) -> ExponentReport:
         "delta/(1-alpha)": delta / (1 - alpha),
         "delta/(rho_bar-alpha)": delta / (rho_bar - alpha),
     }
+    h = {}
     for name, value in arguments.items():
         if not (0 <= value <= 1):
             raise AnalysisParamError("entropy argument %s = %s outside [0, 1]" % (name, value))
+        h[name] = entropy(float(value))
 
-    badset = float(rho_bar) * entropy(float(2 * eps / rho_bar)) + float(rho) * entropy(
-        float(2 * eps / rho)
-    )
-    order = -(
-        entropy(float(alpha + beta))
-        - entropy(float(alpha / rho_bar)) * float(rho_bar)
-        - entropy(float(beta / rho)) * float(rho)
-    )
+    badset = float(rho_bar) * h["2*eps/rho_bar"] + float(rho) * h["2*eps/rho"]
+    order = -(h["alpha+beta"] - h["alpha/rho_bar"] * float(rho_bar) - h["beta/rho"] * float(rho))
     literal = (
-        -entropy(float(alpha / rho_bar))
-        + float(alpha) * entropy(float(delta / alpha))
-        + float(1 - alpha) * entropy(float(delta / (1 - alpha)))
+        -h["alpha/rho_bar"]
+        + float(alpha) * h["delta/alpha"]
+        + float(1 - alpha) * h["delta/(1-alpha)"]
     ) * float(rho_bar)
-    a = alpha / rho_bar
-    dd = delta / rho_bar
+    # Rescaling alpha and delta by rho_bar leaves delta/alpha as it is and
+    # turns delta/(1-alpha) into delta/(rho_bar-alpha).
+    a = arguments["alpha/rho_bar"]
     rescaled = (
-        -entropy(float(a))
-        + float(a) * entropy(float(dd / a))
-        + float(1 - a) * entropy(float(dd / (1 - a)))
+        -h["alpha/rho_bar"]
+        + float(a) * h["delta/alpha"]
+        + float(1 - a) * h["delta/(rho_bar-alpha)"]
     ) * float(rho_bar)
     return ExponentReport(
         params=params,
@@ -312,8 +308,6 @@ def monte_carlo_random_pi(
     """
     if trials < 1:
         raise AnalysisParamError("trials must be positive")
-    if adversary_mode not in ADVERSARY_MODES:
-        raise UsageError("unknown adversary mode %r" % (adversary_mode,))
     n = g.n
     sizes: list[int] = []
     upper_only = False

@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .core import (
     BipartiteGraph,
@@ -23,7 +23,7 @@ from .core import (
     max_matching,
 )
 from .errors import PropositionViolatedError, UsageError
-from .spoil import PathCover, SpoilGraph, build_spoiling_graph, maximal_path_cover
+from .spoil import PathCover, SpoilGraph, _bits, build_spoiling_graph, maximal_path_cover
 
 __all__ = [
     "EpsilonParams",
@@ -68,31 +68,26 @@ class EpsilonParams:
     eps2: Fraction
     eps3: Fraction
 
-    @classmethod
-    def from_counts(cls, n: int, k: int, p: int, m12: int) -> "EpsilonParams":
-        return cls(
-            n=n,
-            k=k,
-            p=p,
-            m12=m12,
-            eps1=Fraction(1, 2) - Fraction(k, n),
-            eps2=Fraction(p - k, n),
-            eps3=Fraction(1, 2) - Fraction(m12, n),
-        )
-
 
 def compute_m12(cover: PathCover, sg: SpoilGraph) -> int:
     """Largest matching using only arcs from isolated nodes to longer-path
     nodes."""
     w1, w2 = cover.classes()
     pos = {w: t for t, w in enumerate(w2)}
-    adj = [[pos[j] for j in range(sg.n) if j in pos and sg.has_arc(q, j)] for q in w1]
+    adj = [[pos[j] for j in _bits(sg.out_mask[q]) if j in pos] for q in w1]
     return len(max_matching(adj, len(w2)))
 
 
 def compute_eps(cover: PathCover, sg: SpoilGraph) -> EpsilonParams:
-    return EpsilonParams.from_counts(
-        n=cover.n, k=cover.k, p=cover.p, m12=compute_m12(cover, sg)
+    n, k, p, m12 = cover.n, cover.k, cover.p, compute_m12(cover, sg)
+    return EpsilonParams(
+        n=n,
+        k=k,
+        p=p,
+        m12=m12,
+        eps1=Fraction(1, 2) - Fraction(k, n),
+        eps2=Fraction(p - k, n),
+        eps3=Fraction(1, 2) - Fraction(m12, n),
     )
 
 
@@ -225,54 +220,42 @@ class BoundCertificate:
     eps: EpsilonParams
 
 
-CONSTRUCTIONS = ("sort1", "sort2", "m12_order", "large_m12_order", "theorem1")
-
-_Candidate = tuple[str, int, Callable[[PathCover, int], Permutation]]
-
-
-def _pipeline(
-    g: BipartiteGraph,
-) -> tuple[PathCover, EpsilonParams, tuple[int, ...], list[_Candidate]]:
-    """Find a perfect matching, relabel V so it is the identity, build
-    the conflict digraph, grow a maximal path cover and evaluate the
-    four constructions on it.
-
-    Returns the cover, its eps, the map from pair labels back to V, and
-    the four ``(name, count, order_fn)`` candidates in listed order.
-    """
-    m = find_perfect_matching(g)
-    aligned, v_map = align_with_matching(g, m)
-    sg = build_spoiling_graph(aligned)
-    cover, _ = maximal_path_cover(sg)
-    eps = compute_eps(cover, sg)
-    candidates: list[_Candidate] = [
-        ("sort1", guarantee_sort1(cover), order_sort1),
-        ("sort2", guarantee_sort2(cover), order_sort2),
-        ("m12_order", guarantee_m12(cover, eps.m12), order_m12),
-        ("large_m12_order", guarantee_large_m12(cover, eps.m12), order_large_m12),
-    ]
-    return cover, eps, v_map, candidates
+# The four ordering rules, in the selector's tie order: each name maps
+# to its guaranteed count on a maximal cover, as a function of the cover
+# and m12, and to its order function.
+_RULES = {
+    "sort1": (lambda cover, m12: guarantee_sort1(cover), order_sort1),
+    "sort2": (lambda cover, m12: guarantee_sort2(cover), order_sort2),
+    "m12_order": (guarantee_m12, order_m12),
+    "large_m12_order": (guarantee_large_m12, order_large_m12),
+}
+CONSTRUCTIONS = (*_RULES, "theorem1")
 
 
 def build_certificate(g: BipartiteGraph, construction: str = "theorem1") -> BoundCertificate:
     """Certify g with one named construction, or the selector.
 
-    The selector ("theorem1") keeps the construction with the largest
-    guarantee, ties resolved in the listed order, and checks the
-    1/2 + 1/86 floor.  A single named construction carries no floor on
-    its fraction; it may be dominated on the given instance.  The
-    returned pi is over the original V labels.
+    Finds a perfect matching, relabels V so it is the identity, builds
+    the conflict digraph and grows a maximal path cover.  The selector
+    ("theorem1") then keeps the rule with the largest guarantee, ties
+    resolved in the listed order, and checks the 1/2 + 1/86 floor.  A
+    single named construction carries no floor on its fraction; it may
+    be dominated on the given instance.  The returned pi is over the
+    original V labels.
     """
     if construction not in CONSTRUCTIONS:
         raise UsageError("unknown construction %r" % (construction,))
-    cover, eps, v_map, candidates = _pipeline(g)
-    if construction == "theorem1":
-        name, count, build_order = max(candidates, key=lambda c: c[1])
-    else:
-        name, count, build_order = next(c for c in candidates if c[0] == construction)
-    pi = Permutation.from_order([v_map[x] for x in build_order(cover, g.n).order])
+    aligned, v_map = align_with_matching(g, find_perfect_matching(g))
+    sg = build_spoiling_graph(aligned)
+    cover, _ = maximal_path_cover(sg)
+    eps = compute_eps(cover, sg)
+    selector = construction == "theorem1"
+    counts = {r: _RULES[r][0](cover, eps.m12) for r in (_RULES if selector else (construction,))}
+    name = max(counts, key=counts.__getitem__)
+    count = counts[name]
+    pi = Permutation.from_order([v_map[x] for x in _RULES[name][1](cover, g.n).order])
     fraction = Fraction(count, g.n)
-    if construction == "theorem1" and fraction < GUARANTEE_FLOOR:
+    if selector and fraction < GUARANTEE_FLOOR:
         raise PropositionViolatedError(
             "selector produced fraction %s below the %s floor" % (fraction, GUARANTEE_FLOOR)
         )

@@ -263,8 +263,11 @@ def gen_random_regular(n: int, d: int, seed: int) -> BipartiteGraph:
     """Union of d random perfect matchings, resampled until simple.
 
     A disjoint matching always exists while d <= n (the complement of the
-    partial union is regular, hence has a perfect matching), so the
-    resampling loop only guards against unlucky draws.
+    partial union is regular, hence has a perfect matching), but the k-th
+    shuffle avoids the k - 1 earlier matchings only with probability
+    about e^-(k-1).  The 10000 tries per matching therefore run out from
+    d of about 10: gen_random_regular(100, 10, 1) raises GenerationError.
+    ROADMAP item 7 plans a sampler for every degree.
     """
     if n < 1 or not (1 <= d <= n):
         raise GenerationError("need n >= 1 and 1 <= d <= n")

@@ -29,7 +29,9 @@ loop with tuple-keyed multiplicities and ``rng.randrange`` draws that the
 planted generator must reproduce draw for draw.  The reference
 experiment cell and Monte Carlo loop are the per-mode if-chains that the
 attack table replaced; the tables must give the same graphs, rows,
-summaries and errors.
+summaries and errors.  The reference exponent report evaluates each
+entropy term where its formula reads it; the report that evaluates each
+named argument once must match it bit for bit.
 The reference matching and arrival-order players are Hopcroft-Karp with a separate
 breadth-first pass, the planted-set adversary that matches once per
 added target, the gadget that builds one adjacency row per U-vertex,
@@ -69,7 +71,7 @@ from greedyorder.adversary import (
     worst_order_exact,
     worst_order_heuristic,
 )
-from greedyorder.analysis import MonteCarloSummary
+from greedyorder.analysis import AnalysisParams, ExponentReport, MonteCarloSummary, entropy
 from greedyorder.certify import build_certificate
 from greedyorder.cli import CSV_COLUMNS
 from greedyorder.errors import (
@@ -1281,6 +1283,62 @@ def reference_monte_carlo(g, trials, adversary_mode="exact", seed=0, budget=10_0
         min_fraction=min(fractions),
         stddev_fraction=statistics.pstdev(fractions),
         upper_bound_only=upper_only,
+    )
+
+
+def reference_bound_exponents(params: AnalysisParams) -> ExponentReport:
+    """``analysis.bound_exponents`` as it stood before each entropy
+    argument was evaluated once; the production code must return the same
+    floats bit for bit and raise the same errors."""
+    rho, rho_bar = params.rho, params.rho_bar
+    eps, alpha, beta, delta = params.eps, params.alpha, params.beta, params.delta
+    if beta * rho_bar <= alpha * rho:
+        raise AnalysisParamError("need beta/alpha > rho/rho_bar for the order bound")
+    if rho_bar <= alpha:
+        raise AnalysisParamError("alpha must stay below rho_bar")
+    arguments = {
+        "2*eps/rho_bar": 2 * eps / rho_bar,
+        "2*eps/rho": 2 * eps / rho,
+        "alpha+beta": alpha + beta,
+        "alpha/rho_bar": alpha / rho_bar,
+        "beta/rho": beta / rho,
+        "delta/alpha": delta / alpha,
+        "delta/(1-alpha)": delta / (1 - alpha),
+        "delta/(rho_bar-alpha)": delta / (rho_bar - alpha),
+    }
+    for name, value in arguments.items():
+        if not (0 <= value <= 1):
+            raise AnalysisParamError("entropy argument %s = %s outside [0, 1]" % (name, value))
+
+    badset = float(rho_bar) * entropy(float(2 * eps / rho_bar)) + float(rho) * entropy(
+        float(2 * eps / rho)
+    )
+    order = -(
+        entropy(float(alpha + beta))
+        - entropy(float(alpha / rho_bar)) * float(rho_bar)
+        - entropy(float(beta / rho)) * float(rho)
+    )
+    literal = (
+        -entropy(float(alpha / rho_bar))
+        + float(alpha) * entropy(float(delta / alpha))
+        + float(1 - alpha) * entropy(float(delta / (1 - alpha)))
+    ) * float(rho_bar)
+    a = alpha / rho_bar
+    dd = delta / rho_bar
+    rescaled = (
+        -entropy(float(a))
+        + float(a) * entropy(float(dd / a))
+        + float(1 - a) * entropy(float(dd / (1 - a)))
+    ) * float(rho_bar)
+    return ExponentReport(
+        params=params,
+        badset_exp=badset,
+        order_exp=order,
+        expansion_exp_literal=literal,
+        expansion_exp_rescaled=rescaled,
+        combined_order=badset + order,
+        combined_expansion=badset + min(literal, rescaled),
+        flags=params.flags(),
     )
 
 

@@ -32,12 +32,18 @@ from greedyorder import (
     adversary_regular_gadget,
     generate,
     greedy_match,
+    monte_carlo_random_pi,
     worst_order_exact,
     worst_order_heuristic,
     worst_order_masked_min,
 )
 from greedyorder.adversary import attack, order_avoiding, worst_order_constructive, worst_order_sampled
-from greedyorder.errors import AnalysisParamError, DimensionMismatchError, HallInfeasibleError
+from greedyorder.errors import (
+    AnalysisParamError,
+    DimensionMismatchError,
+    HallInfeasibleError,
+    UsageError,
+)
 
 
 def test_exact_matches_brute_on_six_cycle():
@@ -250,6 +256,24 @@ def test_player_settings_outside_their_domain():
     res = worst_order_exact(g, pi, budget=1)
     assert (res.exact, res.nodes_expanded) == (False, 1 + 4000)
     assert worst_order_masked_min(g, pi, [5, 6], budget=1)[1:] == (False, 1 + 4000)
+
+
+def test_attack_rejects_an_unknown_mode():
+    """`attack` raises UsageError for a mode outside its table, before it
+    checks the settings, and the Monte Carlo loop passes that error on
+    after its own trials check.  At the CLI it would exit with code 1,
+    where a bare KeyError would escape as a traceback."""
+    g = generate(FamilySpec("fano"))
+    pi = Permutation.identity(7)
+    message = "^unknown adversary mode 'nope'$"
+    with pytest.raises(UsageError, match=message):
+        attack("nope", g, pi)
+    with pytest.raises(UsageError, match=message):
+        attack("nope", g, pi, budget=0)
+    with pytest.raises(UsageError, match=message):
+        monte_carlo_random_pi(g, trials=1, adversary_mode="nope", budget=0)
+    with pytest.raises(AnalysisParamError, match="^trials must be positive$"):
+        monte_carlo_random_pi(g, trials=0, adversary_mode="nope")
 
 
 def test_biclique_adversary_bounds():

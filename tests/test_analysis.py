@@ -7,8 +7,16 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
-from conftest import outcome, random_perm, random_pm_graph, reference_monte_carlo
+from conftest import (
+    outcome,
+    random_perm,
+    random_pm_graph,
+    reference_bound_exponents,
+    reference_monte_carlo,
+)
 
 from greedyorder import (
     AnalysisParams,
@@ -124,6 +132,31 @@ def test_exponent_premises_raise():
     # beta*rho_bar must exceed alpha*rho
     with pytest.raises(AnalysisParamError):
         bound_exponents(AnalysisParams("0.2", "0.45", "0.46"))
+
+
+@settings(max_examples=600, derandomize=True, database=None, deadline=None)
+@given(
+    st.fractions(min_value=0, max_value=Fraction(1, 4), max_denominator=400),
+    st.fractions(min_value=0, max_value=Fraction(1, 2), max_denominator=400),
+    st.fractions(min_value=0, max_value=Fraction(1, 2), max_denominator=400),
+)
+# One example per rejected domain: the order premise, alpha >= rho_bar,
+# and five entropy arguments above 1; and the regression setting.
+@example(Fraction(1, 5), Fraction(9, 20), Fraction(1, 100))
+@example(Fraction(0), Fraction(3, 5), Fraction(1, 10))
+@example(Fraction(1, 5), Fraction(1, 20), Fraction(3, 20))
+@example(Fraction(0), Fraction(9, 20), Fraction(3, 20))
+@example(Fraction(0), Fraction(1, 10), Fraction(1, 5))
+@example(Fraction(0), Fraction(3, 10), Fraction(3, 10))
+@example(Fraction(1, 10), Fraction(3, 10), Fraction(1, 5))
+@example(Fraction(3, 2500), Fraction(49, 200), Fraction(49, 400))
+def test_bound_exponents_equal_the_reference_bit_for_bit(eps, alpha, delta):
+    """Every float of the report, and every rejection's class and message,
+    equal those of the formulas that evaluate each entropy term in place."""
+    assume(0 < alpha and 0 < delta and alpha + delta < 1)
+    params = AnalysisParams(eps, alpha, alpha + delta)
+    got = outcome(bound_exponents, params)
+    assert repr(got) == repr(outcome(reference_bound_exponents, params))
 
 
 # --- safety and bad sets ---------------------------------------------------

@@ -1,9 +1,12 @@
 """Certificate constructions, guarantee formulas, and the selector LP."""
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
+
+from conftest import brute_max_matching_size, random_pm_graph
 
 from greedyorder import (
     BipartiteGraph,
@@ -74,6 +77,22 @@ def test_eps_fields_match_counts(corpus):
         assert eps.eps2 == Fraction(eps.p - eps.k, n)
         assert eps.eps3 == Fraction(1, 2) - Fraction(eps.m12, n)
         assert 0 <= eps.m12 <= min(eps.k, n - eps.k)
+
+
+def test_m12_is_the_largest_matching_from_isolated_to_longer_path_nodes(corpus):
+    """compute_m12 against a bitmask DP over the arcs q -> w that
+    has_arc finds from each isolated node q to each longer-path node w;
+    sparse random graphs have both arc directions between the classes."""
+    rng = random.Random(12)
+    graphs = [inst.graph for inst in corpus]
+    for _ in range(300):
+        n = rng.randint(2, 12)
+        graphs.append(random_pm_graph(rng, n, extra=rng.randint(0, n)))
+    for g in graphs:
+        cover, sg = cover_and_sg(g)
+        w1, w2 = cover.classes()
+        adj = [[t for t, w in enumerate(w2) if sg.has_arc(q, w)] for q in w1]
+        assert compute_m12(cover, sg) == brute_max_matching_size(adj, len(w2))
 
 
 def test_guarantee_formulas(corpus):
