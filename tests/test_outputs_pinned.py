@@ -8,6 +8,7 @@ digest it moves and says so in CHANGES.md; a failing check prints the
 digest it computed.
 """
 
+import argparse
 import hashlib
 import json
 import random
@@ -21,7 +22,7 @@ from greedyorder import FamilySpec, generate, worst_order_exact, worst_order_mas
 from greedyorder.adversary import ADVERSARY_MODES, order_avoiding
 from greedyorder.analysis import MINIMIZER_POLICIES, enumerate_bad_sets, iterative_process
 from greedyorder.certify import CONSTRUCTIONS
-from greedyorder.cli import main
+from greedyorder.cli import build_parser, main
 
 PINNED = {
     "bound": "b878db4e9fb59309633a520906ef3a3b3f2bf5c20e98bf6606e34260e04a2d78",
@@ -36,6 +37,7 @@ PINNED = {
     "cli_analyze_safety": "ac99a68dc04da4af60555d0cd99ff8dabcd5613b93ddc61433e4f87ae78fc8dc",
     "cli_analyze_montecarlo": "b0b0d1c27ad02def499ec5eb1f8be18173fe8a0a01373f4e1e3a123a7c9c9d4a",
     "cli_analyze_exponents": "2ec9c0e87e1f3066b9fe946c858a1f9a7dfdf6cb79f19a023165aff806b09043",
+    "cli_surface": "a9191e247c1e04e05a94a1100d5a6e82fbde036671a3e249a15c40e5e6ee7af8",
 }
 
 
@@ -206,3 +208,28 @@ def test_cli_exponent_table_and_document_are_pinned(tmp_path, capsys):
         run = cli_run(capsys, ["analyze", "exponents", *flags, "-o", str(out)])
         doc.append([flags, run, out.read_text() if out.exists() else None])
     check_pinned("cli_analyze_exponents", doc)
+
+
+def parser_surface(parser):
+    """Each option of parser and of its subcommands: strings, dest,
+    default, type name, choices, required and action class, sorted so
+    that neither help text nor declaration order counts."""
+    options, subcommands = [], {}
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            subcommands = {name: parser_surface(sub) for name, sub in action.choices.items()}
+        options.append({
+            "strings": action.option_strings,
+            "dest": action.dest,
+            "default": action.default,
+            "type": getattr(action.type, "__name__", action.type),
+            "choices": None if action.choices is None else list(action.choices),
+            "required": action.required,
+            "action": type(action).__name__,
+        })
+    options.sort(key=lambda o: (o["strings"], o["dest"]))
+    return {"options": options, "subcommands": subcommands}
+
+
+def test_cli_surface_is_pinned():
+    check_pinned("cli_surface", parser_surface(build_parser()))
