@@ -1,9 +1,15 @@
 """Subcommand front end: gen, bound, adversary, experiment, analyze.
 
-Exit codes: 0 success, 1 usage error, 2 data error (bad schema or
-infeasible input), 3 internal invariant violation.  All randomness is
-seeded; an experiment run writes rows in config order, so identical
-configs give identical tables apart from the runtime_ms column.
+Each subcommand's handler returns its result document and main writes
+it as canonical JSON to -o, or else to stdout, the same bytes either way.
+experiment writes CSV instead, and analyze exponents prints a table on
+stdout and writes its document only to -o.
+
+Exit codes: 0 success, 1 usage error, 2 data error (bad schema,
+infeasible input, or a file that cannot be read or written), 3 internal
+invariant violation.  All randomness is seeded; an experiment run writes
+rows in config order, so identical configs give identical tables apart
+from the runtime_ms column.
 """
 
 from __future__ import annotations
@@ -11,6 +17,7 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import io
 import itertools
 import sys
 import time
@@ -31,7 +38,7 @@ from .analysis import (
 )
 from .certify import CONSTRUCTIONS, build_certificate
 from .core import Permutation
-from .errors import GreedyOrderError, PropositionViolatedError, UsageError
+from .errors import GreedyOrderError, PropositionViolatedError, SchemaError, UsageError
 from .families import FAMILIES, FamilySpec, derived_seed, generate
 
 __all__ = ["main", "run_experiment", "experiment_rows", "write_rows_csv", "CSV_COLUMNS"]
@@ -42,54 +49,45 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _emit(args, doc) -> None:
-    if args.output:
-        gio.write_doc(args.output, doc)
-    else:
-        sys.stdout.write(gio.canonical_dumps(doc))
+def _emit(path: Optional[str], text: str, newline: Optional[str] = None) -> None:
+    """Write text to the file at path, or to stdout without one; a file
+    that cannot be opened or written is a data error naming the path."""
+    if not path:
+        sys.stdout.write(text)
+        return
+    try:
+        with open(path, "w", encoding="utf-8", newline=newline) as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise SchemaError("%s: %s" % (path, exc.strerror or exc)) from exc
 
 
-def _common_flags(sub: argparse.ArgumentParser, seeded: bool = False) -> None:
-    if seeded:
-        sub.add_argument("--seed", type=int, default=None, help="master random seed")
-    sub.add_argument("-o", "--output", default=None, help="output file (default: stdout)")
+# --- gen, bound, adversary -----------------------------------------------
+
+# The family parameters gen takes as flags, with their types; the flag is
+# the name with dashes.
+_GEN_PARAMS = (("n", int), ("d", int), ("t", int), ("i", int), ("extra_edges", int), ("eps", float))
 
 
-# --- gen ---------------------------------------------------------------
-
-
-def cmd_gen(args) -> int:
-    params = {}
-    for key in ("n", "d", "t", "i", "extra_edges", "eps"):
-        value = getattr(args, key)
-        if value is not None:
-            params[key] = value
+def cmd_gen(args) -> dict:
+    params = {key: getattr(args, key) for key, _ in _GEN_PARAMS if getattr(args, key) is not None}
     spec = FamilySpec(family=args.family, params=params, seed=args.seed or 0)
     g = generate(spec)
-    _emit(args, gio.graph_to_doc(g))
-    return 0
+    return gio.graph_to_doc(g)
 
 
-# --- bound ---------------------------------------------------------------
-
-
-def cmd_bound(args) -> int:
+def cmd_bound(args) -> dict:
     g, _ = gio.read_graph(args.graph)
     cert = build_certificate(g, args.construction)
-    _emit(args, gio.certificate_to_doc(cert))
-    return 0
+    return gio.certificate_to_doc(cert)
 
 
-# --- adversary -----------------------------------------------------------
-
-
-def cmd_adversary(args) -> int:
+def cmd_adversary(args) -> dict:
     g, _ = gio.read_graph(args.graph)
     pi = gio.read_perm(args.pi, n=g.n)
     mode = "exact" if args.exact else "heuristic"
     res = attack(mode, g, pi, budget=args.budget, iters=args.iters, seed=args.seed or 0)
-    _emit(args, gio.to_doc(res))
-    return 0
+    return gio.to_doc(res)
 
 
 # --- experiment ------------------------------------------------------------
@@ -180,17 +178,13 @@ def write_rows_csv(rows: Sequence[dict], fh) -> None:
         writer.writerow(row)
 
 
-def cmd_experiment(args) -> int:
+def cmd_experiment(args) -> None:
     config = gio.read_config(args.config, seed=args.seed)
     rows = experiment_rows(config)
-    path = args.output or config.output_path
-    if path:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            write_rows_csv(rows, fh)
-    else:
-        write_rows_csv(rows, sys.stdout)
+    table = io.StringIO()
+    write_rows_csv(rows, table)
+    _emit(args.output or config.output_path, table.getvalue(), newline="")
     _raise_if_unsound(rows)
-    return 0
 
 
 # --- analyze ----------------------------------------------------------------
@@ -206,7 +200,7 @@ def _parse_set(text: str) -> list[int]:
         raise UsageError("--set expects comma-separated integers, got %r" % text) from exc
 
 
-def cmd_analyze_exponents(args) -> int:
+def cmd_analyze_exponents(args) -> Optional[dict]:
     params = AnalysisParams(eps=args.eps, alpha=args.alpha, beta=args.beta)
     doc = gio.to_doc(bound_exponents(params))
     print("%-26s %16s" % ("exponent", "value"))
@@ -216,27 +210,24 @@ def cmd_analyze_exponents(args) -> int:
             print("%-26s %16.9f" % (name, value))
     if doc["flags"]:
         print("flags: %s" % ", ".join(doc["flags"]))
-    if args.output:
-        gio.write_doc(args.output, doc)
-    return 0
+    # The table has taken stdout, so the document goes only to -o.
+    return doc if args.output else None
 
 
-def cmd_analyze_badsets(args) -> int:
+def cmd_analyze_badsets(args) -> dict:
     g, _ = gio.read_graph(args.graph)
     report = enumerate_bad_sets(g, args.size, mode=args.mode)
-    _emit(args, gio.badset_report_to_doc(report))
-    return 0
+    return gio.badset_report_to_doc(report)
 
 
-def cmd_analyze_safety(args) -> int:
+def cmd_analyze_safety(args) -> dict:
     g, _ = gio.read_graph(args.graph)
     pi = gio.read_perm(args.pi, n=g.n)
     result = is_safe(g, pi, _parse_set(args.set))
-    _emit(args, gio.to_doc(result))
-    return 0
+    return gio.to_doc(result)
 
 
-def cmd_analyze_montecarlo(args) -> int:
+def cmd_analyze_montecarlo(args) -> dict:
     g, _ = gio.read_graph(args.graph)
     summary = monte_carlo_random_pi(
         g,
@@ -246,29 +237,40 @@ def cmd_analyze_montecarlo(args) -> int:
         budget=args.budget,
         iters=args.iters,
     )
-    _emit(args, gio.monte_carlo_to_doc(summary))
-    return 0
+    return gio.monte_carlo_to_doc(summary)
 
 
-def cmd_analyze_iterate(args) -> int:
+def cmd_analyze_iterate(args) -> dict:
     g, _ = gio.read_graph(args.graph)
     if args.pi is not None:
         pi1 = gio.read_perm(args.pi, n=g.n)
     else:
         pi1 = Permutation.identity(g.n)
     trace = iterative_process(g, pi1, cap=args.cap, minimizer_policy=args.policy)
-    _emit(args, gio.iterative_trace_to_doc(trace))
-    return 0
+    return gio.iterative_trace_to_doc(trace)
 
 
-def cmd_analyze_crosscheck(args) -> int:
+def cmd_analyze_crosscheck(args) -> dict:
     g, _ = gio.read_graph(args.graph)
     cross_check_interpretations(g, n_cap=args.n_cap)
-    _emit(args, {"equal": True, "n": g.n})
-    return 0
+    return {"equal": True, "n": g.n}
 
 
 # --- parser wiring -----------------------------------------------------------
+
+
+def _command(subs, name: str, func, source: Optional[str] = None, seeded=False, help=None):
+    """Declare the subcommand that func runs, with its input positional
+    source (if any), --seed where func reads one, and -o.  Returns the
+    subparser, for the command's own flags."""
+    sub = subs.add_parser(name, help=help)
+    if source:
+        sub.add_argument(source)
+    if seeded:
+        sub.add_argument("--seed", type=int, default=None, help="master random seed")
+    sub.add_argument("-o", "--output", default=None, help="output file (default: stdout)")
+    sub.set_defaults(func=func)
+    return sub
 
 
 @functools.cache
@@ -281,88 +283,56 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="greedyorder", description=__doc__)
     subs = parser.add_subparsers(dest="command", required=True)
 
-    p_gen = subs.add_parser("gen", help="generate a family instance")
+    p_gen = _command(subs, "gen", cmd_gen, seeded=True, help="generate a family instance")
     p_gen.add_argument("--family", required=True, choices=FAMILIES)
-    p_gen.add_argument("--n", type=int)
-    p_gen.add_argument("--d", type=int)
-    p_gen.add_argument("--t", type=int)
-    p_gen.add_argument("--i", type=int)
-    p_gen.add_argument("--extra-edges", dest="extra_edges", type=int)
-    p_gen.add_argument("--eps", type=float)
-    _common_flags(p_gen, seeded=True)
-    p_gen.set_defaults(func=cmd_gen)
+    for key, kind in _GEN_PARAMS:
+        p_gen.add_argument("--" + key.replace("_", "-"), type=kind)
 
-    p_bound = subs.add_parser("bound", help="certify a priority order for a graph")
-    p_bound.add_argument("graph")
+    p_bound = _command(
+        subs, "bound", cmd_bound, "graph", help="certify a priority order for a graph"
+    )
     p_bound.add_argument("--construction", default="theorem1", choices=CONSTRUCTIONS)
-    _common_flags(p_bound)
-    p_bound.set_defaults(func=cmd_bound)
 
-    p_adv = subs.add_parser("adversary", help="attack a priority order")
-    p_adv.add_argument("graph")
+    p_adv = _command(
+        subs, "adversary", cmd_adversary, "graph", seeded=True, help="attack a priority order"
+    )
     p_adv.add_argument("--pi", required=True, help="priority order JSON file")
     p_adv.add_argument("--exact", action="store_true")
     p_adv.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     p_adv.add_argument("--iters", type=int, default=10_000)
-    _common_flags(p_adv, seeded=True)
-    p_adv.set_defaults(func=cmd_adversary)
 
-    p_exp = subs.add_parser("experiment", help="run a config of instances x methods to CSV")
-    p_exp.add_argument("config")
-    _common_flags(p_exp, seeded=True)
-    p_exp.set_defaults(func=cmd_experiment)
+    about = "run a config of instances x methods to CSV"
+    _command(subs, "experiment", cmd_experiment, "config", seeded=True, help=about)
 
     p_ana = subs.add_parser("analyze", help="safety, bad sets, exponents, simulations")
     ana_subs = p_ana.add_subparsers(dest="mode", required=True)
 
-    a_exp = ana_subs.add_parser("exponents")
+    a_exp = _command(ana_subs, "exponents", cmd_analyze_exponents)
     a_exp.add_argument("--eps", default="0.0012")
     a_exp.add_argument("--alpha", default="0.245")
     a_exp.add_argument("--beta", default="0.3675")
-    _common_flags(a_exp)
-    a_exp.set_defaults(func=cmd_analyze_exponents)
 
-    a_bad = ana_subs.add_parser("badsets")
-    a_bad.add_argument("graph")
+    a_bad = _command(ana_subs, "badsets", cmd_analyze_badsets, "graph")
     a_bad.add_argument("--size", type=int, required=True)
     a_bad.add_argument("--mode", default=BAD_SET_MODES[0], choices=BAD_SET_MODES)
-    _common_flags(a_bad)
-    a_bad.set_defaults(func=cmd_analyze_badsets)
 
-    a_safe = ana_subs.add_parser("safety")
-    a_safe.add_argument("graph")
+    a_safe = _command(ana_subs, "safety", cmd_analyze_safety, "graph")
     a_safe.add_argument("--pi", required=True)
     a_safe.add_argument("--set", required=True, help="comma-separated right-vertex indices")
-    _common_flags(a_safe)
-    a_safe.set_defaults(func=cmd_analyze_safety)
 
-    a_mc = ana_subs.add_parser("montecarlo")
-    a_mc.add_argument("graph")
+    a_mc = _command(ana_subs, "montecarlo", cmd_analyze_montecarlo, "graph", seeded=True)
     a_mc.add_argument("--trials", type=int, default=100)
-    a_mc.add_argument(
-        "--adversary-mode",
-        dest="adversary_mode",
-        default=DEFAULT_MODE,
-        choices=ADVERSARY_MODES,
-    )
+    a_mc.add_argument("--adversary-mode", default=DEFAULT_MODE, choices=ADVERSARY_MODES)
     a_mc.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     a_mc.add_argument("--iters", type=int, default=4000)
-    _common_flags(a_mc, seeded=True)
-    a_mc.set_defaults(func=cmd_analyze_montecarlo)
 
-    a_it = ana_subs.add_parser("iterate")
-    a_it.add_argument("graph")
+    a_it = _command(ana_subs, "iterate", cmd_analyze_iterate, "graph")
     a_it.add_argument("--pi", default=None, help="starting priority order (default: identity)")
     a_it.add_argument("--cap", type=int, default=32)
     a_it.add_argument("--policy", default=MINIMIZER_POLICIES[0], choices=MINIMIZER_POLICIES)
-    _common_flags(a_it)
-    a_it.set_defaults(func=cmd_analyze_iterate)
 
-    a_cc = ana_subs.add_parser("crosscheck")
-    a_cc.add_argument("graph")
-    a_cc.add_argument("--n-cap", dest="n_cap", type=int, default=5)
-    _common_flags(a_cc)
-    a_cc.set_defaults(func=cmd_analyze_crosscheck)
+    a_cc = _command(ana_subs, "crosscheck", cmd_analyze_crosscheck, "graph")
+    a_cc.add_argument("--n-cap", type=int, default=5)
 
     return parser
 
@@ -375,8 +345,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        result = args.func(args)
-        return 0 if result is None else result
+        doc = args.func(args)
+        if doc is not None:
+            _emit(args.output, gio.canonical_dumps(doc))
+        return 0
     except GreedyOrderError as exc:
         print("%s: %s" % (_EXIT_LABELS[exc.exit_code], exc), file=sys.stderr)
         return exc.exit_code

@@ -68,7 +68,7 @@ class AnalysisParamError(GreedyOrderError):
 
 
 class SchemaError(GreedyOrderError):
-    """A JSON document violated the wire format."""
+    """A JSON document violated the wire format, or a file could not be read or written."""
 
 
 class UsageError(GreedyOrderError):

@@ -111,6 +111,9 @@ def _load_json(path: str) -> Any:
         raise SchemaError("%s:%d:%d: %s" % (path, exc.lineno, exc.colno, exc.msg)) from exc
     except OSError as exc:
         raise SchemaError("%s: %s" % (path, exc.strerror or exc)) from exc
+    except (ValueError, RecursionError) as exc:
+        # Not UTF-8, an int literal past the int-string limit, or nested too deep.
+        raise SchemaError("%s: %s" % (path, exc)) from exc
 
 
 def _fail(where: str, message: str) -> SchemaError:

@@ -4,6 +4,7 @@ import argparse
 import ast
 import collections
 import csv
+import errno
 import io as _io
 import json
 import os
@@ -391,6 +392,16 @@ def test_bound_exits_two_on_every_faulty_graph_file(tmp_path, capsys):
     assert outcomes["faulty"] >= 100 and outcomes["valid, exit 0"] >= 10, outcomes
 
 
+# Files that json.load fails on without a JSONDecodeError: bytes that are
+# not UTF-8, an integer literal past the int-string limit of 4300 digits,
+# and nesting deeper than the recursion limit.
+UNDECODABLE_FILES = {
+    "latin1.json": b'{"n": 1, "edges": [[0, 0]], "family": "caf\xe9"}',
+    "long_int.json": b'{"n": 1' + b"0" * 4300 + b', "edges": []}',
+    "deep.json": b"[" * 100_000 + b"]" * 100_000,
+}
+
+
 def test_read_graph_bad_paths(tmp_path):
     with pytest.raises(SchemaError):
         gio.read_graph(str(tmp_path / "absent.json"))
@@ -399,6 +410,11 @@ def test_read_graph_bad_paths(tmp_path):
     with pytest.raises(SchemaError) as err:
         gio.read_graph(str(bad))
     assert ":1:" in str(err.value)  # line:col locates the parse failure
+    for name, data in UNDECODABLE_FILES.items():
+        bad = tmp_path / name
+        bad.write_bytes(data)
+        with pytest.raises(SchemaError, match="^%s: " % re.escape(str(bad))):
+            gio.read_graph(str(bad))
 
 
 def test_perm_round_trip_and_validation(tmp_path):
@@ -647,8 +663,111 @@ def test_cli_bound_reproduces_worked_example(tmp_path, capsys):
     assert main(["bound", graph, "--construction", "sort9"]) == 1
 
 
+def subcommand_argvs(tmp_path):
+    """An argv that succeeds without -o for each subcommand, keyed by its
+    path in the parser."""
+    graph = write_fig1(tmp_path)
+    pi = tmp_path / "pi.json"
+    pi.write_text("[2, 1, 0]\n")
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"instances": [], "methods": ["theorem1"]}))
+    argvs = {
+        "gen": ["--family", "fig1"],
+        "bound": [graph],
+        "adversary": [graph, "--pi", pi, "--exact"],
+        "experiment": [cfg],
+        "analyze exponents": [],
+        "analyze badsets": [graph, "--size", "1"],
+        "analyze safety": [graph, "--pi", pi, "--set", "0"],
+        "analyze montecarlo": [graph, "--trials", "3", "--seed", "1"],
+        "analyze iterate": [graph, "--pi", pi],
+        "analyze crosscheck": [graph],
+    }
+    return {name: name.split() + list(map(str, argv)) for name, argv in argvs.items()}
+
+
+def parser_commands(parser, prefix=""):
+    """The path of every runnable subcommand under parser."""
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        return [prefix.strip()]
+    return [
+        path
+        for name, sub in subs[0].choices.items()
+        for path in parser_commands(sub, prefix + " " + name)
+    ]
+
+
+def test_subcommand_argvs_cover_the_parser(tmp_path):
+    assert sorted(subcommand_argvs(tmp_path)) == sorted(parser_commands(build_parser()))
+
+
 def test_cli_bound_missing_file_is_data_error(tmp_path, capsys):
-    assert main(["bound", str(tmp_path / "nope.json")]) == 2
+    """An input that cannot be read and an -o or config output_path that
+    cannot be written each exit 2 with one error line naming the path."""
+    missing = str(tmp_path / "nope.json")
+    assert main(["bound", missing]) == 2
+    assert capsys.readouterr().err == "error: %s: %s\n" % (missing, os.strerror(errno.ENOENT))
+    unwritable = {
+        str(tmp_path / "no_such_dir" / "out.json"): errno.ENOENT,
+        str(tmp_path): errno.EISDIR,
+    }
+    for name, argv in subcommand_argvs(tmp_path).items():
+        assert main(argv) == 0, name
+        capsys.readouterr()
+        for target, code in unwritable.items():
+            assert main(argv + ["-o", target]) == 2, name
+            out, err = capsys.readouterr()
+            assert err == "error: %s: %s\n" % (target, os.strerror(code)), name
+            # The exponent table goes to stdout before the document is written.
+            assert out == "" or name == "analyze exponents"
+    cfg = tmp_path / "config.json"
+    for target, code in unwritable.items():
+        cfg.write_text(json.dumps({"instances": [], "methods": ["theorem1"], "output_path": target}))
+        assert main(["experiment", str(cfg)]) == 2
+        assert capsys.readouterr().err == "error: %s: %s\n" % (target, os.strerror(code))
+
+
+def test_cli_undecodable_inputs_are_data_errors(tmp_path, capsys):
+    """A graph, priority order or config file that json cannot decode
+    exits 2 with one error line naming the file."""
+    argvs = subcommand_argvs(tmp_path)
+    for name, data in UNDECODABLE_FILES.items():
+        bad = tmp_path / name
+        bad.write_bytes(data)
+        graph = argvs["bound"][1]
+        for argv in (["bound", bad], ["adversary", graph, "--pi", bad], ["experiment", bad]):
+            assert main(list(map(str, argv))) == 2, argv
+            out, err = capsys.readouterr()
+            assert out == "" and err.startswith("error: %s: " % bad), argv
+            assert err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize(
+    "name",
+    [
+        "gen",
+        "bound",
+        "adversary",
+        "experiment",
+        "analyze badsets",
+        "analyze safety",
+        "analyze montecarlo",
+        "analyze iterate",
+        "analyze crosscheck",
+    ],
+)
+def test_cli_output_file_holds_the_bytes_of_stdout(name, tmp_path, capsys):
+    """-o writes what the command would write to stdout, and nothing to
+    stdout.  analyze exponents, whose table takes stdout, is pinned in
+    test_outputs_pinned."""
+    argv = subcommand_argvs(tmp_path)[name]
+    assert main(argv) == 0
+    stdout = capsys.readouterr().out
+    out = tmp_path / "out"
+    assert main(argv + ["-o", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert out.read_bytes() == stdout.encode() and stdout
 
 
 def test_cli_adversary_passes_its_settings_to_the_player(tmp_path, capsys):
