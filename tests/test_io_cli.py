@@ -698,10 +698,6 @@ def parser_commands(parser, prefix=""):
     ]
 
 
-def test_subcommand_argvs_cover_the_parser(tmp_path):
-    assert sorted(subcommand_argvs(tmp_path)) == sorted(parser_commands(build_parser()))
-
-
 def test_cli_bound_missing_file_is_data_error(tmp_path, capsys):
     """An input that cannot be read and an -o or config output_path that
     cannot be written each exit 2 with one error line naming the path."""
@@ -712,7 +708,9 @@ def test_cli_bound_missing_file_is_data_error(tmp_path, capsys):
         str(tmp_path / "no_such_dir" / "out.json"): errno.ENOENT,
         str(tmp_path): errno.EISDIR,
     }
-    for name, argv in subcommand_argvs(tmp_path).items():
+    argvs = subcommand_argvs(tmp_path)
+    assert sorted(argvs) == sorted(parser_commands(build_parser()))
+    for name, argv in argvs.items():
         assert main(argv) == 0, name
         capsys.readouterr()
         for target, code in unwritable.items():
@@ -731,11 +729,10 @@ def test_cli_bound_missing_file_is_data_error(tmp_path, capsys):
 def test_cli_undecodable_inputs_are_data_errors(tmp_path, capsys):
     """A graph, priority order or config file that json cannot decode
     exits 2 with one error line naming the file."""
-    argvs = subcommand_argvs(tmp_path)
+    graph = subcommand_argvs(tmp_path)["bound"][1]
     for name, data in UNDECODABLE_FILES.items():
         bad = tmp_path / name
         bad.write_bytes(data)
-        graph = argvs["bound"][1]
         for argv in (["bound", bad], ["adversary", graph, "--pi", bad], ["experiment", bad]):
             assert main(list(map(str, argv))) == 2, argv
             out, err = capsys.readouterr()
