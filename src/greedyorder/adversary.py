@@ -518,34 +518,45 @@ def _order_by_planned_partner(
 def adversary_regular_gadget(pi: Permutation, d: int, t: int) -> Permutation:
     """Arrival order spoiling the three-block 2d-regular construction.
 
-    Within each copy: take the d lowest-priority vertices of the copy
-    under pi as the target set, pick the V-block holding the most of
-    them, match the other two U-blocks onto the 2d high-priority
-    vertices one by one, then release the picked block's U-side.  At
-    least ceil(d/3) V-vertices per copy stay unmatched.
+    Within each copy, the d lowest-priority vertices under pi are the
+    targets and the other 2d the high set; b* is the V-block holding the
+    most targets (the first on a tie) and b1 < b2 are the other two.
+    The U-blocks b1 and b2 are matched onto the high set in closed form:
+    b1's U-vertices, in label order, take every high vertex of block b2
+    and the first hits[b2] high vertices of b*, in rank order; b2's take
+    the rest.  Block b holds d - hits[b] high vertices and the hits sum
+    to d, so each side gets exactly d vertices it is adjacent to, and
+    the matching is perfect.  Each U-vertex arrives when its partner's
+    rank comes up, so greedy fills the high set; b*'s U-side arrives
+    last and reaches only the targets outside b*.  So max(hits) >=
+    ceil(d/3) V-vertices per copy stay unmatched, the same ones under
+    any perfect matching onto the high set.
     """
     if d < 1 or t < 1:
         raise FamilyShapeError("d and t must be positive")
-    n = 3 * d * t
-    if len(pi) != n:
-        raise FamilyShapeError("pi has %d entries, expected %d" % (len(pi), n))
-    rank = pi.rank
+    size = 3 * d
+    if len(pi) != size * t:
+        raise FamilyShapeError("pi has %d entries, expected %d" % (len(pi), size * t))
+    copies: list[list[int]] = [[] for _ in range(t)]
+    for v in pi.order:
+        copies[v // size].append(v)
     order: list[int] = []
-    for c in range(t):
-        base = 3 * d * c
-        copy_v = sorted(range(base, base + 3 * d), key=lambda v: rank[v])
-        high, target = copy_v[: 2 * d], copy_v[2 * d :]
-        hits = [sum(1 for v in target if (v - base) // d == b) for b in range(3)]
+    for c, copy_v in enumerate(copies):
+        base = size * c
+        blocks = [(v - base) // d for v in copy_v]
+        hits = [blocks[2 * d :].count(b) for b in range(3)]
         b_star = hits.index(max(hits))
-        other_u = [u for u in range(base, base + 3 * d) if (u - base) // d != b_star]
-        # A U-vertex's row depends only on its block: one row per block.
-        rows = [tuple(j for j, v in enumerate(high) if (v - base) // d != b) for b in range(3)]
-        adj = [rows[(u - base) // d] for u in other_u]
-        pairs = max_matching(adj, len(high))
-        if len(pairs) != len(other_u):
-            raise PropositionViolatedError("block matching onto the high set must be perfect")
-        planned = [(other_u[i], high[j]) for i, j in pairs]
-        order.extend(_order_by_planned_partner(planned, rank))
+        b1, b2 = (b for b in range(3) if b != b_star)
+        owed = hits[b2]  # high vertices of b* still due to b1's U-side
+        nxt = [base + b * d for b in range(3)]  # next U label of each block
+        for b in blocks[: 2 * d]:
+            if b == b_star and owed:
+                owed -= 1
+                side = b1
+            else:
+                side = b1 if b == b2 else b2
+            order.append(nxt[side])
+            nxt[side] += 1
         order.extend(range(base + b_star * d, base + (b_star + 1) * d))
     return Permutation.from_order(order)
 

@@ -6,10 +6,11 @@ experiment writes CSV instead, and analyze exponents prints a table on
 stdout and writes its document only to -o.
 
 Exit codes: 0 success, 1 usage error, 2 data error (bad schema,
-infeasible input, or a file that cannot be read or written), 3 internal
-invariant violation.  All randomness is seeded; an experiment run writes
-rows in config order, so identical configs give identical tables apart
-from the runtime_ms column.
+infeasible input, a file that cannot be read or written, or a stdout
+that cannot be written), 3 internal invariant violation.  All
+randomness is seeded; an experiment run writes rows in config order, so
+identical configs give identical tables apart from the runtime_ms
+column.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import csv
 import functools
 import io
 import itertools
+import os
 import sys
 import time
 from typing import Optional, Sequence
@@ -51,9 +53,19 @@ class _Parser(argparse.ArgumentParser):
 
 def _emit(path: Optional[str], text: str, newline: Optional[str] = None) -> None:
     """Write text to the file at path, or to stdout without one; a file
-    that cannot be opened or written is a data error naming the path."""
+    that cannot be opened or written, or a stdout that cannot be written
+    or flushed (a full disk, a closed pipe), is a data error naming it."""
     if not path:
-        sys.stdout.write(text)
+        try:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+        except OSError as exc:
+            # What the failed write left in stdout's buffer would fail again
+            # at the interpreter's flush on exit, with a second message.
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+            raise SchemaError("stdout: %s" % (exc.strerror or exc)) from exc
         return
     try:
         with open(path, "w", encoding="utf-8", newline=newline) as fh:
@@ -203,13 +215,14 @@ def _parse_set(text: str) -> list[int]:
 def cmd_analyze_exponents(args) -> Optional[dict]:
     params = AnalysisParams(eps=args.eps, alpha=args.alpha, beta=args.beta)
     doc = gio.to_doc(bound_exponents(params))
-    print("%-26s %16s" % ("exponent", "value"))
+    lines = ["%-26s %16s" % ("exponent", "value")]
     # The report's exponents are its float fields, in declared order.
     for name, value in doc.items():
         if isinstance(value, float):
-            print("%-26s %16.9f" % (name, value))
+            lines.append("%-26s %16.9f" % (name, value))
     if doc["flags"]:
-        print("flags: %s" % ", ".join(doc["flags"]))
+        lines.append("flags: %s" % ", ".join(doc["flags"]))
+    _emit(None, "\n".join(lines) + "\n")
     # The table has taken stdout, so the document goes only to -o.
     return doc if args.output else None
 

@@ -216,6 +216,16 @@ def max_matching(adj: Sequence[Iterable[int]], n_right: int) -> list[tuple[int, 
         dist[i] = INF
         return False
 
+    # The first phase starts with every left vertex free at layer 0, so no
+    # matched vertex ever sits at layer 1 and each search takes its first
+    # free neighbour in row order: a plain greedy pass, with no BFS.
+    for i, row in enumerate(adj_l):
+        for j in row:
+            if match_r[j] == -1:
+                match_l[i] = j
+                match_r[j] = i
+                break
+
     while True:
         # Layer from the free left vertices; the list is read as a queue.
         dist = [INF if m != -1 else 0 for m in match_l]

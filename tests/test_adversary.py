@@ -353,8 +353,9 @@ def test_heuristic_and_sampled_equal_the_greedy_scored_reference():
 
 
 def test_regular_gadget_equals_the_reference():
-    """The three block rows give the same orders and the same errors as
-    one row per U-vertex."""
+    """The closed-form block matching leaves greedy the same unmatched
+    V-vertices as the reference's Hopcroft-Karp matching, and the two
+    raise the same errors."""
     seen = set()
 
     @settings(max_examples=300, derandomize=True, database=None, deadline=None)
@@ -363,11 +364,46 @@ def test_regular_gadget_equals_the_reference():
         n = 3 * max(d, 1) * max(t, 1) + (rng.random() < 0.1)
         pi = random_perm(rng, n)
         got = outcome(adversary_regular_gadget, pi, d, t)
-        assert got == outcome(reference_regular_gadget, pi, d, t)
+        want = outcome(reference_regular_gadget, pi, d, t)
+        if isinstance(want, tuple):
+            assert got == want
+        else:
+            g = generate(FamilySpec("regular89", {"d": d, "t": t}))
+            new, ref = greedy_match(g, got, pi), greedy_match(g, want, pi)
+            assert new.unmatched_v() == ref.unmatched_v()
+            assert new.size == ref.size
         seen.add("error" if isinstance(got, tuple) else "order")
 
     check()
     assert seen == {"error", "order"}
+
+
+def test_regular_gadget_is_exactly_optimal():
+    """No arrival order leaves greedy fewer matched than the gadget's:
+    every order of the 6-vertex gadgets, and sampled orders of larger
+    ones."""
+    rng = random.Random(89)
+    for d, t, samples in ((2, 1, None), (1, 2, None), (3, 1, 200), (4, 1, 200), (2, 2, 200)):
+        g = generate(FamilySpec("regular89", {"d": d, "t": t}))
+        if samples is None:
+            pis = [Permutation.from_order(o) for o in itertools.permutations(range(g.n))]
+        else:
+            pis = [random_perm(rng, g.n) for _ in range(samples)]
+        for pi in pis:
+            res = worst_order_exact(g, pi)
+            assert res.exact
+            assert greedy_match(g, adversary_regular_gadget(pi, d, t), pi).size == res.size, (
+                d, t, pi.order,
+            )
+
+
+def test_regular_gadget_runs_no_matcher(monkeypatch):
+    def refuse(adj, n_right):
+        raise AssertionError("the gadget plans its block matching without a matcher")
+
+    monkeypatch.setattr(adversary_mod, "max_matching", refuse)
+    pi = random_perm(random.Random(3), 60)
+    assert len(adversary_regular_gadget(pi, 4, 5)) == 60
 
 
 PLANTED_SPECS = [

@@ -233,6 +233,31 @@ def test_max_matching_equals_the_reference():
         assert max_matching(adj, n) == reference_max_matching(adj, n)
 
 
+def test_max_matching_with_repeated_indices_and_empty_sides_equals_the_reference():
+    """The greedy first phase takes the first free entry of a row, as the
+    reference's first search does, when rows repeat a right index, are
+    empty, or there are no rows at all."""
+    seen = set()
+
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(st.integers(0, 8), st.integers(1, 8), st.randoms(use_true_random=False))
+    def check(n_left, n_right, rng):
+        adj = [rng.choices(range(n_right), k=rng.randrange(2 * n_right)) for _ in range(n_left)]
+        assert max_matching(adj, n_right) == reference_max_matching(adj, n_right)
+        if any(len(set(a)) < len(a) for a in adj):
+            seen.add("repeated index")
+        if any(not a for a in adj):
+            seen.add("empty row")
+        if not adj:
+            seen.add("no rows")
+
+    check()
+    assert seen == {"repeated index", "empty row", "no rows"}
+    fixed = (([], 0), ([], 3), ([[], []], 0), ([[0, 0, 0], [0, 0]], 1), ([[1, 1], [1, 0, 0]], 2))
+    for adj, n_right in fixed:
+        assert max_matching(adj, n_right) == reference_max_matching(adj, n_right)
+
+
 def test_find_perfect_matching_on_corpus(corpus):
     for inst in corpus:
         g = inst.graph

@@ -1145,6 +1145,41 @@ def test_console_script_entry_point():
     assert json.loads(proc.stdout)["n"] == 3
 
 
+@pytest.mark.parametrize("flags", [[], ["-u"]], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("sink", ["/dev/full", "closed pipe"])
+def test_cli_stdout_write_failure_is_data_error(sink, flags):
+    """A stdout that cannot take the output exits 2 with one error line:
+    no traceback, and no second message from the flush at exit.  Through
+    a buffered stdout the large document fails in write and the small
+    ones in flush; through an unbuffered one every write fails."""
+    if sink == "/dev/full" and not os.path.exists(sink):
+        pytest.skip("no /dev/full")
+    code = errno.ENOSPC if sink == "/dev/full" else errno.EPIPE
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    for argv in (
+        ["gen", "--family", "biclique_half", "--n", "400"],
+        ["gen", "--family", "fig1"],
+        ["analyze", "exponents"],
+    ):
+        if sink == "/dev/full":
+            out = os.open(sink, os.O_WRONLY)
+        else:
+            r, out = os.pipe()
+            os.close(r)
+        try:
+            proc = subprocess.run(
+                [sys.executable, *flags, "-m", "greedyorder.cli", *argv],
+                stdout=out,
+                stderr=subprocess.PIPE,
+                env=env,
+                text=True,
+            )
+        finally:
+            os.close(out)
+        assert proc.returncode == 2, (argv, proc.stderr)
+        assert proc.stderr == "error: stdout: %s\n" % os.strerror(code), argv
+
+
 def test_bound_writes_the_same_bytes_under_python_O(corpus_by_id, tmp_path):
     # -O strips assert statements; the certificate's invariants must not
     # depend on them.
