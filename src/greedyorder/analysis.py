@@ -249,10 +249,9 @@ def enumerate_bad_sets(g: BipartiteGraph, size: int, mode: str = "full_pi") -> B
         raise AnalysisParamError("size %d out of range for n=%d" % (size, n))
     if mode not in BAD_SET_MODES:
         raise UsageError("unknown mode %r" % (mode,))
-    if mode == "full_pi":
-        if n > 8:
-            raise UsageError("full_pi mode enumerates all priority orders; n <= 8 required")
-        candidates = [Permutation.from_order(p) for p in itertools.permutations(range(n))]
+    if mode == "full_pi" and n > 8:
+        raise UsageError("full_pi mode enumerates all priority orders; n <= 8 required")
+    candidates: Optional[list[Permutation]] = None
     bad: list[tuple[int, ...]] = []
     witnesses: dict[tuple[int, ...], tuple[Permutation, Permutation]] = {}
     for comb in itertools.combinations(range(n), size):
@@ -262,6 +261,8 @@ def enumerate_bad_sets(g: BipartiteGraph, size: int, mode: str = "full_pi") -> B
         if mode == "canonical_pi":
             rest = [v for v in range(n) if v not in comb]
             candidates = [Permutation.from_order(rest + list(comb))]
+        elif candidates is None:  # full_pi, at the first set that is not Hall-safe
+            candidates = [Permutation.from_order(p) for p in itertools.permutations(range(n))]
         for pi in candidates:
             witness = order_avoiding(g, pi, comb)
             if witness is not None:

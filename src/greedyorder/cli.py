@@ -50,6 +50,20 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message: str):  # argparse would sys.exit(2); we map usage to 1
         raise UsageError(message)
 
+    # argparse prints help and usage with its own write, which drops an
+    # OSError; on stdout they go through _emit like every other output.
+    def print_usage(self, file=None) -> None:
+        self._print(self.format_usage(), file)
+
+    def print_help(self, file=None) -> None:
+        self._print(self.format_help(), file)
+
+    def _print(self, text: str, file) -> None:
+        if file is None or file is sys.stdout:
+            _emit(None, text)
+        else:
+            file.write(text)
+
 
 def _emit(path: Optional[str], text: str, newline: Optional[str] = None) -> None:
     """Write text to the file at path, or to stdout without one; a file

@@ -67,21 +67,7 @@ class BipartiteGraph:
             if not (0 <= u < n and 0 <= v < n):
                 raise InvalidGraphError("edge (%r, %r) out of range for n=%d" % (u, v, n))
             adj_u[u].append(v)
-        adj_v: list[list[int]] = [[] for _ in range(n)]
-        for u, a in enumerate(adj_u):
-            a.sort()
-            if len(set(a)) < len(a):
-                v = next(x for x, y in zip(a, a[1:]) if x == y)
-                raise InvalidGraphError("duplicate edge (%d, %d)" % (u, v))
-            for v in a:
-                adj_v[v].append(u)
-        return cls(
-            n=n,
-            adj_u=tuple(map(tuple, adj_u)),
-            adj_v=tuple(map(tuple, adj_v)),
-            family=family,
-            params=params,
-        )
+        return _graph_from_rows(n, adj_u, family, params)
 
     @property
     def edges(self) -> list[tuple[int, int]]:
@@ -97,6 +83,32 @@ class BipartiteGraph:
 
     def degrees_v(self) -> list[int]:
         return [len(a) for a in self.adj_v]
+
+
+def _graph_from_rows(
+    n: int, adj_u: list[list[int]], family: Optional[str], params: Optional[dict]
+) -> BipartiteGraph:
+    """The graph whose U rows are adj_u, in range but in any order.
+
+    Sorts each row in place and raises InvalidGraphError on the smallest
+    repeated edge.  `BipartiteGraph.from_edges` and the graph reader in
+    `io` both end here.
+    """
+    adj_v: list[list[int]] = [[] for _ in range(n)]
+    for u, a in enumerate(adj_u):
+        a.sort()
+        if len(set(a)) < len(a):
+            v = next(x for x, y in zip(a, a[1:]) if x == y)
+            raise InvalidGraphError("duplicate edge (%d, %d)" % (u, v))
+        for v in a:
+            adj_v[v].append(u)
+    return BipartiteGraph(
+        n=n,
+        adj_u=tuple(map(tuple, adj_u)),
+        adj_v=tuple(map(tuple, adj_v)),
+        family=family,
+        params=params,
+    )
 
 
 @dataclass(frozen=True)

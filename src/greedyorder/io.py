@@ -24,7 +24,7 @@ from typing import Any, Callable, Mapping, Optional, Sequence
 from .adversary import ADVERSARY_MODES, DEFAULT_BUDGET, DEFAULT_MODE, _check_settings
 from .analysis import BadSetReport, IterativeTrace, MonteCarloSummary
 from .certify import CONSTRUCTIONS, BoundCertificate
-from .core import BipartiteGraph, Permutation
+from .core import BipartiteGraph, Permutation, _graph_from_rows
 from .errors import AnalysisParamError, SchemaError
 from .families import FAMILIES, FamilySpec, derived_seed
 
@@ -127,27 +127,47 @@ def _get_int(doc: Mapping[str, Any], key: str, where: str) -> int:
     return value
 
 
+def _pair(item: Any, idx: int, n: int, key: str, where: str) -> tuple[int, int]:
+    """Entry idx of a pair list as (u, v), or the SchemaError naming it."""
+    if isinstance(item, (list, tuple)) and len(item) == 2:
+        u, v = item
+        # bool is an int subclass, and a final one.
+        if (
+            isinstance(u, int)
+            and isinstance(v, int)
+            and type(u) is not bool
+            and type(v) is not bool
+        ):
+            if 0 <= u < n and 0 <= v < n:
+                return u, v
+            raise _fail(where, "field %r entry %d out of range for n=%d" % (key, idx, n))
+    raise _fail(where, "field %r entry %d is not an [u, v] integer pair" % (key, idx))
+
+
 def _pair_list(value: Any, n: int, key: str, where: str) -> list[tuple[int, int]]:
     if not isinstance(value, list):
         raise _fail(where, "field %r must be a list of [u, v] pairs" % key)
-    out = []
-    append = out.append
+    return [_pair(item, idx, n, key, where) for idx, item in enumerate(value)]
+
+
+def _edge_rows(value: Any, n: int, where: str) -> list[list[int]]:
+    """The 'edges' field bucketed by U vertex, each row in input order.
+
+    A plain [int, int] list in range is taken as it stands; any other
+    entry goes through `_pair`, which accepts it or names it.
+    """
+    if not isinstance(value, list):
+        raise _fail(where, "field 'edges' must be a list of [u, v] pairs")
+    rows: list[list[int]] = [[] for _ in range(n)]
     for idx, item in enumerate(value):
-        if isinstance(item, (list, tuple)) and len(item) == 2:
+        if type(item) is list and len(item) == 2:
             u, v = item
-            # bool is an int subclass, and a final one.
-            if (
-                isinstance(u, int)
-                and isinstance(v, int)
-                and type(u) is not bool
-                and type(v) is not bool
-            ):
-                if 0 <= u < n and 0 <= v < n:
-                    append((u, v))
-                    continue
-                raise _fail(where, "field %r entry %d out of range for n=%d" % (key, idx, n))
-        raise _fail(where, "field %r entry %d is not an [u, v] integer pair" % (key, idx))
-    return out
+            if type(u) is int and type(v) is int and 0 <= u < n and 0 <= v < n:
+                rows[u].append(v)
+                continue
+        u, v = _pair(item, idx, n, "edges", where)
+        rows[u].append(v)
+    return rows
 
 
 # --- graphs ---------------------------------------------------------------
@@ -174,7 +194,7 @@ def graph_from_doc(
     n = _get_int(doc, "n", where)
     if n < 1:
         raise _fail(where, "field 'n' must be positive")
-    edges = _pair_list(doc.get("edges"), n, "edges", where)
+    rows = _edge_rows(doc.get("edges"), n, where)
     family = doc.get("family")
     if family is not None and not isinstance(family, str):
         raise _fail(where, "field 'family' must be a string")
@@ -188,11 +208,10 @@ def graph_from_doc(
             v for _, v in matching
         ) != list(range(n)):
             raise _fail(where, "field 'matching' is not a perfect matching on both sides")
-        edge_set = set(edges)
-        for idx, pair in enumerate(matching):
-            if pair not in edge_set:
+        for idx, (u, v) in enumerate(matching):
+            if v not in rows[u]:
                 raise _fail(where, "field 'matching' pair %d is not an edge" % idx)
-    g = BipartiteGraph.from_edges(n, edges, family=family, params=params)
+    g = _graph_from_rows(n, rows, family, params)
     return g, matching
 
 

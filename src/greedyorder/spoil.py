@@ -8,6 +8,12 @@ is improved by merge and unbalance operations until none applies, even
 after rotating the two paths involved.  `maximal_path_cover` applies
 each step in place; the stand-alone step functions and maximality
 audit that check it are test oracles in tests/conftest.py.
+
+`build_spoiling_graph` fills the in-masks from the aligned graph's V
+rows; a `SpoilGraph` built directly computes them on first use.  The
+cover loop runs the plain merges, most of its steps, from the scan that
+finds them straight to the merge helper, and builds a `CoverStep` only
+for a kept log.
 """
 
 from __future__ import annotations
@@ -74,23 +80,34 @@ def build_spoiling_graph(g: BipartiteGraph) -> SpoilGraph:
     align_with_matching first.  The arc count always equals
     ``g.num_edges - g.n``.
     """
-    masks = []
-    for i in range(g.n):
-        if i not in g.adj_u[i]:
+    masks = _row_masks(g.adj_u)
+    for i, m in enumerate(masks):
+        if not (m >> i) & 1:
             raise MatchingNotAlignedError(
                 "pair edge (%d, %d) missing; align the matching to the identity first" % (i, i)
             )
-        m = 0
-        for j in g.adj_u[i]:
-            if j != i:
-                m |= 1 << j
-        masks.append(m)
-    sg = SpoilGraph(n=g.n, out_mask=tuple(masks))
+    sg = SpoilGraph(n=g.n, out_mask=tuple(m ^ (1 << i) for i, m in enumerate(masks)))
+    # Row j of adj_v lists j itself and every i with an arc i -> j.  The
+    # masks go where the cached property would store them; the dataclass
+    # is frozen, so through object.__setattr__.
+    in_mask = tuple(m ^ (1 << j) for j, m in enumerate(_row_masks(g.adj_v)))
+    object.__setattr__(sg, "in_mask", in_mask)
     if sg.num_arcs != g.num_edges - g.n:
         raise PropositionViolatedError(
             "conflict digraph has %d arcs, not edges - n = %d" % (sg.num_arcs, g.num_edges - g.n)
         )
     return sg
+
+
+def _row_masks(rows: Iterable[Iterable[int]]) -> list[int]:
+    """One bitmask per row, with bit x set for each entry x."""
+    masks = []
+    for row in rows:
+        m = 0
+        for x in row:
+            m |= 1 << x
+        masks.append(m)
+    return masks
 
 
 def _normalize(paths: Iterable[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
@@ -223,6 +240,16 @@ class _CoverState:
         for p in paths:
             self._add(p, min(p))
 
+    @classmethod
+    def isolated(cls, sg: SpoilGraph) -> "_CoverState":
+        """The all-isolated cover, laid out directly in key order."""
+        state = cls(sg, ())
+        state.paths = [(x,) for x in range(sg.n)]
+        state.keys = [(1, x) for x in range(sg.n)]
+        state.key_of = dict(enumerate(state.keys))
+        state.starts = state.iso = (1 << sg.n) - 1
+        return state
+
     def _add(self, p: tuple[int, ...], lo: int) -> None:
         key = (len(p), lo)
         t = bisect_left(self.keys, key)
@@ -247,26 +274,35 @@ class _CoverState:
             self.ends ^= 1 << p[-1]
             del self.key_of[p[-1]]
 
+    def merge(self, i: int, j: int, pi: tuple[int, ...], pj: tuple[int, ...]) -> int:
+        """Join path i, given as pi, to path j, given as pj (each the path
+        or a rotation of it); return the increase of the sum of squared
+        path lengths."""
+        lo = min(self.keys[i][1], self.keys[j][1])
+        self._drop(max(i, j))
+        self._drop(min(i, j))
+        p = pi + pj
+        self._add(p, lo)
+        return len(p) ** 2 - len(pi) ** 2 - len(pj) ** 2
+
     def apply(self, step: CoverStep) -> int:
         """Apply a step found by scan(); return the increase of the sum of
         squared path lengths."""
         i, j = step.i, step.j
-        lo_i, lo_j = self.keys[i][1], self.keys[j][1]
         pi = _rotated(self.paths[i], step.rot_i)
         pj = _rotated(self.paths[j], step.rot_j)
+        if step.op == "merge":
+            return self.merge(i, j, pi, pj)
+        if step.op == "unbalance_start":
+            moved, new_i, new_j = pj[0], (pj[0],) + pi, pj[1:]
+        else:
+            moved, new_i, new_j = pj[-1], pi + (pj[-1],), pj[:-1]
+        lo_i, lo_j = self.keys[i][1], self.keys[j][1]
         self._drop(max(i, j))
         self._drop(min(i, j))
-        if step.op == "merge":
-            added = [(pi + pj, min(lo_i, lo_j))]
-        else:
-            if step.op == "unbalance_start":
-                moved, new_i, new_j = pj[0], (pj[0],) + pi, pj[1:]
-            else:
-                moved, new_i, new_j = pj[-1], pi + (pj[-1],), pj[:-1]
-            added = [(new_i, min(lo_i, moved)), (new_j, lo_j if moved != lo_j else min(new_j))]
-        for p, lo in added:
-            self._add(p, lo)
-        return sum(len(p) ** 2 for p, _ in added) - len(pi) ** 2 - len(pj) ** 2
+        self._add(new_i, min(lo_i, moved))
+        self._add(new_j, lo_j if moved != lo_j else min(new_j))
+        return len(new_i) ** 2 + len(new_j) ** 2 - len(pi) ** 2 - len(pj) ** 2
 
     def scan(self) -> Optional[CoverStep]:
         """The next improvement step in scan order, or None.
@@ -277,29 +313,52 @@ class _CoverState:
         and rotation cuts run no-rotation first.  This order is a
         contract: the step log and the certificates depend on it.
         """
-        return self._plain_merge() or self._plain_unbalance() or self._rotated_step()
+        hit = self._plain_merge()
+        if hit is not None:
+            return CoverStep(op="merge", i=hit[0], j=hit[1])
+        return self._other_step()
 
-    def _plain_merge(self) -> Optional[CoverStep]:
-        out, starts, key_of = self.out, self.starts, self.key_of
+    def _other_step(self) -> Optional[CoverStep]:
+        """The first step of the stages after the plain merges."""
+        return self._plain_unbalance() or self._rotated_step()
+
+    def _plain_merge(self) -> Optional[tuple[int, int]]:
+        """The path indices (i, j) of the first plain merge, or None.
+
+        Path j is the hit start with the least key.  Single-node paths
+        have the least keys, in node order, so when any is hit, j is the
+        one with the lowest node.
+        """
+        out, starts, iso = self.out, self.starts, self.iso
         for i, p in enumerate(self.paths):
             hits = out[p[-1]] & (starts ^ (1 << p[0]))
             if hits:
-                j = bisect_left(self.keys, min(key_of[x] for x in _bits(hits)))
-                return CoverStep(op="merge", i=i, j=j)
+                single = hits & iso
+                if single:
+                    key = (1, (single & -single).bit_length() - 1)
+                else:
+                    key = min(map(self.key_of.__getitem__, _bits(hits)))
+                return i, bisect_left(self.keys, key)
         return None
 
     def _plain_unbalance(self) -> Optional[CoverStep]:
         # Donors j need 2 <= len j <= len i, so i runs over the longer
-        # paths.  No arc is a loop, so path i never hits its own endpoints.
-        out, inn, key_of = self.out, self.inn, self.key_of
-        multi_starts, ends = self.starts ^ self.iso, self.ends
-        for i in range(bisect_left(self.keys, (2,)), len(self.paths)):
-            p = self.paths[i]
-            hits = [(key_of[x], 0) for x in _bits(inn[p[0]] & multi_starts)]
-            hits += [(key_of[x], 1) for x in _bits(out[p[-1]] & ends)]
-            eligible = [h for h in hits if h[0][0] <= len(p)]
-            if eligible:
-                key, case = min(eligible)
+        # paths, and the donors' starts and ends are gathered as the
+        # length of path i grows.  No arc is a loop, so path i never hits
+        # its own endpoints.
+        paths, out, inn, key_of = self.paths, self.out, self.inn, self.key_of
+        starts = ends = 0
+        donor = first = bisect_left(self.keys, (2,))
+        for i in range(first, len(paths)):
+            p = paths[i]
+            while donor < len(paths) and len(paths[donor]) <= len(p):
+                starts |= 1 << paths[donor][0]
+                ends |= 1 << paths[donor][-1]
+                donor += 1
+            into, onto = inn[p[0]] & starts, out[p[-1]] & ends
+            if into or onto:
+                hits = [(key_of[x], 0) for x in _bits(into)]
+                key, case = min(hits + [(key_of[x], 1) for x in _bits(onto)])
                 return CoverStep(op=_UNBALANCE[case], i=i, j=bisect_left(self.keys, key))
         return None
 
@@ -418,22 +477,31 @@ def maximal_path_cover(
     by n^2, so the loop terminates.  The cover is updated in place
     between steps; the final one is rebuilt and validated in full.
     """
-    cover = initial if initial is not None else trivial_cover(sg.n)
-    cover.validate_arcs(sg)
-    state = _CoverState(sg, cover.paths)
-    log: list[CoverStep] = []
+    if initial is None:
+        state = _CoverState.isolated(sg)
+    else:
+        initial.validate_arcs(sg)
+        state = _CoverState(sg, initial.paths)
+    log: Optional[list[CoverStep]] = [] if collect_log else None
     max_iters = sg.n * sg.n + sg.n + 5
     for _ in range(max_iters):
-        step = state.scan()
-        if step is None:
-            final = PathCover.from_paths(sg.n, state.paths)
-            final.validate_arcs(sg)
-            return final, (log if collect_log else None)
-        if state.apply(step) <= 0:
+        hit = state._plain_merge()
+        if hit is not None:
+            i, j = hit
+            gain = state.merge(i, j, state.paths[i], state.paths[j])
+            if log is not None:
+                log.append(CoverStep(op="merge", i=i, j=j))
+        else:
+            step = state._other_step()
+            if step is None:
+                final = PathCover.from_paths(sg.n, state.paths)
+                final.validate_arcs(sg)
+                return final, log
+            gain = state.apply(step)
+            if log is not None:
+                log.append(step)
+        if gain <= 0:
             raise PropositionViolatedError(
                 "improvement step failed to increase the squared-length sum"
             )
-        if collect_log:
-            log.append(step)
     raise PropositionViolatedError("path cover improvement did not terminate")
-

@@ -2,6 +2,7 @@
 the two-reading cross check."""
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -284,6 +285,24 @@ def test_chain1_bad_pairs_exact():
     g = generate(FamilySpec("badset_chain", {"copies": 1}))
     report = enumerate_bad_sets(g, 2, mode="full_pi")
     assert set(report.bad_sets) == {(0, 1), (0, 2)}
+
+
+def test_full_pi_builds_the_orders_only_for_a_set_that_needs_them(monkeypatch):
+    """Every pair of this graph is Hall-safe, so the census tries no
+    priority order and must build none; chain1 has unsafe pairs and
+    reports them as before."""
+    safe = generate(FamilySpec("hamiltonian_random", {"n": 5, "extra_edges": 2}, seed=1))
+    chain1 = generate(FamilySpec("badset_chain", {"copies": 1}))
+    built = []
+    from_order = Permutation.from_order
+    monkeypatch.setattr(
+        Permutation, "from_order", lambda order: built.append(order) or from_order(order)
+    )
+    assert enumerate_bad_sets(safe, 2, mode="full_pi").bad_sets == ()
+    assert built == []
+    report = enumerate_bad_sets(chain1, 2, mode="full_pi")
+    assert set(report.bad_sets) == {(0, 1), (0, 2)}
+    assert len(built) >= math.factorial(chain1.n)
 
 
 def test_enumerate_bad_sets_guards():

@@ -4,6 +4,7 @@ import argparse
 import ast
 import collections
 import csv
+import enum
 import errno
 import io as _io
 import json
@@ -360,6 +361,60 @@ def test_graph_from_doc_fails_like_the_reference_reader():
         "several faults",
         "valid",
     }, sorted(kinds)
+
+
+class _Index(enum.IntEnum):
+    ZERO = 0
+    ONE = 1
+    TWO = 2
+
+
+# Entries other than plain ints in plain lists, beside the drawn faults
+# above: the reader's fast path takes only the plain form, and each of
+# these must come out as the reference's outcome, an adjacency or an error.
+GRAPH_DOC_PER_ENTRY_TYPE = {
+    "int subclass": (
+        {
+            "n": 2,
+            "edges": [[_Index.ZERO, _Index.ZERO], [_Index.ONE, _Index.ONE], [1, _Index.ZERO]],
+            "matching": [[_Index.ONE, _Index.ONE], [_Index.ZERO, 0]],
+        },
+        ((0,), (0, 1)),
+    ),
+    "tuple pairs": (
+        {"n": 2, "edges": [(1, 1), (0, 0), (0, 1)], "matching": [(0, 0), (1, 1)]},
+        ((0, 1), (1,)),
+    ),
+    "bool edge": (
+        {"n": 2, "edges": [[0, 0], [1, True]]},
+        "doc.json: field 'edges' entry 1 is not an [u, v] integer pair",
+    ),
+    "bool matching": (
+        {"n": 2, "edges": [[0, 0], [1, 1]], "matching": [[False, 0], [1, 1]]},
+        "doc.json: field 'matching' entry 0 is not an [u, v] integer pair",
+    ),
+    "int subclass out of range": (
+        {"n": 2, "edges": [[0, 0], [_Index.TWO, 1]]},
+        "doc.json: field 'edges' entry 1 out of range for n=2",
+    ),
+    "range after a repeat": (
+        {"n": 2, "edges": [[0, 0], [1, 1], [0, 0], [0, 2]]},
+        "doc.json: field 'edges' entry 3 out of range for n=2",
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(GRAPH_DOC_PER_ENTRY_TYPE))
+def test_graph_from_doc_takes_entry_types_like_the_reference_reader(kind):
+    doc, expected = GRAPH_DOC_PER_ENTRY_TYPE[kind]
+    got = _read(gio.graph_from_doc, doc)
+    assert got == _read(reference_graph_from_doc, doc)
+    if isinstance(expected, str):
+        assert got == (SchemaError, expected)
+    else:
+        g, matching = got
+        assert g.adj_u == expected
+        assert sorted(matching) == [(0, 0), (1, 1)]
 
 
 def test_bound_exits_two_on_every_faulty_graph_file(tmp_path, capsys):
@@ -1151,7 +1206,8 @@ def test_cli_stdout_write_failure_is_data_error(sink, flags):
     """A stdout that cannot take the output exits 2 with one error line:
     no traceback, and no second message from the flush at exit.  Through
     a buffered stdout the large document fails in write and the small
-    ones in flush; through an unbuffered one every write fails."""
+    ones, the help texts among them, in flush; through an unbuffered one
+    every write fails."""
     if sink == "/dev/full" and not os.path.exists(sink):
         pytest.skip("no /dev/full")
     code = errno.ENOSPC if sink == "/dev/full" else errno.EPIPE
@@ -1160,6 +1216,8 @@ def test_cli_stdout_write_failure_is_data_error(sink, flags):
         ["gen", "--family", "biclique_half", "--n", "400"],
         ["gen", "--family", "fig1"],
         ["analyze", "exponents"],
+        ["-h"],
+        ["analyze", "-h"],
     ):
         if sink == "/dev/full":
             out = os.open(sink, os.O_WRONLY)
@@ -1178,6 +1236,16 @@ def test_cli_stdout_write_failure_is_data_error(sink, flags):
             os.close(out)
         assert proc.returncode == 2, (argv, proc.stderr)
         assert proc.stderr == "error: stdout: %s\n" % os.strerror(code), argv
+
+
+def test_help_prints_the_parsers_text_and_exits_zero(capsys):
+    (subs,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    analyze = subs.choices["analyze"]
+    for argv, parser in (([], build_parser()), (["analyze"], analyze)):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "-h"])
+        assert exc.value.code == 0
+        assert capsys.readouterr() == (parser.format_help(), "")
 
 
 def test_bound_writes_the_same_bytes_under_python_O(corpus_by_id, tmp_path):

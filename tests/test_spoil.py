@@ -1,5 +1,7 @@
 """Conflict digraph construction and path-cover improvement machinery."""
 
+import random
+
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -9,6 +11,7 @@ from conftest import (
     apply_rotation,
     apply_step,
     apply_unbalance,
+    random_pm_graph,
     reference_find_improvement,
     reference_maximal_path_cover,
     verify_maximality_conditions,
@@ -324,6 +327,51 @@ def test_corpus_covers_equal_the_reference_replay(corpus):
         sg = build_spoiling_graph(aligned)
         cover, log = maximal_path_cover(sg, collect_log=True)
         assert (cover, log) == reference_maximal_path_cover(sg), inst.instance_id
+
+
+@st.composite
+def aligned_sg_and_cover(draw):
+    """The conflict digraph of a random identity-aligned graph on n <= 40
+    nodes, and a cover of random walks over it."""
+    rng = draw(st.randoms(use_true_random=True))
+    n = draw(st.integers(1, 40))
+    g = random_pm_graph(rng, n, extra=rng.randrange(0, 4 * n))
+    sg = build_spoiling_graph(g)
+    return sg, PathCover.from_paths(n, walk_paths(rng, sg.out_mask, range(n)))
+
+
+def in_mask_matches_the_lazy_one(sg):
+    return sg.in_mask == SpoilGraph(n=sg.n, out_mask=sg.out_mask).in_mask
+
+
+def test_built_in_masks_and_unlogged_covers_on_the_corpus(corpus):
+    for inst in corpus:
+        g = inst.graph
+        aligned, _ = align_with_matching(g, find_perfect_matching(g))
+        sg, instance_id = build_spoiling_graph(aligned), inst.instance_id
+        assert in_mask_matches_the_lazy_one(sg), instance_id
+        paths = walk_paths(random.Random(sg.n), sg.out_mask, range(sg.n))
+        for initial in (None, PathCover.from_paths(sg.n, paths)):
+            cover, _ = maximal_path_cover(sg, initial, collect_log=True)
+            assert maximal_path_cover(sg, initial) == (cover, None), instance_id
+
+
+def test_built_in_masks_and_unlogged_covers_on_random_aligned_graphs():
+    seen = set()
+
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(aligned_sg_and_cover())
+    def check(case):
+        sg, walked = case
+        assert in_mask_matches_the_lazy_one(sg)
+        for initial in (None, walked):
+            cover, log = maximal_path_cover(sg, initial, collect_log=True)
+            assert (cover, log) == reference_maximal_path_cover(sg, initial)
+            assert maximal_path_cover(sg, initial) == (cover, None)
+            seen.update(step_kind(s) for s in log)
+
+    check()
+    assert seen == STEP_KINDS
 
 
 def test_long_single_path_certifies():
