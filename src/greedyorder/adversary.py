@@ -12,7 +12,7 @@ One search engine, `_ArrivalSearch`, serves the exact adversary, the
 masked minimum and the safety decision, all through `_masked_search`
 with its one budget fallback and one replay check.  It is a depth-first
 branch-and-bound on an explicit stack, free of the recursion limit, and
-rests on one lemma.
+rests on two lemmas.
 
 Forced pick: at any state, let v be the lowest-ranked free neighbor of
 a live arrival u.  Every completion of the state matches v.  The
@@ -21,6 +21,17 @@ when u arrives either v has been taken meanwhile or greedy gives v to
 u.  Hence the number of counted vertices among these forced picks is a
 lower bound on the state's value, and it costs nothing beyond the scan
 that already lists the state's branches.
+
+Hall: at a state with branches and no counted forced pick, let C be the
+live arrivals that have a free counted neighbor.  In a completion that
+matches no counted vertex, those stay free, so each u in C takes a free
+uncounted vertex ranked strictly below its lowest free counted
+neighbor, and no two take the same one.  If the union of these allowed
+sets has fewer than |C| vertices, no such completion exists and the
+state's value is at least 1.  The scan tests this in a second pass over
+the live arrivals.  It matters only to masked queries: when every
+vertex is counted, a state with branches has a counted forced pick, so
+the exact adversary never pays for the test.
 
 Child bound (corollary): the branch that gives v to u removes u from the
 live arrivals and v from the free set.  An arrival whose pick was not v
@@ -35,12 +46,14 @@ bound that is at least the cap.  Each child is searched under the cap
 min(best so far, cap) - gain, unless its gain plus its bound already
 reaches min(best so far, cap): then it is cut in its parent, which
 folds that sum into best without building the child's key, looking it
-up, scanning it or storing it.  The root is checked on entry.
-Branching stops as soon as the best value found equals the state's
-forced-pick bound.  Only states whose branches were searched, and
-terminal states, are memoized, exact values and lower bounds in one
-table that only the search reads.  `nodes_expanded` counts those
-states; cut children and memo hits are not counted.  A child that lowers
+up, scanning it or storing it.  The root is checked on entry, and every
+state against its Hall bound, which the parent's scan does not give.
+Child bounds come from the forced picks alone.  Branching stops as soon
+as the best value found equals the state's bound, the larger of the
+two.  States whose branches were searched, terminal states and states
+cut by their Hall bound are memoized, exact values and lower bounds in
+one table that only the search reads.  `nodes_expanded` counts the
+first two; cut children and memo hits are not counted.  A child that lowers
 its parent's best is the parent's choice.  Branches go in ascending label,
 best only falls strictly and a cut never lowers it below the cap, so the
 choices from the root give the lexicographically first optimal sequence.
@@ -125,14 +138,16 @@ _ALONE = (0, 0)
 
 def _scan(
     adj: Sequence[int], alive: int, free: int, count_mask: int
-) -> tuple[int, list[tuple[int, int, int, Sequence[int]]], int]:
+) -> tuple[int, list[tuple[int, int, int, Sequence[int]]], int, int]:
     """One state's arrivals, in ascending label order.
 
     Returns the mask of dead arrivals (no free neighbor; matched V only
-    grows, so they stay dead and are absorbed at once), the branches and
-    the state's forced-pick bound.  Works in rank space, so an arrival's
-    pick is the lowest set bit of its free-neighbor mask and its next
-    pick the lowest bit above that.
+    grows, so they stay dead and are absorbed at once), the branches,
+    the state's forced-pick bound and its bound: the forced-pick bound,
+    or 1 when that is 0, the state has branches and the Hall bound
+    fires.  Works in rank space, so an arrival's pick is the lowest set
+    bit of its free-neighbor mask and its next pick the lowest bit above
+    that.
 
     One branch per distinct free-neighbor mask: arrivals with equal masks
     are interchangeable for good.  Masks with different picks differ, so
@@ -141,9 +156,10 @@ def _scan(
     shared pick, c counts the group's counted next picks outside the
     forced picks, and once holds those that only one arrival of the
     group moves on to; a lone pick has (0, 0).  The branch's gain plus
-    its child's forced-pick bound is the state's bound plus k, where k
-    is c, less one if the branch's own next pick is in once.
+    its child's forced-pick bound is the state's forced-pick bound plus
+    k, where k is c, less one if the branch's own next pick is in once.
     """
+    live = alive
     dead = forced = 0
     branches: list[tuple[int, int, int, Sequence[int]]] = []
     # A shared pick's group is [next picks, next picks seen twice,
@@ -184,19 +200,34 @@ def _scan(
     for group in groups:
         nxt = group[0] & new
         group[:] = (nxt.bit_count(), nxt & ~group[1])
-    return dead, branches, (forced & count_mask).bit_count()
+    lb = (forced & count_mask).bit_count()
+    if lb or not branches:
+        return dead, branches, lb, lb
+    # Hall: the arrivals with a free counted neighbor against the union
+    # of the free vertices ranked below their lowest one.
+    live ^= dead
+    need = room = 0
+    while live:
+        u_bit = live & -live
+        live ^= u_bit
+        m = adj[u_bit.bit_length() - 1] & free
+        c = m & count_mask
+        if c:
+            need += 1
+            room |= m & ((c & -c) - 1)
+    return dead, branches, 0, 1 if room.bit_count() < need else 0
 
 
 class _ArrivalSearch:
     """Minimum number of count_mask vertices that greedy matches, over
-    all arrival orders, by the forced-pick branch-and-bound of the
-    module docstring.
+    all arrival orders, by the forced-pick and Hall branch-and-bound of
+    the module docstring.
 
     State keys are single ints, processed-U mask << n | matched-V mask.
     The memo, private to `value`, stores an exact value v as v and a
     lower bound b as ~b; `chosen` maps a state's key to its choice's.
     `nodes` counts expanded and terminal states, `cuts` the children cut
-    by the bound.
+    by their forced-pick bound in the parent's scan.
     """
 
     def __init__(self, adj_rank: Sequence[int], n: int, count_mask: int, budget: float):
@@ -228,19 +259,23 @@ class _ArrivalSearch:
         while True:
             # Enter state (u_mask, v_mask) under cap: either settle its
             # value in val or open a frame for it.  Only the root can be
-            # cut here: every other state's bound was checked by its parent.
+            # cut here by its forced-pick bound, since every other state's
+            # was checked by its parent; any state can be cut by Hall's.
             key = u_mask << n | v_mask
             val = memo.get(key, -1)
             if val < 0:
                 val = ~val
                 if val < cap:
-                    dead, branches, lb = _scan(adj, full ^ u_mask, full ^ v_mask, count_mask)
-                    if lb >= cap:
+                    dead, branches, slb, lb = _scan(adj, full ^ u_mask, full ^ v_mask, count_mask)
+                    if slb >= cap:
                         if depth:
                             raise PropositionViolatedError(
                                 "a child's forced-pick bound disagrees with its parent's scan"
                             )
+                        val = slb
+                    elif lb >= cap:
                         val = lb
+                        memo[key] = ~lb
                     else:
                         nodes += 1
                         if nodes > budget:
@@ -255,7 +290,7 @@ class _ArrivalSearch:
                                 )
                             depth += 1
                             f_key, f_u, f_v, f_br, f_i = key, u_mask | dead, v_mask, branches, 0
-                            f_best, f_cap, f_lb, f_slb = n + 1, cap, lb if lb > val else val, lb
+                            f_best, f_cap, f_lb, f_slb = n + 1, cap, lb if lb > val else val, slb
                             val = None
             # Hand the settled value of state key up until a frame has a child to search.
             while True:
@@ -410,7 +445,9 @@ def order_avoiding(
     """An arrival order under which greedy matches no vertex of
     v_subset, or None when every order matches one of them: the masked
     search with cap 1 and no node budget, which only decides whether the
-    masked minimum is 0."""
+    masked minimum is 0.  Under cap 1 a state is cut as soon as it has a
+    counted forced pick or its Hall bound fires, so the search only
+    expands states from which v_subset might still be avoided."""
     return _masked_search(g, pi, v_subset, 1, math.inf)[1]
 
 

@@ -332,7 +332,7 @@ def build_parser() -> _Parser:
     _command(subs, "experiment", cmd_experiment, "config", seeded=True, help=about)
 
     p_ana = subs.add_parser("analyze", help="safety, bad sets, exponents, simulations")
-    ana_subs = p_ana.add_subparsers(dest="mode", required=True)
+    ana_subs = p_ana.add_subparsers(dest="analysis", required=True)
 
     a_exp = _command(ana_subs, "exponents", cmd_analyze_exponents)
     a_exp.add_argument("--eps", default="0.0012")

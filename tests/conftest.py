@@ -663,8 +663,9 @@ def reference_min_game(g, pi, v_subset):
 
 # The arrival-order search engine as it stood before children were
 # bounded in their parent's scan: every child is scanned on entry, and a
-# child cut by its forced-pick bound leaves a lower-bound memo entry.
-# Copied unchanged apart from the two names.
+# child cut by its bound leaves a lower-bound memo entry.  Copied apart
+# from the two names and the Hall bound of the `adversary` module
+# docstring, which its entry scan takes from `_reference_hall_bound`.
 
 
 def _reference_scan(adj: Sequence[int], alive: int, free: int) -> tuple[int, list[tuple[int, int]], int]:
@@ -695,10 +696,28 @@ def _reference_scan(adj: Sequence[int], alive: int, free: int) -> tuple[int, lis
     return dead, branches, forced
 
 
+def _reference_hall_bound(adj: Sequence[int], alive: int, free: int, count_mask: int) -> int:
+    """1 when the arrivals with a free counted neighbor cannot all take
+    distinct free uncounted vertices ranked below their lowest free
+    counted neighbor, as a completion that matches nothing counted
+    requires of them; 0 otherwise."""
+    need = 0
+    allowed: set[int] = set()
+    for u in range(len(adj)):
+        if not alive >> u & 1:
+            continue
+        ranks = [r for r in range(len(adj)) if (adj[u] & free) >> r & 1]
+        counted = [r for r in ranks if count_mask >> r & 1]
+        if counted:
+            need += 1
+            allowed.update(r for r in ranks if r < counted[0])
+    return 1 if len(allowed) < need else 0
+
+
 class _ReferenceArrivalSearch:
     """Minimum number of count_mask vertices that greedy matches, over
-    all arrival orders, by the forced-pick branch-and-bound of the
-    module docstring.
+    all arrival orders, by the branch-and-bound of the `adversary` module
+    docstring on the larger of the forced-pick and Hall bounds.
 
     Memo keys are single ints, processed-U mask << n | matched-V mask.
     Branches are tried in ascending arrival label, so `replay`, which
@@ -741,7 +760,10 @@ class _ReferenceArrivalSearch:
                 val = lower.get(key, 0)
                 if val < cap:
                     dead, branches, forced = _reference_scan(adj, full ^ u_mask, full ^ v_mask)
-                    lb = (forced & count_mask).bit_count()
+                    lb = max(
+                        (forced & count_mask).bit_count(),
+                        _reference_hall_bound(adj, full ^ u_mask, full ^ v_mask, count_mask),
+                    )
                     if lb >= cap:
                         val = lower[key] = lb
                     else:

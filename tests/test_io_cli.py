@@ -1190,10 +1190,21 @@ def test_every_error_class_declares_its_exit_code(monkeypatch, capsys):
         main(["gen", "--family", "fig1"])
 
 
+def child_env(*drop):
+    """This interpreter's environment less the variables in drop, with
+    the package's source directory first on PYTHONPATH, so that a child
+    interpreter imports the package under test however pytest was run."""
+    env = {k: v for k, v in os.environ.items() if k not in drop}
+    src = os.path.dirname(os.path.dirname(gio.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    return env
+
+
 def test_console_script_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "greedyorder.cli", "gen", "--family", "fig1"],
         capture_output=True,
+        env=child_env(),
         text=True,
     )
     assert proc.returncode == 0
@@ -1211,7 +1222,7 @@ def test_cli_stdout_write_failure_is_data_error(sink, flags):
     if sink == "/dev/full" and not os.path.exists(sink):
         pytest.skip("no /dev/full")
     code = errno.ENOSPC if sink == "/dev/full" else errno.EPIPE
-    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env = child_env("PYTHONUNBUFFERED")
     for argv in (
         ["gen", "--family", "biclique_half", "--n", "400"],
         ["gen", "--family", "fig1"],
@@ -1248,12 +1259,21 @@ def test_help_prints_the_parsers_text_and_exits_zero(capsys):
         assert capsys.readouterr() == (parser.format_help(), "")
 
 
+def test_analyze_badsets_keeps_the_subcommand_and_its_mode_apart():
+    args = build_parser().parse_args(
+        ["analyze", "badsets", "g.json", "--size", "2", "--mode", "canonical_pi"]
+    )
+    assert (args.command, args.analysis, args.mode) == ("analyze", "badsets", "canonical_pi")
+    args = build_parser().parse_args(["analyze", "badsets", "g.json", "--size", "2"])
+    assert (args.analysis, args.mode) == ("badsets", "full_pi")
+
+
 def test_bound_writes_the_same_bytes_under_python_O(corpus_by_id, tmp_path):
     # -O strips assert statements; the certificate's invariants must not
     # depend on them.
     path = str(tmp_path / "g.json")
     gio.write_graph(path, corpus_by_id["iter3"].graph)
-    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(gio.__file__)))
+    env = child_env()
     outs = []
     for flags in ([], ["-O"]):
         proc = subprocess.run(

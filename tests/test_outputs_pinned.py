@@ -28,7 +28,7 @@ PINNED = {
     "bound": "b878db4e9fb59309633a520906ef3a3b3f2bf5c20e98bf6606e34260e04a2d78",
     "bound_constructions": "737c55c607ec8fe998ef7eef05b8ce21c9b34ad421d474c55a24c60ea3689c1b",
     "worst_order_exact": "f04148b5643cf3ea381e78857fcdd8b2568528a09b90864388ab10d70f2ecaf4",
-    "worst_order_masked_min": "34e0e6c513de0819aa643d5255ab983b934e5f043088b23100b9dd529391c36f",
+    "worst_order_masked_min": "97ee7177532651c6efece8cf6e8aa546946c31b8c009ffa266c06f7f73bace18",
     "order_avoiding": "d1449210c1598987f575ccca382948d91b09a9cfe25bae0a349a358d60f58546",
     "enumerate_bad_sets": "340743b1536dd45f7e6f0ba234f87df7284756a64228ecb29220d8d363480fa2",
     "iterative_process": "c41f8463a8492e909e5c6dbe38e614587fb3181e27b2d57331743ec89c7fdd34",
@@ -37,7 +37,7 @@ PINNED = {
     "cli_analyze_safety": "ac99a68dc04da4af60555d0cd99ff8dabcd5613b93ddc61433e4f87ae78fc8dc",
     "cli_analyze_montecarlo": "b0b0d1c27ad02def499ec5eb1f8be18173fe8a0a01373f4e1e3a123a7c9c9d4a",
     "cli_analyze_exponents": "2ec9c0e87e1f3066b9fe946c858a1f9a7dfdf6cb79f19a023165aff806b09043",
-    "cli_surface": "a9191e247c1e04e05a94a1100d5a6e82fbde036671a3e249a15c40e5e6ee7af8",
+    "cli_surface": "99738d5f674ec337eff23816fd69d0cc717fb0b95e8a324d4d10b3f6e409e311",
 }
 
 

@@ -1,9 +1,10 @@
 """The arrival-order search engine against the references it replaced.
 
 The exact adversary, the masked minimum and the safety decision share
-one forced-pick branch-and-bound.  Its values, replayed orders and
-safety witnesses must equal those of the unbounded memoised game and
-of the recursive safety search in conftest, and it must handle inputs
+one branch-and-bound on the forced-pick and Hall bounds.  Its values,
+replayed orders and safety witnesses must equal those of the unbounded
+memoised game and of the recursive safety search in conftest, and the
+Hall bound must be sound against that game.  It must handle inputs
 far deeper than the interpreter's recursion limit.  Bounding children
 in their parent's scan must change nothing but the work: against the
 engine that scanned every child, values, orders and node counts are
@@ -21,6 +22,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    _reference_hall_bound,
+    _ReferenceMinGame,
     brute_force_min,
     random_perm,
     random_pm_graph,
@@ -156,6 +159,51 @@ def test_engine_equals_the_child_scanning_engine():
     for mode in ("exact", "masked", "decision"):
         assert tally[mode + " cuts"] > 0, tally
         assert tally[mode + " lower"] < tally[mode + " reference lower"], tally
+
+
+def test_the_hall_bound_is_sound():
+    """`_scan` raises a state's bound from 0 to 1 by Hall's theorem only
+    when no completion of the state leaves the subset unmatched.  At the
+    root and at every state along a drawn arrival order, wherever the
+    bound fires, the unbounded reference game's masked minimum from that
+    state is at least 1, and at every state with branches it agrees with
+    the reference's Hall bound.  With every vertex counted it never
+    fires."""
+    fired = collections.Counter()
+
+    @settings(
+        max_examples=300,
+        derandomize=True,
+        database=None,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(graph_pi_subset(), st.randoms(use_true_random=True))
+    def check(case, rng):
+        g, pi, subset = case
+        n, full = g.n, (1 << g.n) - 1
+        adj, count_mask = _adj_rank_masks(g, pi), _rank_mask(pi, subset)
+        game = _ReferenceMinGame(adj, n, count_mask)
+        order = list(range(n))
+        rng.shuffle(order)
+        u_mask = v_mask = 0
+        for step, u in enumerate(order):
+            alive, free = full ^ u_mask, full ^ v_mask
+            _, branches, slb, lb = adversary._scan(adj, alive, free, count_mask)
+            assert lb == slb or (slb, lb) == (0, 1)
+            if branches:
+                assert lb == max(slb, _reference_hall_bound(adj, alive, free, count_mask))
+            if lb > slb:
+                assert game.value(u_mask, v_mask) >= 1
+                fired["root" if not step else "inner"] += 1
+            _, _, slb, lb = adversary._scan(adj, alive, free, full)
+            assert lb == slb
+            m = adj[u] & free
+            u_mask |= 1 << u
+            v_mask |= m & -m
+
+    check()
+    assert fired["root"] >= 10 and fired["inner"] >= 10, fired
 
 
 def test_replay_follows_the_recorded_choices(monkeypatch):
