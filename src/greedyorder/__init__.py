@@ -51,11 +51,9 @@ from .core import (
     PerfectMatching,
     Permutation,
     align_with_matching,
-    check_prefix_bound,
     find_perfect_matching,
     greedy_match,
     max_matching,
-    verify_stability,
 )
 from .errors import (
     AnalysisParamError,
@@ -65,7 +63,6 @@ from .errors import (
     GreedyOrderError,
     HallInfeasibleError,
     InvalidGraphError,
-    LengthOrderViolatedError,
     MatchingNotAlignedError,
     MissingArcError,
     NoPerfectMatchingError,
@@ -94,7 +91,6 @@ from .spoil import (
     PathCover,
     SpoilGraph,
     build_spoiling_graph,
-    is_maximal,
     maximal_path_cover,
 )
 

@@ -26,7 +26,7 @@ from .adversary import (
     order_avoiding,
     worst_order_exact,
 )
-from .core import BipartiteGraph, Permutation, greedy_match
+from .core import BipartiteGraph, Permutation, find_perfect_matching, greedy_match
 from .errors import (
     AnalysisParamError,
     PropositionViolatedError,
@@ -40,6 +40,8 @@ Rational = Union[int, str, Fraction]
 # order the CLI lists them; each first entry is the default.
 BAD_SET_MODES = ("full_pi", "canonical_pi")
 MINIMIZER_POLICIES = ("first_found", "max_losers_low", "exhaustive_worst_for_next_round")
+# The largest n the exhaustive cross check of the two game readings takes.
+CROSS_CHECK_MAX_N = 5
 
 
 def entropy(p: float) -> float:
@@ -415,10 +417,13 @@ def iterative_process(
     order, then rebuilds the priorities with the unmatched right
     vertices first (internal order preserved on both groups).  The
     process stops once the round's value exceeds n/2, or after `cap`
-    rounds (reported, not raised).
+    rounds (reported, not raised).  The graph must have a perfect
+    matching, which is checked first: greedy's matching is maximal, so
+    it is at least half a maximum one, and every round reaches n/2.
     """
     if cap < 1:
         raise AnalysisParamError("cap must be positive")
+    find_perfect_matching(g)
     n = g.n
     pi = pi1
     records: list[IterationRecord] = []
@@ -487,7 +492,7 @@ def _transposed(g: BipartiteGraph) -> BipartiteGraph:
     return BipartiteGraph(n=g.n, adj_u=g.adj_v, adj_v=g.adj_u)
 
 
-def cross_check_interpretations(g: BipartiteGraph, n_cap: int = 5) -> bool:
+def cross_check_interpretations(g: BipartiteGraph) -> bool:
     """Solve both game readings exhaustively and insist they agree.
 
     Reading one fixes priorities on the right side and lets the arrival
@@ -499,8 +504,8 @@ def cross_check_interpretations(g: BipartiteGraph, n_cap: int = 5) -> bool:
     values need not agree, since the roles of the sides differ.
     """
     n = g.n
-    if n > n_cap:
-        raise UsageError("cross check is exhaustive; n <= %d required" % n_cap)
+    if n > CROSS_CHECK_MAX_N:
+        raise UsageError("cross check is exhaustive; n <= %d required" % CROSS_CHECK_MAX_N)
     gt = _transposed(g)
     value_priority = _priority_game_value(g)
     value_priority_t = _priority_game_value(gt)

@@ -279,7 +279,7 @@ def cmd_analyze_iterate(args) -> dict:
 
 def cmd_analyze_crosscheck(args) -> dict:
     g, _ = gio.read_graph(args.graph)
-    cross_check_interpretations(g, n_cap=args.n_cap)
+    cross_check_interpretations(g)
     return {"equal": True, "n": g.n}
 
 
@@ -358,8 +358,7 @@ def build_parser() -> _Parser:
     a_it.add_argument("--cap", type=int, default=32)
     a_it.add_argument("--policy", default=MINIMIZER_POLICIES[0], choices=MINIMIZER_POLICIES)
 
-    a_cc = _command(ana_subs, "crosscheck", cmd_analyze_crosscheck, "graph")
-    a_cc.add_argument("--n-cap", type=int, default=5)
+    _command(ana_subs, "crosscheck", cmd_analyze_crosscheck, "graph")
 
     return parser
 

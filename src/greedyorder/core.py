@@ -15,7 +15,6 @@ from .errors import (
     DimensionMismatchError,
     InvalidGraphError,
     NoPerfectMatchingError,
-    PropositionViolatedError,
 )
 
 __all__ = [
@@ -23,14 +22,10 @@ __all__ = [
     "Permutation",
     "PerfectMatching",
     "GreedyOutcome",
-    "PrefixStats",
     "greedy_match",
     "max_matching",
     "find_perfect_matching",
     "align_with_matching",
-    "check_prefix_bound",
-    "verify_maximal",
-    "verify_stability",
 ]
 
 
@@ -306,85 +301,3 @@ def align_with_matching(
         adj_v=tuple(g.adj_v[old] for old in old_of_new),
     )
     return g2, tuple(old_of_new)
-
-
-@dataclass(frozen=True)
-class PrefixStats:
-    """Counts produced by check_prefix_bound."""
-
-    k: int
-    matched_in_prefix: int
-    matched_outside_partners: int
-    bound: float
-
-
-def check_prefix_bound(
-    g: BipartiteGraph,
-    m: PerfectMatching,
-    pi: Permutation,
-    sigma: Permutation,
-    k: int,
-) -> PrefixStats:
-    """Verify the prefix counting bound for the first k vertices under pi.
-
-    Let ell be how many of those k vertices end up matched to U vertices
-    outside their own partner set.  Then at least ell + (k - ell) / 2 of
-    the k prefix vertices are matched.  Raises PropositionViolatedError
-    if the bound fails (it never should; that would be a bug).
-    """
-    if not (0 <= k <= g.n):
-        raise DimensionMismatchError("k=%d out of range for n=%d" % (k, g.n))
-    out = greedy_match(g, sigma, pi)
-    prefix = pi.order[:k]
-    u_of_v = m.u_of_v
-    partner_us = {u_of_v[v] for v in prefix}
-    matched = 0
-    ell = 0
-    for v in prefix:
-        u = out.matched_u_of_v[v]
-        if u is not None:
-            matched += 1
-            if u not in partner_us:
-                ell += 1
-    bound = ell + (k - ell) / 2.0
-    if matched < bound:
-        raise PropositionViolatedError(
-            "prefix bound failed: matched=%d < %.1f (k=%d, ell=%d)" % (matched, bound, k, ell)
-        )
-    return PrefixStats(k=k, matched_in_prefix=matched, matched_outside_partners=ell, bound=bound)
-
-
-def verify_maximal(g: BipartiteGraph, outcome: GreedyOutcome) -> bool:
-    """Independent scan: no edge may have both endpoints unmatched."""
-    for u in range(g.n):
-        if outcome.matched_v_of_u[u] is None:
-            for v in g.adj_u[u]:
-                if outcome.matched_u_of_v[v] is None:
-                    return False
-    return True
-
-
-def verify_stability(
-    g: BipartiteGraph, sigma: Permutation, pi: Permutation, outcome: GreedyOutcome
-) -> bool:
-    """Independent blocking-pair scan.
-
-    U vertices prefer neighbors of lower pi rank, V vertices prefer
-    neighbors of lower sigma rank.  Returns False if some edge (u, v)
-    not in the outcome has both endpoints preferring each other.
-    """
-    ru, rv = sigma.rank, pi.rank
-    for u in range(g.n):
-        mu = outcome.matched_v_of_u[u]
-        for v in g.adj_u[u]:
-            if mu == v:
-                continue
-            u_wants = mu is None or rv[v] < rv[mu]
-            if not u_wants:
-                continue
-            mv = outcome.matched_u_of_v[v]
-            v_wants = mv is None or ru[u] < ru[mv]
-            if v_wants:
-                return False
-    return True
-

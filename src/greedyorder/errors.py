@@ -2,8 +2,8 @@
 
 Each class declares the CLI exit code it maps to in ``exit_code``.
 UsageError exits 1.  The internal invariant violations,
-MatchingNotAlignedError, MissingArcError, LengthOrderViolatedError and
-PropositionViolatedError, exit 3.  Every other class is a data error
+MatchingNotAlignedError, MissingArcError and PropositionViolatedError,
+exit 3.  Every other class is a data error
 (schema, bad family parameters, infeasible inputs) and exits 2.
 """
 
@@ -34,12 +34,6 @@ class MatchingNotAlignedError(GreedyOrderError):
 
 class MissingArcError(GreedyOrderError):
     """A path-cover operation requires an arc that is not present."""
-
-    exit_code = 3
-
-
-class LengthOrderViolatedError(GreedyOrderError):
-    """An unbalance step was asked to move a vertex onto a shorter path."""
 
     exit_code = 3
 

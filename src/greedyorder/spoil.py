@@ -5,9 +5,11 @@ For a graph whose perfect matching has been aligned to the identity
 pair and an arc i -> j exactly when (u_i, v_j) is an edge and i != j.
 Path covers of this digraph drive the certified arrival orders: a cover
 is improved by merge and unbalance operations until none applies, even
-after rotating the two paths involved.  `maximal_path_cover` applies
-each step in place; the stand-alone step functions and maximality
-audit that check it are test oracles in tests/conftest.py.
+after rotating the two paths involved.  `maximal_path_cover` is the one
+place that picks and applies steps, each in place; tests read its scan
+through the step log it keeps on request.  The stand-alone step
+functions, the maximality audit and the reference scan that check it
+are test oracles in tests/conftest.py.
 
 `build_spoiling_graph` fills the in-masks from the aligned graph's V
 rows; a `SpoilGraph` built directly computes them on first use.  The
@@ -36,9 +38,6 @@ __all__ = [
     "PathCover",
     "CoverStep",
     "build_spoiling_graph",
-    "trivial_cover",
-    "find_improvement",
-    "is_maximal",
     "maximal_path_cover",
 ]
 
@@ -180,10 +179,6 @@ class PathCover:
         return tuple(sorted(iso)), w2
 
 
-def trivial_cover(n: int) -> PathCover:
-    return PathCover.from_paths(n, [(i,) for i in range(n)])
-
-
 @dataclass(frozen=True)
 class CoverStep:
     """One improvement step: optional rotations of the two involved
@@ -286,8 +281,8 @@ class _CoverState:
         return len(p) ** 2 - len(pi) ** 2 - len(pj) ** 2
 
     def apply(self, step: CoverStep) -> int:
-        """Apply a step found by scan(); return the increase of the sum of
-        squared path lengths."""
+        """Apply a step found by the unbalance or rotation stages; return
+        the increase of the sum of squared path lengths."""
         i, j = step.i, step.j
         pi = _rotated(self.paths[i], step.rot_i)
         pj = _rotated(self.paths[j], step.rot_j)
@@ -303,24 +298,6 @@ class _CoverState:
         self._add(new_i, min(lo_i, moved))
         self._add(new_j, lo_j if moved != lo_j else min(new_j))
         return len(new_i) ** 2 + len(new_j) ** 2 - len(pi) ** 2 - len(pj) ** 2
-
-    def scan(self) -> Optional[CoverStep]:
-        """The next improvement step in scan order, or None.
-
-        Scan order: plain merges, then plain unbalances, then merges that
-        need rotating one or both involved paths, then unbalances
-        likewise.  Within a stage the path indices run lexicographically
-        and rotation cuts run no-rotation first.  This order is a
-        contract: the step log and the certificates depend on it.
-        """
-        hit = self._plain_merge()
-        if hit is not None:
-            return CoverStep(op="merge", i=hit[0], j=hit[1])
-        return self._other_step()
-
-    def _other_step(self) -> Optional[CoverStep]:
-        """The first step of the stages after the plain merges."""
-        return self._plain_unbalance() or self._rotated_step()
 
     def _plain_merge(self) -> Optional[tuple[int, int]]:
         """The path indices (i, j) of the first plain merge, or None.
@@ -451,19 +428,6 @@ class _CoverState:
         raise PropositionViolatedError("rotated unbalance %d <- %d has no cuts" % (i, j))
 
 
-def find_improvement(cover: PathCover, sg: SpoilGraph) -> Optional[CoverStep]:
-    """Deterministic scan for the next improvement step, or None.
-
-    The same scan that maximal_path_cover runs after every step; see
-    _CoverState.scan for its order.
-    """
-    return _CoverState(sg, cover.paths).scan()
-
-
-def is_maximal(cover: PathCover, sg: SpoilGraph) -> bool:
-    return find_improvement(cover, sg) is None
-
-
 def maximal_path_cover(
     sg: SpoilGraph,
     initial: Optional[PathCover] = None,
@@ -472,10 +436,16 @@ def maximal_path_cover(
     """Improve a cover until no merge or unbalance applies, rotations
     included.
 
-    Starts from the all-isolated cover unless given one.  Every step
-    strictly increases the sum of squared path lengths, which is bounded
-    by n^2, so the loop terminates.  The cover is updated in place
-    between steps; the final one is rebuilt and validated in full.
+    Starts from the all-isolated cover unless given one.  Each step is
+    the first in scan order: plain merges, then plain unbalances, then
+    merges that need rotating one or both involved paths, then
+    unbalances likewise.  Within a stage the path indices run
+    lexicographically and rotation cuts run no-rotation first.  This
+    order is a contract: the step log and the certificates depend on it.
+
+    Every step strictly increases the sum of squared path lengths, which
+    is bounded by n^2, so the loop terminates.  The cover is updated in
+    place between steps; the final one is rebuilt and validated in full.
     """
     if initial is None:
         state = _CoverState.isolated(sg)
@@ -492,7 +462,7 @@ def maximal_path_cover(
             if log is not None:
                 log.append(CoverStep(op="merge", i=i, j=j))
         else:
-            step = state._other_step()
+            step = state._plain_unbalance() or state._rotated_step()
             if step is None:
                 final = PathCover.from_paths(sg.n, state.paths)
                 final.validate_arcs(sg)

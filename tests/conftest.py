@@ -11,13 +11,17 @@ step functions apply a merge, unbalance, rotation or whole step by
 rebuilding and revalidating the cover, and the maximality audit lists
 every structural fact of a maximal cover that fails; the production
 cover loop applies its steps in place and must reach the same covers.
+``find_improvement`` reads the production scan as the first entry of
+that loop's step log, so a cover is maximal when it returns None.
 The reference arrival-order searches are the exhaustive memoised game and
 the safety depth-first search that the branch-and-bound engine replaced,
 and that engine as it stood before each child was bounded in its
 parent's scan; the engine must return their values, orders, witnesses
 and (against the last) node counts exactly.
 The Gale-Shapley oracle runs deferred acceptance from either side, so
-that greedy's matching can be checked to be the unique stable one.
+that greedy's matching can be checked to be the unique stable one; the
+maximality and blocking-pair scans and the prefix counting bound check
+single greedy runs against the paper's lemmas.
 The reference graph reader checks each edge pair with a generator of
 type tests, builds the graph from sorted edges with one set of edge
 tuples, and sorts every adjacency list on its own; the one-pass reader
@@ -74,20 +78,21 @@ from greedyorder.adversary import (
 from greedyorder.analysis import AnalysisParams, ExponentReport, MonteCarloSummary, entropy
 from greedyorder.certify import build_certificate
 from greedyorder.cli import CSV_COLUMNS
+from greedyorder.core import GreedyOutcome, PerfectMatching
 from greedyorder.errors import (
     AnalysisParamError,
+    DimensionMismatchError,
     FamilyShapeError,
     GenerationError,
     GreedyOrderError,
     HallInfeasibleError,
     InvalidGraphError,
-    LengthOrderViolatedError,
     MissingArcError,
     PropositionViolatedError,
     SchemaError,
     UsageError,
 )
-from greedyorder.spoil import CoverStep, PathCover, SpoilGraph, trivial_cover
+from greedyorder.spoil import CoverStep, PathCover, SpoilGraph, maximal_path_cover
 
 
 def _corpus_specs():
@@ -357,6 +362,14 @@ def reference_sampled(g, pi, draws=100, seed=0):
     return AdversaryResult(sigma=best, size=best_val, exact=False, nodes_expanded=draws)
 
 
+class LengthOrderViolatedError(GreedyOrderError):
+    """An unbalance step was asked to move a vertex onto a shorter path."""
+
+
+def trivial_cover(n: int) -> PathCover:
+    return PathCover.from_paths(n, [(i,) for i in range(n)])
+
+
 def apply_rotation(cover: PathCover, sg: SpoilGraph, idx: int, cut: int) -> PathCover:
     """Rotate path idx at cut position; needs the closing arc end -> start.
 
@@ -588,6 +601,13 @@ def reference_maximal_path_cover(sg, initial=None):
             return cover, log
         cover = apply_step(cover, sg, step)
         log.append(step)
+
+
+def find_improvement(cover, sg):
+    """The step the production scan takes first from cover, or None when
+    the cover is maximal: the first entry of maximal_path_cover's log."""
+    log = maximal_path_cover(sg, cover, collect_log=True)[1]
+    return log[0] if log else None
 
 
 class _ReferenceMinGame:
@@ -917,6 +937,87 @@ def reference_is_safe(g, pi, s):
     if dfs(0, 0):
         return False, seq
     return True, None
+
+
+@dataclass(frozen=True)
+class PrefixStats:
+    """Counts produced by check_prefix_bound."""
+
+    k: int
+    matched_in_prefix: int
+    matched_outside_partners: int
+    bound: float
+
+
+def check_prefix_bound(
+    g: BipartiteGraph,
+    m: PerfectMatching,
+    pi: Permutation,
+    sigma: Permutation,
+    k: int,
+) -> PrefixStats:
+    """Verify the prefix counting bound for the first k vertices under pi.
+
+    Let ell be how many of those k vertices end up matched to U vertices
+    outside their own partner set.  Then at least ell + (k - ell) / 2 of
+    the k prefix vertices are matched.  Raises PropositionViolatedError
+    if the bound fails (it never should; that would be a bug).
+    """
+    if not (0 <= k <= g.n):
+        raise DimensionMismatchError("k=%d out of range for n=%d" % (k, g.n))
+    out = greedy_match(g, sigma, pi)
+    prefix = pi.order[:k]
+    u_of_v = m.u_of_v
+    partner_us = {u_of_v[v] for v in prefix}
+    matched = 0
+    ell = 0
+    for v in prefix:
+        u = out.matched_u_of_v[v]
+        if u is not None:
+            matched += 1
+            if u not in partner_us:
+                ell += 1
+    bound = ell + (k - ell) / 2.0
+    if matched < bound:
+        raise PropositionViolatedError(
+            "prefix bound failed: matched=%d < %.1f (k=%d, ell=%d)" % (matched, bound, k, ell)
+        )
+    return PrefixStats(k=k, matched_in_prefix=matched, matched_outside_partners=ell, bound=bound)
+
+
+def verify_maximal(g: BipartiteGraph, outcome: GreedyOutcome) -> bool:
+    """Independent scan: no edge may have both endpoints unmatched."""
+    for u in range(g.n):
+        if outcome.matched_v_of_u[u] is None:
+            for v in g.adj_u[u]:
+                if outcome.matched_u_of_v[v] is None:
+                    return False
+    return True
+
+
+def verify_stability(
+    g: BipartiteGraph, sigma: Permutation, pi: Permutation, outcome: GreedyOutcome
+) -> bool:
+    """Independent blocking-pair scan.
+
+    U vertices prefer neighbors of lower pi rank, V vertices prefer
+    neighbors of lower sigma rank.  Returns False if some edge (u, v)
+    not in the outcome has both endpoints preferring each other.
+    """
+    ru, rv = sigma.rank, pi.rank
+    for u in range(g.n):
+        mu = outcome.matched_v_of_u[u]
+        for v in g.adj_u[u]:
+            if mu == v:
+                continue
+            u_wants = mu is None or rv[v] < rv[mu]
+            if not u_wants:
+                continue
+            mv = outcome.matched_u_of_v[v]
+            v_wants = mv is None or ru[u] < ru[mv]
+            if v_wants:
+                return False
+    return True
 
 
 def _deferred_acceptance(prefs, prefers):

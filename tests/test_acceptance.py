@@ -11,16 +11,21 @@ import random
 import time
 from fractions import Fraction
 
-from conftest import brute_force_min, random_pm_graph, random_perm, record_acceptance
+from conftest import (
+    brute_force_min,
+    random_pm_graph,
+    random_perm,
+    record_acceptance,
+    verify_maximal,
+    verify_stability,
+)
 
 from greedyorder import (
     FamilySpec,
     Permutation,
     generate,
     greedy_match,
-    verify_stability,
 )
-from greedyorder.core import verify_maximal
 from greedyorder.adversary import (
     adversary_projective,
     adversary_regular_gadget,

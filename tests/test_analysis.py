@@ -38,6 +38,7 @@ from greedyorder import (
 from greedyorder.errors import (
     AnalysisParamError,
     FamilyShapeError,
+    NoPerfectMatchingError,
     PropositionViolatedError,
     UsageError,
 )
@@ -430,6 +431,14 @@ def test_iterative_cap_reported():
         iterative_process(g, pi1, cap=0)
 
 
+def test_iterative_process_needs_a_perfect_matching():
+    # Every round reaching n/2 rests on a perfect matching, so a graph
+    # without one is bad input, not a failed invariant.
+    star = BipartiteGraph.from_edges(3, [(0, 0), (1, 0), (2, 0)])
+    with pytest.raises(NoPerfectMatchingError):
+        iterative_process(star, Permutation.identity(3), cap=4)
+
+
 def test_iterative_policies_agree_on_values():
     g = generate(FamilySpec("iterative", {"i": 2}))
     pi1 = Permutation.from_order([3, 2, 1, 0])
@@ -528,4 +537,4 @@ def test_cross_check_size_guard():
     with pytest.raises(UsageError):
         cross_check_interpretations(g)
     with pytest.raises(UsageError):
-        cross_check_interpretations(fig1(), n_cap=2)
+        cross_check_interpretations(random_pm_graph(random.Random(402), 6))

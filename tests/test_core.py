@@ -9,11 +9,14 @@ from hypothesis import strategies as st
 
 from conftest import (
     brute_max_matching_size,
+    check_prefix_bound,
     random_perm,
     random_pm_graph,
     reference_from_edges,
     reference_gale_shapley,
     reference_max_matching,
+    verify_maximal,
+    verify_stability,
 )
 
 from greedyorder import (
@@ -21,16 +24,11 @@ from greedyorder import (
     GreedyOutcome,
     Permutation,
     align_with_matching,
-    check_prefix_bound,
     find_perfect_matching,
     greedy_match,
     max_matching,
-    verify_stability,
 )
-from greedyorder.core import (
-    PerfectMatching,
-    verify_maximal,
-)
+from greedyorder.core import PerfectMatching
 from greedyorder.errors import (
     DimensionMismatchError,
     InvalidGraphError,

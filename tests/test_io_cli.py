@@ -1132,6 +1132,13 @@ def test_cli_analyze_iterate(tmp_path, capsys):
     assert capsys.readouterr().out == with_identity
 
 
+def test_cli_analyze_iterate_without_a_perfect_matching_is_a_data_error(tmp_path, capsys):
+    gpath = tmp_path / "star.json"
+    gio.write_graph(str(gpath), BipartiteGraph.from_edges(3, [(0, 0), (1, 0), (2, 0)]))
+    assert main(["analyze", "iterate", str(gpath)]) == 2
+    assert capsys.readouterr().err.startswith("error: maximum matching has size 1 < n=3")
+
+
 def test_cli_analyze_crosscheck(tmp_path, capsys):
     graph = write_fig1(tmp_path)
     assert main(["analyze", "crosscheck", graph]) == 0
@@ -1157,7 +1164,6 @@ EXIT_CODES = {
     "UsageError": 1,
     "MatchingNotAlignedError": 3,
     "MissingArcError": 3,
-    "LengthOrderViolatedError": 3,
     "PropositionViolatedError": 3,
 }
 EXIT_LABELS = {1: "usage error", 2: "error", 3: "internal invariant violated"}
@@ -1170,7 +1176,7 @@ def test_every_error_class_declares_its_exit_code(monkeypatch, capsys):
         c for c in vars(errors_mod).values()
         if isinstance(c, type) and issubclass(c, GreedyOrderError)
     ]
-    assert len(classes) == 14
+    assert len(classes) == 13
     for cls in classes:
         code = EXIT_CODES.get(cls.__name__, 2)
         assert cls.exit_code == code, cls
@@ -1304,19 +1310,58 @@ def test_the_parser_is_built_once_and_shared(corpus, tmp_path, capsys):
     assert "usage error" in capsys.readouterr().err
 
 
-def test_no_assert_statements_in_the_package():
-    # Invariants must raise errors that python -O cannot strip.
-    found = []
+def package_trees():
+    """(path under the package, parsed module) for each of its modules."""
     root = os.path.dirname(gio.__file__)
     for folder, _, names in os.walk(root):
         for name in sorted(names):
             if name.endswith(".py"):
                 path = os.path.join(folder, name)
                 with open(path, encoding="utf-8") as fh:
-                    tree = ast.parse(fh.read(), filename=path)
-                found += [
-                    "%s:%d" % (os.path.relpath(path, root), node.lineno)
-                    for node in ast.walk(tree)
-                    if isinstance(node, ast.Assert)
-                ]
+                    yield os.path.relpath(path, root), ast.parse(fh.read(), filename=path)
+
+
+def test_no_assert_statements_in_the_package():
+    # Invariants must raise errors that python -O cannot strip.
+    found = [
+        "%s:%d" % (name, node.lineno)
+        for name, tree in package_trees()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Assert)
+    ]
     assert found == []
+
+
+def test_every_import_is_used_and_every_export_resolves():
+    # Code moved out of a module can leave its imports behind, and a name
+    # dropped from a module can leave its __all__ entry behind.
+    unused, unresolved = [], []
+    for name, tree in package_trees():
+        exported = []
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+            ):
+                exported = [elt.value for elt in node.value.elts]
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)} | set(exported)
+        if name != "__init__.py":
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Import):
+                    bound = [a.asname or a.name.split(".")[0] for a in node.names]
+                elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                    bound = [a.asname or a.name for a in node.names]
+                else:
+                    continue
+                unused += ["%s:%d %s" % (name, node.lineno, b) for b in bound if b not in used]
+        defined = set()
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.add(node.name)
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                defined.update(a.asname or a.name.split(".")[0] for a in node.names)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined.update(t.id for t in targets if isinstance(t, ast.Name))
+        unresolved += ["%s %s" % (name, e) for e in exported if e not in defined]
+    assert unused == []
+    assert unresolved == []

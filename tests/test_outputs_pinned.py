@@ -37,7 +37,7 @@ PINNED = {
     "cli_analyze_safety": "ac99a68dc04da4af60555d0cd99ff8dabcd5613b93ddc61433e4f87ae78fc8dc",
     "cli_analyze_montecarlo": "b0b0d1c27ad02def499ec5eb1f8be18173fe8a0a01373f4e1e3a123a7c9c9d4a",
     "cli_analyze_exponents": "2ec9c0e87e1f3066b9fe946c858a1f9a7dfdf6cb79f19a023165aff806b09043",
-    "cli_surface": "99738d5f674ec337eff23816fd69d0cc717fb0b95e8a324d4d10b3f6e409e311",
+    "cli_surface": "a42099b8f793ed00501903f6b3be4a3c3471d936152d599ef6c1faa3ccd6ddac",
 }
 
 

@@ -7,13 +7,16 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    LengthOrderViolatedError,
     apply_merge,
     apply_rotation,
     apply_step,
     apply_unbalance,
+    find_improvement,
     random_pm_graph,
     reference_find_improvement,
     reference_maximal_path_cover,
+    trivial_cover,
     verify_maximality_conditions,
 )
 
@@ -25,19 +28,12 @@ from greedyorder import (
     build_spoiling_graph,
     find_perfect_matching,
     generate,
-    is_maximal,
     maximal_path_cover,
 )
 from greedyorder.certify import build_theorem1
-from greedyorder.spoil import (
-    CoverStep,
-    SpoilGraph,
-    find_improvement,
-    trivial_cover,
-)
+from greedyorder.spoil import CoverStep, SpoilGraph
 from greedyorder.errors import (
     InvalidGraphError,
-    LengthOrderViolatedError,
     MatchingNotAlignedError,
     MissingArcError,
 )
@@ -181,7 +177,7 @@ def test_maximal_cover_on_corpus(corpus):
         sg = build_spoiling_graph(aligned)
         cover, steps = maximal_path_cover(sg, collect_log=True)
         cover.validate_arcs(sg)
-        assert is_maximal(cover, sg), inst.instance_id
+        assert find_improvement(cover, sg) is None, inst.instance_id
         assert verify_maximality_conditions(cover, sg) == [], inst.instance_id
 
         # replay the recorded steps from the trivial cover; the squared
@@ -198,7 +194,7 @@ def test_single_path_cover_is_maximal():
     n = 6
     sg = sg_from_arcs(n, [(i, (i + 1) % n) for i in range(n)])
     c = PathCover.from_paths(n, [tuple(range(n))])
-    assert is_maximal(c, sg)
+    assert find_improvement(c, sg) is None
     assert verify_maximality_conditions(c, sg) == []
 
 
