@@ -537,10 +537,8 @@ def worst_order_sampled(
     return AdversaryResult(sigma=sigma, size=best_val, exact=False, nodes_expanded=draws)
 
 
-def _order_by_planned_partner(
-    pairs: Sequence[tuple[int, int]], rank: Sequence[int]
-) -> list[int]:
-    """U vertices of (u, planned v) pairs, sorted by the partner's rank.
+def _planned_order(n: int, pairs: Sequence[tuple[int, int]], rank: Sequence[int]) -> Permutation:
+    """U vertices of (u, planned v) pairs by partner rank, then the rest by label.
 
     Processing arrivals in ascending planned-partner rank keeps every
     greedy choice at a rank no higher than the planned partner's: the
@@ -549,7 +547,10 @@ def _order_by_planned_partner(
     earlier.  With all planned partners inside a rank-prefix, that
     prefix absorbs every match.
     """
-    return [u for u, v in sorted(pairs, key=lambda uv: rank[uv[1]])]
+    order = [u for u, v in sorted(pairs, key=lambda uv: rank[uv[1]])]
+    planned = set(order)
+    order.extend(u for u in range(n) if u not in planned)
+    return Permutation.from_order(order)
 
 
 def adversary_regular_gadget(pi: Permutation, d: int, t: int) -> Permutation:
@@ -618,10 +619,7 @@ def adversary_projective(
     pairs = max_matching(adj, cut)
     if len(pairs) != len(nbrs):
         raise HallInfeasibleError("cannot saturate the target set's neighborhood")
-    order = _order_by_planned_partner([(nbrs[i], pi.order[j]) for i, j in pairs], rank)
-    planned = set(order)
-    order.extend(u for u in range(n) if u not in planned)
-    return Permutation.from_order(order)
+    return _planned_order(n, [(nbrs[i], pi.order[j]) for i, j in pairs], rank)
 
 
 def adversary_biclique(pi: Permutation, n: int) -> Permutation:
@@ -649,12 +647,7 @@ def adversary_biclique(pi: Permutation, n: int) -> Permutation:
             queue.append(v)
         elif queue:
             paired.append((v, queue.popleft()))
-    rank = pi.rank
-    order = _order_by_planned_partner(paired, rank)
-    paired_u = set(order)
-    order.extend(u for u in range(h) if u not in paired_u)
-    order.extend(range(h, n))
-    return Permutation.from_order(order)
+    return _planned_order(n, paired, pi.rank)
 
 
 def _family_param(g: BipartiteGraph, key: str) -> int:
@@ -716,10 +709,7 @@ def adversary_planted_is(g: BipartiteGraph, pi: Permutation) -> Permutation:
         short = len(outside) - len(pairs)
         if not short:
             break
-    planned = [(outside[i], targets[j]) for i, j in pairs]
-    order = _order_by_planned_partner(planned, rank)
-    order.extend(range(planted_size))
-    return Permutation.from_order(order)
+    return _planned_order(n, [(outside[i], targets[j]) for i, j in pairs], rank)
 
 
 # The closed-form adversary of each structured family, (g, pi) -> sigma.
@@ -759,7 +749,8 @@ ATTACKS = {
     "constructive": (worst_order_constructive, ()),
 }
 ADVERSARY_MODES = tuple(ATTACKS)
-# The exact adversary comes first and is every front end's default.
+# The exact adversary comes first, the default of experiment configs and
+# `analyze montecarlo`; `greedyorder adversary` runs it only with --exact.
 DEFAULT_MODE = ADVERSARY_MODES[0]
 
 

@@ -20,7 +20,6 @@ import csv
 import functools
 import io
 import itertools
-import os
 import sys
 import time
 from typing import Optional, Sequence
@@ -40,7 +39,7 @@ from .analysis import (
 )
 from .certify import CONSTRUCTIONS, build_certificate
 from .core import Permutation
-from .errors import GreedyOrderError, PropositionViolatedError, SchemaError, UsageError
+from .errors import GreedyOrderError, PropositionViolatedError, UsageError
 from .families import FAMILIES, FamilySpec, derived_seed, generate
 
 __all__ = ["main", "run_experiment", "experiment_rows", "write_rows_csv", "CSV_COLUMNS"]
@@ -50,42 +49,11 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message: str):  # argparse would sys.exit(2); we map usage to 1
         raise UsageError(message)
 
-    # argparse prints help and usage with its own write, which drops an
-    # OSError; on stdout they go through _emit like every other output.
-    def print_usage(self, file=None) -> None:
-        self._print(self.format_usage(), file)
-
-    def print_help(self, file=None) -> None:
-        self._print(self.format_help(), file)
-
-    def _print(self, text: str, file) -> None:
-        if file is None or file is sys.stdout:
-            _emit(None, text)
-        else:
-            file.write(text)
-
-
-def _emit(path: Optional[str], text: str, newline: Optional[str] = None) -> None:
-    """Write text to the file at path, or to stdout without one; a file
-    that cannot be opened or written, or a stdout that cannot be written
-    or flushed (a full disk, a closed pipe), is a data error naming it."""
-    if not path:
-        try:
-            sys.stdout.write(text)
-            sys.stdout.flush()
-        except OSError as exc:
-            # What the failed write left in stdout's buffer would fail again
-            # at the interpreter's flush on exit, with a second message.
-            devnull = os.open(os.devnull, os.O_WRONLY)
-            os.dup2(devnull, sys.stdout.fileno())
-            os.close(devnull)
-            raise SchemaError("stdout: %s" % (exc.strerror or exc)) from exc
-        return
-    try:
-        with open(path, "w", encoding="utf-8", newline=newline) as fh:
-            fh.write(text)
-    except OSError as exc:
-        raise SchemaError("%s: %s" % (path, exc.strerror or exc)) from exc
+    # argparse's own write drops an OSError, so help goes through write_text
+    # (a test sends -h to /dev/full).  argparse calls print_help with no
+    # file, and prints usage only from error(), which raises instead.
+    def print_help(self) -> None:
+        gio.write_text(None, self.format_help())
 
 
 # --- gen, bound, adversary -----------------------------------------------
@@ -209,7 +177,7 @@ def cmd_experiment(args) -> None:
     rows = experiment_rows(config)
     table = io.StringIO()
     write_rows_csv(rows, table)
-    _emit(args.output or config.output_path, table.getvalue(), newline="")
+    gio.write_text(args.output or config.output_path, table.getvalue(), newline="")
     _raise_if_unsound(rows)
 
 
@@ -236,7 +204,7 @@ def cmd_analyze_exponents(args) -> Optional[dict]:
             lines.append("%-26s %16.9f" % (name, value))
     if doc["flags"]:
         lines.append("flags: %s" % ", ".join(doc["flags"]))
-    _emit(None, "\n".join(lines) + "\n")
+    gio.write_text(None, "\n".join(lines) + "\n")
     # The table has taken stdout, so the document goes only to -o.
     return doc if args.output else None
 
@@ -373,7 +341,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         args = parser.parse_args(argv)
         doc = args.func(args)
         if doc is not None:
-            _emit(args.output, gio.canonical_dumps(doc))
+            gio.write_doc(args.output, doc)
         return 0
     except GreedyOrderError as exc:
         print("%s: %s" % (_EXIT_LABELS[exc.exit_code], exc), file=sys.stderr)

@@ -5,16 +5,20 @@ Writers always emit the canonical form, the text of
 (keys sorted, two-space indent), with edges sorted lexicographically.
 `canonical_dumps` writes it without json's pure-Python indenting
 encoder; a property test holds it to json.dumps's bytes.  A result
-document is its dataclass's fields by name, through `to_doc`.  Readers
-accept any schema-valid document and normalize, so write(read(x)) is
-the identity on canonical files.  Shape problems raise SchemaError naming
-the file and field; semantic problems (say, an edge list that is not a
+document is its dataclass's fields by name, through `to_doc`.  Every
+write, to a file or to stdout, goes through `write_text`, which turns
+a failed write into a SchemaError naming the file.  Readers accept any
+schema-valid document and normalize, so write(read(x)) is the identity
+on canonical files.  Shape problems raise SchemaError naming the file
+and field; semantic problems (say, an edge list that is not a
 valid graph) surface through the usual construction errors.
 """
 
 from __future__ import annotations
 
 import json
+import os
+import sys
 from dataclasses import dataclass, field, fields, is_dataclass
 from fractions import Fraction
 from itertools import chain
@@ -45,6 +49,7 @@ __all__ = [
     "badset_report_to_doc",
     "monte_carlo_to_doc",
     "iterative_trace_to_doc",
+    "write_text",
     "write_doc",
 ]
 
@@ -98,9 +103,32 @@ def _emit(value: Any, nl: str, write: Callable[[str], Any]) -> None:
     write(json.dumps(value, sort_keys=True, indent=2).replace("\n", nl))
 
 
-def write_doc(path: str, doc: Any) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(canonical_dumps(doc))
+def write_text(path: Optional[str], text: str, newline: Optional[str] = None) -> None:
+    """Write text to the file at path, or to stdout without one; a file
+    that cannot be opened or written, or a stdout that cannot be written
+    or flushed (a full disk, a closed pipe), is a SchemaError naming it."""
+    if not path:
+        try:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+        except OSError as exc:
+            # What the failed write left in stdout's buffer would fail again
+            # at the interpreter's flush on exit, with a second message.
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+            raise SchemaError("stdout: %s" % (exc.strerror or exc)) from exc
+        return
+    try:
+        with open(path, "w", encoding="utf-8", newline=newline) as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise SchemaError("%s: %s" % (path, exc.strerror or exc)) from exc
+
+
+def write_doc(path: Optional[str], doc: Any) -> None:
+    """Write doc's canonical JSON through `write_text`."""
+    write_text(path, canonical_dumps(doc))
 
 
 def _load_json(path: str) -> Any:

@@ -11,18 +11,17 @@ through the step log it keeps on request.  The stand-alone step
 functions, the maximality audit and the reference scan that check it
 are test oracles in tests/conftest.py.
 
-`build_spoiling_graph` fills the in-masks from the aligned graph's V
-rows; a `SpoilGraph` built directly computes them on first use.  The
-cover loop runs the plain merges, most of its steps, from the scan that
-finds them straight to the merge helper, and builds a `CoverStep` only
-for a kept log.
+`build_spoiling_graph` is the one way to build a `SpoilGraph`: it takes
+the out-masks from the aligned graph's U rows and the in-masks from its
+V rows.  The cover loop runs the plain merges, most of its steps, from
+the scan that finds them straight to the merge helper, and builds a
+`CoverStep` only for a kept log.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .core import BipartiteGraph
@@ -44,25 +43,18 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SpoilGraph:
-    """Digraph on n pair-nodes with bitmask adjacency.
+    """Bitmask digraph on n pair-nodes; build one with `build_spoiling_graph`.
 
-    Bit j of ``out_mask[i]`` is set iff there is an arc i -> j.
+    Bit j of ``out_mask[i]`` and bit i of ``in_mask[j]`` are set iff
+    there is an arc i -> j.
     """
 
     n: int
     out_mask: tuple[int, ...]
+    in_mask: tuple[int, ...]
 
     def has_arc(self, i: int, j: int) -> bool:
         return (self.out_mask[i] >> j) & 1 == 1
-
-    @cached_property
-    def in_mask(self) -> tuple[int, ...]:
-        """Bit i of ``in_mask[j]`` is set iff there is an arc i -> j."""
-        masks = [0] * self.n
-        for i, m in enumerate(self.out_mask):
-            for j in _bits(m):
-                masks[j] |= 1 << i
-        return tuple(masks)
 
     @property
     def num_arcs(self) -> int:
@@ -85,12 +77,10 @@ def build_spoiling_graph(g: BipartiteGraph) -> SpoilGraph:
             raise MatchingNotAlignedError(
                 "pair edge (%d, %d) missing; align the matching to the identity first" % (i, i)
             )
-    sg = SpoilGraph(n=g.n, out_mask=tuple(m ^ (1 << i) for i, m in enumerate(masks)))
-    # Row j of adj_v lists j itself and every i with an arc i -> j.  The
-    # masks go where the cached property would store them; the dataclass
-    # is frozen, so through object.__setattr__.
+    out_mask = tuple(m ^ (1 << i) for i, m in enumerate(masks))
+    # Row j of adj_v lists j itself and every i with an arc i -> j.
     in_mask = tuple(m ^ (1 << j) for j, m in enumerate(_row_masks(g.adj_v)))
-    object.__setattr__(sg, "in_mask", in_mask)
+    sg = SpoilGraph(n=g.n, out_mask=out_mask, in_mask=in_mask)
     if sg.num_arcs != g.num_edges - g.n:
         raise PropositionViolatedError(
             "conflict digraph has %d arcs, not edges - n = %d" % (sg.num_arcs, g.num_edges - g.n)

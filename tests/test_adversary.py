@@ -41,6 +41,7 @@ from greedyorder.adversary import attack, order_avoiding, worst_order_constructi
 from greedyorder.errors import (
     AnalysisParamError,
     DimensionMismatchError,
+    FamilyShapeError,
     HallInfeasibleError,
     UsageError,
 )
@@ -210,7 +211,8 @@ def test_projective_adversary_leaves_the_last_q_unmatched():
 def test_search_and_constructive_entry_points_check_their_inputs():
     """A pi of the wrong length is a DimensionMismatchError, and a subset
     vertex outside 0..n-1 an AnalysisParamError, not an IndexError or a
-    vertex counted through a negative index."""
+    vertex counted through a negative index.  The family adversaries
+    called directly raise FamilyShapeError for a shape they cannot take."""
     g = generate(FamilySpec("fano"))
     for short in (Permutation.identity(6), Permutation.identity(8)):
         for call in (
@@ -227,6 +229,15 @@ def test_search_and_constructive_entry_points_check_their_inputs():
             with pytest.raises(AnalysisParamError) as info:
                 player(g, pi, subset)
             assert str(info.value) == "subset contains vertices outside the graph"
+    for call, message in (
+        (lambda: adversary_projective(g, pi, 0), "target_size 0 out of range"),
+        (lambda: adversary_projective(g, pi, 8), "target_size 8 out of range"),
+        (lambda: adversary_biclique(pi, 7), "n must be even"),
+        (lambda: adversary_biclique(pi, 8), "pi has 7 entries, expected 8"),
+    ):
+        with pytest.raises(FamilyShapeError) as info:
+            call()
+        assert str(info.value) == message
 
 
 def test_player_settings_outside_their_domain():

@@ -311,6 +311,8 @@ def test_align_with_matching_equals_a_rebuild():
         align_with_matching(g, PerfectMatching(v_of_u=(1, 0)))
     with pytest.raises(InvalidGraphError, match="not a permutation"):
         align_with_matching(g, PerfectMatching(v_of_u=(0, 0)))
+    with pytest.raises(DimensionMismatchError, match=r"^matching size 1 != n=2$"):
+        align_with_matching(g, PerfectMatching(v_of_u=(0,)))
 
 
 def test_check_prefix_bound_holds_and_validates():

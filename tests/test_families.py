@@ -230,6 +230,12 @@ def test_planted_is_structure():
     for u in range(s):
         for v in g.adj_u[u]:
             assert v >= s
+    for n, d in ((0, 3), (30, 0)):
+        with pytest.raises(GenerationError, match="^n and d must be positive$"):
+            gen_planted_is(n, d, 0.3, seed=9)
+    # With eps=0.3 the planted blocks hold 10 vertices, leaving 20 partners.
+    with pytest.raises(GenerationError, match="^d=21 too large: planted vertices have only 20 "):
+        gen_planted_is(30, 21, 0.3, seed=9)
 
 
 class _CountingRandom(random.Random):

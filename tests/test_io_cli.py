@@ -472,6 +472,20 @@ def test_read_graph_bad_paths(tmp_path):
             gio.read_graph(str(bad))
 
 
+def test_library_writers_name_the_file_they_cannot_write(tmp_path):
+    """write_graph and write_perm turn a file that cannot be written into
+    a SchemaError naming it, as the CLI's -o does."""
+    g, p = BipartiteGraph.from_edges(1, [(0, 0)]), Permutation.identity(1)
+    for target, code in (
+        (str(tmp_path / "no_such_dir" / "out.json"), errno.ENOENT),
+        (str(tmp_path), errno.EISDIR),
+    ):
+        for write, obj in ((gio.write_graph, g), (gio.write_perm, p)):
+            with pytest.raises(SchemaError) as info:
+                write(target, obj)
+            assert str(info.value) == "%s: %s" % (target, os.strerror(code))
+
+
 def test_perm_round_trip_and_validation(tmp_path):
     p = Permutation.from_order([2, 0, 1])
     path = tmp_path / "pi.json"
@@ -539,6 +553,18 @@ def test_config_validation_errors():
         gio.config_from_doc({**base, "adversary": {"budget": 0}}, "cfg.json")
     with pytest.raises(SchemaError, match=r"^cfg.json: instances\[0\]: field 'seed' must be an"):
         gio.config_from_doc({**base, "instances": [{"family": "fig1", "seed": 1.5}]}, "cfg.json")
+    for doc, message in (
+        ([base], "document must be an object"),
+        ({**base, "instances": ["fig1"]}, "instances[0] must be an object"),
+        (
+            {**base, "instances": [{"family": "fig1", "params": [3]}]},
+            "instances[0]: field 'params' must be an object",
+        ),
+        ({**base, "adversary": "exact"}, "field 'adversary' must be an object"),
+    ):
+        with pytest.raises(SchemaError) as info:
+            gio.config_from_doc(doc, "cfg.json")
+        assert str(info.value) == "cfg.json: " + message
 
 
 # --- experiment rows ---------------------------------------------------------

@@ -31,7 +31,7 @@ from greedyorder import (
     maximal_path_cover,
 )
 from greedyorder.certify import build_theorem1
-from greedyorder.spoil import CoverStep, SpoilGraph
+from greedyorder.spoil import CoverStep
 from greedyorder.errors import (
     InvalidGraphError,
     MatchingNotAlignedError,
@@ -235,7 +235,8 @@ def walk_paths(rng, masks, nodes):
 
 @st.composite
 def digraph_and_cover(draw):
-    """A random digraph on n <= 40 nodes and a valid starting cover.
+    """A random digraph on n <= 40 nodes, built as the conflict digraph of
+    an aligned graph, and a valid starting cover.
 
     Arcs are directed cycles over blocks of a shuffled order plus random
     arcs at a drawn density.  The start is the trivial cover, random
@@ -279,7 +280,7 @@ def digraph_and_cover(draw):
         for b in range(n):
             if rng.random() < density:
                 arc(a, b)
-    sg = SpoilGraph(n=n, out_mask=tuple(masks))
+    sg = sg_from_arcs(n, [(a, b) for a in range(n) for b in range(n) if (masks[a] >> b) & 1])
     if start == "trivial":
         return sg, None
     used = {x for p in planted for x in p}
@@ -336,8 +337,13 @@ def aligned_sg_and_cover(draw):
     return sg, PathCover.from_paths(n, walk_paths(rng, sg.out_mask, range(n)))
 
 
-def in_mask_matches_the_lazy_one(sg):
-    return sg.in_mask == SpoilGraph(n=sg.n, out_mask=sg.out_mask).in_mask
+def in_mask_is_the_transpose(sg):
+    """Bit i of in_mask[j] equals bit j of out_mask[i], for all i and j."""
+    return len(sg.in_mask) == sg.n and all(
+        (sg.in_mask[j] >> i) & 1 == (sg.out_mask[i] >> j) & 1
+        for i in range(sg.n)
+        for j in range(sg.n)
+    )
 
 
 def test_built_in_masks_and_unlogged_covers_on_the_corpus(corpus):
@@ -345,7 +351,7 @@ def test_built_in_masks_and_unlogged_covers_on_the_corpus(corpus):
         g = inst.graph
         aligned, _ = align_with_matching(g, find_perfect_matching(g))
         sg, instance_id = build_spoiling_graph(aligned), inst.instance_id
-        assert in_mask_matches_the_lazy_one(sg), instance_id
+        assert in_mask_is_the_transpose(sg), instance_id
         paths = walk_paths(random.Random(sg.n), sg.out_mask, range(sg.n))
         for initial in (None, PathCover.from_paths(sg.n, paths)):
             cover, _ = maximal_path_cover(sg, initial, collect_log=True)
@@ -355,11 +361,14 @@ def test_built_in_masks_and_unlogged_covers_on_the_corpus(corpus):
 def test_built_in_masks_and_unlogged_covers_on_random_aligned_graphs():
     seen = set()
 
+    # digraph_and_cover builds its digraphs from aligned graphs too, and its
+    # planted pairs give the rotated unbalances that uniform random graphs
+    # show in under 1% of draws, too few to rely on in 300 examples.
     @settings(max_examples=300, derandomize=True, database=None, deadline=None)
-    @given(aligned_sg_and_cover())
+    @given(st.one_of(aligned_sg_and_cover(), digraph_and_cover()))
     def check(case):
         sg, walked = case
-        assert in_mask_matches_the_lazy_one(sg)
+        assert in_mask_is_the_transpose(sg)
         for initial in (None, walked):
             cover, log = maximal_path_cover(sg, initial, collect_log=True)
             assert (cover, log) == reference_maximal_path_cover(sg, initial)
