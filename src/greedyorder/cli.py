@@ -1,7 +1,8 @@
 """Subcommand front end: gen, bound, adversary, experiment, analyze.
 
-Each subcommand's handler returns its result document and main writes
-it as canonical JSON to -o, or else to stdout, the same bytes either way.
+main reads the graph and --pi files, calls the subcommand's handler
+with them, and writes the document the handler returns as canonical
+JSON to -o, or else to stdout, the same bytes either way.
 experiment writes CSV instead, and analyze exponents prints a table on
 stdout and writes its document only to -o.
 
@@ -71,16 +72,13 @@ def cmd_gen(args) -> dict:
 
 
 def cmd_bound(args) -> dict:
-    g, _ = gio.read_graph(args.graph)
-    cert = build_certificate(g, args.construction)
+    cert = build_certificate(args.graph, args.construction)
     return gio.certificate_to_doc(cert)
 
 
 def cmd_adversary(args) -> dict:
-    g, _ = gio.read_graph(args.graph)
-    pi = gio.read_perm(args.pi, n=g.n)
     mode = "exact" if args.exact else "heuristic"
-    res = attack(mode, g, pi, budget=args.budget, iters=args.iters, seed=args.seed or 0)
+    res = attack(mode, args.graph, args.pi, budget=args.budget, iters=args.iters, seed=args.seed or 0)
     return gio.to_doc(res)
 
 
@@ -210,22 +208,18 @@ def cmd_analyze_exponents(args) -> Optional[dict]:
 
 
 def cmd_analyze_badsets(args) -> dict:
-    g, _ = gio.read_graph(args.graph)
-    report = enumerate_bad_sets(g, args.size, mode=args.mode)
+    report = enumerate_bad_sets(args.graph, args.size, mode=args.mode)
     return gio.badset_report_to_doc(report)
 
 
 def cmd_analyze_safety(args) -> dict:
-    g, _ = gio.read_graph(args.graph)
-    pi = gio.read_perm(args.pi, n=g.n)
-    result = is_safe(g, pi, _parse_set(args.set))
+    result = is_safe(args.graph, args.pi, _parse_set(args.set))
     return gio.to_doc(result)
 
 
 def cmd_analyze_montecarlo(args) -> dict:
-    g, _ = gio.read_graph(args.graph)
     summary = monte_carlo_random_pi(
-        g,
+        args.graph,
         trials=args.trials,
         adversary_mode=args.adversary_mode,
         seed=args.seed or 0,
@@ -236,19 +230,14 @@ def cmd_analyze_montecarlo(args) -> dict:
 
 
 def cmd_analyze_iterate(args) -> dict:
-    g, _ = gio.read_graph(args.graph)
-    if args.pi is not None:
-        pi1 = gio.read_perm(args.pi, n=g.n)
-    else:
-        pi1 = Permutation.identity(g.n)
-    trace = iterative_process(g, pi1, cap=args.cap, minimizer_policy=args.policy)
+    pi1 = args.pi or Permutation.identity(args.graph.n)
+    trace = iterative_process(args.graph, pi1, cap=args.cap, minimizer_policy=args.policy)
     return gio.iterative_trace_to_doc(trace)
 
 
 def cmd_analyze_crosscheck(args) -> dict:
-    g, _ = gio.read_graph(args.graph)
-    cross_check_interpretations(g)
-    return {"equal": True, "n": g.n}
+    cross_check_interpretations(args.graph)
+    return {"equal": True, "n": args.graph.n}
 
 
 # --- parser wiring -----------------------------------------------------------
@@ -339,6 +328,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        # The graph first, so that its error comes before any in --pi.
+        if "graph" in args:
+            args.graph, _ = gio.read_graph(args.graph)
+            if getattr(args, "pi", None) is not None:
+                args.pi = gio.read_perm(args.pi, n=args.graph.n)
         doc = args.func(args)
         if doc is not None:
             gio.write_doc(args.output, doc)

@@ -333,88 +333,79 @@ class _CoverState:
         """The rotation stages, run only once both plain stages found
         nothing.
 
-        A rotatable path (one with its closing arc) can start and end at
-        any of its nodes; any other path only at its own endpoints.  A
-        pair (i, j) can take a step with some cuts exactly when the
-        union of arcs out of (or into) i's possible endpoints meets j's
-        possible endpoints: the only combination without a rotation is
-        the plain one, which has no arc here.  Only the first pair that
-        passes this test has its cuts searched, one by one in scan order.
+        A path that can rotate (one with its closing arc) can start and
+        end at any of its nodes; any other path only at its own
+        endpoints.  One walk over the paths masks each path's possible
+        starts and ends, and unions the arcs out of the ends and into the
+        starts.  A pair (i, j) can take a step with some cuts exactly
+        when i's union meets j's possible endpoints: the only combination
+        without a rotation is the plain one, which has no arc here.  Only
+        the first pair that passes this test has its cuts searched, one
+        by one in scan order.
         """
         paths, out, inn = self.paths, self.out, self.inn
         owner = [0] * len(out)
+        first, last, out_reach, in_reach = [], [], [], []
         for t, p in enumerate(paths):
             for x in p:
                 owner[x] = t
-        whole: list[int] = []
-        for p in paths:
-            whole.append(sum(1 << x for x in p) if len(p) >= 2 and (out[p[-1]] >> p[0]) & 1 else 0)
+            s, e = p[0], p[-1]
+            nodes, reach_out, reach_in = 0, out[e], inn[s]
+            if len(p) >= 2 and (out[e] >> s) & 1:
+                for x in p:
+                    nodes |= 1 << x
+                    reach_out |= out[x]
+                    reach_in |= inn[x]
+            first.append(nodes or 1 << s)
+            last.append(nodes or 1 << e)
+            out_reach.append(reach_out)
+            in_reach.append(reach_in)
 
-        def reach(masks: Sequence[int], t: int, end: int) -> int:
-            if not whole[t]:
-                return masks[paths[t][end]]
-            acc = 0
-            for x in paths[t]:
-                acc |= masks[x]
-            return acc
-
-        first = [whole[t] or 1 << p[0] for t, p in enumerate(paths)]
-        last = [whole[t] or 1 << p[-1] for t, p in enumerate(paths)]
-        k = bisect_left(self.keys, (2,))
         all_first = sum(first)  # the masks are disjoint, so sum is union
-        out_reach = [reach(out, t, -1) for t in range(len(paths))]
         for i in range(len(paths)):
             hits = out_reach[i] & (all_first ^ first[i])
             if hits:
                 j = min(owner[x] for x in _bits(hits))
-                return self._cut_merge(i, j, first[j])
+                return self._cut_merge(i, j, first)
 
+        k = bisect_left(self.keys, (2,))
         multi_first, multi_last = sum(first[k:]), sum(last[k:])
         for i in range(k, len(paths)):
             length = len(paths[i])
-            hits = (reach(inn, i, 0) & (multi_first ^ first[i])) | (
+            hits = (in_reach[i] & (multi_first ^ first[i])) | (
                 out_reach[i] & (multi_last ^ last[i])
             )
             donors = [owner[x] for x in _bits(hits) if len(paths[owner[x]]) <= length]
             if donors:
                 j = min(donors)
-                return self._cut_unbalance(i, j, first[j], last[j])
+                return self._cut_unbalance(i, j)
         return None
 
-    def _cuts(self, t: int) -> list[Optional[int]]:
-        p = self.paths[t]
-        if len(p) >= 2 and (self.out[p[-1]] >> p[0]) & 1:
-            return [None, *range(len(p) - 1)]
-        return [None]
-
-    def _cut_merge(self, i: int, j: int, first_j: int) -> CoverStep:
-        # Cut c moves the end of path i to pi[c] and the start of path j
-        # to pj[c + 1]; so a start at position q of pj is cut q - 1.
+    def _cut_merge(self, i: int, j: int, first: list[int]) -> CoverStep:
+        # Cut c ends path i at pi[c] and starts it at pi[c + 1], so cut -1
+        # leaves it as it is; a start at position q of pj is cut q - 1.
         pi = self.paths[i]
-        for ci in self._cuts(i):
-            hits = self.out[pi[-1] if ci is None else pi[ci]] & first_j
+        cuts = len(pi) - 1 if first[i].bit_count() > 1 else 0
+        for ci in range(-1, cuts):
+            hits = self.out[pi[ci]] & first[j]
             if hits:
-                pos = {x: q for q, x in enumerate(self.paths[j])}
-                q = min(pos[x] for x in _bits(hits))
-                return CoverStep(op="merge", i=i, j=j, rot_i=ci, rot_j=None if q == 0 else q - 1)
+                q = next(q for q, x in enumerate(self.paths[j]) if (hits >> x) & 1)
+                rot_i, rot_j = None if ci < 0 else ci, None if q == 0 else q - 1
+                return CoverStep(op="merge", i=i, j=j, rot_i=rot_i, rot_j=rot_j)
         raise PropositionViolatedError("rotated merge %d -> %d has no cuts" % (i, j))
 
-    def _cut_unbalance(self, i: int, j: int, first_j: int, last_j: int) -> CoverStep:
-        # Rank cuts of path j in scan order: no rotation is 0, cut c is
-        # c + 1.  A start at position q has rank q; an end at position q
-        # has rank q + 1, or 0 for the last node.
+    def _cut_unbalance(self, i: int, j: int) -> CoverStep:
+        # Path j, the donor, never rotates: every node of a path that can
+        # rotate is one of its possible starts and ends, so an arc between
+        # it and path i that an unbalance could use would make a rotated
+        # merge, and the merge stage found none.  So path i rotates, and
+        # its cut c ends it at pi[c] and starts it at pi[c + 1].
         pi, pj = self.paths[i], self.paths[j]
-        for ci in self._cuts(i):
-            s, e = (pi[0], pi[-1]) if ci is None else (pi[ci + 1], pi[ci])
-            a, b = self.inn[s] & first_j, self.out[e] & last_j
-            if a or b:
-                pos = {x: q for q, x in enumerate(pj)}
-                ranked = [(pos[x], 0) for x in _bits(a)]
-                ranked += [((pos[x] + 1) % len(pj), 1) for x in _bits(b)]
-                rank, case = min(ranked)
-                return CoverStep(
-                    op=_UNBALANCE[case], i=i, j=j, rot_i=ci, rot_j=None if rank == 0 else rank - 1
-                )
+        for ci in range(len(pi) - 1):
+            if (self.inn[pi[ci + 1]] >> pj[0]) & 1:
+                return CoverStep(op="unbalance_start", i=i, j=j, rot_i=ci)
+            if (self.out[pi[ci]] >> pj[-1]) & 1:
+                return CoverStep(op="unbalance_end", i=i, j=j, rot_i=ci)
         raise PropositionViolatedError("rotated unbalance %d <- %d has no cuts" % (i, j))
 
 

@@ -30,7 +30,12 @@ import greedyorder.cli as cli
 import greedyorder.errors as errors_mod
 import greedyorder.io as gio
 from greedyorder import BipartiteGraph, FamilySpec, Permutation, generate, monte_carlo_random_pi
-from greedyorder.adversary import ADVERSARY_MODES, worst_order_exact, worst_order_heuristic
+from greedyorder.adversary import (
+    ADVERSARY_MODES,
+    AdversaryResult,
+    worst_order_exact,
+    worst_order_heuristic,
+)
 from greedyorder.analysis import (
     BAD_SET_MODES,
     MINIMIZER_POLICIES,
@@ -824,6 +829,39 @@ def test_cli_undecodable_inputs_are_data_errors(tmp_path, capsys):
 @pytest.mark.parametrize(
     "name",
     [
+        "bound",
+        "adversary",
+        "analyze badsets",
+        "analyze safety",
+        "analyze montecarlo",
+        "analyze iterate",
+        "analyze crosscheck",
+    ],
+)
+def test_cli_reads_the_graph_before_the_priority_order(name, tmp_path, capsys):
+    """A missing graph file exits 2 with one error line naming it, also
+    when the --pi file is missing too; a --pi of the wrong length exits 2
+    naming the --pi file."""
+    argv = subcommand_argvs(tmp_path)[name]
+    graph, missing = argv[len(name.split())], str(tmp_path / "nope.json")
+    no_graph = [missing if arg == graph else arg for arg in argv]
+    runs = [no_graph]
+    if "--pi" in argv:
+        pi = argv[argv.index("--pi") + 1]
+        runs.append([str(tmp_path / "nopi.json") if arg == pi else arg for arg in no_graph])
+    for run in runs:
+        assert main(run) == 2, run
+        assert capsys.readouterr() == ("", "error: %s: %s\n" % (missing, os.strerror(errno.ENOENT)))
+    if "--pi" in argv:
+        short = tmp_path / "short.json"
+        short.write_text("[1, 0]\n")
+        assert main([str(short) if arg == pi else arg for arg in argv]) == 2
+        assert capsys.readouterr() == ("", "error: %s: expected 3 entries, got 2\n" % short)
+
+
+@pytest.mark.parametrize(
+    "name",
+    [
         "gen",
         "bound",
         "adversary",
@@ -1163,6 +1201,25 @@ def test_cli_analyze_iterate_without_a_perfect_matching_is_a_data_error(tmp_path
     gio.write_graph(str(gpath), BipartiteGraph.from_edges(3, [(0, 0), (1, 0), (2, 0)]))
     assert main(["analyze", "iterate", str(gpath)]) == 2
     assert capsys.readouterr().err.startswith("error: maximum matching has size 1 < n=3")
+
+
+def test_iterate_refuses_a_round_the_exact_search_could_not_finish(monkeypatch, tmp_path, capsys):
+    """A round whose exact minimum ran out of budget is a usage error in
+    the library and exit 1 from analyze iterate."""
+
+    def out_of_budget(g, pi):
+        return AdversaryResult(sigma=pi, size=g.n, exact=False, nodes_expanded=0)
+
+    monkeypatch.setattr("greedyorder.analysis.worst_order_exact", out_of_budget)
+    g = generate(FamilySpec("iterative", {"i": 2}))
+    message = "exact minimization exceeded its budget; instance too large"
+    with pytest.raises(UsageError) as info:
+        iterative_process(g, Permutation.identity(g.n), cap=4)
+    assert str(info.value) == message
+    gpath = tmp_path / "iter2.json"
+    gio.write_graph(str(gpath), g)
+    assert main(["analyze", "iterate", str(gpath)]) == 1
+    assert capsys.readouterr() == ("", "usage error: %s\n" % message)
 
 
 def test_cli_analyze_crosscheck(tmp_path, capsys):

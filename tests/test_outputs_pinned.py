@@ -19,7 +19,12 @@ from conftest import CORPUS_SPECS, random_perm
 
 import greedyorder.io as gio
 from greedyorder import FamilySpec, generate, worst_order_exact, worst_order_masked_min
-from greedyorder.adversary import ADVERSARY_MODES, order_avoiding
+from greedyorder.adversary import (
+    ADVERSARY_MODES,
+    CONSTRUCTIVE,
+    order_avoiding,
+    worst_order_constructive,
+)
 from greedyorder.analysis import MINIMIZER_POLICIES, enumerate_bad_sets, iterative_process
 from greedyorder.certify import CONSTRUCTIONS
 from greedyorder.cli import build_parser, main
@@ -38,6 +43,7 @@ PINNED = {
     "cli_analyze_montecarlo": "b0b0d1c27ad02def499ec5eb1f8be18173fe8a0a01373f4e1e3a123a7c9c9d4a",
     "cli_analyze_exponents": "2ec9c0e87e1f3066b9fe946c858a1f9a7dfdf6cb79f19a023165aff806b09043",
     "cli_surface": "a42099b8f793ed00501903f6b3be4a3c3471d936152d599ef6c1faa3ccd6ddac",
+    "constructive_sigmas": "9fe9b2c2a8dbf11abfe7f6080545d088fded218bb2c3d5ad1627c826ef3d0aae",
 }
 
 
@@ -130,6 +136,30 @@ def test_masked_minima_and_safety_witnesses_are_pinned(graphs):
     assert any(w is None for _, _, w in avoiding)
     check_pinned("worst_order_masked_min", masked)
     check_pinned("order_avoiding", avoiding)
+
+
+# One graph of each family that has a constructive adversary.
+CONSTRUCTIVE_SPECS = [
+    FamilySpec("fano", {}),
+    FamilySpec("pg23", {}),
+    FamilySpec("biclique_half", {"n": 40}),
+    FamilySpec("planted_is", {"n": 60, "d": 5, "eps": 0.2}, seed=3),
+    FamilySpec("regular89", {"d": 2, "t": 2}),
+]
+
+
+def test_constructive_sigmas_are_pinned():
+    """The arrival order and size each constructive adversary gives for
+    20 seeded priority orders on its family's graph."""
+    assert sorted(spec.family for spec in CONSTRUCTIVE_SPECS) == sorted(CONSTRUCTIVE)
+    doc = []
+    for idx, spec in enumerate(CONSTRUCTIVE_SPECS):
+        g = generate(spec)
+        rng = random.Random(2000 + idx)
+        for _ in range(20):
+            res = worst_order_constructive(g, random_perm(rng, g.n))
+            doc.append([spec.family, list(res.sigma.order), res.size])
+    check_pinned("constructive_sigmas", doc)
 
 
 def test_bad_set_reports_are_pinned(graphs):

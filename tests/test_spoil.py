@@ -326,6 +326,72 @@ def test_corpus_covers_equal_the_reference_replay(corpus):
         assert (cover, log) == reference_maximal_path_cover(sg), inst.instance_id
 
 
+# Small digraphs, each with a valid cover whose first improvement needs a
+# rotation: (arcs, the cover's paths in normalized order, the first step).
+# Hypothesis draws rotated unbalances in under 1% of uniform graphs, so
+# these cases keep each kind checked whatever examples it draws.  In each
+# of the first five, the same pair has a second step with other cuts, so
+# the order in which the cuts are tried is checked too.
+ROTATED_FIRST_STEPS = [
+    # A merge that rotates path i.
+    (
+        [(0, 2), (0, 4), (1, 5), (2, 1), (3, 6), (5, 3), (6, 0), (6, 4)],
+        [(4,), (1, 5, 3, 6, 0, 2)],
+        CoverStep(op="merge", i=1, j=0, rot_i=3),
+    ),
+    # A merge that rotates path j.
+    (
+        [(0, 1), (1, 2), (2, 5), (3, 6), (4, 3), (4, 6), (5, 3), (6, 0)],
+        [(4,), (0, 1, 2, 5, 3, 6)],
+        CoverStep(op="merge", i=0, j=1, rot_j=3),
+    ),
+    # A merge that rotates both paths.
+    (
+        [(0, 1), (1, 4), (2, 0), (2, 5), (3, 6), (4, 2), (4, 3), (5, 3), (6, 5)],
+        [(6, 5, 3), (1, 4, 2, 0)],
+        CoverStep(op="merge", i=1, j=0, rot_i=1, rot_j=1),
+    ),
+    # unbalance_start into a rotated receiver.
+    (
+        [(0, 1), (1, 4), (2, 0), (2, 3), (2, 5), (4, 5), (5, 0)],
+        [(2, 3), (1, 4, 5, 0)],
+        CoverStep(op="unbalance_start", i=1, j=0, rot_i=1),
+    ),
+    # unbalance_end onto a rotated receiver.
+    (
+        [(0, 5), (2, 6), (3, 1), (4, 0), (4, 1), (5, 2), (6, 1), (6, 4)],
+        [(3, 1), (5, 2, 6, 4, 0)],
+        CoverStep(op="unbalance_end", i=1, j=0, rot_i=2),
+    ),
+    # An unbalance that rotates its donor, path 0 cut at 0, moves node 1
+    # in front of path 1.  Its arc 1 -> 3 also merges path 0, cut at 1,
+    # into path 1, and merges come first.  So no first step rotates a
+    # donor: every node of a path that can rotate is one of its possible
+    # starts and ends, and the arc that such an unbalance takes makes a
+    # rotated merge.
+    (
+        [(0, 1), (1, 2), (2, 0), (1, 3), (3, 4), (4, 5)],
+        [(0, 1, 2), (3, 4, 5)],
+        CoverStep(op="merge", i=0, j=1, rot_i=1),
+    ),
+]
+
+
+@pytest.mark.parametrize("arcs, paths, first", ROTATED_FIRST_STEPS)
+def test_fixed_rotated_first_steps_equal_the_reference(arcs, paths, first):
+    n = sum(map(len, paths))
+    sg, cover = sg_from_arcs(n, arcs), PathCover.from_paths(n, paths)
+    assert cover.paths == tuple(paths)
+    assert find_improvement(cover, sg) == reference_find_improvement(cover, sg) == first
+
+
+def test_the_rotated_donor_unbalance_of_the_fixed_cases_applies():
+    arcs, paths, _ = ROTATED_FIRST_STEPS[-1]
+    sg, cover = sg_from_arcs(6, arcs), PathCover.from_paths(6, paths)
+    donated = apply_step(cover, sg, CoverStep(op="unbalance_start", i=1, j=0, rot_j=0))
+    assert donated.paths == ((2, 0), (1, 3, 4, 5))
+
+
 @st.composite
 def aligned_sg_and_cover(draw):
     """The conflict digraph of a random identity-aligned graph on n <= 40
