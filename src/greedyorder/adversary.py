@@ -1,62 +1,57 @@
 """Adversarial arrival orders: exact minimization, local search, and
 per-family constructive adversaries.
 
-The exact solver treats the arrival process as a one-player minimization
-game.  Greedy's response to any future arrival depends only on which
-V-vertices are already matched, and the set of remaining arrivals
-depends only on which U-vertices were processed, so the pair of masks
-(processed U, matched V) is a sufficient memoization key; the order in
-which the processed prefix arrived cannot influence anything later.
+The exact solver walks V in pi order, by this lemma on greedy, in which
+each arrival takes its lowest-ranked free neighbour.  (a) Under any
+arrival order sigma, greedy's matching is what V builds in pi order when
+each vertex with a free neighbour takes its sigma-earliest one.  All of
+U share the ranking pi, so this V-side serial dictatorship gives the
+unique stable matching, and greedy's matching is stable.  (b) Any run of
+that process in which each such vertex takes any one of its free
+neighbours is greedy's matching under `_planned_order`'s sigma: the
+matched U by their partner's rank, then the rest.  Every neighbour of a
+matched u ranked below u's partner was processed while u was free, so
+an earlier arrival took it, and every neighbour of an unmatched u was
+taken.  Hence the minimum over sigma of the counted matches is f(all V,
+all U).  f(V left, U free) skips the vertices left with no free
+neighbour; at the lowest-ranked v that remains it is [v counted] plus
+the least f(V left - v, U free - u) over the free neighbours u of v.
 
-One search engine, `_ArrivalSearch`, serves the exact adversary, the
+One engine, `_ArrivalSearch`, computes f for the exact adversary, the
 masked minimum and the safety decision, all through `_masked_search`
 with its one budget fallback and one replay check.  It is a depth-first
-branch-and-bound on an explicit stack, free of the recursion limit, and
-rests on two lemmas.
+branch-and-bound on an explicit stack, free of the recursion limit.  A
+state drops the vertices that can no longer be matched, and v branches
+once per class of free neighbours whose rows agree on the vertices
+left, since those are interchangeable.  Forced pick: the lowest-ranked
+neighbour left of a u in U free is matched in every completion, as u is
+still free when it comes up, so the counted forced picks bound a state's
+value from below.  The parent derives each child's bound from its own:
+only the other neighbours whose pick was v move on to their next one.
+Decision queries (cap 1) also cut by Hall: to match no counted vertex,
+each free neighbour of one must first be taken by an uncounted vertex
+left below it, so fewer such vertices than such neighbours put the value
+at 1 or more.  A state with no counted vertex left is worth 0.
 
-Forced pick: at any state, let v be the lowest-ranked free neighbor of
-a live arrival u.  Every completion of the state matches v.  The
-neighbors of u ranked below v are already matched and stay matched, so
-when u arrives either v has been taken meanwhile or greedy gives v to
-u.  Hence the number of counted vertices among these forced picks is a
-lower bound on the state's value, and it costs nothing beyond the scan
-that already lists the state's branches.
+The search is fail-soft: under a cap a state returns its exact value
+when that is below the cap, else a lower bound at least the cap.
+Children go by ascending bound, each under min(best so far, cap) - gain;
+once a child's gain plus bound reaches min(best so far, cap), it and the
+rest are cut and the first such sum folds into best.  Exact values and
+lower bounds share one memo, each exact state records its optimal child,
+and `nodes_expanded` counts the states whose children were searched.
 
-Hall: at a state with branches and no counted forced pick, let C be the
-live arrivals that have a free counted neighbor.  In a completion that
-matches no counted vertex, those stay free, so each u in C takes a free
-uncounted vertex ranked strictly below its lowest free counted
-neighbor, and no two take the same one.  If the union of these allowed
-sets has fewer than |C| vertices, no such completion exists and the
-state's value is at least 1.  The scan tests this in a second pass over
-the live arrivals.  It matters only to masked queries: when every
-vertex is counted, a state with branches has a counted forced pick, so
-the exact adversary never pays for the test.
-
-Child bound (corollary): the branch that gives v to u removes u from the
-live arrivals and v from the free set.  An arrival whose pick was not v
-keeps it; one whose pick was v moves on to its next free neighbor, or
-dies if it has none.  So the child's forced picks are the state's, less
-v, plus the next picks of the other arrivals that shared v, and the
-parent's scan yields the forced-pick bound of every child.
-
-The search is fail-soft.  A state searched under a cap returns its
-exact value when that value is below the cap, and otherwise a lower
-bound that is at least the cap.  Each child is searched under the cap
-min(best so far, cap) - gain, unless its gain plus its bound already
-reaches min(best so far, cap): then it is cut in its parent, which
-folds that sum into best without building the child's key, looking it
-up, scanning it or storing it.  The root is checked on entry, and every
-state against its Hall bound, which the parent's scan does not give.
-Child bounds come from the forced picks alone.  Branching stops as soon
-as the best value found equals the state's bound, the larger of the
-two.  States whose branches were searched, terminal states and states
-cut by their Hall bound are memoized, exact values and lower bounds in
-one table that only the search reads.  `nodes_expanded` counts the
-first two; cut children and memo hits are not counted.  A child that lowers
-its parent's best is the parent's choice.  Branches go in ascending label,
-best only falls strictly and a cut never lowers it below the cap, so the
-choices from the root give the lexicographically first optimal sequence.
+The order is a descent over arrivals.  At each state of the arrival game
+the dead arrivals join at once in label order, there is one branch per
+distinct free-neighbour mask in ascending label order, and the first
+optimal branch is taken.  The incumbent matching M is the recorded
+optimum while a counted vertex is left; after that every branch is
+optimal.  A branch (u, p) in which p is M's partner of u, or of an
+arrival with u's free neighbours, is optimal with no search: by (b), M
+less (u, p) is still realizable.  An earlier branch is optimal exactly
+when its child comes back below the cap target - gain + 1, and then M
+becomes the child's recorded optimum.  So sigma is the lexicographically
+first optimal branch sequence.
 """
 
 from __future__ import annotations
@@ -131,238 +126,246 @@ def _check_settings(**settings: int) -> None:
             raise AnalysisParamError(message)
 
 
-# The group of a pick that one arrival alone has: taking it moves no
-# other arrival, so the branch's child bound is the state's.
-_ALONE = (0, 0)
-
-
-def _scan(
-    adj: Sequence[int], alive: int, free: int, count_mask: int
-) -> tuple[int, list[tuple[int, int, int, Sequence[int]]], int, int]:
-    """One state's arrivals, in ascending label order.
-
-    Returns the mask of dead arrivals (no free neighbor; matched V only
-    grows, so they stay dead and are absorbed at once), the branches,
-    the state's forced-pick bound and its bound: the forced-pick bound,
-    or 1 when that is 0, the state has branches and the Hall bound
-    fires.  Works in rank space, so an arrival's pick is the lowest set
-    bit of its free-neighbor mask and its next pick the lowest bit above
-    that.
-
-    One branch per distinct free-neighbor mask: arrivals with equal masks
-    are interchangeable for good.  Masks with different picks differ, so
-    only the arrivals of a shared pick are grouped and compared.  A
-    branch is (arrival bit, pick bit, next pick bit, (c, once)).  For a
-    shared pick, c counts the group's counted next picks outside the
-    forced picks, and once holds those that only one arrival of the
-    group moves on to; a lone pick has (0, 0).  The branch's gain plus
-    its child's forced-pick bound is the state's forced-pick bound plus
-    k, where k is c, less one if the branch's own next pick is in once.
-    """
-    live = alive
-    dead = forced = 0
-    branches: list[tuple[int, int, int, Sequence[int]]] = []
-    # A shared pick's group is [next picks, next picks seen twice,
-    # masks...] until the scan ends; a mask holds its pick, a next pick
-    # never does, so the membership test only meets masks.
-    groups: list[list[int]] = []
-    first = [0] * (len(adj) + 1)
-    while alive:
-        u_bit = alive & -alive
-        alive ^= u_bit
-        m = adj[u_bit.bit_length() - 1] & free
-        if not m:
-            dead |= u_bit
-            continue
-        v_bit = m & -m
-        if not v_bit & forced:
-            forced |= v_bit
-            first[v_bit.bit_length()] = len(branches)
-            branches.append((u_bit, v_bit, 0, _ALONE))
-            continue
-        i = first[v_bit.bit_length()]
-        u0, _, _, group = branches[i]
-        if group is _ALONE:
-            m0 = adj[u0.bit_length() - 1] & free
-            rest = m0 ^ v_bit
-            x0 = rest & -rest
-            group = [x0, 0, m0]
-            groups.append(group)
-            branches[i] = (u0, v_bit, x0, group)
-        rest = m ^ v_bit
-        x = rest & -rest
-        group[1] |= group[0] & x
-        group[0] |= x
-        if m not in group:
-            group.append(m)
-            branches.append((u_bit, v_bit, x, group))
-    new = count_mask & ~forced
-    for group in groups:
-        nxt = group[0] & new
-        group[:] = (nxt.bit_count(), nxt & ~group[1])
-    lb = (forced & count_mask).bit_count()
-    if lb or not branches:
-        return dead, branches, lb, lb
-    # Hall: the arrivals with a free counted neighbor against the union
-    # of the free vertices ranked below their lowest one.
-    live ^= dead
-    need = room = 0
-    while live:
-        u_bit = live & -live
-        live ^= u_bit
-        m = adj[u_bit.bit_length() - 1] & free
-        c = m & count_mask
-        if c:
-            need += 1
-            room |= m & ((c & -c) - 1)
-    return dead, branches, 0, 1 if room.bit_count() < need else 0
+def _hall_cut(adj: Sequence[int], col: Sequence[int], vl: int, uf: int, count_mask: int) -> bool:
+    """Whether every completion of state (vl, uf) matches a counted
+    vertex: to avoid that, each free neighbour of a counted vertex left
+    must be taken first, by an uncounted vertex left below it, and there
+    are fewer such vertices than such neighbours."""
+    need, room, counted = 0, 0, vl & count_mask
+    while counted:
+        c_bit = counted & -counted
+        counted ^= c_bit
+        takers = col[c_bit.bit_length() - 1] & uf & ~need
+        need |= takers
+        below = vl & (c_bit - 1) & ~count_mask
+        while takers:
+            u_bit = takers & -takers
+            takers ^= u_bit
+            room |= adj[u_bit.bit_length() - 1] & below
+    return need.bit_count() > room.bit_count()
 
 
 class _ArrivalSearch:
     """Minimum number of count_mask vertices that greedy matches, over
-    all arrival orders, by the forced-pick and Hall branch-and-bound of
-    the module docstring.
+    all arrival orders, by the search of the module docstring.
 
-    State keys are single ints, processed-U mask << n | matched-V mask.
-    The memo, private to `value`, stores an exact value v as v and a
-    lower bound b as ~b; `chosen` maps a state's key to its choice's.
-    `nodes` counts expanded and terminal states, `cuts` the children cut
-    by their forced-pick bound in the parent's scan.
+    A state is (V left, U free): V left in rank space keeps only vertices
+    with a free neighbour, U free in label space only vertices with a
+    neighbour left, and its key is V left << n | U free.  The memo stores
+    an exact value v as v and a lower bound b as ~b; `chosen` maps an
+    exact state's key to its optimal child's key << n | the U bit that its
+    lowest vertex takes.  `nodes` counts expanded states, `cuts` the
+    children cut in their parent.  col[r] is the mask of rank r's
+    neighbours; it is built from adj_rank when not given.
     """
 
-    def __init__(self, adj_rank: Sequence[int], n: int, count_mask: int, budget: float):
+    def __init__(
+        self, adj_rank: Sequence[int], n: int, count_mask: int, budget: float,
+        col: Optional[Sequence[int]] = None,
+    ):
         self.adj = list(adj_rank)
-        self.n = n
-        self.count_mask = count_mask
-        self.budget = budget
-        self.nodes = 0
-        self.cuts = 0
+        self.n, self.count_mask, self.budget = n, count_mask, budget
+        self.nodes = self.cuts = 0
         self.memo: dict[int, int] = {}
         self.chosen: dict[int, int] = {}
         self.full = (1 << n) - 1
+        self.col = col or [sum(1 << u for u, row in enumerate(self.adj) if row >> r & 1) for r in range(n)]
+        # The root state (V left, U free, forced picks).
+        vl = uf = forced = 0
+        for u, row in enumerate(self.adj):
+            if row:
+                vl, uf, forced = vl | row, uf | 1 << u, forced | row & -row
+        self.root = (vl, uf, forced)
 
-    def value(self, ub: int) -> int:
-        """The minimum if it is below ub, otherwise a lower bound >= ub.
-
-        Raises _BudgetExceeded once more than `budget` states are expanded.
-        """
-        adj, n, full, count_mask = self.adj, self.n, self.full, self.count_mask
-        memo, chosen, budget = self.memo, self.chosen, self.budget
-        nodes, cuts = self.nodes, self.cuts
-        # Suspended frames; the innermost frame lives in the f_* locals.
+    def value(self, cap: int, state: Optional[tuple[int, int, int]] = None) -> int:
+        """The minimum from `state` (V left, U free, forced picks), the root
+        by default, if it is below cap, otherwise a lower bound >= cap.
+        Raises _BudgetExceeded once more than `budget` states are expanded."""
+        vl, uf, forced = state or self.root
+        adj, col, n, count_mask = self.adj, self.col, self.n, self.count_mask
+        memo, chosen, budget, nodes, cuts = self.memo, self.chosen, self.budget, self.nodes, self.cuts
+        # Suspended frames, the first unused; the innermost lives in the f_* locals.
         stack: list[tuple] = []
-        depth = 0
-        f_key = f_u = f_v = f_i = f_best = f_cap = f_lb = f_slb = f_gain = 0
-        f_br: list[tuple[int, int, int, Sequence[int]]] = []
-        u_mask = v_mask = 0
-        cap = ub
+        f_key = f_rest = f_i = f_best = f_cap = f_lb = f_gain = f_next = f_pick = 0
+        f_br: list[tuple[int, int, int, int, int]] = []
+        key = vl << n | uf
         while True:
-            # Enter state (u_mask, v_mask) under cap: either settle its
-            # value in val or open a frame for it.  Only the root can be
-            # cut here by its forced-pick bound, since every other state's
-            # was checked by its parent; any state can be cut by Hall's.
-            key = u_mask << n | v_mask
-            val = memo.get(key, -1)
-            if val < 0:
-                val = ~val
-                if val < cap:
-                    dead, branches, slb, lb = _scan(adj, full ^ u_mask, full ^ v_mask, count_mask)
-                    if slb >= cap:
-                        if depth:
-                            raise PropositionViolatedError(
-                                "a child's forced-pick bound disagrees with its parent's scan"
-                            )
-                        val = slb
-                    elif lb >= cap:
+            # Enter state (vl, uf) under cap: settle its value in val or
+            # open a frame for it.  Only the root can be cut here by its
+            # forced-pick bound; every other state's was checked by its parent.
+            val = 0
+            if vl & count_mask:
+                val = ~memo.get(key, -1)
+                if val < 0:
+                    val = ~val
+                elif val < cap:
+                    lb = (forced & count_mask).bit_count()
+                    if lb >= cap:
+                        if stack:
+                            raise PropositionViolatedError("a child's bound disagrees with its parent's")
                         val = lb
-                        memo[key] = ~lb
+                    elif cap == 1 and _hall_cut(adj, col, vl, uf, count_mask):
+                        val, memo[key] = 1, ~1
                     else:
                         nodes += 1
                         if nodes > budget:
                             self.nodes, self.cuts = nodes, cuts
                             raise _BudgetExceeded
-                        if not branches:
-                            val = memo[key] = 0
-                        else:
-                            if depth:
-                                stack.append(
-                                    (f_key, f_u, f_v, f_br, f_i, f_best, f_cap, f_lb, f_slb, f_gain)
-                                )
-                            depth += 1
-                            f_key, f_u, f_v, f_br, f_i = key, u_mask | dead, v_mask, branches, 0
-                            f_best, f_cap, f_lb, f_slb = n + 1, cap, lb if lb > val else val, slb
-                            val = None
-            # Hand the settled value of state key up until a frame has a child to search.
+                        stack.append((f_key, f_rest, f_br, f_i, f_best, f_cap, f_lb, f_gain, f_next, f_pick))
+                        # v, the lowest vertex left, goes to one of its takers;
+                        # each other taker's forced pick moves to its next one.
+                        v_bit = vl & -vl
+                        vl ^= v_bit
+                        takers = col[v_bit.bit_length() - 1] & uf
+                        rows, nxt, twice, gone = {}, 0, 0, 0
+                        while takers:
+                            u_bit = takers & -takers
+                            takers ^= u_bit
+                            r = adj[u_bit.bit_length() - 1] & vl
+                            x = r & -r
+                            twice, nxt = twice | nxt & x, nxt | x
+                            gone |= 0 if r else u_bit
+                            rows.setdefault(r, u_bit)
+                        # One branch per class of takers with equal rows left:
+                        # (its bound, taker, row, child's forced picks, U free).
+                        once, forced = nxt & ~twice & ~(forced ^ v_bit), forced ^ v_bit | nxt
+                        gain = 1 if v_bit & count_mask else 0
+                        k = gain + (forced & count_mask).bit_count()
+                        branches = []
+                        for r, u_bit in rows.items():
+                            x = r & -r & once
+                            branches.append(
+                                (k - 1 if x & count_mask else k, u_bit, r, forced ^ x, uf & ~(gone | u_bit))
+                            )
+                        branches.sort()
+                        f_key, f_rest, f_br, f_i, f_best = key, vl, branches, 0, n + 1
+                        f_cap, f_lb, f_gain = cap, lb if lb > val else val, gain
+                        val = None
+            # Hand the settled value up until a frame has a child to search.
             while True:
                 if val is not None:
-                    if not depth:
+                    if not stack:
                         self.nodes, self.cuts = nodes, cuts
                         return val
-                    sub = f_gain + val
-                    if sub < f_best:
-                        f_best = sub
-                        chosen[f_key] = key
-                if f_best > f_lb:
+                    if f_gain + val < f_best:
+                        f_best, f_pick = f_gain + val, f_next
+                if f_best > f_lb and f_i < len(f_br):
                     bound = f_cap if f_cap < f_best else f_best
-                    # A child whose gain plus forced-pick bound, f_slb + k,
-                    # reaches the search bound cannot beat best: it is cut
-                    # here, and the sum folds into best as its lower bound.
-                    room = bound - f_slb
-                    n_br = len(f_br)
-                    while f_i < n_br:
-                        u_bit, v_bit, x, (k, once) = f_br[f_i]
-                        f_i += 1
-                        if x & once:
-                            k -= 1
-                        if k < room:
-                            break
-                        cuts += 1
-                        if f_slb + k < f_best:
-                            f_best = f_slb + k
-                    else:
-                        u_bit = 0
-                    if u_bit:
-                        f_gain = 1 if v_bit & count_mask else 0
-                        u_mask, v_mask, cap = f_u | u_bit, f_v | v_bit, bound - f_gain
+                    k, u_bit, r, forced, uf = f_br[f_i]
+                    if k < bound:
+                        # The child drops the taker's neighbours it left without one.
+                        f_i, vl, cap = f_i + 1, f_rest, bound - f_gain
+                        while r:
+                            x = r & -r
+                            r ^= x
+                            if not col[x.bit_length() - 1] & uf:
+                                vl ^= x
+                        key = vl << n | uf
+                        f_next = key << n | u_bit
                         break
+                    # Branches go by ascending bound: this one and every later
+                    # one are cut, and the first bound folds into best.
+                    cuts += len(f_br) - f_i
+                    f_i = len(f_br)
+                    if k < f_best:
+                        f_best = k
                 val = f_best
                 memo[f_key] = val if val < f_cap else ~val
-                depth -= 1
-                if depth:
-                    key = f_key
-                    f_key, f_u, f_v, f_br, f_i, f_best, f_cap, f_lb, f_slb, f_gain = stack.pop()
+                if val < f_cap:
+                    chosen[f_key] = f_pick
+                f_key, f_rest, f_br, f_i, f_best, f_cap, f_lb, f_gain, f_next, f_pick = stack.pop()
+
+    def _take(self, vl: int, uf: int, forced: int, p: int, u_bit: int) -> tuple[int, int, int]:
+        """(V left, U free, forced picks) after u_bit takes p, its lowest
+        neighbour left: p's other takers that had it as their pick move on
+        to their next one, and u's neighbours without a taker drop out."""
+        adj, col = self.adj, self.col
+        vl, uf, forced = vl ^ p, uf ^ u_bit, forced ^ p
+        takers = col[p.bit_length() - 1] & uf
+        while takers:
+            w_bit = takers & -takers
+            takers ^= w_bit
+            r = adj[w_bit.bit_length() - 1] & vl
+            if not r:
+                uf ^= w_bit
+            elif not r & (p - 1):
+                forced |= r & -r
+        m = adj[u_bit.bit_length() - 1] & vl
+        while m:
+            x = m & -m
+            m ^= x
+            if not col[x.bit_length() - 1] & uf:
+                vl ^= x
+        return vl, uf, forced
 
     def replay(self) -> list[int]:
-        """One minimizing arrival order, after `value` returned a value
-        below its ub: at each recorded choice from the root, the arrivals
-        that died there in label order, then the one that took the pick."""
-        adj, n, full, chosen = self.adj, self.n, self.full, self.chosen
-        order: list[int] = []
-        key = 0
+        """The first optimal branch sequence of the arrival game, after
+        `value` returned a value below its cap, by the descent of the
+        module docstring."""
+        adj, n, full, count_mask = self.adj, self.n, self.full, self.count_mask
+        vl, uf, forced = self.root
+        target = self.memo[vl << n | uf] if vl & count_mask else 0
+        order, dead, mate = [], full ^ uf, None
         while True:
-            # A state without a choice is terminal: every arrival left is dead.
-            step = key ^ chosen.get(key, full << n | key)
-            key ^= step
-            joined, v_bit, took = step >> n, step & full, []
-            while joined:
-                u = (joined & -joined).bit_length() - 1
-                joined &= joined - 1
-                (took if adj[u] & v_bit else order).append(u)
-            order += took
-            if not v_bit:
+            # Arrivals left without a free neighbour join at once, in label order.
+            while dead:
+                order.append((dead & -dead).bit_length() - 1)
+                dead &= dead - 1
+            if not uf:
                 return order
+            if mate is None:
+                # The incumbent: the optimum recorded from this exact state
+                # while a counted vertex is left, as V bits to U bits.
+                mate, x, y = {}, vl, uf
+                while x & count_mask:
+                    step = self.chosen[x << n | y]
+                    mate[x & -x] = step & full
+                    x, y = step >> 2 * n, step >> n & full
+            seen, rest = set(), uf
+            while True:
+                if not rest:
+                    raise PropositionViolatedError("the descent found no optimal branch")
+                u_bit = rest & -rest
+                rest ^= u_bit
+                m = adj[u_bit.bit_length() - 1] & vl
+                if m in seen:
+                    continue
+                seen.add(m)
+                p = m & -m
+                gain = 1 if p & count_mask else 0
+                w_bit = mate.get(p, 0)
+                if w_bit and adj[w_bit.bit_length() - 1] & vl == m:
+                    # The incumbent's own pick, up to an interchangeable
+                    # arrival w, is optimal unsearched; w takes u's partner.
+                    del mate[p]
+                    for q, x in mate.items() if w_bit != u_bit else ():
+                        if x == u_bit:
+                            mate[q] = w_bit
+                elif vl & count_mask:  # with none left, every branch is optimal
+                    if target >= gain:
+                        child = self._take(vl, uf, forced, p, u_bit)
+                        cap = target - gain + 1
+                        if (child[2] & count_mask).bit_count() < cap and self.value(cap, child) < cap:
+                            mate = None
+                            break
+                    continue
+                child = self._take(vl, uf, forced, p, u_bit)
+                break
+            order.append(u_bit.bit_length() - 1)
+            dead = uf ^ u_bit ^ child[1]
+            vl, uf, forced = child
+            target -= gain
 
 
-def _rank_mask(pi: Permutation, vs: Sequence[int]) -> int:
-    rank = pi.rank
-    m = 0
-    for v in vs:
-        m |= 1 << rank[v]
-    return m
-
-
-def _adj_rank_masks(g: BipartiteGraph, pi: Permutation) -> list[int]:
-    return [_rank_mask(pi, g.adj_u[u]) for u in range(g.n)]
+def _rank_rows(g: BipartiteGraph, pi: Permutation) -> tuple[list[int], list[int]]:
+    """In one pass over the edges: each U vertex's neighbours as a mask of
+    their ranks, and each rank's neighbours as a mask of U labels."""
+    rank, rows, cols = pi.rank, [0] * g.n, [0] * g.n
+    for u, nbrs in enumerate(g.adj_u):
+        for v in nbrs:
+            rows[u] |= 1 << rank[v]
+            cols[rank[v]] |= 1 << u
+    return rows, cols
 
 
 def _check_subset(g: BipartiteGraph, pi: Permutation, v_subset: Sequence[int]) -> None:
@@ -374,7 +377,7 @@ def _check_subset(g: BipartiteGraph, pi: Permutation, v_subset: Sequence[int]) -
 
 def _greedy_size(adj_rank: Sequence[int], order: Sequence[int], full: int, count: int) -> int:
     """How many ranks of the mask `count` greedy_match(g, order, pi)
-    matches, from adj_rank = _adj_rank_masks(g, pi) and full = (1 << n) - 1:
+    matches, from adj_rank = _rank_rows(g, pi)[0] and full = (1 << n) - 1:
     each arrival takes its lowest free bit."""
     free = full
     for u in order:
@@ -395,17 +398,19 @@ def _masked_search(
     and an upper bound, and exact is false."""
     _check_subset(g, pi, v_subset)
     _check_settings(budget=budget)
-    adj, mask = _adj_rank_masks(g, pi), _rank_mask(pi, v_subset)
-    search = _ArrivalSearch(adj, g.n, mask, budget)
+    (adj, col), mask = _rank_rows(g, pi), sum(1 << r for r in {pi.rank[v] for v in v_subset})
+    search = _ArrivalSearch(adj, g.n, mask, budget, col)
     try:
         value = search.value(cap)
-    except _BudgetExceeded:
-        order, _ = _local_search(adj, g.n, mask, 4000, 0)
-        sigma, exact, nodes = Permutation.from_order(order), False, budget + 4000
-    else:
         if value >= cap:
             return value, None, True, search.nodes
-        sigma, exact, nodes = Permutation.from_order(search.replay()), True, search.nodes
+        order = search.replay()
+    except _BudgetExceeded:
+        order, _ = _local_search(adj, g.n, mask, 4000, 0)
+        exact, nodes = False, budget + 4000
+    else:
+        exact, nodes = True, search.nodes
+    sigma = Permutation.from_order(order)
     matched = greedy_match(g, sigma, pi).matched_u_of_v
     count = sum(1 for v in set(v_subset) if matched[v] is not None)
     if exact and count != value:
@@ -421,8 +426,8 @@ def worst_order_exact(
     """Minimize the greedy matched count over all arrival orders: the
     masked search over every vertex, uncapped.  sigma is the
     lexicographically first optimal branch sequence; nodes_expanded
-    counts expanded and terminal states, not cut children or memo hits,
-    and the heuristic's fallback past `budget` is inexact."""
+    counts the states whose children were searched, for the value and
+    the descent, and the heuristic's fallback past `budget` is inexact."""
     size, sigma, exact, nodes = _masked_search(g, pi, range(g.n), g.n + 1, budget)
     return AdversaryResult(sigma=sigma, size=size, exact=exact, nodes_expanded=nodes)
 
@@ -445,9 +450,7 @@ def order_avoiding(
     """An arrival order under which greedy matches no vertex of
     v_subset, or None when every order matches one of them: the masked
     search with cap 1 and no node budget, which only decides whether the
-    masked minimum is 0.  Under cap 1 a state is cut as soon as it has a
-    counted forced pick or its Hall bound fires, so the search only
-    expands states from which v_subset might still be avoided."""
+    masked minimum is 0, with the Hall cut of the module docstring."""
     return _masked_search(g, pi, v_subset, 1, math.inf)[1]
 
 
@@ -510,7 +513,7 @@ def worst_order_heuristic(
     """
     _check_dims(g, pi, "pi")
     _check_settings(iters=iters)
-    best, size = _local_search(_adj_rank_masks(g, pi), g.n, (1 << g.n) - 1, iters, seed)
+    best, size = _local_search(_rank_rows(g, pi)[0], g.n, (1 << g.n) - 1, iters, seed)
     return AdversaryResult(
         sigma=Permutation.from_order(best), size=size, exact=False, nodes_expanded=iters
     )
@@ -525,7 +528,7 @@ def worst_order_sampled(
     _check_dims(g, pi, "pi")
     _check_settings(draws=draws)
     rng = random.Random(seed)
-    adj, full = _adj_rank_masks(g, pi), (1 << g.n) - 1
+    adj, full = _rank_rows(g, pi)[0], (1 << g.n) - 1
     best, best_val = None, g.n + 1
     for _ in range(draws):
         order = list(range(g.n))

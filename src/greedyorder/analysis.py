@@ -213,15 +213,10 @@ def is_safe(g: BipartiteGraph, pi: Permutation, s: Iterable[int]) -> SafetyResul
 
     The empty set is safe by convention.  The Hall-type conditions of
     `_hall_safe` short-circuit the search.  Otherwise `order_avoiding`
-    (branch-and-bound on the forced-pick and Hall bounds, no recursion
-    limit) decides whether the masked minimum is 0: s is unsafe exactly
-    when it is, and the witness is the first branch sequence, in
-    ascending arrival order at every state, that reaches it, checked by
-    replay through greedy_match.  The search's Hall bound is the
-    state-by-state form of `_hall_safe`'s second condition, taken over
-    the arrivals left and the vertices below each one's first in s.
-    Arrivals with no free neighbor are absorbed eagerly and arrivals with
-    identical remaining choices are branched once.
+    decides whether the masked minimum is 0: s is unsafe exactly when it
+    is, and the witness is the first branch sequence, in ascending
+    arrival order at every state, that reaches it, checked by replay
+    through greedy_match.
     """
     s_list = sorted(set(s))
     _check_subset(g, pi, s_list)

@@ -336,16 +336,19 @@ class _CoverState:
         A path that can rotate (one with its closing arc) can start and
         end at any of its nodes; any other path only at its own
         endpoints.  One walk over the paths masks each path's possible
-        starts and ends, and unions the arcs out of the ends and into the
-        starts.  A pair (i, j) can take a step with some cuts exactly
-        when i's union meets j's possible endpoints: the only combination
-        without a rotation is the plain one, which has no arc here.  Only
-        the first pair that passes this test has its cuts searched, one
-        by one in scan order.
+        starts, and unions the arcs out of the ends and into the starts.
+        A pair (i, j) can take a step with some cuts exactly when i's
+        union meets j's possible endpoints: the only combination without
+        a rotation is the plain one, which has no arc here.  A donor never
+        rotates (see `_cut_unbalance`), so donors are the paths of two or
+        more nodes that cannot, and as no arc is a loop none hits itself.
+        Only the first pair that passes its test has its cuts searched,
+        one by one in scan order.
         """
         paths, out, inn = self.paths, self.out, self.inn
         owner = [0] * len(out)
-        first, last, out_reach, in_reach = [], [], [], []
+        first, out_reach, in_reach = [], [], []
+        starts = ends = 0
         for t, p in enumerate(paths):
             for x in p:
                 owner[x] = t
@@ -356,8 +359,9 @@ class _CoverState:
                     nodes |= 1 << x
                     reach_out |= out[x]
                     reach_in |= inn[x]
+            elif len(p) >= 2:
+                starts, ends = starts | 1 << s, ends | 1 << e
             first.append(nodes or 1 << s)
-            last.append(nodes or 1 << e)
             out_reach.append(reach_out)
             in_reach.append(reach_in)
 
@@ -368,13 +372,9 @@ class _CoverState:
                 j = min(owner[x] for x in _bits(hits))
                 return self._cut_merge(i, j, first)
 
-        k = bisect_left(self.keys, (2,))
-        multi_first, multi_last = sum(first[k:]), sum(last[k:])
-        for i in range(k, len(paths)):
+        for i in range(bisect_left(self.keys, (2,)), len(paths)):
             length = len(paths[i])
-            hits = (in_reach[i] & (multi_first ^ first[i])) | (
-                out_reach[i] & (multi_last ^ last[i])
-            )
+            hits = in_reach[i] & starts | out_reach[i] & ends
             donors = [owner[x] for x in _bits(hits) if len(paths[owner[x]]) <= length]
             if donors:
                 j = min(donors)

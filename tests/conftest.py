@@ -13,11 +13,13 @@ every structural fact of a maximal cover that fails; the production
 cover loop applies its steps in place and must reach the same covers.
 ``find_improvement`` reads the production scan as the first entry of
 that loop's step log, so a cover is maximal when it returns None.
-The reference arrival-order searches are the exhaustive memoised game and
-the safety depth-first search that the branch-and-bound engine replaced,
-and that engine as it stood before each child was bounded in its
-parent's scan; the engine must return their values, orders, witnesses
-and (against the last) node counts exactly.
+The reference arrival-order searches are the exhaustive memoised game,
+the safety depth-first search, and the branch-and-bound over arrivals
+that the V-side engine replaced; the engine must return their values,
+orders and witnesses exactly, in no more states than the exhaustive
+game.  The V-side oracle is the engine's recursion over V in pi order
+with sets for masks and no bound, so that the lemma it rests on can be
+checked against the factorial sweep and the game.
 The Gale-Shapley oracle runs deferred acceptance from either side, so
 that greedy's matching can be checked to be the unique stable one; the
 maximality and blocking-pair scans and the prefix counting bound check
@@ -681,11 +683,35 @@ def reference_min_game(g, pi, v_subset):
     return value, game.replay(), game.nodes
 
 
-# The arrival-order search engine as it stood before children were
-# bounded in their parent's scan: every child is scanned on entry, and a
-# child cut by its bound leaves a lower-bound memo entry.  Copied apart
-# from the two names and the Hall bound of the `adversary` module
-# docstring, which its entry scan takes from `_reference_hall_bound`.
+def reference_v_side_min(g, pi, v_subset):
+    """The least number of v_subset vertices matched, by the plain V-side
+    recursion of the `adversary` module docstring, unbounded and
+    recursive: V goes in pi order, and each vertex with a free neighbour
+    takes one of them, every choice tried."""
+    counted = set(v_subset)
+    memo = {}
+
+    def f(i, free):
+        if i == g.n:
+            return 0
+        key = (i, free)
+        if key not in memo:
+            v = pi.order[i]
+            takers = [u for u in g.adj_v[v] if u in free]
+            if takers:
+                memo[key] = (v in counted) + min(f(i + 1, free - {u}) for u in takers)
+            else:
+                memo[key] = f(i + 1, free)
+        return memo[key]
+
+    return f(0, frozenset(range(g.n)))
+
+
+# The branch-and-bound over U arrivals that the V-side engine replaced,
+# as it stood before children were bounded in their parent's scan: every
+# child is scanned on entry, and a child cut by its bound leaves a
+# lower-bound memo entry.  Its bounds are the forced picks of the live
+# arrivals and the Hall bound of `_reference_hall_bound`.
 
 
 def _reference_scan(adj: Sequence[int], alive: int, free: int) -> tuple[int, list[tuple[int, int]], int]:
@@ -736,8 +762,8 @@ def _reference_hall_bound(adj: Sequence[int], alive: int, free: int, count_mask:
 
 class _ReferenceArrivalSearch:
     """Minimum number of count_mask vertices that greedy matches, over
-    all arrival orders, by the branch-and-bound of the `adversary` module
-    docstring on the larger of the forced-pick and Hall bounds.
+    all arrival orders, by a branch-and-bound over arrivals on the larger
+    of the forced-pick and Hall bounds.
 
     Memo keys are single ints, processed-U mask << n | matched-V mask.
     Branches are tried in ascending arrival label, so `replay`, which

@@ -32,12 +32,12 @@ from greedyorder.cli import build_parser, main
 PINNED = {
     "bound": "b878db4e9fb59309633a520906ef3a3b3f2bf5c20e98bf6606e34260e04a2d78",
     "bound_constructions": "737c55c607ec8fe998ef7eef05b8ce21c9b34ad421d474c55a24c60ea3689c1b",
-    "worst_order_exact": "f04148b5643cf3ea381e78857fcdd8b2568528a09b90864388ab10d70f2ecaf4",
-    "worst_order_masked_min": "97ee7177532651c6efece8cf6e8aa546946c31b8c009ffa266c06f7f73bace18",
+    "worst_order_exact": "6751fe2ff831ba2eb03c0e31d581bf59631f8f17bb28bc9c58d47ad927c1ee64",
+    "worst_order_masked_min": "25c0c2c7cee26b6884f105e029f467f862b148eef97349c44103225fddb487ee",
     "order_avoiding": "d1449210c1598987f575ccca382948d91b09a9cfe25bae0a349a358d60f58546",
     "enumerate_bad_sets": "340743b1536dd45f7e6f0ba234f87df7284756a64228ecb29220d8d363480fa2",
     "iterative_process": "c41f8463a8492e909e5c6dbe38e614587fb3181e27b2d57331743ec89c7fdd34",
-    "cli_adversary_exact": "0d84a664f841a89ec59508e25b0598c2db6bfbfa25501783505095e1bcca4b64",
+    "cli_adversary_exact": "f4d905d46329497a258d29949243cbbbadc1fcddae26c8023f3aa2f903d6acf7",
     "cli_adversary_heuristic": "bfbac92c631f266234c4309dcde592ccb3dbbc55af5a73edd11c75dae5362f81",
     "cli_analyze_safety": "ac99a68dc04da4af60555d0cd99ff8dabcd5613b93ddc61433e4f87ae78fc8dc",
     "cli_analyze_montecarlo": "b0b0d1c27ad02def499ec5eb1f8be18173fe8a0a01373f4e1e3a123a7c9c9d4a",

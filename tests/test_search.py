@@ -1,28 +1,32 @@
 """The arrival-order search engine against the references it replaced.
 
 The exact adversary, the masked minimum and the safety decision share
-one branch-and-bound on the forced-pick and Hall bounds.  Its values,
-replayed orders and safety witnesses must equal those of the unbounded
-memoised game and of the recursive safety search in conftest, and the
-Hall bound must be sound against that game.  It must handle inputs
-far deeper than the interpreter's recursion limit.  Bounding children
-in their parent's scan must change nothing but the work: against the
-engine that scanned every child, values, orders and node counts are
-equal and the memo holds no more lower bounds.  The order is replayed
-from the branches the search recorded, without scanning a state again.
+one search over V in pi order.  The lemma it rests on is checked first:
+the plain V-side recursion in conftest equals the factorial sweep and
+the exhaustive arrival game, greedy's matching is the V-side process
+under any arrival order, and any V-side run is greedy's matching under
+the order that `_planned_order` builds from it.  The engine's values,
+orders and safety witnesses must equal those of the exhaustive game, of
+the recursive safety search and of the branch-and-bound over arrivals
+in conftest, in no more states than the exhaustive game, and its bounds
+and decision cuts must be sound against that game at every state.  The
+order comes from a descent over arrivals that trusts the incumbent
+matching where it can.  The engine must handle inputs far deeper than
+the interpreter's recursion limit and solve the sizes that the search
+over arrivals could not.
 """
 
 import collections
 import itertools
 import json
 import math
+import random
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
-    _reference_hall_bound,
     _ReferenceMinGame,
     brute_force_min,
     random_perm,
@@ -30,6 +34,7 @@ from conftest import (
     reference_arrival_search,
     reference_is_safe,
     reference_min_game,
+    reference_v_side_min,
 )
 
 import greedyorder.adversary as adversary
@@ -45,23 +50,26 @@ from greedyorder import (
     worst_order_masked_min,
 )
 from greedyorder.adversary import (
-    _adj_rank_masks,
+    DEFAULT_BUDGET,
     _ArrivalSearch,
     _BudgetExceeded,
-    _rank_mask,
+    _hall_cut,
+    _planned_order,
+    _rank_rows,
     order_avoiding,
 )
+from greedyorder.certify import build_theorem1
 from greedyorder.cli import main
 from greedyorder.errors import PropositionViolatedError
 
 
 @st.composite
-def graph_pi_subset(draw):
-    """A random perfect-matching graph with n <= 10, a random priority
+def graph_pi_subset(draw, max_n=10):
+    """A random perfect-matching graph with n <= max_n, a random priority
     order and a nonempty subset of the right side: either any subset or
     the lowest-priority vertices, which are the likeliest to be unsafe."""
     rng = draw(st.randoms(use_true_random=True))
-    n = draw(st.integers(1, 10))
+    n = draw(st.integers(1, max_n))
     g = random_pm_graph(rng, n, extra=rng.randrange(0, 2 * n))
     pi = random_perm(rng, n)
     k = min(rng.randint(1, n), rng.randint(1, n))
@@ -70,6 +78,58 @@ def graph_pi_subset(draw):
     else:
         subset = sorted(rng.sample(range(n), k))
     return g, pi, subset
+
+
+def _rank_mask(pi, vs):
+    """The ranks of the vertices vs, as a mask."""
+    return sum(1 << pi.rank[v] for v in set(vs))
+
+
+def v_side_run(g, pi, pick):
+    """The matching, as each V vertex's partner or None, that V builds in
+    pi order when each vertex with a free neighbour takes pick(its free
+    neighbours in label order)."""
+    free, mate = set(range(g.n)), [None] * g.n
+    for v in pi.order:
+        takers = sorted(u for u in g.adj_v[v] if u in free)
+        if takers:
+            mate[v] = pick(takers)
+            free.discard(mate[v])
+    return mate
+
+
+def test_the_v_side_recursion_is_the_arrival_game():
+    """The lemma of the `adversary` module docstring.  (a) Under any
+    arrival order, greedy's matching is what V builds in pi order when
+    each vertex takes its earliest-arriving free neighbour.  (b) A run in
+    which each vertex takes any free neighbour is greedy's matching under
+    `_planned_order` of its pairs.  So the plain V-side recursion equals
+    the factorial sweep with every vertex counted, and the exhaustive
+    arrival game for any subset."""
+
+    @settings(
+        max_examples=200,
+        derandomize=True,
+        database=None,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(graph_pi_subset(7), st.randoms(use_true_random=True))
+    def check(case, rng):
+        g, pi, subset = case
+        n = g.n
+        assert reference_v_side_min(g, pi, range(n)) == brute_force_min(g, pi)
+        assert reference_v_side_min(g, pi, subset) == reference_min_game(g, pi, subset)[0]
+        sigma = random_perm(rng, n)
+        earliest = v_side_run(g, pi, lambda takers: min(takers, key=sigma.rank.__getitem__))
+        assert list(greedy_match(g, sigma, pi).matched_u_of_v) == earliest
+        for _ in range(3):
+            mate = v_side_run(g, pi, rng.choice)
+            pairs = [(u, v) for v, u in enumerate(mate) if u is not None]
+            planned = _planned_order(n, pairs, pi.rank)
+            assert list(greedy_match(g, planned, pi).matched_u_of_v) == mate
+
+    check()
 
 
 def test_engine_equals_the_references():
@@ -103,7 +163,7 @@ def test_engine_equals_the_references():
         assert (safety.safe, witness) == reference_is_safe(g, pi, subset)
         assert safety.safe == (masked >= 1)
 
-        search = _ArrivalSearch(_adj_rank_masks(g, pi), n, (1 << n) - 1, math.inf)
+        search = _ArrivalSearch(_rank_rows(g, pi)[0], n, (1 << n) - 1, math.inf)
         assert search.value(n + 1) == ref_size
         seen["bound cut-off"] += bool(search.cuts)
         seen["unsafe"] += not safety.safe
@@ -115,6 +175,11 @@ def test_engine_equals_the_references():
 
 
 def test_engine_equals_the_child_scanning_engine():
+    """The search over arrivals that the V-side engine replaced gives the
+    same values below the cap and the same orders in every mode, and the
+    V-side engine, value and descent together, expands no more states
+    than the exhaustive game.  The budget counts expanded states: the
+    search's own count suffices, and one less stops it there."""
     tally = collections.Counter()
 
     @settings(
@@ -128,47 +193,43 @@ def test_engine_equals_the_child_scanning_engine():
     def check(case):
         g, pi, subset = case
         n = g.n
+        states = {"exact": reference_min_game(g, pi, range(n))[2]}
+        states["masked"] = states["decision"] = reference_min_game(g, pi, subset)[2]
         for mode, v_subset, cap in (
             ("exact", range(n), n + 1),
             ("masked", subset, n + 1),
             ("decision", subset, 1),
         ):
-            ref_value, ref_order, ref_nodes, ref_lower = reference_arrival_search(
-                g, pi, v_subset, cap
-            )
-            adj, count_mask = _adj_rank_masks(g, pi), _rank_mask(pi, v_subset)
+            ref_value, ref_order, _, _ = reference_arrival_search(g, pi, v_subset, cap)
+            adj, count_mask = _rank_rows(g, pi)[0], _rank_mask(pi, v_subset)
             search = _ArrivalSearch(adj, n, count_mask, math.inf)
             value = search.value(cap)
+            nodes = search.nodes
             order = search.replay() if value < cap else None
-            assert (value, order, search.nodes) == (ref_value, ref_order, ref_nodes), mode
-            lower = sum(1 for v in search.memo.values() if v < 0)
-            assert lower <= ref_lower, mode
-            tally[mode + " lower"] += lower
-            tally[mode + " reference lower"] += ref_lower
+            assert (min(value, cap), order) == (min(ref_value, cap), ref_order), mode
+            assert search.nodes <= states[mode], mode
             tally[mode + " cuts"] += search.cuts
-            # The budget still counts expanded states: the search's own
-            # count suffices, and one less stops it there.
-            assert _ArrivalSearch(adj, n, count_mask, ref_nodes).value(cap) == ref_value
-            if ref_nodes:
-                short = _ArrivalSearch(adj, n, count_mask, ref_nodes - 1)
+            assert _ArrivalSearch(adj, n, count_mask, nodes).value(cap) == value
+            if nodes:
+                short = _ArrivalSearch(adj, n, count_mask, nodes - 1)
                 with pytest.raises(_BudgetExceeded):
                     short.value(cap)
-                assert short.nodes == ref_nodes
+                assert short.nodes == nodes
 
     check()
     for mode in ("exact", "masked", "decision"):
         assert tally[mode + " cuts"] > 0, tally
-        assert tally[mode + " lower"] < tally[mode + " reference lower"], tally
 
 
 def test_the_hall_bound_is_sound():
-    """`_scan` raises a state's bound from 0 to 1 by Hall's theorem only
-    when no completion of the state leaves the subset unmatched.  At the
-    root and at every state along a drawn arrival order, wherever the
-    bound fires, the unbounded reference game's masked minimum from that
-    state is at least 1, and at every state with branches it agrees with
-    the reference's Hall bound.  With every vertex counted it never
-    fires."""
+    """At the root and at every state along a drawn arrival order, the
+    V-side state that `_take` builds holds the free neighbours of each
+    arrival left and has the unbounded game's value from there.  Its
+    forced picks bound that value from below, a state with no counted
+    vertex left has value 0, and the decision queries' Hall cut fires
+    only where the value is at least 1, with a subset counted or every
+    vertex.  With a subset, the cut fires at the root and inside where
+    the forced picks give no bound."""
     fired = collections.Counter()
 
     @settings(
@@ -182,38 +243,42 @@ def test_the_hall_bound_is_sound():
     def check(case, rng):
         g, pi, subset = case
         n, full = g.n, (1 << g.n) - 1
-        adj, count_mask = _adj_rank_masks(g, pi), _rank_mask(pi, subset)
-        game = _ReferenceMinGame(adj, n, count_mask)
+        adj, col = _rank_rows(g, pi)
         order = list(range(n))
         rng.shuffle(order)
-        u_mask = v_mask = 0
-        for step, u in enumerate(order):
-            alive, free = full ^ u_mask, full ^ v_mask
-            _, branches, slb, lb = adversary._scan(adj, alive, free, count_mask)
-            assert lb == slb or (slb, lb) == (0, 1)
-            if branches:
-                assert lb == max(slb, _reference_hall_bound(adj, alive, free, count_mask))
-            if lb > slb:
-                assert game.value(u_mask, v_mask) >= 1
-                fired["root" if not step else "inner"] += 1
-            _, _, slb, lb = adversary._scan(adj, alive, free, full)
-            assert lb == slb
-            m = adj[u] & free
-            u_mask |= 1 << u
-            v_mask |= m & -m
+        for count_mask in (_rank_mask(pi, subset), full):
+            game = _ReferenceMinGame(adj, n, count_mask)
+            search = _ArrivalSearch(adj, n, count_mask, math.inf, col)
+            state, u_mask, v_mask = search.root, 0, 0
+            for step, u in enumerate(order):
+                value = game.value(u_mask, v_mask)
+                vl, uf, forced = state
+                assert search.value(n + 1, state) == value
+                assert (forced & count_mask).bit_count() <= value
+                if not vl & count_mask:
+                    assert value == 0
+                elif _hall_cut(adj, col, vl, uf, count_mask):
+                    assert value >= 1
+                    if count_mask != full and not forced & count_mask:
+                        fired["root" if not step else "inner"] += 1
+                m = adj[u] & vl
+                assert m == adj[u] & ~v_mask and bool(m) == bool(uf >> u & 1)
+                if m:
+                    state = search._take(vl, uf, forced, m & -m, 1 << u)
+                u_mask, v_mask = u_mask | 1 << u, v_mask | m & -m
 
     check()
     assert fired["root"] >= 10 and fired["inner"] >= 10, fired
 
 
 def test_replay_follows_the_recorded_choices(monkeypatch):
-    """`value` records each state's chosen branch, so `replay` scans no
-    state again: with the scan disabled after the search, the replayed
-    orders still equal the reference engine's in every mode."""
+    """`replay` descends over arrivals from the optimum that `value`
+    recorded: in every mode its order is the exhaustive game's, the first
+    optimal branch sequence.  A branch that the incumbent matching takes
+    is followed with no search, so some replays search nothing; others
+    search an earlier branch and, where it is optimal, switch to the
+    matching recorded below it."""
     tally = collections.Counter()
-
-    def no_scan(*args):
-        raise AssertionError("replay scanned a state")
 
     @settings(
         max_examples=200,
@@ -231,17 +296,27 @@ def test_replay_follows_the_recorded_choices(monkeypatch):
             ("masked", subset, n + 1),
             ("decision", subset, 1),
         ):
-            ref_value, ref_order, _, _ = reference_arrival_search(g, pi, v_subset, cap)
-            search = _ArrivalSearch(_adj_rank_masks(g, pi), n, _rank_mask(pi, v_subset), math.inf)
-            assert search.value(cap) == ref_value
-            if ref_order is not None:
+            ref_value, ref_order, _ = reference_min_game(g, pi, v_subset)
+            search = _ArrivalSearch(_rank_rows(g, pi)[0], n, _rank_mask(pi, v_subset), math.inf)
+            assert (search.value(cap) < cap) == (ref_value < cap)
+            if ref_value < cap:
+                below, real = [], _ArrivalSearch.value
+
+                def recorded(self, cap, state=None):
+                    value = real(self, cap, state)
+                    below.append(value < cap)
+                    return value
+
                 with monkeypatch.context() as patch:
-                    patch.setattr(adversary, "_scan", no_scan)
+                    patch.setattr(_ArrivalSearch, "value", recorded)
                     assert search.replay() == ref_order, mode
                 tally[mode] += 1
+                tally["searched" if below else "trusted"] += 1
+                tally["switched"] += any(below)
 
     check()
-    assert min(tally[mode] for mode in ("exact", "masked", "decision")) >= 20, tally
+    assert min(tally[mode] for mode in ("exact", "masked", "decision")) >= 10, tally
+    assert min(tally[way] for way in ("trusted", "searched", "switched")) >= 20, tally
 
 
 def test_a_search_reused_under_a_higher_cap_stays_exact():
@@ -263,7 +338,7 @@ def test_a_search_reused_under_a_higher_cap_stays_exact():
         nonlocal reopened
         g, pi, subset = case
         n = g.n
-        adj, count_mask = _adj_rank_masks(g, pi), _rank_mask(pi, subset)
+        adj, count_mask = _rank_rows(g, pi)[0], _rank_mask(pi, subset)
         fresh = _ArrivalSearch(adj, n, count_mask, math.inf)
         value = fresh.value(n + 1)
         reused = _ArrivalSearch(adj, n, count_mask, math.inf)
@@ -291,6 +366,41 @@ def test_deep_safety_search_has_no_recursion_limit():
     assert not res.safe
     out = greedy_match(g, res.witness, pi)
     assert out.matched_u_of_v[n - 1] is None
+
+
+def test_deep_exact_search_has_no_recursion_limit():
+    n = 1500
+    res = worst_order_exact(reversed_chain(n), Permutation.identity(n))
+    assert (res.exact, res.size) == (True, n - 1)
+
+
+def test_random_regular_at_n20_is_solved_exactly():
+    """The target that the search over arrivals missed: random_regular
+    d=3 seed 1 at n=20 under the certified order, exact within the
+    default budget, with an order that replays to its size and a size
+    no smaller than the certified count."""
+    g = generate(FamilySpec("random_regular", {"n": 20, "d": 3}, seed=1))
+    cert = build_theorem1(g)
+    res = worst_order_exact(g, cert.pi)
+    assert res.exact and res.nodes_expanded <= DEFAULT_BUDGET
+    assert greedy_match(g, res.sigma, cert.pi).size == res.size >= cert.guaranteed_count
+
+
+def test_regular89_minimum_is_the_sum_over_its_copies():
+    """Greedy's choices in one copy of regular89 never touch another, so
+    at d=3 t=3 (n=27) the exact minimum is the sum of the three copies'
+    exact minima, each under pi restricted to that copy: under the
+    certified order and under a seeded one."""
+    g = generate(FamilySpec("regular89", {"d": 3, "t": 3}))
+    copy = generate(FamilySpec("regular89", {"d": 3, "t": 1}))
+    for pi in (build_theorem1(g).pi, random_perm(random.Random(5), g.n)):
+        res = worst_order_exact(g, pi)
+        parts = [
+            worst_order_exact(copy, Permutation.from_order([v - 9 * c for v in pi.order if v // 9 == c]))
+            for c in range(3)
+        ]
+        assert res.exact and all(part.exact for part in parts)
+        assert res.size == sum(part.size for part in parts)
 
 
 def test_deep_safety_witness_equals_the_recursive_reference():
