@@ -333,15 +333,14 @@ class _ArrivalSearch:
                 seen.add(m)
                 p = m & -m
                 gain = 1 if p & count_mask else 0
+                # The incumbent's own pick is optimal unsearched, and so is
+                # every branch once no counted vertex is left.  A pair names
+                # one arrival of a class with equal free neighbours; classes
+                # only merge as vertices go, so any member may take p, and
+                # the pairs left stand for their classes unchanged.
                 w_bit = mate.get(p, 0)
-                if w_bit and adj[w_bit.bit_length() - 1] & vl == m:
-                    # The incumbent's own pick, up to an interchangeable
-                    # arrival w, is optimal unsearched; w takes u's partner.
-                    del mate[p]
-                    for q, x in mate.items() if w_bit != u_bit else ():
-                        if x == u_bit:
-                            mate[q] = w_bit
-                elif vl & count_mask:  # with none left, every branch is optimal
+                if vl & count_mask and not (w_bit and adj[w_bit.bit_length() - 1] & vl == m):
+                    # Another branch is optimal when its child comes back below the cap.
                     if target >= gain:
                         child = self._take(vl, uf, forced, p, u_bit)
                         cap = target - gain + 1
