@@ -155,21 +155,19 @@ class _ArrivalSearch:
     an exact value v as v and a lower bound b as ~b; `chosen` maps an
     exact state's key to its optimal child's key << n | the U bit that its
     lowest vertex takes.  `nodes` counts expanded states, `cuts` the
-    children cut in their parent.  col[r] is the mask of rank r's
-    neighbours; it is built from adj_rank when not given.
+    children cut in their parent.  adj_rank and col are `_rank_rows`'s
+    rows and columns.
     """
 
     def __init__(
-        self, adj_rank: Sequence[int], n: int, count_mask: int, budget: float,
-        col: Optional[Sequence[int]] = None,
+        self, adj_rank: Sequence[int], n: int, count_mask: int, budget: float, col: Sequence[int]
     ):
-        self.adj = list(adj_rank)
+        self.adj, self.col = list(adj_rank), col
         self.n, self.count_mask, self.budget = n, count_mask, budget
         self.nodes = self.cuts = 0
         self.memo: dict[int, int] = {}
         self.chosen: dict[int, int] = {}
         self.full = (1 << n) - 1
-        self.col = col or [sum(1 << u for u, row in enumerate(self.adj) if row >> r & 1) for r in range(n)]
         # The root state (V left, U free, forced picks).
         vl = uf = forced = 0
         for u, row in enumerate(self.adj):
@@ -392,9 +390,10 @@ def _masked_search(
     """(value, sigma, exact, nodes_expanded) for the least number of
     distinct v_subset vertices that greedy matches.  A value reaching cap
     is a lower bound without sigma; below cap, sigma is the first optimal
-    branch sequence, checked by greedy replay.  Past `budget` states a
-    local search of 4000 iterations scoring the subset's count gives sigma
-    and an upper bound, and exact is false."""
+    branch sequence, checked by greedy replay.  Past `budget` states, in
+    the value and the descent together, a local search of 4000 iterations
+    scoring the subset's count gives sigma and an upper bound, and exact
+    is false."""
     _check_subset(g, pi, v_subset)
     _check_settings(budget=budget)
     (adj, col), mask = _rank_rows(g, pi), sum(1 << r for r in {pi.rank[v] for v in v_subset})
@@ -426,7 +425,8 @@ def worst_order_exact(
     masked search over every vertex, uncapped.  sigma is the
     lexicographically first optimal branch sequence; nodes_expanded
     counts the states whose children were searched, for the value and
-    the descent, and the heuristic's fallback past `budget` is inexact."""
+    the descent.  `budget` bounds that count: past it the heuristic's
+    fallback is inexact, also when the value alone fit."""
     size, sigma, exact, nodes = _masked_search(g, pi, range(g.n), g.n + 1, budget)
     return AdversaryResult(sigma=sigma, size=size, exact=exact, nodes_expanded=nodes)
 

@@ -212,11 +212,12 @@ def is_safe(g: BipartiteGraph, pi: Permutation, s: Iterable[int]) -> SafetyResul
     """Decide whether every arrival order matches at least one vertex of s.
 
     The empty set is safe by convention.  The Hall-type conditions of
-    `_hall_safe` short-circuit the search.  Otherwise `order_avoiding`
-    decides whether the masked minimum is 0: s is unsafe exactly when it
-    is, and the witness is the first branch sequence, in ascending
-    arrival order at every state, that reaches it, checked by replay
-    through greedy_match.
+    `_hall_safe` short-circuit the search; its root cuts settle the same
+    sets, but its set-up costs more.  Otherwise `order_avoiding` decides
+    whether the masked minimum is 0: s is unsafe exactly when it is, and
+    the witness is the first branch sequence, in ascending arrival order
+    at every state, that reaches it, checked by replay through
+    greedy_match.
     """
     s_list = sorted(set(s))
     _check_subset(g, pi, s_list)

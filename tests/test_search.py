@@ -85,6 +85,12 @@ def _rank_mask(pi, vs):
     return sum(1 << pi.rank[v] for v in set(vs))
 
 
+def _search(g, pi, count_mask, budget=math.inf):
+    """The engine on (g, pi), counting the ranks in count_mask."""
+    adj, col = _rank_rows(g, pi)
+    return _ArrivalSearch(adj, g.n, count_mask, budget, col)
+
+
 def v_side_run(g, pi, pick):
     """The matching, as each V vertex's partner or None, that V builds in
     pi order when each vertex with a free neighbour takes pick(its free
@@ -163,7 +169,7 @@ def test_engine_equals_the_references():
         assert (safety.safe, witness) == reference_is_safe(g, pi, subset)
         assert safety.safe == (masked >= 1)
 
-        search = _ArrivalSearch(_rank_rows(g, pi)[0], n, (1 << n) - 1, math.inf)
+        search = _search(g, pi, (1 << n) - 1)
         assert search.value(n + 1) == ref_size
         seen["bound cut-off"] += bool(search.cuts)
         seen["unsafe"] += not safety.safe
@@ -201,17 +207,17 @@ def test_engine_equals_the_child_scanning_engine():
             ("decision", subset, 1),
         ):
             ref_value, ref_order, _, _ = reference_arrival_search(g, pi, v_subset, cap)
-            adj, count_mask = _rank_rows(g, pi)[0], _rank_mask(pi, v_subset)
-            search = _ArrivalSearch(adj, n, count_mask, math.inf)
+            count_mask = _rank_mask(pi, v_subset)
+            search = _search(g, pi, count_mask)
             value = search.value(cap)
             nodes = search.nodes
             order = search.replay() if value < cap else None
             assert (min(value, cap), order) == (min(ref_value, cap), ref_order), mode
             assert search.nodes <= states[mode], mode
             tally[mode + " cuts"] += search.cuts
-            assert _ArrivalSearch(adj, n, count_mask, nodes).value(cap) == value
+            assert _search(g, pi, count_mask, nodes).value(cap) == value
             if nodes:
-                short = _ArrivalSearch(adj, n, count_mask, nodes - 1)
+                short = _search(g, pi, count_mask, nodes - 1)
                 with pytest.raises(_BudgetExceeded):
                     short.value(cap)
                 assert short.nodes == nodes
@@ -219,6 +225,24 @@ def test_engine_equals_the_child_scanning_engine():
     check()
     for mode in ("exact", "masked", "decision"):
         assert tally[mode + " cuts"] > 0, tally
+
+
+def test_the_budget_covers_the_descent():
+    """`budget` bounds the states that the value and the descent expand
+    together.  On fano under the identity order the value takes 8 states
+    and the descent 3 more: a budget of 11 is exact, and one of 10, which
+    the value alone fits, falls back to the inexact heuristic."""
+    g, pi = generate(FamilySpec("fano")), Permutation.identity(7)
+    search = _search(g, pi, (1 << 7) - 1)
+    value = search.value(8)
+    assert search.nodes == 8
+    search.replay()
+    assert search.nodes == 11
+    res = worst_order_exact(g, pi, budget=11)
+    assert (res.size, res.exact, res.nodes_expanded) == (value, True, 11)
+    res = worst_order_exact(g, pi, budget=10)
+    assert (res.exact, res.nodes_expanded) == (False, 10 + 4000)
+    assert greedy_match(g, res.sigma, pi).size == res.size >= value
 
 
 def test_the_hall_bound_is_sound():
@@ -297,7 +321,7 @@ def test_replay_follows_the_recorded_choices(monkeypatch):
             ("decision", subset, 1),
         ):
             ref_value, ref_order, _ = reference_min_game(g, pi, v_subset)
-            search = _ArrivalSearch(_rank_rows(g, pi)[0], n, _rank_mask(pi, v_subset), math.inf)
+            search = _search(g, pi, _rank_mask(pi, v_subset))
             assert (search.value(cap) < cap) == (ref_value < cap)
             if ref_value < cap:
                 below, real = [], _ArrivalSearch.value
@@ -315,7 +339,7 @@ def test_replay_follows_the_recorded_choices(monkeypatch):
                 tally["switched"] += any(below)
 
     check()
-    assert min(tally[mode] for mode in ("exact", "masked", "decision")) >= 10, tally
+    assert min(tally[mode] for mode in ("exact", "masked", "decision")) >= 20, tally
     assert min(tally[way] for way in ("trusted", "searched", "switched")) >= 20, tally
 
 
@@ -338,10 +362,10 @@ def test_a_search_reused_under_a_higher_cap_stays_exact():
         nonlocal reopened
         g, pi, subset = case
         n = g.n
-        adj, count_mask = _rank_rows(g, pi)[0], _rank_mask(pi, subset)
-        fresh = _ArrivalSearch(adj, n, count_mask, math.inf)
+        count_mask = _rank_mask(pi, subset)
+        fresh = _search(g, pi, count_mask)
         value = fresh.value(n + 1)
-        reused = _ArrivalSearch(adj, n, count_mask, math.inf)
+        reused = _search(g, pi, count_mask)
         reused.value(1)
         lower = sum(1 for v in reused.memo.values() if v < 0)
         assert reused.value(n + 1) == value
