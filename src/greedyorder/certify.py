@@ -4,16 +4,15 @@ Four constructions turn a maximal path cover of the conflict digraph
 into a priority order pi over V together with a count of vertices that
 greedy matches under every arrival order sigma.  The selector evaluates
 all four and keeps the best; its guaranteed fraction never drops below
-1/2 + 1/86, which is also recovered here as the exact optimum of a small
-min-max linear program.
+1/2 + 1/86, which is also proved here to be the exact optimum of a small
+min-max linear program, by a checked point and dual weights.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .core import (
     BipartiteGraph,
@@ -295,57 +294,27 @@ def selector_value_at(e1: Fraction, e2: Fraction, e3: Fraction) -> Fraction:
     return max(selector_forms(e1, e2, e3))
 
 
-def _solve_square(rows: list[list[Fraction]]) -> Optional[list[Fraction]]:
-    """Gaussian elimination on an m x (m+1) exact system; None if singular."""
-    m = len(rows)
-    a = [row[:] for row in rows]
-    for col in range(m):
-        piv = next((r for r in range(col, m) if a[r][col] != 0), None)
-        if piv is None:
-            return None
-        a[col], a[piv] = a[piv], a[col]
-        inv = a[col][col]
-        a[col] = [x / inv for x in a[col]]
-        for r in range(m):
-            if r != col and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return [a[r][m] for r in range(m)]
+# The attaining point (eps1, eps2, eps3) of the min-max program.
+_SELECTOR_OPTIMUM = (Fraction(19, 86), Fraction(5, 43), Fraction(21, 86))
 
 
 def selector_lp_optimum() -> tuple[Fraction, tuple[Fraction, Fraction, Fraction]]:
     """Exact minimum over eps2, eps3 >= 0 (eps1 free) of the largest of
-    the four forms, found by enumerating basic feasible points.
+    the four forms, with a point that attains it.
 
-    Variables are (e1, e2, e3, z).  Constraints: z >= each form, e2 >= 0,
-    e3 >= 0.  Every vertex of the feasible region solves four of the six
-    constraints as equalities, so all candidate vertices come from the
-    15 four-subsets.  Boundedness is certified separately by the dual
-    weights of selector_dual_certificate.
+    The point is checked feasible and its value is checked equal to the
+    lower bound GUARANTEE_FLOOR that the weights of
+    selector_dual_certificate prove on the whole feasible region, so by
+    weak duality it is the optimum.
     """
-    cons: list[tuple[list[Fraction], Fraction]] = []
-    for c, a1, a2, a3 in _FORMS:
-        # z - a.e >= c  ->  row (-a1, -a2, -a3, 1) >= c
-        cons.append(([-a1, -a2, -a3, Fraction(1)], c))
-    cons.append(([Fraction(0), Fraction(1), Fraction(0), Fraction(0)], Fraction(0)))
-    cons.append(([Fraction(0), Fraction(0), Fraction(1), Fraction(0)], Fraction(0)))
-
-    best: Optional[tuple[Fraction, tuple[Fraction, Fraction, Fraction]]] = None
-    for subset in itertools.combinations(range(6), 4):
-        rows = [cons[i][0] + [cons[i][1]] for i in subset]
-        sol = _solve_square(rows)
-        if sol is None:
-            continue
-        e1, e2, e3, z = sol
-        feasible = all(
-            sum(coef * val for coef, val in zip(row, (e1, e2, e3, z))) >= rhs
-            for row, rhs in cons
-        )
-        if feasible and (best is None or z < best[0]):
-            best = (z, (e1, e2, e3))
-    if best is None:
-        raise PropositionViolatedError("no basic feasible point found")
-    return best
+    e1, e2, e3 = _SELECTOR_OPTIMUM
+    if e2 < 0 or e3 < 0:
+        raise PropositionViolatedError("optimum point has a negative eps2 or eps3")
+    selector_dual_certificate()
+    value = selector_value_at(e1, e2, e3)
+    if value != GUARANTEE_FLOOR:
+        raise PropositionViolatedError("optimum point has value %s, not the dual bound" % value)
+    return value, _SELECTOR_OPTIMUM
 
 
 def selector_dual_certificate() -> tuple[Fraction, ...]:
@@ -364,6 +333,6 @@ def selector_dual_certificate() -> tuple[Fraction, ...]:
         raise PropositionViolatedError("eps1 is unconstrained so its combined weight must vanish")
     if c2 < 0 or c3 < 0:
         raise PropositionViolatedError("dual weights give a negative eps2 or eps3 coefficient")
-    if const != Fraction(22, 43):
-        raise PropositionViolatedError("dual bound is %s, not 22/43" % const)
+    if const != GUARANTEE_FLOOR:
+        raise PropositionViolatedError("dual bound is %s, not %s" % (const, GUARANTEE_FLOOR))
     return lam

@@ -367,10 +367,9 @@ def config_from_doc(doc: Any, where: str = "config") -> ExperimentConfig:
 def read_config(path: str, seed: Optional[int] = None) -> ExperimentConfig:
     """Read a config file; a given seed acts as if the file had held it."""
     doc = _load_json(path)
-    config = config_from_doc(doc, where=path)
-    if seed is None:
-        return config
-    return config_from_doc({**doc, "seed": seed}, where=path)
+    if seed is not None and isinstance(doc, dict):
+        doc = {**doc, "seed": seed}
+    return config_from_doc(doc, where=path)
 
 
 # --- result documents -------------------------------------------------------

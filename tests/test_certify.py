@@ -1,5 +1,6 @@
 """Certificate constructions, guarantee formulas, and the selector LP."""
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -8,6 +9,7 @@ import pytest
 
 from conftest import brute_max_matching_size, random_pm_graph
 
+import greedyorder.certify as certify
 from greedyorder import (
     BipartiteGraph,
     FamilySpec,
@@ -38,7 +40,7 @@ from greedyorder.certify import (
     selector_lp_optimum,
     selector_value_at,
 )
-from greedyorder.errors import UsageError
+from greedyorder.errors import PropositionViolatedError, UsageError
 
 
 def cover_and_sg(g):
@@ -207,3 +209,36 @@ def test_dual_certificate_lower_bounds_everywhere():
                 combo = sum(l * f for l, f in zip(lam, forms))
                 assert combo >= Fraction(22, 43)
                 assert max(forms) >= combo
+
+
+def test_optimum_proof_rejects_a_wrong_form_or_point(monkeypatch):
+    """A form's constant off by 1/86 breaks the dual bound; a point off
+    the optimum is infeasible or has a value above the dual bound.  A
+    constant lowered leaves the point's value at the bound, so only the
+    dual check catches it."""
+    forms = certify._FORMS
+    for i, shift in itertools.product(range(len(forms)), (Fraction(1, 86), Fraction(-1, 86))):
+        shifted = list(forms)
+        shifted[i] = (forms[i][0] + shift, *forms[i][1:])
+        monkeypatch.setattr(certify, "_FORMS", tuple(shifted))
+        for check in (selector_dual_certificate, selector_lp_optimum):
+            with pytest.raises(PropositionViolatedError):
+                check()
+    monkeypatch.setattr(certify, "_FORMS", forms)
+    for point in (
+        (Fraction(19, 86), Fraction(-1, 86), Fraction(21, 86)),
+        (Fraction(20, 86), Fraction(5, 43), Fraction(21, 86)),
+        (Fraction(18, 86), Fraction(5, 43), Fraction(21, 86)),
+    ):
+        monkeypatch.setattr(certify, "_SELECTOR_OPTIMUM", point)
+        with pytest.raises(PropositionViolatedError):
+            selector_lp_optimum()
+    # The dual combination has no eps term, so every point off the optimum
+    # also fails the value check; the feasibility check alone is reached
+    # only with the value forced to the bound.
+    monkeypatch.setattr(certify, "selector_value_at", lambda *eps: GUARANTEE_FLOOR)
+    monkeypatch.setattr(
+        certify, "_SELECTOR_OPTIMUM", (Fraction(19, 86), Fraction(-1, 86), Fraction(21, 86))
+    )
+    with pytest.raises(PropositionViolatedError, match="negative eps2"):
+        selector_lp_optimum()

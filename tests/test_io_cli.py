@@ -982,7 +982,8 @@ def test_cli_experiment_deterministic_csv(tmp_path):
 
 def test_cli_experiment_seed_acts_as_the_file_seed(tmp_path):
     """--seed S gives the table of the same file holding seed S, derived
-    instance seeds included."""
+    instance seeds included, even where the file's own seed is malformed;
+    without --seed that file is still a schema error."""
     doc = {
         "instances": [
             {"family": "hamiltonian_random", "params": {"n": 9, "extra_edges": 6}},
@@ -993,13 +994,14 @@ def test_cli_experiment_seed_acts_as_the_file_seed(tmp_path):
         "seed": 0,
     }
     tables = []
-    for file_seed, flag in ((0, ["--seed", "9"]), (9, [])):
-        cfg = tmp_path / ("config%d.json" % file_seed)
+    for file_seed, flag in ((0, ["--seed", "9"]), ("x", ["--seed", "9"]), (9, [])):
+        cfg = tmp_path / ("config%s.json" % file_seed)
         cfg.write_text(gio.canonical_dumps({**doc, "seed": file_seed}))
-        out = tmp_path / ("rows%d.csv" % file_seed)
+        out = tmp_path / ("rows%s.csv" % file_seed)
         assert main(["experiment", str(cfg), "-o", str(out), *flag]) == 0
         tables.append(rows_without_runtime(list(csv.DictReader(_io.StringIO(out.read_text())))))
-    assert tables[0] == tables[1]
+    assert tables[0] == tables[1] == tables[2]
+    assert main(["experiment", str(tmp_path / "configx.json")]) == 2
 
 
 def test_cli_seed_only_where_it_is_read(tmp_path, capsys):
@@ -1448,3 +1450,21 @@ def test_every_import_is_used_and_every_export_resolves():
         unresolved += ["%s %s" % (name, e) for e in exported if e not in defined]
     assert unused == []
     assert unresolved == []
+
+
+def test_the_package_imports_only_the_standard_library():
+    # pyproject.toml declares no runtime dependencies.
+    allowed = sys.stdlib_module_names | {"greedyorder"}
+    outside = []
+    for name, tree in package_trees():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                modules = [node.module]
+            else:
+                continue
+            outside += [
+                "%s:%d %s" % (name, node.lineno, m) for m in modules if m.split(".")[0] not in allowed
+            ]
+    assert outside == []
