@@ -17,21 +17,18 @@ all U).  f(V left, U free) skips the vertices left with no free
 neighbour; at the lowest-ranked v that remains it is [v counted] plus
 the least f(V left - v, U free - u) over the free neighbours u of v.
 
-One engine, `_ArrivalSearch`, computes f for the exact adversary, the
-masked minimum and the safety decision, all through `_masked_search`
-with its one budget fallback and one replay check.  It is a depth-first
-branch-and-bound on an explicit stack, free of the recursion limit.  A
-state drops the vertices that can no longer be matched, and v branches
-once per class of free neighbours whose rows agree on the vertices
-left, since those are interchangeable.  Forced pick: the lowest-ranked
-neighbour left of a u in U free is matched in every completion, as u is
-still free when it comes up, so the counted forced picks bound a state's
-value from below.  The parent derives each child's bound from its own:
-only the other neighbours whose pick was v move on to their next one.
-Decision queries (cap 1) also cut by Hall: to match no counted vertex,
-each free neighbour of one must first be taken by an uncounted vertex
-left below it, so fewer such vertices than such neighbours put the value
-at 1 or more.  A state with no counted vertex left is worth 0.
+One engine, `_ArrivalSearch`, computes f for the exact adversary and
+the masked minimum, both through `_masked_search` with its one budget
+fallback and one replay check.  It is a depth-first branch-and-bound on
+an explicit stack, free of the recursion limit.  A state drops the
+vertices that can no longer be matched, and v branches once per class
+of free neighbours whose rows agree on the vertices left, since those
+are interchangeable.  Forced pick: the lowest-ranked neighbour left of
+a u in U free is matched in every completion, as u is still free when
+it comes up, so the counted forced picks bound a state's value from
+below.  The parent derives each child's bound from its own: only the
+other neighbours whose pick was v move on to their next one.  A state
+with no counted vertex left is worth 0.
 
 The search is fail-soft: under a cap a state returns its exact value
 when that is below the cap, else a lower bound at least the cap.
@@ -52,12 +49,31 @@ less (u, p) is still realizable.  An earlier branch is optimal exactly
 when its child comes back below the cap target - gain + 1, and then M
 becomes the child's recorded optimum.  So sigma is the lexicographically
 first optimal branch sequence.
+
+Safety needs no search, by this avoidability lemma.  Under pi, some
+sigma leaves a set T of V unmatched exactly when the U-neighbours of T
+have a matching into V - T in which each u's partner ranks below every
+T-neighbour of u.  Only if: in a run that avoids T, each such u still
+sees a free T-neighbour when it arrives, so it is matched, to its
+lowest-ranked free neighbour, which lies outside T and below its
+T-neighbours.  If: under `_planned_order` of that matching every earlier
+arrival took a vertex ranked at most its own partner's, so u's partner
+is still free when u arrives, and u takes a vertex ranked at most that
+one, outside T; the other U vertices have no edge into T.  Applied to
+the arrivals left and the free V, the lemma decides every state of the
+arrival game, and `_avoiding_matching` is that test.  `order_avoiding`
+descends as above with target 0: a branch whose pick lies in T is
+skipped, and a branch passes when its child is avoidable.  The
+incumbent is a matching M of the state, whose pairs of arrivals gone
+are void.  A branch (u, p) with p unused by M or M(p) = u passes with
+no new matching, since M less u's pair still holds in the child;
+otherwise a matching of the child decides it and becomes M.  So the witness is the first branch sequence, in ascending
+arrival order at every state, that leaves T unmatched.
 """
 
 from __future__ import annotations
 
 import collections
-import math
 import random
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -126,25 +142,6 @@ def _check_settings(**settings: int) -> None:
             raise AnalysisParamError(message)
 
 
-def _hall_cut(adj: Sequence[int], col: Sequence[int], vl: int, uf: int, count_mask: int) -> bool:
-    """Whether every completion of state (vl, uf) matches a counted
-    vertex: to avoid that, each free neighbour of a counted vertex left
-    must be taken first, by an uncounted vertex left below it, and there
-    are fewer such vertices than such neighbours."""
-    need, room, counted = 0, 0, vl & count_mask
-    while counted:
-        c_bit = counted & -counted
-        counted ^= c_bit
-        takers = col[c_bit.bit_length() - 1] & uf & ~need
-        need |= takers
-        below = vl & (c_bit - 1) & ~count_mask
-        while takers:
-            u_bit = takers & -takers
-            takers ^= u_bit
-            room |= adj[u_bit.bit_length() - 1] & below
-    return need.bit_count() > room.bit_count()
-
-
 class _ArrivalSearch:
     """Minimum number of count_mask vertices that greedy matches, over
     all arrival orders, by the search of the module docstring.
@@ -160,7 +157,7 @@ class _ArrivalSearch:
     """
 
     def __init__(
-        self, adj_rank: Sequence[int], n: int, count_mask: int, budget: float, col: Sequence[int]
+        self, adj_rank: Sequence[int], n: int, count_mask: int, budget: int, col: Sequence[int]
     ):
         self.adj, self.col = list(adj_rank), col
         self.n, self.count_mask, self.budget = n, count_mask, budget
@@ -202,8 +199,6 @@ class _ArrivalSearch:
                         if stack:
                             raise PropositionViolatedError("a child's bound disagrees with its parent's")
                         val = lb
-                    elif cap == 1 and _hall_cut(adj, col, vl, uf, count_mask):
-                        val, memo[key] = 1, ~1
                     else:
                         nodes += 1
                         if nodes > budget:
@@ -365,6 +360,11 @@ def _rank_rows(g: BipartiteGraph, pi: Permutation) -> tuple[list[int], list[int]
     return rows, cols
 
 
+def _rank_mask(pi: Permutation, vs: Sequence[int]) -> int:
+    """The ranks of the vertices vs, as a mask."""
+    return sum(1 << r for r in {pi.rank[v] for v in vs})
+
+
 def _check_subset(g: BipartiteGraph, pi: Permutation, v_subset: Sequence[int]) -> None:
     """Raise unless pi has g.n entries and v_subset lies in 0..n-1."""
     _check_dims(g, pi, "pi")
@@ -384,37 +384,44 @@ def _greedy_size(adj_rank: Sequence[int], order: Sequence[int], full: int, count
     return ((full ^ free) & count).bit_count()
 
 
-def _masked_search(
-    g: BipartiteGraph, pi: Permutation, v_subset: Sequence[int], cap: int, budget: float
-) -> tuple[int, Optional[Permutation], bool, int]:
-    """(value, sigma, exact, nodes_expanded) for the least number of
-    distinct v_subset vertices that greedy matches.  A value reaching cap
-    is a lower bound without sigma; below cap, sigma is the first optimal
-    branch sequence, checked by greedy replay.  Past `budget` states, in
-    the value and the descent together, a local search of 4000 iterations
-    scoring the subset's count gives sigma and an upper bound, and exact
-    is false."""
-    _check_subset(g, pi, v_subset)
-    _check_settings(budget=budget)
-    (adj, col), mask = _rank_rows(g, pi), sum(1 << r for r in {pi.rank[v] for v in v_subset})
-    search = _ArrivalSearch(adj, g.n, mask, budget, col)
-    try:
-        value = search.value(cap)
-        if value >= cap:
-            return value, None, True, search.nodes
-        order = search.replay()
-    except _BudgetExceeded:
-        order, _ = _local_search(adj, g.n, mask, 4000, 0)
-        exact, nodes = False, budget + 4000
-    else:
-        exact, nodes = True, search.nodes
+def _replayed(
+    g: BipartiteGraph, pi: Permutation, v_subset: Sequence[int], order: Sequence[int], value: Optional[int]
+) -> tuple[int, Permutation]:
+    """(count, sigma): sigma is the arrival order `order` and count the
+    distinct v_subset vertices that greedy_match matches under it.
+    Raises PropositionViolatedError when value is given and differs."""
     sigma = Permutation.from_order(order)
     matched = greedy_match(g, sigma, pi).matched_u_of_v
     count = sum(1 for v in set(v_subset) if matched[v] is not None)
-    if exact and count != value:
+    if value is not None and count != value:
         raise PropositionViolatedError(
             "the replayed order matches %d subset vertices, the search said %d" % (count, value)
         )
+    return count, sigma
+
+
+def _masked_search(
+    g: BipartiteGraph, pi: Permutation, v_subset: Sequence[int], budget: int
+) -> tuple[int, Permutation, bool, int]:
+    """(value, sigma, exact, nodes_expanded) for the least number of
+    distinct v_subset vertices that greedy matches.  sigma is the first
+    optimal branch sequence, checked by greedy replay.  Past `budget`
+    states, in the value and the descent together, a local search of
+    4000 iterations scoring the subset's count gives sigma and an upper
+    bound, and exact is false."""
+    _check_subset(g, pi, v_subset)
+    _check_settings(budget=budget)
+    (adj, col), mask = _rank_rows(g, pi), _rank_mask(pi, v_subset)
+    search = _ArrivalSearch(adj, g.n, mask, budget, col)
+    try:
+        value = search.value(g.n + 1)
+        order = search.replay()
+    except _BudgetExceeded:
+        order, _ = _local_search(adj, g.n, mask, 4000, 0)
+        value, exact, nodes = None, False, budget + 4000
+    else:
+        exact, nodes = True, search.nodes
+    count, sigma = _replayed(g, pi, v_subset, order, value)
     return count, sigma, exact, nodes
 
 
@@ -422,12 +429,12 @@ def worst_order_exact(
     g: BipartiteGraph, pi: Permutation, budget: int = DEFAULT_BUDGET
 ) -> AdversaryResult:
     """Minimize the greedy matched count over all arrival orders: the
-    masked search over every vertex, uncapped.  sigma is the
-    lexicographically first optimal branch sequence; nodes_expanded
-    counts the states whose children were searched, for the value and
-    the descent.  `budget` bounds that count: past it the heuristic's
-    fallback is inexact, also when the value alone fit."""
-    size, sigma, exact, nodes = _masked_search(g, pi, range(g.n), g.n + 1, budget)
+    masked search over every vertex.  sigma is the lexicographically
+    first optimal branch sequence; nodes_expanded counts the states
+    whose children were searched, for the value and the descent.
+    `budget` bounds that count: past it the heuristic's fallback is
+    inexact, also when the value alone fit."""
+    size, sigma, exact, nodes = _masked_search(g, pi, range(g.n), budget)
     return AdversaryResult(sigma=sigma, size=size, exact=exact, nodes_expanded=nodes)
 
 
@@ -439,18 +446,133 @@ def worst_order_masked_min(
 ) -> tuple[int, bool, int]:
     """Minimum over all arrival orders of how many distinct vertices of
     v_subset get matched.  Returns (value, exact, nodes_expanded)."""
-    value, _, exact, nodes = _masked_search(g, pi, v_subset, g.n + 1, budget)
+    value, _, exact, nodes = _masked_search(g, pi, v_subset, budget)
     return value, exact, nodes
+
+
+def _avoiding_matching(
+    adj: Sequence[int], col: Sequence[int], t_mask: int, left: int, free: int
+) -> Optional[dict[int, int]]:
+    """The avoidability test of the module docstring at the state with
+    the arrivals `left` (U bits) and the `free` V (rank bits): a matching,
+    as {V bit: U bit}, of each arrival left next to a free vertex of
+    t_mask into a free vertex outside t_mask that ranks below all of its
+    free t_mask neighbours, or None when there is none.  adj and col are
+    `_rank_rows`'s rows and columns.  Once every row is known to be
+    nonempty, the arrivals go in label order, each by an augmenting path
+    searched depth first on an explicit stack, free of the recursion
+    limit; at each step it takes the lowest unused vertex of the row if
+    there is one, else the lowest one not yet seen."""
+    near, ts = 0, t_mask & free
+    while ts:
+        x = ts & -ts
+        ts ^= x
+        near |= col[x.bit_length() - 1]
+    near &= left
+    rows: dict[int, int] = {}
+    while near:
+        u_bit = near & -near
+        near ^= u_bit
+        r = adj[u_bit.bit_length() - 1] & free
+        x = r & t_mask
+        rows[u_bit] = r = r & ~t_mask & (x & -x) - 1
+        if not r:
+            return None
+    mate: dict[int, int] = {}
+    used = 0
+    for u_bit in rows:
+        # path_u[i] takes path_v[i]; the last V on the path was unused.
+        path_u, path_v, seen = [u_bit], [], 0
+        while True:
+            r = rows[path_u[-1]] & ~seen
+            if not r:
+                path_u.pop()
+                if not path_u:
+                    return None
+                path_v.pop()
+                continue
+            v = r & ~used or r
+            v &= -v
+            seen |= v
+            path_v.append(v)
+            if not v & used:
+                break
+            path_u.append(mate[v])
+        used |= v
+        for w_bit, v in zip(path_u, path_v):
+            mate[v] = w_bit
+    return mate
+
+
+def _avoiding_descent(adj: Sequence[int], col: Sequence[int], n: int, t_mask: int) -> Optional[list[int]]:
+    """The first branch sequence, in ascending arrival order at every
+    state, under which greedy matches no rank of t_mask, or None when
+    there is none: the descent of the module docstring."""
+    full = (1 << n) - 1
+    mate = _avoiding_matching(adj, col, t_mask, full, full)
+    if mate is None:
+        return None
+    dead = sum(1 << u for u, row in enumerate(adj) if not row)
+    order, left, free = [], full ^ dead, full
+    while True:
+        # Arrivals left without a free neighbour join at once, in label order.
+        while dead:
+            order.append((dead & -dead).bit_length() - 1)
+            dead &= dead - 1
+        if not left:
+            return order
+        seen, rest = set(), left
+        while True:
+            if not rest:
+                raise PropositionViolatedError("the descent found no avoiding branch")
+            u_bit = rest & -rest
+            rest ^= u_bit
+            m = adj[u_bit.bit_length() - 1] & free
+            if m in seen:
+                continue
+            seen.add(m)
+            p = m & -m
+            if p & t_mask:
+                continue
+            # The incumbent's pick, or a pick it leaves unused, passes unsearched.
+            if not mate.get(p, 0) & (left ^ u_bit):
+                break
+            child = _avoiding_matching(adj, col, t_mask, left ^ u_bit, free ^ p)
+            if child is not None:
+                mate = child
+                break
+        order.append(u_bit.bit_length() - 1)
+        left, free = left ^ u_bit, free ^ p
+        takers = col[p.bit_length() - 1] & left
+        while takers:
+            w_bit = takers & -takers
+            takers ^= w_bit
+            if not adj[w_bit.bit_length() - 1] & free:
+                dead |= w_bit
+        left ^= dead
+
+
+def _avoidable(g: BipartiteGraph, pi: Permutation, v_subset: Sequence[int]) -> bool:
+    """Whether some arrival order leaves v_subset unmatched under pi: the
+    avoidability test at the start of the game."""
+    adj, col = _rank_rows(g, pi)
+    full = (1 << g.n) - 1
+    return _avoiding_matching(adj, col, _rank_mask(pi, v_subset), full, full) is not None
 
 
 def order_avoiding(
     g: BipartiteGraph, pi: Permutation, v_subset: Sequence[int]
 ) -> Optional[Permutation]:
     """An arrival order under which greedy matches no vertex of
-    v_subset, or None when every order matches one of them: the masked
-    search with cap 1 and no node budget, which only decides whether the
-    masked minimum is 0, with the Hall cut of the module docstring."""
-    return _masked_search(g, pi, v_subset, 1, math.inf)[1]
+    v_subset, or None when every order matches one of them, by the
+    avoidability test and its descent: one matching and no search, so
+    no budget.  The order is the first branch sequence, in ascending
+    arrival order at every state, that leaves v_subset unmatched,
+    checked by greedy replay."""
+    _check_subset(g, pi, v_subset)
+    adj, col = _rank_rows(g, pi)
+    order = _avoiding_descent(adj, col, g.n, _rank_mask(pi, v_subset))
+    return None if order is None else _replayed(g, pi, v_subset, order, 0)[1]
 
 
 def _local_search(

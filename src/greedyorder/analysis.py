@@ -21,6 +21,7 @@ from typing import Iterable, Optional, Sequence, Union
 from .adversary import (
     DEFAULT_BUDGET,
     DEFAULT_MODE,
+    _avoidable,
     _check_subset,
     attack,
     order_avoiding,
@@ -195,33 +196,21 @@ class SafetyResult:
     witness: Optional[Permutation]
 
 
-def _hall_safe(g: BipartiteGraph, s_list: Sequence[int]) -> bool:
-    """Two sufficient conditions for safety that hold for every pi: a
-    left vertex whose whole neighborhood lies inside s forces a match
-    into s, and a set whose neighborhood is larger than the outside
-    cannot park all neighbors elsewhere."""
-    s_set = set(s_list)
-    for nb in g.adj_u:
-        if nb and all(v in s_set for v in nb):
-            return True
-    closed = {u for v in s_list for u in g.adj_v[v]}
-    return len(closed) > g.n - len(s_list)
-
-
 def is_safe(g: BipartiteGraph, pi: Permutation, s: Iterable[int]) -> SafetyResult:
     """Decide whether every arrival order matches at least one vertex of s.
 
-    The empty set is safe by convention.  The Hall-type conditions of
-    `_hall_safe` short-circuit the search; its root cuts settle the same
-    sets, but its set-up costs more.  Otherwise `order_avoiding` decides
-    whether the masked minimum is 0: s is unsafe exactly when it is, and
-    the witness is the first branch sequence, in ascending arrival order
-    at every state, that reaches it, checked by replay through
-    greedy_match.
+    The empty set is safe by convention.  Otherwise `order_avoiding`
+    decides it with one matching, by the avoidability lemma of the
+    `adversary` docstring, with no search and no budget: s is unsafe
+    exactly when the U-neighbours of s have a matching into the other
+    vertices in which each partner ranks below all of its U vertex's
+    neighbours in s.  The witness is the first branch sequence, in
+    ascending arrival order at every state, that leaves s unmatched,
+    checked by replay through greedy_match.
     """
     s_list = sorted(set(s))
     _check_subset(g, pi, s_list)
-    if not s_list or _hall_safe(g, s_list):
+    if not s_list:
         return SafetyResult(True, None)
     witness = order_avoiding(g, pi, s_list)
     return SafetyResult(witness is None, witness)
@@ -237,13 +226,35 @@ class BadSetReport:
     witnesses: dict[tuple[int, ...], tuple[Permutation, Permutation]]
 
 
+def _first_exposing_pi(g: BipartiteGraph, s: Sequence[int]) -> Optional[Permutation]:
+    """The first priority order, in itertools.permutations order, under
+    which some arrival order leaves s unmatched, or None.  Moving the
+    vertices of s later only loosens the avoidability test, so the orders
+    that start with a given prefix expose s exactly when the prefix, then
+    the other vertices outside s, then the rest of s, does; the first
+    order is built one position at a time."""
+    n, s_set = g.n, set(s)
+
+    def exposes(prefix: list[int]) -> bool:
+        tail = sorted((v for v in range(n) if v not in prefix), key=s_set.__contains__)
+        return _avoidable(g, Permutation.from_order(prefix + tail), s)
+
+    if not exposes([]):
+        return None
+    prefix: list[int] = []
+    while len(prefix) < n:
+        prefix.append(next(v for v in range(n) if v not in prefix and exposes(prefix + [v])))
+    return Permutation.from_order(prefix)
+
+
 def enumerate_bad_sets(g: BipartiteGraph, size: int, mode: str = "full_pi") -> BadSetReport:
     """List every size-`size` right-side set some priority order exposes.
 
-    full_pi mode tries all priority orders per set (n <= 8);
-    canonical_pi tries only the heuristic order that places the set at
-    the lowest priority, which is cheaper but one-sided: sets it reports
-    are certainly vulnerable, sets it misses are not certified safe.
+    Both modes are exact: by the avoidability lemma of the `adversary`
+    docstring, a set is exposed by some priority order exactly when it is
+    exposed by the order that places it at the lowest priority.
+    canonical_pi witnesses each set under that order; full_pi (n <= 8)
+    under the first exposing order in itertools.permutations order.
     """
     n = g.n
     if not (1 <= size <= n):
@@ -252,24 +263,19 @@ def enumerate_bad_sets(g: BipartiteGraph, size: int, mode: str = "full_pi") -> B
         raise UsageError("unknown mode %r" % (mode,))
     if mode == "full_pi" and n > 8:
         raise UsageError("full_pi mode enumerates all priority orders; n <= 8 required")
-    candidates: Optional[list[Permutation]] = None
     bad: list[tuple[int, ...]] = []
     witnesses: dict[tuple[int, ...], tuple[Permutation, Permutation]] = {}
     for comb in itertools.combinations(range(n), size):
-        # The pi-independent half of is_safe runs once per set.
-        if _hall_safe(g, comb):
-            continue
         if mode == "canonical_pi":
-            rest = [v for v in range(n) if v not in comb]
-            candidates = [Permutation.from_order(rest + list(comb))]
-        elif candidates is None:  # full_pi, at the first set that is not Hall-safe
-            candidates = [Permutation.from_order(p) for p in itertools.permutations(range(n))]
-        for pi in candidates:
-            witness = order_avoiding(g, pi, comb)
-            if witness is not None:
-                bad.append(comb)
-                witnesses[comb] = (pi, witness)
-                break
+            pi = Permutation.from_order([v for v in range(n) if v not in comb] + list(comb))
+        else:
+            pi = _first_exposing_pi(g, comb)
+            if pi is None:
+                continue
+        witness = order_avoiding(g, pi, comb)
+        if witness is not None:
+            bad.append(comb)
+            witnesses[comb] = (pi, witness)
     return BadSetReport(size, mode, tuple(bad), witnesses)
 
 

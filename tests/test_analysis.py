@@ -1,6 +1,7 @@
 """Counting bounds, safety search, bad-set enumeration, simulations, and
 the two-reading cross check."""
 
+import collections
 import itertools
 import math
 import random
@@ -8,13 +9,14 @@ from fractions import Fraction
 
 import mpmath
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
     outcome,
     random_perm,
     random_pm_graph,
+    reference_is_safe,
     reference_bound_exponents,
     reference_monte_carlo,
 )
@@ -289,21 +291,68 @@ def test_chain1_bad_pairs_exact():
 
 
 def test_full_pi_builds_the_orders_only_for_a_set_that_needs_them(monkeypatch):
-    """Every pair of this graph is Hall-safe, so the census tries no
-    priority order and must build none; chain1 has unsafe pairs and
-    reports them as before."""
+    """Every pair of this graph is safe under every pi, so the census
+    tests each pair once, under the order that puts it last, and builds
+    no other order.  chain1 has unsafe pairs and reports them as before;
+    each witness pi is built one position at a time, at most n tests a
+    position, plus the pi and sigma it returns, and no list of all n!
+    orders is built."""
     safe = generate(FamilySpec("hamiltonian_random", {"n": 5, "extra_edges": 2}, seed=1))
     chain1 = generate(FamilySpec("badset_chain", {"copies": 1}))
     built = []
     from_order = Permutation.from_order
     monkeypatch.setattr(
-        Permutation, "from_order", lambda order: built.append(order) or from_order(order)
+        Permutation, "from_order", lambda order: built.append(list(order)) or from_order(order)
     )
     assert enumerate_bad_sets(safe, 2, mode="full_pi").bad_sets == ()
-    assert built == []
+    assert built == [
+        [v for v in range(5) if v not in pair] + list(pair)
+        for pair in itertools.combinations(range(5), 2)
+    ]
+    built.clear()
+    n = chain1.n
     report = enumerate_bad_sets(chain1, 2, mode="full_pi")
     assert set(report.bad_sets) == {(0, 1), (0, 2)}
-    assert len(built) >= math.factorial(chain1.n)
+    assert len(built) <= math.comb(n, 2) + len(report.bad_sets) * (n * (n + 1) // 2 + 2)
+
+
+def test_every_exposed_set_is_exposed_by_the_set_last_order():
+    """The corollary of the avoidability lemma: moving a set to the end
+    of pi only loosens the test, so full_pi and canonical_pi list the
+    same bad sets, and each full_pi witness pi is the first order, in
+    itertools.permutations order, under which the recursive reference
+    finds the set unsafe, with the reference's witness as sigma.  At
+    n <= 5 the reference also finds every set the census leaves out safe
+    under every order."""
+    seen = collections.Counter()
+
+    @settings(
+        max_examples=150,
+        derandomize=True,
+        database=None,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(st.randoms(use_true_random=True), st.integers(1, 6), st.integers(1, 3))
+    def check(rng, n, size):
+        g = random_pm_graph(rng, n, extra=rng.randrange(0, 2 * n))
+        size = min(size, n)
+        full = enumerate_bad_sets(g, size, mode="full_pi")
+        assert full.bad_sets == enumerate_bad_sets(g, size, mode="canonical_pi").bad_sets
+        orders = [Permutation.from_order(p) for p in itertools.permutations(range(n))]
+        for s in itertools.combinations(range(n), size):
+            if s in full.witnesses:
+                pi, sigma = full.witnesses[s]
+                first = next(p for p in orders if not reference_is_safe(g, p, s)[0])
+                assert pi.order == first.order
+                assert reference_is_safe(g, pi, s) == (False, list(sigma.order))
+                seen["bad"] += 1
+            elif n <= 5:
+                assert all(reference_is_safe(g, p, s)[0] for p in orders)
+                seen["safe"] += 1
+
+    check()
+    assert seen["bad"] >= 50 and seen["safe"] >= 50, seen
 
 
 def test_enumerate_bad_sets_guards():

@@ -33,7 +33,7 @@ PINNED = {
     "bound": "b878db4e9fb59309633a520906ef3a3b3f2bf5c20e98bf6606e34260e04a2d78",
     "bound_constructions": "737c55c607ec8fe998ef7eef05b8ce21c9b34ad421d474c55a24c60ea3689c1b",
     "worst_order_exact": "6751fe2ff831ba2eb03c0e31d581bf59631f8f17bb28bc9c58d47ad927c1ee64",
-    "worst_order_masked_min": "25c0c2c7cee26b6884f105e029f467f862b148eef97349c44103225fddb487ee",
+    "worst_order_masked_min": "7e4cfef55fa5297903d2980978acc0991d38ad96333435a625af77f184ba6095",
     "order_avoiding": "d1449210c1598987f575ccca382948d91b09a9cfe25bae0a349a358d60f58546",
     "enumerate_bad_sets": "340743b1536dd45f7e6f0ba234f87df7284756a64228ecb29220d8d363480fa2",
     "iterative_process": "c41f8463a8492e909e5c6dbe38e614587fb3181e27b2d57331743ec89c7fdd34",

@@ -1,7 +1,9 @@
-"""The arrival-order search engine against the references it replaced.
+"""The arrival-order search engine and the safety decision against the
+references they replaced.
 
-The exact adversary, the masked minimum and the safety decision share
-one search over V in pi order.  The lemma it rests on is checked first:
+The exact adversary and the masked minimum share one search over V in
+pi order, and the safety decision is one matching, by the avoidability
+lemma of the `adversary` docstring.  The V-side lemma is checked first:
 the plain V-side recursion in conftest equals the factorial sweep and
 the exhaustive arrival game, greedy's matching is the V-side process
 under any arrival order, and any V-side run is greedy's matching under
@@ -9,11 +11,12 @@ the order that `_planned_order` builds from it.  The engine's values,
 orders and safety witnesses must equal those of the exhaustive game, of
 the recursive safety search and of the branch-and-bound over arrivals
 in conftest, in no more states than the exhaustive game, and its bounds
-and decision cuts must be sound against that game at every state.  The
-order comes from a descent over arrivals that trusts the incumbent
-matching where it can.  The engine must handle inputs far deeper than
-the interpreter's recursion limit and solve the sizes that the search
-over arrivals could not.
+and the avoidability test must be sound against that game at every
+state.  The order comes from a descent over arrivals that trusts the
+incumbent matching where it can.  The engine must handle inputs far
+deeper than the interpreter's recursion limit and solve the sizes that
+the search over arrivals could not, and the safety decision must settle
+the queries that the search left unbounded.
 """
 
 import collections
@@ -53,7 +56,7 @@ from greedyorder.adversary import (
     DEFAULT_BUDGET,
     _ArrivalSearch,
     _BudgetExceeded,
-    _hall_cut,
+    _avoiding_matching,
     _planned_order,
     _rank_rows,
     order_avoiding,
@@ -250,11 +253,11 @@ def test_the_hall_bound_is_sound():
     V-side state that `_take` builds holds the free neighbours of each
     arrival left and has the unbounded game's value from there.  Its
     forced picks bound that value from below, a state with no counted
-    vertex left has value 0, and the decision queries' Hall cut fires
-    only where the value is at least 1, with a subset counted or every
-    vertex.  With a subset, the cut fires at the root and inside where
-    the forced picks give no bound."""
-    fired = collections.Counter()
+    vertex left has value 0, and the avoidability test of the arrivals
+    left and the free V returns a matching exactly when the value is 0,
+    with a subset counted or every vertex.  With a subset, both outcomes
+    occur at least 10 times."""
+    outcomes = collections.Counter()
 
     @settings(
         max_examples=300,
@@ -274,17 +277,17 @@ def test_the_hall_bound_is_sound():
             game = _ReferenceMinGame(adj, n, count_mask)
             search = _ArrivalSearch(adj, n, count_mask, math.inf, col)
             state, u_mask, v_mask = search.root, 0, 0
-            for step, u in enumerate(order):
+            for u in order:
                 value = game.value(u_mask, v_mask)
                 vl, uf, forced = state
                 assert search.value(n + 1, state) == value
                 assert (forced & count_mask).bit_count() <= value
                 if not vl & count_mask:
                     assert value == 0
-                elif _hall_cut(adj, col, vl, uf, count_mask):
-                    assert value >= 1
-                    if count_mask != full and not forced & count_mask:
-                        fired["root" if not step else "inner"] += 1
+                kernel = _avoiding_matching(adj, col, count_mask, full ^ u_mask, full ^ v_mask)
+                assert (kernel is not None) == (value == 0)
+                if count_mask != full:
+                    outcomes["avoidable" if kernel is not None else "safe"] += 1
                 m = adj[u] & vl
                 assert m == adj[u] & ~v_mask and bool(m) == bool(uf >> u & 1)
                 if m:
@@ -292,7 +295,7 @@ def test_the_hall_bound_is_sound():
                 u_mask, v_mask = u_mask | 1 << u, v_mask | m & -m
 
     check()
-    assert fired["root"] >= 10 and fired["inner"] >= 10, fired
+    assert outcomes["avoidable"] >= 10 and outcomes["safe"] >= 10, outcomes
 
 
 def test_replay_follows_the_recorded_choices(monkeypatch):
@@ -446,12 +449,63 @@ def test_cli_deep_safety_search_exits_zero(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["safe"] is False
 
 
+def test_safety_queries_that_the_search_left_unbounded_are_decided():
+    """On random_regular n=60 d=3 and n=200 d=4, seed 1, 20 priority
+    orders from random.Random(1), each with a set of 2-6 vertices drawn
+    from its lowest 3k ranks: is_safe decides all 20, with a witness
+    that replays, and agrees with the masked minimum wherever that is
+    exact within 300,000 states.  The search for cap 1 with no budget ran
+    for more than 10 minutes on some of these sets."""
+    for n, d in ((60, 3), (200, 4)):
+        g = generate(FamilySpec("random_regular", {"n": n, "d": d}, seed=1))
+        rng = random.Random(1)
+        checked = 0
+        for _ in range(20):
+            pi = random_perm(rng, n)
+            k = rng.randint(2, 6)
+            s = rng.sample(pi.order[n - 3 * k :], k)
+            res = is_safe(g, pi, s)
+            if not res.safe:
+                matched = greedy_match(g, res.witness, pi).matched_u_of_v
+                assert all(matched[v] is None for v in s)
+            value, exact, _ = worst_order_masked_min(g, pi, s, budget=300_000)
+            if exact:
+                assert res.safe == (value >= 1)
+                checked += 1
+        assert checked >= 10, (n, checked)
+
+
+def test_a_deep_augmenting_path_has_no_recursion_limit():
+    """The avoidability test of t = v_{n-1} under the identity order:
+    u_0 ~ v_0, v_k; u_j ~ v_j, v_{j-1} for 0 < j < k; u_k ~ v_{k-1}; all
+    of them ~ t.  The greedy pass gives u_j v_j, so u_k needs the
+    augmenting path u_k, v_{k-1}, u_{k-1}, ..., v_0, u_0, v_k through
+    2k + 2 = 2202 vertices, 1101 of them in U.  is_safe returns the
+    matching that path gives, without a RecursionError, and its witness
+    replays; the other arrivals u_j ~ v_j (k < j < n - 1) and
+    u_{n-1} ~ v_k have no edge into t."""
+    n, k = 3000, 1100
+    t = n - 1
+    edges = {(0, 0), (0, k), (k, k - 1), (n - 1, k)} | {(u, t) for u in range(k + 1)}
+    edges |= {(j, j) for j in range(1, n - 1) if j != k} | {(j, j - 1) for j in range(1, k)}
+    g, pi = BipartiteGraph.from_edges(n, sorted(edges)), Permutation.identity(n)
+    adj, col = _rank_rows(g, pi)
+    full = (1 << n) - 1
+    expected = {1 << k: 1, 1 << (k - 1): 1 << k} | {1 << (j - 1): 1 << j for j in range(1, k)}
+    assert _avoiding_matching(adj, col, 1 << t, full, full) == expected
+    res = is_safe(g, pi, [t])
+    assert not res.safe
+    assert greedy_match(g, res.witness, pi).matched_u_of_v[t] is None
+
+
 def test_a_wrong_replay_is_caught(tmp_path, capsys, monkeypatch):
-    """worst_order_exact, worst_order_masked_min and order_avoiding
-    replay the order the search rebuilt through greedy_match.  When
-    `replay` returns an order that neither reaches the minimum nor leaves
-    the set unmatched, all three raise PropositionViolatedError, and
-    `adversary --exact` and `analyze safety` exit 3 with one stderr line."""
+    """worst_order_exact and worst_order_masked_min replay the order the
+    search rebuilt through greedy_match, and order_avoiding the order its
+    descent built.  When `replay` returns an order that does not reach
+    the minimum, and the descent one that does not leave the set
+    unmatched, all of them and is_safe raise PropositionViolatedError,
+    and `adversary --exact` and `analyze safety` exit 3 with one stderr
+    line."""
     g, pi, s = generate(FamilySpec("fano")), Permutation.identity(7), [5, 6]
     assert order_avoiding(g, pi, s) is not None
     least = worst_order_exact(g, pi).size
@@ -462,6 +516,7 @@ def test_a_wrong_replay_is_caught(tmp_path, capsys, monkeypatch):
     else:
         pytest.fail("no order matches more than the minimum and a vertex of s")
     monkeypatch.setattr(_ArrivalSearch, "replay", lambda self: list(order))
+    monkeypatch.setattr(adversary, "_avoiding_descent", lambda adj, col, n, t_mask: list(order))
     replay_failed = "^the replayed order matches [0-9]+ subset vertices, the search said [0-9]+$"
     for call in (
         lambda: worst_order_exact(g, pi),
