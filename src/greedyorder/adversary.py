@@ -82,6 +82,7 @@ from .core import (
     BipartiteGraph,
     Permutation,
     _check_dims,
+    _rank_rows,
     greedy_match,
     max_matching,
 )
@@ -347,17 +348,6 @@ class _ArrivalSearch:
             dead = uf ^ u_bit ^ child[1]
             vl, uf, forced = child
             target -= gain
-
-
-def _rank_rows(g: BipartiteGraph, pi: Permutation) -> tuple[list[int], list[int]]:
-    """In one pass over the edges: each U vertex's neighbours as a mask of
-    their ranks, and each rank's neighbours as a mask of U labels."""
-    rank, rows, cols = pi.rank, [0] * g.n, [0] * g.n
-    for u, nbrs in enumerate(g.adj_u):
-        for v in nbrs:
-            rows[u] |= 1 << rank[v]
-            cols[rank[v]] |= 1 << u
-    return rows, cols
 
 
 def _rank_mask(pi: Permutation, vs: Sequence[int]) -> int:

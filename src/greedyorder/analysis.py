@@ -226,56 +226,56 @@ class BadSetReport:
     witnesses: dict[tuple[int, ...], tuple[Permutation, Permutation]]
 
 
-def _first_exposing_pi(g: BipartiteGraph, s: Sequence[int]) -> Optional[Permutation]:
-    """The first priority order, in itertools.permutations order, under
-    which some arrival order leaves s unmatched, or None.  Moving the
-    vertices of s later only loosens the avoidability test, so the orders
-    that start with a given prefix expose s exactly when the prefix, then
-    the other vertices outside s, then the rest of s, does; the first
-    order is built one position at a time."""
+def _first_exposing_pi(g: BipartiteGraph, s: Sequence[int]) -> Permutation:
+    """The first priority order, in itertools.permutations order, that
+    exposes s, a set some order exposes.  Moving the vertices of s later
+    only loosens the avoidability test, so the orders that start with a
+    prefix expose s exactly when the prefix, then the other vertices
+    outside s, then the rest of s, does; the order is built one position
+    at a time.  A vertex outside s always extends an exposing prefix: it
+    only reorders the block outside s after the prefix, which keeps its
+    set of positions, and every rank bound of the test lies in the prefix
+    or in the tail of s.  So only the candidates in s are tested."""
     n, s_set = g.n, set(s)
 
     def exposes(prefix: list[int]) -> bool:
         tail = sorted((v for v in range(n) if v not in prefix), key=s_set.__contains__)
         return _avoidable(g, Permutation.from_order(prefix + tail), s)
 
-    if not exposes([]):
-        return None
     prefix: list[int] = []
     while len(prefix) < n:
-        prefix.append(next(v for v in range(n) if v not in prefix and exposes(prefix + [v])))
+        rest = (v for v in range(n) if v not in prefix)
+        prefix.append(next(v for v in rest if v not in s_set or exposes(prefix + [v])))
     return Permutation.from_order(prefix)
 
 
 def enumerate_bad_sets(g: BipartiteGraph, size: int, mode: str = "full_pi") -> BadSetReport:
     """List every size-`size` right-side set some priority order exposes.
 
-    Both modes are exact: by the avoidability lemma of the `adversary`
-    docstring, a set is exposed by some priority order exactly when it is
-    exposed by the order that places it at the lowest priority.
-    canonical_pi witnesses each set under that order; full_pi (n <= 8)
-    under the first exposing order in itertools.permutations order.
+    By the avoidability lemma of the `adversary` docstring, a set is
+    exposed by some priority order exactly when it is exposed by the
+    order that places it at the lowest priority, so each set is decided
+    once, under that set-last order.  The mode picks only the witness:
+    canonical_pi keeps the set-last order, and full_pi the first exposing
+    order in itertools.permutations order.
     """
     n = g.n
     if not (1 <= size <= n):
         raise AnalysisParamError("size %d out of range for n=%d" % (size, n))
     if mode not in BAD_SET_MODES:
         raise UsageError("unknown mode %r" % (mode,))
-    if mode == "full_pi" and n > 8:
-        raise UsageError("full_pi mode enumerates all priority orders; n <= 8 required")
     bad: list[tuple[int, ...]] = []
     witnesses: dict[tuple[int, ...], tuple[Permutation, Permutation]] = {}
     for comb in itertools.combinations(range(n), size):
-        if mode == "canonical_pi":
-            pi = Permutation.from_order([v for v in range(n) if v not in comb] + list(comb))
-        else:
-            pi = _first_exposing_pi(g, comb)
-            if pi is None:
-                continue
+        pi = Permutation.from_order([v for v in range(n) if v not in comb] + list(comb))
         witness = order_avoiding(g, pi, comb)
-        if witness is not None:
-            bad.append(comb)
-            witnesses[comb] = (pi, witness)
+        if witness is None:
+            continue
+        if mode == "full_pi":
+            pi = _first_exposing_pi(g, comb)
+            witness = order_avoiding(g, pi, comb)
+        bad.append(comb)
+        witnesses[comb] = (pi, witness)
     return BadSetReport(size, mode, tuple(bad), witnesses)
 
 

@@ -175,7 +175,7 @@ def cmd_experiment(args) -> None:
     rows = experiment_rows(config)
     table = io.StringIO()
     write_rows_csv(rows, table)
-    gio.write_text(args.output or config.output_path, table.getvalue(), newline="")
+    gio.write_text(args.output or config.output_path, table.getvalue())
     _raise_if_unsound(rows)
 
 

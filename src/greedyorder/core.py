@@ -136,6 +136,20 @@ class Permutation:
         return len(self.order)
 
 
+def _rank_rows(g: BipartiteGraph, pi: Permutation) -> tuple[list[int], list[int]]:
+    """In one pass over the edges: each U vertex's neighbours as a mask of
+    their ranks, and each rank's neighbours as a mask of U labels."""
+    rank, rows, cols = pi.rank, [0] * g.n, [0] * g.n
+    for u, nbrs in enumerate(g.adj_u):
+        u_bit, row = 1 << u, 0
+        for v in nbrs:
+            r = rank[v]
+            row |= 1 << r
+            cols[r] |= u_bit
+        rows[u] = row
+    return rows, cols
+
+
 @dataclass(frozen=True)
 class PerfectMatching:
     """A perfect matching given as the partner array of the U side."""

@@ -103,10 +103,12 @@ def _emit(value: Any, nl: str, write: Callable[[str], Any]) -> None:
     write(json.dumps(value, sort_keys=True, indent=2).replace("\n", nl))
 
 
-def write_text(path: Optional[str], text: str, newline: Optional[str] = None) -> None:
+def write_text(path: Optional[str], text: str) -> None:
     """Write text to the file at path, or to stdout without one; a file
     that cannot be opened or written, or a stdout that cannot be written
-    or flushed (a full disk, a closed pipe), is a SchemaError naming it."""
+    or flushed (a full disk, a closed pipe), is a SchemaError naming it.
+    A file gets text's newlines untranslated, so its bytes are the same
+    on every OS."""
     if not path:
         try:
             sys.stdout.write(text)
@@ -120,7 +122,7 @@ def write_text(path: Optional[str], text: str, newline: Optional[str] = None) ->
             raise SchemaError("stdout: %s" % (exc.strerror or exc)) from exc
         return
     try:
-        with open(path, "w", encoding="utf-8", newline=newline) as fh:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
     except OSError as exc:
         raise SchemaError("%s: %s" % (path, exc.strerror or exc)) from exc

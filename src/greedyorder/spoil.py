@@ -12,10 +12,10 @@ functions, the maximality audit and the reference scan that check it
 are test oracles in tests/conftest.py.
 
 `build_spoiling_graph` is the one way to build a `SpoilGraph`: it takes
-the out-masks from the aligned graph's U rows and the in-masks from its
-V rows.  The cover loop runs the plain merges, most of its steps, from
-the scan that finds them straight to the merge helper, and builds a
-`CoverStep` only for a kept log.
+the out-masks and the in-masks from one `core._rank_rows` pass over the
+aligned graph under the identity order.  The cover loop runs the plain
+merges, most of its steps, from the scan that finds them straight to the
+merge helper, and builds a `CoverStep` only for a kept log.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .core import BipartiteGraph
+from .core import BipartiteGraph, Permutation, _rank_rows
 from .errors import (
     InvalidGraphError,
     MatchingNotAlignedError,
@@ -71,32 +71,21 @@ def build_spoiling_graph(g: BipartiteGraph) -> SpoilGraph:
     align_with_matching first.  The arc count always equals
     ``g.num_edges - g.n``.
     """
-    masks = _row_masks(g.adj_u)
-    for i, m in enumerate(masks):
+    rows, cols = _rank_rows(g, Permutation.identity(g.n))
+    for i, m in enumerate(rows):
         if not (m >> i) & 1:
             raise MatchingNotAlignedError(
                 "pair edge (%d, %d) missing; align the matching to the identity first" % (i, i)
             )
-    out_mask = tuple(m ^ (1 << i) for i, m in enumerate(masks))
-    # Row j of adj_v lists j itself and every i with an arc i -> j.
-    in_mask = tuple(m ^ (1 << j) for j, m in enumerate(_row_masks(g.adj_v)))
+    out_mask = tuple(m ^ (1 << i) for i, m in enumerate(rows))
+    # Column j holds j itself and every i with an arc i -> j.
+    in_mask = tuple(m ^ (1 << j) for j, m in enumerate(cols))
     sg = SpoilGraph(n=g.n, out_mask=out_mask, in_mask=in_mask)
     if sg.num_arcs != g.num_edges - g.n:
         raise PropositionViolatedError(
             "conflict digraph has %d arcs, not edges - n = %d" % (sg.num_arcs, g.num_edges - g.n)
         )
     return sg
-
-
-def _row_masks(rows: Iterable[Iterable[int]]) -> list[int]:
-    """One bitmask per row, with bit x set for each entry x."""
-    masks = []
-    for row in rows:
-        m = 0
-        for x in row:
-            m |= 1 << x
-        masks.append(m)
-    return masks
 
 
 def _normalize(paths: Iterable[Sequence[int]]) -> tuple[tuple[int, ...], ...]:

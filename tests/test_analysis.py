@@ -44,6 +44,7 @@ from greedyorder.errors import (
     PropositionViolatedError,
     UsageError,
 )
+from greedyorder import adversary, analysis
 
 mpmath.mp.dps = 40
 
@@ -293,27 +294,74 @@ def test_chain1_bad_pairs_exact():
 def test_full_pi_builds_the_orders_only_for_a_set_that_needs_them(monkeypatch):
     """Every pair of this graph is safe under every pi, so the census
     tests each pair once, under the order that puts it last, and builds
-    no other order.  chain1 has unsafe pairs and reports them as before;
-    each witness pi is built one position at a time, at most n tests a
-    position, plus the pi and sigma it returns, and no list of all n!
-    orders is built."""
+    no other order nor probes one.  chain1 has unsafe pairs and reports
+    them as before; each witness pi is built one position at a time, at
+    most n tests a position, plus the pi and sigma it returns, and no
+    list of all n! orders is built.  Only the candidates in the set are
+    probed, so a bad set T costs at most |T| probes a position."""
     safe = generate(FamilySpec("hamiltonian_random", {"n": 5, "extra_edges": 2}, seed=1))
     chain1 = generate(FamilySpec("badset_chain", {"copies": 1}))
-    built = []
-    from_order = Permutation.from_order
+    built, probes = [], []
+    from_order, avoidable = Permutation.from_order, analysis._avoidable
     monkeypatch.setattr(
         Permutation, "from_order", lambda order: built.append(list(order)) or from_order(order)
+    )
+    monkeypatch.setattr(
+        analysis, "_avoidable", lambda g, pi, s: probes.append(s) or avoidable(g, pi, s)
     )
     assert enumerate_bad_sets(safe, 2, mode="full_pi").bad_sets == ()
     assert built == [
         [v for v in range(5) if v not in pair] + list(pair)
         for pair in itertools.combinations(range(5), 2)
     ]
+    assert probes == []
     built.clear()
     n = chain1.n
     report = enumerate_bad_sets(chain1, 2, mode="full_pi")
     assert set(report.bad_sets) == {(0, 1), (0, 2)}
     assert len(built) <= math.comb(n, 2) + len(report.bad_sets) * (n * (n + 1) // 2 + 2)
+    assert 0 < len(probes) <= len(report.bad_sets) * 2 * n
+    # Each position tests, in label order, the free vertices of the set up
+    # to the one it takes, and no vertex outside the set.
+    assert probes == [
+        t
+        for t in report.bad_sets
+        for k, x in enumerate(report.witnesses[t][0].order)
+        for w in t
+        if w <= x and w not in report.witnesses[t][0].order[:k]
+    ]
+
+
+def test_a_vertex_outside_the_set_extends_every_exposing_prefix():
+    """The rule `_first_exposing_pi` probes by: if the prefix P, then the
+    other vertices outside T, then the rest of T, exposes T, then so does
+    P followed by any v outside T and P.  v only reorders the block
+    outside T after P, that block keeps its positions, and every rank
+    bound of the avoidability test lies in P or in the tail of T.  Each
+    walk grows an exposing prefix, by a vertex of T when one keeps T
+    exposed, so that prefixes holding vertices of T are checked too."""
+    rng = random.Random(241)
+    pairs = prefixes = holding_t = 0
+    while pairs < 2000:
+        n = rng.randrange(2, 9)
+        g = random_pm_graph(rng, n, extra=rng.randrange(n, 3 * n))
+        t = set(rng.sample(range(n), rng.randrange(1, min(3, n))))
+
+        def exposes(prefix):
+            tail = sorted((v for v in range(n) if v not in prefix), key=t.__contains__)
+            return adversary._avoidable(g, Permutation.from_order(prefix + tail), sorted(t))
+
+        prefix, outside = [], [v for v in range(n) if v not in t]
+        while outside and exposes(prefix):
+            prefixes += 1
+            holding_t += not t.isdisjoint(prefix)
+            for v in outside:
+                assert exposes(prefix + [v]), (g.edges, sorted(t), prefix, v)
+                pairs += 1
+            grow = [v for v in sorted(t - set(prefix)) if exposes(prefix + [v])]
+            prefix.append(rng.choice(grow or outside))
+            outside = [v for v in outside if v not in prefix]
+    assert 4 * holding_t >= prefixes, (holding_t, prefixes)
 
 
 def test_every_exposed_set_is_exposed_by_the_set_last_order():
@@ -363,9 +411,14 @@ def test_enumerate_bad_sets_guards():
         enumerate_bad_sets(g, 4)
     with pytest.raises(UsageError):
         enumerate_bad_sets(g, 1, mode="psychic")
+    # full_pi decides each set as canonical_pi does, at any n.
     big = generate(FamilySpec("biclique_half", {"n": 10}))
-    with pytest.raises(UsageError):
-        enumerate_bad_sets(big, 2, mode="full_pi")
+    full = enumerate_bad_sets(big, 2, mode="full_pi")
+    assert full.bad_sets == enumerate_bad_sets(big, 2, mode="canonical_pi").bad_sets
+    for s in full.bad_sets:
+        pi, sigma = full.witnesses[s]
+        out = greedy_match(big, sigma, pi)
+        assert all(out.matched_u_of_v[v] is None for v in s)
 
 
 # --- simulations -----------------------------------------------------------

@@ -1095,6 +1095,18 @@ def test_cli_analyze_badsets(tmp_path, capsys):
     assert doc["bad_sets"] == [[0, 1], [0, 2]]
 
 
+def test_cli_analyze_badsets_full_pi_runs_past_eight_vertices(tmp_path, capsys):
+    """full_pi decides each set as canonical_pi does, so it takes any n."""
+    graph = tmp_path / "regular9.json"
+    gio.write_graph(str(graph), generate(FamilySpec("random_regular", {"n": 9, "d": 3}, seed=1)))
+    docs = {}
+    for mode in ("full_pi", "canonical_pi"):
+        assert main(["analyze", "badsets", str(graph), "--size", "2", "--mode", mode]) == 0
+        docs[mode] = json.loads(capsys.readouterr().out)
+    assert len(docs["canonical_pi"]["bad_sets"]) == 36
+    assert docs["full_pi"]["bad_sets"] == docs["canonical_pi"]["bad_sets"]
+
+
 def test_cli_analyze_safety(tmp_path, capsys):
     graph = write_fig1(tmp_path)
     pi_path = tmp_path / "pi.json"
