@@ -61,14 +61,21 @@ arrival took a vertex ranked at most its own partner's, so u's partner
 is still free when u arrives, and u takes a vertex ranked at most that
 one, outside T; the other U vertices have no edge into T.  Applied to
 the arrivals left and the free V, the lemma decides every state of the
-arrival game, and `_avoiding_matching` is that test.  `order_avoiding`
-descends as above with target 0: a branch whose pick lies in T is
-skipped, and a branch passes when its child is avoidable.  The
-incumbent is a matching M of the state, whose pairs of arrivals gone
-are void.  A branch (u, p) with p unused by M or M(p) = u passes with
-no new matching, since M less u's pair still holds in the child;
-otherwise a matching of the child decides it and becomes M.  So the witness is the first branch sequence, in ascending
-arrival order at every state, that leaves T unmatched.
+arrival game, and `_avoiding_matching` is that test: its rows, then one
+augmenting path per arrival.  `order_avoiding` descends as above with
+target 0: a branch whose pick lies in T is skipped, and a branch passes
+when its child is avoidable.  The incumbent is a matching M of the
+state, whose pairs of arrivals gone are void.  A branch (u, p) with p
+unused by M or M(p) = u passes with no search, since M less u's pair
+still holds in the child.  Otherwise M(p) is another arrival w.  T is
+never taken, so at every state an arrival's row is its root row less
+the vertices taken, and the child's arrivals next to T are the
+parent's less u.  M less u's pair and (p, w) matches all of them but
+w, so by Berge's lemma the child is avoidable exactly when w has an
+augmenting path, which then augments M; a failed search leaves M as it
+was.  Each verdict is exact whatever M is, so the witness is the first
+branch sequence, in ascending arrival order at every state, that leaves
+T unmatched.
 """
 
 from __future__ import annotations
@@ -76,7 +83,7 @@ from __future__ import annotations
 import collections
 import random
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .core import (
     BipartiteGraph,
@@ -440,19 +447,15 @@ def worst_order_masked_min(
     return value, exact, nodes
 
 
-def _avoiding_matching(
+def _avoiding_rows(
     adj: Sequence[int], col: Sequence[int], t_mask: int, left: int, free: int
 ) -> Optional[dict[int, int]]:
-    """The avoidability test of the module docstring at the state with
-    the arrivals `left` (U bits) and the `free` V (rank bits): a matching,
-    as {V bit: U bit}, of each arrival left next to a free vertex of
-    t_mask into a free vertex outside t_mask that ranks below all of its
-    free t_mask neighbours, or None when there is none.  adj and col are
-    `_rank_rows`'s rows and columns.  Once every row is known to be
-    nonempty, the arrivals go in label order, each by an augmenting path
-    searched depth first on an explicit stack, free of the recursion
-    limit; at each step it takes the lowest unused vertex of the row if
-    there is one, else the lowest one not yet seen."""
+    """The rows of the avoidability test of the module docstring at the
+    state with the arrivals `left` (U bits) and the `free` V (rank bits):
+    {U bit: the free vertices outside t_mask that rank below all of its
+    free t_mask neighbours} for each arrival left next to a free vertex
+    of t_mask, in label order, or None at the first empty row.  adj and
+    col are `_rank_rows`'s rows and columns."""
     near, ts = 0, t_mask & free
     while ts:
         x = ts & -ts
@@ -468,39 +471,73 @@ def _avoiding_matching(
         rows[u_bit] = r = r & ~t_mask & (x & -x) - 1
         if not r:
             return None
-    mate: dict[int, int] = {}
-    used = 0
-    for u_bit in rows:
-        # path_u[i] takes path_v[i]; the last V on the path was unused.
-        path_u, path_v, seen = [u_bit], [], 0
+    return rows
+
+
+def _augment(
+    rows: dict[int, int], mate: dict[int, int], starts: Iterable[int], left: int, free: int
+) -> bool:
+    """Augment the matching `mate`, {V bit: U bit}, from each arrival of
+    `starts` in turn, each by a path within rows & free; a pair counts
+    only while its arrival is in `left`.  Returns False at the first
+    arrival with no augmenting path, before writing its path, so a
+    single start leaves mate as it was.  Each path is searched depth
+    first on an explicit stack, free of the recursion limit; at each
+    step it takes the lowest unmatched vertex of the row if there is
+    one, else the lowest one not yet seen."""
+    for u_bit in starts:
+        # path_u[i] takes path_v[i]; the last V on the path was unmatched.
+        path_u, path_v, seen = [u_bit], [], ~free
         while True:
             r = rows[path_u[-1]] & ~seen
             if not r:
                 path_u.pop()
                 if not path_u:
-                    return None
+                    return False
                 path_v.pop()
                 continue
-            v = r & ~used or r
-            v &= -v
+            v = r & -r
+            w_bit = mate.get(v, 0) & left
+            x = r ^ v
+            while w_bit and x:
+                y = x & -x
+                x ^= y
+                if not mate.get(y, 0) & left:
+                    v, w_bit = y, 0
             seen |= v
             path_v.append(v)
-            if not v & used:
+            if not w_bit:
                 break
-            path_u.append(mate[v])
-        used |= v
+            path_u.append(w_bit)
         for w_bit, v in zip(path_u, path_v):
             mate[v] = w_bit
+    return True
+
+
+def _avoiding_matching(
+    adj: Sequence[int], col: Sequence[int], t_mask: int, left: int, free: int
+) -> Optional[dict[int, int]]:
+    """The avoidability test of the module docstring at the state with
+    the arrivals `left` and the `free` V: a matching, as {V bit: U bit},
+    of each arrival of `_avoiding_rows` into its row, or None when there
+    is none.  The arrivals go in label order, each by `_augment`."""
+    rows = _avoiding_rows(adj, col, t_mask, left, free)
+    mate: dict[int, int] = {}
+    if rows is None or not _augment(rows, mate, rows, left, free):
+        return None
     return mate
 
 
 def _avoiding_descent(adj: Sequence[int], col: Sequence[int], n: int, t_mask: int) -> Optional[list[int]]:
     """The first branch sequence, in ascending arrival order at every
     state, under which greedy matches no rank of t_mask, or None when
-    there is none: the descent of the module docstring."""
+    there is none: the descent of the module docstring.  Its matching
+    keeps the root's rows, which T, never taken, leaves as they are but
+    for the vertices taken."""
     full = (1 << n) - 1
-    mate = _avoiding_matching(adj, col, t_mask, full, full)
-    if mate is None:
+    rows = _avoiding_rows(adj, col, t_mask, full, full)
+    mate: dict[int, int] = {}
+    if rows is None or not _augment(rows, mate, rows, full, full):
         return None
     dead = sum(1 << u for u, row in enumerate(adj) if not row)
     order, left, free = [], full ^ dead, full
@@ -524,12 +561,11 @@ def _avoiding_descent(adj: Sequence[int], col: Sequence[int], n: int, t_mask: in
             p = m & -m
             if p & t_mask:
                 continue
-            # The incumbent's pick, or a pick it leaves unused, passes unsearched.
-            if not mate.get(p, 0) & (left ^ u_bit):
-                break
-            child = _avoiding_matching(adj, col, t_mask, left ^ u_bit, free ^ p)
-            if child is not None:
-                mate = child
+            # The incumbent's pick, or a pick it leaves unmatched, passes
+            # unsearched; else the child is avoidable exactly when p's
+            # partner has an augmenting path once u and p are gone.
+            w_bit = mate.get(p, 0) & (left ^ u_bit)
+            if not w_bit or _augment(rows, mate, (w_bit,), left ^ u_bit, free ^ p):
                 break
         order.append(u_bit.bit_length() - 1)
         left, free = left ^ u_bit, free ^ p

@@ -22,12 +22,13 @@ from .adversary import (
     DEFAULT_BUDGET,
     DEFAULT_MODE,
     _avoidable,
+    _avoiding_matching,
     _check_subset,
     attack,
     order_avoiding,
     worst_order_exact,
 )
-from .core import BipartiteGraph, Permutation, find_perfect_matching, greedy_match
+from .core import BipartiteGraph, Permutation, _rank_rows, find_perfect_matching, greedy_match
 from .errors import (
     AnalysisParamError,
     PropositionViolatedError,
@@ -257,7 +258,9 @@ def enumerate_bad_sets(g: BipartiteGraph, size: int, mode: str = "full_pi") -> B
     order that places it at the lowest priority, so each set is decided
     once, under that set-last order.  The mode picks only the witness:
     canonical_pi keeps the set-last order, and full_pi the first exposing
-    order in itertools.permutations order.
+    order in itertools.permutations order.  So full_pi decides a set by
+    the avoidability test alone and runs the descent of `order_avoiding`
+    only for a bad set, under the order that witnesses it.
     """
     n = g.n
     if not (1 <= size <= n):
@@ -266,14 +269,18 @@ def enumerate_bad_sets(g: BipartiteGraph, size: int, mode: str = "full_pi") -> B
         raise UsageError("unknown mode %r" % (mode,))
     bad: list[tuple[int, ...]] = []
     witnesses: dict[tuple[int, ...], tuple[Permutation, Permutation]] = {}
+    full = (1 << n) - 1
     for comb in itertools.combinations(range(n), size):
         pi = Permutation.from_order([v for v in range(n) if v not in comb] + list(comb))
+        if mode == "full_pi":
+            # The set holds the top `size` ranks of its set-last order.
+            adj, col = _rank_rows(g, pi)
+            if _avoiding_matching(adj, col, full ^ full >> size, full, full) is None:
+                continue
+            pi = _first_exposing_pi(g, comb)
         witness = order_avoiding(g, pi, comb)
         if witness is None:
             continue
-        if mode == "full_pi":
-            pi = _first_exposing_pi(g, comb)
-            witness = order_avoiding(g, pi, comb)
         bad.append(comb)
         witnesses[comb] = (pi, witness)
     return BadSetReport(size, mode, tuple(bad), witnesses)

@@ -265,8 +265,10 @@ def gen_random_regular(n: int, d: int, seed: int) -> BipartiteGraph:
     A disjoint matching always exists while d <= n (the complement of the
     partial union is regular, hence has a perfect matching), but the k-th
     shuffle avoids the k - 1 earlier matchings only with probability
-    about e^-(k-1).  The 10000 tries per matching therefore run out from
-    d of about 10: gen_random_regular(100, 10, 1) raises GenerationError.
+    about e^-(k-1).  The 10000 tries per matching therefore run out at a
+    degree that depends on n and the seed: at n=100, d=9 generates and
+    gen_random_regular(100, 10, 1) raises GenerationError, while at
+    n=1000, d=11 generates for seed 1 and d=12 raises for seed 2.
     ROADMAP item 7 plans a sampler for every degree.
     """
     if n < 1 or not (1 <= d <= n):

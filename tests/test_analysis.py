@@ -332,6 +332,31 @@ def test_full_pi_builds_the_orders_only_for_a_set_that_needs_them(monkeypatch):
     ]
 
 
+def test_full_pi_runs_one_descent_per_bad_set(monkeypatch):
+    """full_pi decides each set by the avoidability test under its
+    set-last order and runs the witness descent only for a bad set,
+    under the order it reports, not under the set-last order as well.
+    All 36 pairs of this graph are bad, so its census makes 36 descents;
+    canonical_pi, whose descent also decides the set, makes one a set."""
+    g = generate(FamilySpec("random_regular", {"n": 9, "d": 3}, seed=1))
+    descents = []
+    descend = adversary._avoiding_descent
+    monkeypatch.setattr(
+        adversary,
+        "_avoiding_descent",
+        lambda adj, col, n, t_mask: descents.append(t_mask) or descend(adj, col, n, t_mask),
+    )
+    report = enumerate_bad_sets(g, 2, mode="full_pi")
+    assert len(report.bad_sets) == math.comb(9, 2)
+    assert len(descents) == len(report.bad_sets)
+    descents.clear()
+    safe = generate(FamilySpec("hamiltonian_random", {"n": 5, "extra_edges": 2}, seed=1))
+    assert enumerate_bad_sets(safe, 2, mode="full_pi").bad_sets == ()
+    assert descents == []
+    assert enumerate_bad_sets(safe, 2, mode="canonical_pi").bad_sets == ()
+    assert len(descents) == math.comb(5, 2)
+
+
 def test_a_vertex_outside_the_set_extends_every_exposing_prefix():
     """The rule `_first_exposing_pi` probes by: if the prefix P, then the
     other vertices outside T, then the rest of T, exposes T, then so does

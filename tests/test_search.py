@@ -13,10 +13,11 @@ the recursive safety search and of the branch-and-bound over arrivals
 in conftest, in no more states than the exhaustive game, and its bounds
 and the avoidability test must be sound against that game at every
 state.  The order comes from a descent over arrivals that trusts the
-incumbent matching where it can.  The engine must handle inputs far
-deeper than the interpreter's recursion limit and solve the sizes that
-the search over arrivals could not, and the safety decision must settle
-the queries that the search left unbounded.
+incumbent matching where it can; the safety descent decides each other
+branch by one augmenting path against it.  The engine must handle
+inputs far deeper than the interpreter's recursion limit and solve the
+sizes that the search over arrivals could not, and the safety decision
+must settle the queries that the search left unbounded.
 """
 
 import collections
@@ -81,6 +82,19 @@ def graph_pi_subset(draw, max_n=10):
     else:
         subset = sorted(rng.sample(range(n), k))
     return g, pi, subset
+
+
+@st.composite
+def dense_graph_pi_low_set(draw, max_n=9):
+    """A perfect-matching graph with 4 <= n <= max_n and n to 3n extra
+    edges, a random priority order and at most its lowest-priority
+    third: sets that are often unsafe, with descents that search many
+    branches."""
+    rng = draw(st.randoms(use_true_random=True))
+    n = draw(st.integers(4, max_n))
+    g = random_pm_graph(rng, n, extra=rng.randrange(n, 3 * n))
+    pi = random_perm(rng, n)
+    return g, pi, sorted(pi.order[n - rng.randint(1, n // 3) :])
 
 
 def _rank_mask(pi, vs):
@@ -496,6 +510,65 @@ def test_a_deep_augmenting_path_has_no_recursion_limit():
     res = is_safe(g, pi, [t])
     assert not res.safe
     assert greedy_match(g, res.witness, pi).matched_u_of_v[t] is None
+
+
+def _live_pairs(rows, mate, left, free):
+    """The pairs of `mate` that count at the state (left, free), as
+    {U bit: V bit}, checking that each lies in its arrival's row and
+    that no arrival has two."""
+    pairs = {}
+    for v, w in mate.items():
+        if w & left and v & free:
+            assert w not in pairs and v & rows[w]
+            pairs[w] = v
+    return pairs
+
+
+def test_each_searched_branch_is_one_augmenting_path(monkeypatch):
+    """The descent decides a branch whose pick its matching gives to
+    another arrival w by one augmenting path from w, by Berge's lemma,
+    and keeps its matching.  Before the search the matching holds every
+    arrival of the child next to the set but w; a found path gives a
+    matching of all of them, and a failed search leaves the matching as
+    it was.  is_safe's verdict and witness equal the recursive safety
+    search's, with at least 50 searched branches passing and 50
+    failing, so both outcomes of the path search are exercised."""
+    searched = collections.Counter()
+    augment = adversary._augment
+
+    def counted(rows, mate, starts, left, free):
+        near = {w for w in rows if w & left}
+        if starts is rows:
+            return augment(rows, mate, starts, left, free)
+        (start,) = starts
+        assert set(_live_pairs(rows, mate, left, free)) == near - {start}
+        before = dict(mate)
+        found = augment(rows, mate, starts, left, free)
+        if found:
+            assert set(_live_pairs(rows, mate, left, free)) == near
+        else:
+            assert mate == before
+        searched[found] += 1
+        return found
+
+    monkeypatch.setattr(adversary, "_augment", counted)
+
+    @settings(
+        max_examples=300,
+        derandomize=True,
+        database=None,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(dense_graph_pi_low_set())
+    def check(case):
+        g, pi, subset = case
+        safety = is_safe(g, pi, subset)
+        witness = None if safety.witness is None else list(safety.witness.order)
+        assert (safety.safe, witness) == reference_is_safe(g, pi, subset)
+
+    check()
+    assert searched[True] >= 50 and searched[False] >= 50, searched
 
 
 def test_a_wrong_replay_is_caught(tmp_path, capsys, monkeypatch):
