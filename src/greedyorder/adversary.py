@@ -516,29 +516,30 @@ def _augment(
 
 def _avoiding_matching(
     adj: Sequence[int], col: Sequence[int], t_mask: int, left: int, free: int
-) -> Optional[dict[int, int]]:
+) -> Optional[tuple[dict[int, int], dict[int, int]]]:
     """The avoidability test of the module docstring at the state with
-    the arrivals `left` and the `free` V: a matching, as {V bit: U bit},
-    of each arrival of `_avoiding_rows` into its row, or None when there
-    is none.  The arrivals go in label order, each by `_augment`."""
+    the arrivals `left` and the `free` V: (rows, mate), the rows of
+    `_avoiding_rows` and a matching, as {V bit: U bit}, of each of their
+    arrivals into its row, or None when there is none.  The arrivals go
+    in label order, each by `_augment`."""
     rows = _avoiding_rows(adj, col, t_mask, left, free)
     mate: dict[int, int] = {}
     if rows is None or not _augment(rows, mate, rows, left, free):
         return None
-    return mate
+    return rows, mate
 
 
 def _avoiding_descent(adj: Sequence[int], col: Sequence[int], n: int, t_mask: int) -> Optional[list[int]]:
     """The first branch sequence, in ascending arrival order at every
     state, under which greedy matches no rank of t_mask, or None when
-    there is none: the descent of the module docstring.  Its matching
-    keeps the root's rows, which T, never taken, leaves as they are but
-    for the vertices taken."""
+    there is none: the descent of the module docstring from the root's
+    `_avoiding_matching`.  Its matching keeps the root's rows, which T,
+    never taken, leaves as they are but for the vertices taken."""
     full = (1 << n) - 1
-    rows = _avoiding_rows(adj, col, t_mask, full, full)
-    mate: dict[int, int] = {}
-    if rows is None or not _augment(rows, mate, rows, full, full):
+    root = _avoiding_matching(adj, col, t_mask, full, full)
+    if root is None:
         return None
+    rows, mate = root
     dead = sum(1 << u for u, row in enumerate(adj) if not row)
     order, left, free = [], full ^ dead, full
     while True:
@@ -752,24 +753,18 @@ def adversary_regular_gadget(pi: Permutation, d: int, t: int) -> Permutation:
 def adversary_projective(
     g: BipartiteGraph, pi: Permutation, target_size: int
 ) -> Permutation:
-    """Arrival order leaving the last target_size vertices of pi unmatched
-    in a projective-plane incidence graph.
-
-    Only the target set's neighborhood is planned: its U-neighbors are
-    matched into the other V-vertices and arrive by ascending partner
-    priority, so each takes a vertex outside the target set; the other
-    U-vertices follow by index and have no edge into the target set.
+    """Arrival order leaving the last target_size vertices of pi
+    unmatched: `order_avoiding` on them, so on any graph, and its order
+    is checked by greedy replay.  Raises HallInfeasibleError when every
+    order matches one of them.
     """
     n = g.n
     if not (1 <= target_size <= n):
         raise FamilyShapeError("target_size %d out of range" % target_size)
-    rank, cut = pi.rank, n - target_size
-    nbrs = sorted({u for v in pi.order[cut:] for u in g.adj_v[v]})
-    adj = [[rank[v] for v in g.adj_u[u] if rank[v] < cut] for u in nbrs]
-    pairs = max_matching(adj, cut)
-    if len(pairs) != len(nbrs):
+    sigma = order_avoiding(g, pi, pi.order[n - target_size :])
+    if sigma is None:
         raise HallInfeasibleError("cannot saturate the target set's neighborhood")
-    return _planned_order(n, [(nbrs[i], pi.order[j]) for i, j in pairs], rank)
+    return sigma
 
 
 def adversary_biclique(pi: Permutation, n: int) -> Permutation:
@@ -827,6 +822,7 @@ def adversary_planted_is(g: BipartiteGraph, pi: Permutation) -> Permutation:
     one-by-one growth would.  Planted V-vertices beyond the consumed
     range lose all their neighbors, so they stay unmatched.
     """
+    _check_dims(g, pi, "pi")
     n = g.n
     planted_size = _family_param(g, "planted_size")
     if not (0 <= planted_size <= n // 2):
@@ -862,7 +858,7 @@ def adversary_planted_is(g: BipartiteGraph, pi: Permutation) -> Permutation:
     return _planned_order(n, [(outside[i], targets[j]) for i, j in pairs], rank)
 
 
-# The closed-form adversary of each structured family, (g, pi) -> sigma.
+# The constructive adversary of each structured family, (g, pi) -> sigma.
 CONSTRUCTIVE = {
     "regular89": lambda g, pi: adversary_regular_gadget(
         pi, _family_param(g, "d"), _family_param(g, "t")

@@ -22,13 +22,12 @@ from .adversary import (
     DEFAULT_BUDGET,
     DEFAULT_MODE,
     _avoidable,
-    _avoiding_matching,
     _check_subset,
     attack,
     order_avoiding,
     worst_order_exact,
 )
-from .core import BipartiteGraph, Permutation, _rank_rows, find_perfect_matching, greedy_match
+from .core import BipartiteGraph, Permutation, find_perfect_matching, greedy_match
 from .errors import (
     AnalysisParamError,
     PropositionViolatedError,
@@ -269,13 +268,10 @@ def enumerate_bad_sets(g: BipartiteGraph, size: int, mode: str = "full_pi") -> B
         raise UsageError("unknown mode %r" % (mode,))
     bad: list[tuple[int, ...]] = []
     witnesses: dict[tuple[int, ...], tuple[Permutation, Permutation]] = {}
-    full = (1 << n) - 1
     for comb in itertools.combinations(range(n), size):
         pi = Permutation.from_order([v for v in range(n) if v not in comb] + list(comb))
         if mode == "full_pi":
-            # The set holds the top `size` ranks of its set-last order.
-            adj, col = _rank_rows(g, pi)
-            if _avoiding_matching(adj, col, full ^ full >> size, full, full) is None:
+            if not _avoidable(g, pi, comb):
                 continue
             pi = _first_exposing_pi(g, comb)
         witness = order_avoiding(g, pi, comb)

@@ -208,21 +208,51 @@ def test_projective_adversary_leaves_the_last_q_unmatched():
         adversary_projective(fano, Permutation.identity(7), 3)
 
 
+def test_projective_adversary_on_any_graph():
+    """The projective adversary is `order_avoiding` on pi's last t, so it
+    needs no plane: on 600 random graphs with a perfect matching, n <= 8
+    and t <= n/2, it raises HallInfeasibleError exactly when the
+    reference safety search finds pi's last t safe, and otherwise leaves
+    them unmatched.  Both outcomes occur at least 50 times."""
+    rng = random.Random(131)
+    outcomes = {"infeasible": 0, "avoided": 0}
+    for _ in range(600):
+        n = rng.randint(2, 8)
+        g, pi, t = random_pm_graph(rng, n), random_perm(rng, n), rng.randint(1, n // 2)
+        last = pi.order[n - t :]
+        safe, _ = conftest.reference_is_safe(g, pi, last)
+        if safe:
+            with pytest.raises(HallInfeasibleError):
+                adversary_projective(g, pi, t)
+            outcomes["infeasible"] += 1
+        else:
+            matched = greedy_match(g, adversary_projective(g, pi, t), pi).matched_u_of_v
+            assert all(matched[v] is None for v in last), (g.edges, pi.order, t)
+            outcomes["avoided"] += 1
+    assert min(outcomes.values()) >= 50, outcomes
+
+
 def test_search_and_constructive_entry_points_check_their_inputs():
     """A pi of the wrong length is a DimensionMismatchError, and a subset
     vertex outside 0..n-1 an AnalysisParamError, not an IndexError or a
-    vertex counted through a negative index.  The family adversaries
-    called directly raise FamilyShapeError for a shape they cannot take."""
+    vertex counted through a negative index.  So do the projective and
+    planted adversaries called directly.  The family adversaries called
+    directly raise FamilyShapeError for a shape they cannot take."""
     g = generate(FamilySpec("fano"))
+    planted = generate(FamilySpec("planted_is", {"n": 20, "d": 3, "eps": 0.2}, seed=1))
     for short in (Permutation.identity(6), Permutation.identity(8)):
         for call in (
             lambda: worst_order_exact(g, short),
             lambda: worst_order_masked_min(g, short, [0]),
             lambda: worst_order_constructive(g, short),
             lambda: order_avoiding(g, short, [0]),
+            lambda: adversary_projective(g, short, 2),
         ):
             with pytest.raises(DimensionMismatchError):
                 call()
+    for wrong in (Permutation.identity(19), Permutation.identity(21)):
+        with pytest.raises(DimensionMismatchError):
+            adversary_planted_is(planted, wrong)
     pi = Permutation.identity(7)
     for subset in ([-1], [7], [0, 7]):
         for player in (worst_order_masked_min, order_avoiding):

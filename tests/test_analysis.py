@@ -293,43 +293,52 @@ def test_chain1_bad_pairs_exact():
 
 def test_full_pi_builds_the_orders_only_for_a_set_that_needs_them(monkeypatch):
     """Every pair of this graph is safe under every pi, so the census
-    tests each pair once, under the order that puts it last, and builds
-    no other order nor probes one.  chain1 has unsafe pairs and reports
-    them as before; each witness pi is built one position at a time, at
-    most n tests a position, plus the pi and sigma it returns, and no
-    list of all n! orders is built.  Only the candidates in the set are
-    probed, so a bad set T costs at most |T| probes a position."""
+    decides each pair by one `_avoidable` call, under the order that puts
+    it last, and builds no other order nor probes one.  chain1 has unsafe
+    pairs and reports them as before; each witness pi is built one
+    position at a time, at most n tests a position, plus the pi and sigma
+    it returns, and no list of all n! orders is built.  Only the
+    candidates in the set are probed, so a bad set T costs at most |T|
+    probes a position."""
     safe = generate(FamilySpec("hamiltonian_random", {"n": 5, "extra_edges": 2}, seed=1))
     chain1 = generate(FamilySpec("badset_chain", {"copies": 1}))
-    built, probes = [], []
+    built, calls = [], []
     from_order, avoidable = Permutation.from_order, analysis._avoidable
     monkeypatch.setattr(
         Permutation, "from_order", lambda order: built.append(list(order)) or from_order(order)
     )
     monkeypatch.setattr(
-        analysis, "_avoidable", lambda g, pi, s: probes.append(s) or avoidable(g, pi, s)
+        analysis, "_avoidable", lambda g, pi, s: calls.append((s, pi.order)) or avoidable(g, pi, s)
     )
+
+    def set_last(n, s):
+        return tuple(v for v in range(n) if v not in s) + tuple(s)
+
+    pairs = list(itertools.combinations(range(5), 2))
     assert enumerate_bad_sets(safe, 2, mode="full_pi").bad_sets == ()
-    assert built == [
-        [v for v in range(5) if v not in pair] + list(pair)
-        for pair in itertools.combinations(range(5), 2)
-    ]
-    assert probes == []
+    assert built == [list(set_last(5, pair)) for pair in pairs]
+    assert calls == [(pair, set_last(5, pair)) for pair in pairs]
     built.clear()
+    calls.clear()
     n = chain1.n
     report = enumerate_bad_sets(chain1, 2, mode="full_pi")
     assert set(report.bad_sets) == {(0, 1), (0, 2)}
     assert len(built) <= math.comb(n, 2) + len(report.bad_sets) * (n * (n + 1) // 2 + 2)
-    assert 0 < len(probes) <= len(report.bad_sets) * 2 * n
-    # Each position tests, in label order, the free vertices of the set up
-    # to the one it takes, and no vertex outside the set.
-    assert probes == [
-        t
-        for t in report.bad_sets
-        for k, x in enumerate(report.witnesses[t][0].order)
-        for w in t
-        if w <= x and w not in report.witnesses[t][0].order[:k]
-    ]
+    assert 0 < len(calls) - math.comb(n, 2) <= len(report.bad_sets) * 2 * n
+    # Each set is decided first, under its set-last order.  Then, for a bad
+    # set, each position tests, in label order, the free vertices of the
+    # set up to the one it takes, and no vertex outside the set.
+    expected = []
+    for t in itertools.combinations(range(n), 2):
+        expected.append(t)
+        if t in report.witnesses:
+            w = report.witnesses[t][0].order
+            expected += [t for k, x in enumerate(w) for v in t if v <= x and v not in w[:k]]
+    assert [s for s, _ in calls] == expected
+    first = {}
+    for s, order in calls:
+        first.setdefault(s, order)
+    assert first == {t: set_last(n, t) for t in itertools.combinations(range(n), 2)}
 
 
 def test_full_pi_runs_one_descent_per_bad_set(monkeypatch):

@@ -43,7 +43,7 @@ PINNED = {
     "cli_analyze_montecarlo": "b0b0d1c27ad02def499ec5eb1f8be18173fe8a0a01373f4e1e3a123a7c9c9d4a",
     "cli_analyze_exponents": "2ec9c0e87e1f3066b9fe946c858a1f9a7dfdf6cb79f19a023165aff806b09043",
     "cli_surface": "a42099b8f793ed00501903f6b3be4a3c3471d936152d599ef6c1faa3ccd6ddac",
-    "constructive_sigmas": "9fe9b2c2a8dbf11abfe7f6080545d088fded218bb2c3d5ad1627c826ef3d0aae",
+    "constructive_sigmas": "be6eb2fcc313888b9131fb85de8dec21f7b847806897bd3a55360cede1cd7bad",
 }
 
 
