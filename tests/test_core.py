@@ -1,6 +1,7 @@
 """Construction, greedy semantics, matching and verification primitives."""
 
 import itertools
+import pickle
 import random
 
 import pytest
@@ -28,6 +29,7 @@ from greedyorder import (
     greedy_match,
     max_matching,
 )
+from greedyorder import core, io
 from greedyorder.core import PerfectMatching
 from greedyorder.errors import (
     DimensionMismatchError,
@@ -126,6 +128,12 @@ def test_permutation_validation():
         Permutation.from_order([0, 0, 1])
     with pytest.raises(InvalidGraphError):
         Permutation.from_order([0, 3])
+    # Only an int is a vertex, as in io._pair: a bool may not pass as 0 or
+    # 1, and a float or str gets the documented error, not a TypeError.
+    for bad in ([True, 0], [1.0, 0], [0, "1"], [False], [2, False, 1], [2, 0, True]):
+        message = r"not a permutation of 0\.\.%d" % (len(bad) - 1)
+        with pytest.raises(InvalidGraphError, match=message):
+            Permutation.from_order(bad)
     p = Permutation.from_order([2, 0, 1])
     assert p.order == (2, 0, 1)
     assert p.rank == (1, 2, 0)
@@ -152,28 +160,126 @@ def test_greedy_trace_on_six_cycle():
     assert out.unmatched_v() == [2]
 
 
+def _reference_greedy(g, sigma, pi):
+    """A freshly written greedy: each arrival takes its free neighbour of
+    lowest pi rank."""
+    taken = set()
+    mu = [None] * g.n
+    for u in sigma.order:
+        free = [v for v in g.adj_u[u] if v not in taken]
+        if free:
+            v = min(free, key=lambda w: pi.rank[w])
+            taken.add(v)
+            mu[u] = v
+    return tuple(mu)
+
+
 def test_greedy_against_reference_replay():
     """Compare against a freshly written greedy on random inputs."""
-
-    def reference(g, sigma, pi):
-        taken = set()
-        mu = [None] * g.n
-        for u in sigma.order:
-            free = [v for v in g.adj_u[u] if v not in taken]
-            if free:
-                v = min(free, key=lambda w: pi.rank[w])
-                taken.add(v)
-                mu[u] = v
-        return tuple(mu)
-
     rng = random.Random(11)
     for _ in range(200):
         n = rng.randrange(1, 8)
         g = random_pm_graph(rng, n)
         sigma, pi = random_perm(rng, n), random_perm(rng, n)
         out = greedy_match(g, sigma, pi)
-        assert out.matched_v_of_u == reference(g, sigma, pi)
+        assert out.matched_v_of_u == _reference_greedy(g, sigma, pi)
         assert out.size == sum(1 for v in out.matched_v_of_u if v is not None)
+
+
+def _assert_greedy_is_the_reference(g, sigma, pi):
+    out = greedy_match(g, sigma, pi)
+    assert out.matched_v_of_u == _reference_greedy(g, sigma, pi)
+    assert out.matched_u_of_v == tuple(
+        out.matched_v_of_u.index(v) if v in out.matched_v_of_u else None for v in range(g.n)
+    )
+    assert out.size == sum(1 for v in out.matched_v_of_u if v is not None)
+    return out
+
+
+def _wide_rows(g):
+    return {u for u, a in enumerate(g.adj_u) if len(a) > core._wide(g.n)}
+
+
+@st.composite
+def wide_and_narrow_rows(draw):
+    """n from 40 to 120: a block of rows longer than _wide(n), mostly
+    enough of them for greedy_match's mask path to pay, beside rows of at
+    most _wide(n) entries; every row draws from all of V, so narrow
+    arrivals take vertices the wide rows want.  The rows come from a
+    seeded Random: drawing each entry from hypothesis is far slower."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(40, 120))
+    w = core._wide(n)
+    rows = list(range(n))
+    rng.shuffle(rows)
+    deg, excess = {}, 0
+    for u in rows[: n - n // 5]:
+        if excess >= core._pass_cost(n) and rng.random() < 0.8:
+            break
+        deg[u] = rng.randint(w + 1, n)
+        excess += deg[u] - w
+    for u in rows:
+        deg.setdefault(u, rng.randint(0, w))
+    edges = [(u, v) for u in range(n) for v in rng.sample(range(n), deg[u])]
+    orders = [(random_perm(rng, n), random_perm(rng, n)) for _ in range(3)]
+    return BipartiteGraph.from_edges(n, edges), orders
+
+
+def test_greedy_with_wide_rows_equals_the_references():
+    """Both arrival paths, the scan and the prefix search over masks,
+    against the reference greedy and the unique stable matching."""
+    arrivals = {"scan": 0, "masks": 0}
+
+    @settings(max_examples=40, derandomize=True, database=None, deadline=None)
+    @given(wide_and_narrow_rows())
+    def check(case):
+        g, orders = case
+        for sigma, pi in orders:
+            greedy = _assert_greedy_is_the_reference(g, sigma, pi).matched_v_of_u
+            assert reference_gale_shapley(g, sigma, pi, "u") == greedy
+            assert reference_gale_shapley(g, sigma, pi, "v") == greedy
+        masks = g._masks
+        if masks:
+            assert set(masks) == _wide_rows(g)
+            assert all(m == sum(1 << v for v in g.adj_u[u]) for u, m in masks.items())
+            arrivals["masks"] += len(masks) * len(orders)
+            arrivals["scan"] += (g.n - len(masks)) * len(orders)
+
+    check()
+    assert min(arrivals.values()) >= 200, arrivals
+
+
+def _wide_block_graph(n, extra):
+    """Rows 0..n/2-1 are complete, so their masks pay; `extra` maps each
+    further row to its neighbours."""
+    h = n // 2
+    edges = [(u, v) for u in range(h) for v in range(n)]
+    edges += [(u, v) for u, nbrs in extra.items() for v in nbrs]
+    return BipartiteGraph.from_edges(n, edges)
+
+
+def test_greedy_mask_path_edge_cases():
+    n = 100
+    w = core._wide(n)
+    h = n // 2
+    # Rows of exactly _wide(n) and _wide(n) + 1 entries: only the second
+    # is wide.
+    g = _wide_block_graph(n, {h: range(w), h + 1: range(w + 1)})
+    assert set(core._wide_masks(g)) == set(range(h)) | {h + 1}
+    rng = random.Random(5)
+    for _ in range(20):
+        _assert_greedy_is_the_reference(g, random_perm(rng, n), random_perm(rng, n))
+
+    # Under the identity orders the block arrives first and takes 0..h-1.
+    # Rows h+1 and h+2 then hold _wide(n) + 1 entries each: all taken,
+    # and all taken but h+7.
+    taken = list(range(h))
+    g = _wide_block_graph(n, {h + 1: taken[: w + 1], h + 2: taken[:w] + [h + 7]})
+    assert {h + 1, h + 2} <= set(core._wide_masks(g))
+    ident = Permutation.identity(n)
+    out = _assert_greedy_is_the_reference(g, ident, ident)
+    assert out.matched_v_of_u[h + 1] is None  # every neighbour is taken
+    assert out.matched_v_of_u[h + 2] == h + 7  # its single free neighbour
 
 
 def test_greedy_dimension_mismatch():
@@ -407,3 +513,46 @@ def test_greedy_is_the_unique_stable_matching(case):
     greedy = greedy_match(g, sigma, pi).matched_v_of_u
     assert reference_gale_shapley(g, sigma, pi, "u") == greedy
     assert reference_gale_shapley(g, sigma, pi, "v") == greedy
+
+
+def _counting(monkeypatch, owner, name):
+    """Wrap owner.name so that each call appends its arguments to the
+    returned list."""
+    calls = []
+    inner = getattr(owner, name)
+
+    def counted(*args):
+        calls.append(args)
+        return inner(*args)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def test_wide_masks_are_built_once_and_outside_the_fields(monkeypatch):
+    builds = _counting(monkeypatch, core, "_wide_masks")
+    passes = _counting(monkeypatch, core, "_prefix_masks")
+    n = 100
+    g = _wide_block_graph(n, {u: [u] for u in range(n // 2, n)})
+    twin = _wide_block_graph(n, {u: [u] for u in range(n // 2, n)})
+    before = (repr(g), pickle.dumps(g), io.graph_to_doc(g))
+    rng = random.Random(3)
+    for _ in range(3):
+        _assert_greedy_is_the_reference(g, random_perm(rng, n), random_perm(rng, n))
+    assert len(builds) == 1 and len(passes) == 3
+    assert set(g._masks) == _wide_rows(g) == set(range(n // 2))
+    assert (repr(g), pickle.dumps(g), io.graph_to_doc(g)) == before
+    assert g == twin and twin == g
+    assert twin._masks is None
+    assert pickle.loads(pickle.dumps(g)) == g
+
+
+def test_one_hub_row_makes_no_pass_over_pi(monkeypatch):
+    passes = _counting(monkeypatch, core, "_prefix_masks")
+    n = 200
+    g = BipartiteGraph.from_edges(n, [(0, v) for v in range(n)] + [(u, u) for u in range(1, n)])
+    assert len(g.adj_u[0]) > core._wide(n)
+    rng = random.Random(4)
+    for _ in range(3):
+        _assert_greedy_is_the_reference(g, random_perm(rng, n), random_perm(rng, n))
+    assert passes == [] and g._masks == {}
