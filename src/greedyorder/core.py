@@ -137,29 +137,16 @@ class Permutation:
     def from_order(cls, order: Sequence[int]) -> "Permutation":
         """The permutation whose rank-r vertex is order[r].
 
-        Raises InvalidGraphError unless order holds each of 0..n-1 once.
-        A bool, float or str is no vertex, as in `io._pair`.
+        Raises InvalidGraphError unless order holds each of 0..n-1 once,
+        each as an int: a bool, float or str is no vertex, as in `io._pair`.
         """
         n = len(order)
         rank = [-1] * n
-        try:
-            for r, v in enumerate(order):
-                if not (0 <= v < n) or rank[v] != -1:
-                    break
-                rank[v] = r
-            else:
-                # A bool passes the loop only as 0 or 1, so the entries
-                # equal to those two are the only ones to test: one test
-                # per entry would cost a few percent of a Monte Carlo trial.
-                if n == 0 or (
-                    order[rank[0]] is not False and (n == 1 or order[rank[1]] is not True)
-                ):
-                    # Positional fields: a frozen dataclass takes keywords
-                    # more slowly, and a census builds one order per set.
-                    return cls(tuple(order), tuple(rank))
-        except TypeError:  # a float or str, as a bound or as an index
-            pass
-        raise InvalidGraphError("not a permutation of 0..%d: %r" % (n - 1, list(order)))
+        for r, v in enumerate(order):
+            if type(v) is not int or not (0 <= v < n) or rank[v] != -1:
+                raise InvalidGraphError("not a permutation of 0..%d: %r" % (n - 1, list(order)))
+            rank[v] = r
+        return cls(order=tuple(order), rank=tuple(rank))
 
     @classmethod
     def identity(cls, n: int) -> "Permutation":
@@ -227,16 +214,21 @@ def _check_dims(g: BipartiteGraph, perm: Permutation, name: str) -> None:
 # with CPython 3.11 on a 2-vCPU x86-64 host).  A C-level bisect step costs
 # 3-4 entries, so the prefix search beats the scan on a row longer than
 # _wide(n).  The pass over pi that builds the prefix masks, with the mask
-# upkeep of the arrivals, costs about 8 entries per vertex up to n of a
-# few hundred; it grows with the masks, n bits each, to about 75 entries
-# per vertex at n = 20000.  So the masks are used only when the wide
-# rows' entries beyond _wide(n) number at least _pass_cost(n).
+# upkeep of the arrivals, costs about 8 entries per vertex on the graphs
+# measured, all with n of at most 600.  So the masks are used only when
+# the wide rows' entries beyond _wide(n) number at least 8 * n.
 def _wide(n: int) -> int:
     return 5 * n.bit_length() + 8
 
 
-def _pass_cost(n: int) -> int:
-    return n * (8 + n // 256)
+def _row_mask(n: int, row: Sequence[int]) -> int:
+    """The V-label mask of row.  Set as characters of a binary numeral,
+    a 500-entry row at n = 1000 takes under half the time that a sum of
+    its 500 powers of two takes."""
+    bits = bytearray(b"0") * n
+    for v in row:
+        bits[v] = 49  # b"1"
+    return int(bits[::-1], 2)
 
 
 def _wide_masks(g: BipartiteGraph) -> dict[int, int]:
@@ -246,8 +238,8 @@ def _wide_masks(g: BipartiteGraph) -> dict[int, int]:
     n, w = g.n, _wide(g.n)
     wide = {u: a for u, a in enumerate(g.adj_u) if len(a) > w}
     masks = {}
-    if sum(len(a) - w for a in wide.values()) >= _pass_cost(n):
-        masks = {u: sum(map((1).__lshift__, a)) for u, a in wide.items()}
+    if sum(len(a) - w for a in wide.values()) >= 8 * n:
+        masks = {u: _row_mask(n, a) for u, a in wide.items()}
     # Not g.__dict__[...] = masks, as functools.cached_property does: a
     # write to the instance dict makes every later attribute load on g
     # about three times slower.
