@@ -1,54 +1,19 @@
 """Adversarial arrival orders: exact minimization, local search, and
 per-family constructive adversaries.
 
-The exact solver walks V in pi order, by this lemma on greedy, in which
-each arrival takes its lowest-ranked free neighbour.  (a) Under any
-arrival order sigma, greedy's matching is what V builds in pi order when
-each vertex with a free neighbour takes its sigma-earliest one.  All of
-U share the ranking pi, so this V-side serial dictatorship gives the
-unique stable matching, and greedy's matching is stable.  (b) Any run of
-that process in which each such vertex takes any one of its free
-neighbours is greedy's matching under `_planned_order`'s sigma: the
-matched U by their partner's rank, then the rest.  Every neighbour of a
-matched u ranked below u's partner was processed while u was free, so
-an earlier arrival took it, and every neighbour of an unmatched u was
-taken.  Hence the minimum over sigma of the counted matches is f(all V,
-all U).  f(V left, U free) skips the vertices left with no free
-neighbour; at the lowest-ranked v that remains it is [v counted] plus
-the least f(V left - v, U free - u) over the free neighbours u of v.
-
-One engine, `_ArrivalSearch`, computes f for the exact adversary and
-the masked minimum, both through `_masked_search` with its one budget
-fallback and one replay check.  It is a depth-first branch-and-bound on
-an explicit stack, free of the recursion limit.  A state drops the
-vertices that can no longer be matched, and v branches once per class
-of free neighbours whose rows agree on the vertices left, since those
-are interchangeable.  Forced pick: the lowest-ranked neighbour left of
-a u in U free is matched in every completion, as u is still free when
-it comes up, so the counted forced picks bound a state's value from
-below.  The parent derives each child's bound from its own: only the
-other neighbours whose pick was v move on to their next one.  A state
-with no counted vertex left is worth 0.
-
-The search is fail-soft: under a cap a state returns its exact value
-when that is below the cap, else a lower bound at least the cap.
-Children go by ascending bound, each under min(best so far, cap) - gain;
-once a child's gain plus bound reaches min(best so far, cap), it and the
-rest are cut and the first such sum folds into best.  Exact values and
-lower bounds share one memo, each exact state records its optimal child,
-and `nodes_expanded` counts the states whose children were searched.
-
-The order is a descent over arrivals.  At each state of the arrival game
-the dead arrivals join at once in label order, there is one branch per
-distinct free-neighbour mask in ascending label order, and the first
-optimal branch is taken.  The incumbent matching M is the recorded
-optimum while a counted vertex is left; after that every branch is
-optimal.  A branch (u, p) in which p is M's partner of u, or of an
-arrival with u's free neighbours, is optimal with no search: by (b), M
-less (u, p) is still realizable.  An earlier branch is optimal exactly
-when its child comes back below the cap target - gain + 1, and then M
-becomes the child's recorded optimum.  So sigma is the lexicographically
-first optimal branch sequence.
+Every order rests on this lemma on greedy, in which each arrival takes
+its lowest-ranked free neighbour.  (a) Under any arrival order sigma,
+greedy's matching is what V builds in pi order when each vertex with a
+free neighbour takes its sigma-earliest one.  All of U share the ranking
+pi, so this V-side serial dictatorship gives the unique stable matching,
+and greedy's matching is stable.  (b) Any run of that process in which
+each such vertex takes any one of its free neighbours is greedy's
+matching under `_planned_order`'s sigma: the matched U by their
+partner's rank, then the rest.  Every neighbour of a matched u ranked
+below u's partner was processed while u was free, so an earlier arrival
+took it, and every neighbour of an unmatched u was taken.  Hence the
+minimum over sigma of the counted matches is the least that the V-side
+process matches over all its choices.
 
 Safety needs no search, by this avoidability lemma.  Under pi, some
 sigma leaves a set T of V unmatched exactly when the U-neighbours of T
@@ -62,25 +27,63 @@ is still free when u arrives, and u takes a vertex ranked at most that
 one, outside T; the other U vertices have no edge into T.  Applied to
 the arrivals left and the free V, the lemma decides every state of the
 arrival game, and `_avoiding_matching` is that test: its rows, then one
-augmenting path per arrival.  `order_avoiding` descends as above with
-target 0: a branch whose pick lies in T is skipped, and a branch passes
-when its child is avoidable.  The incumbent is a matching M of the
-state, whose pairs of arrivals gone are void.  A branch (u, p) with p
-unused by M or M(p) = u passes with no search, since M less u's pair
-still holds in the child.  Otherwise M(p) is another arrival w.  T is
-never taken, so at every state an arrival's row is its root row less
-the vertices taken, and the child's arrivals next to T are the
-parent's less u.  M less u's pair and (p, w) matches all of them but
-w, so by Berge's lemma the child is avoidable exactly when w has an
+augmenting path per arrival.
+
+The exact and masked minima ask the same question.  The counted
+vertices that greedy leaves unmatched under a sigma form an avoidable
+set, every avoidable set is left unmatched by some sigma, and every
+subset of an avoidable set is avoidable.  So the least number of the
+counted set C that greedy matches is |C| - alpha, where alpha is the
+size of the largest avoidable subset of C.  `_max_avoidable` lists
+every largest one by a branch-and-bound: candidates go in descending
+rank, a node T keeps the candidates c for which T + c stays avoidable,
+and a node is cut when |T| plus its candidates is below the best size
+so far.  The cut is strict, so every largest set is listed, in the
+order found.  The first leaf adds, from pi's lowest priority upward,
+each vertex that keeps the set avoidable.  Each test of T + c starts
+from T's rows and matching, at the start of the game: c caps the rows
+of its neighbours below it and adds those not yet next to T, so only
+those arrivals need an augmenting path (`_avoiding_extension`).
+
+Every order is a descent over the arrival game.  At each state the dead
+arrivals join at once in label order, there is one branch per distinct
+free-neighbour mask in ascending label order, and the first branch whose
+child can still leave a listed set unmatched is taken.  So the order is
+the first branch sequence, in ascending arrival order at every state,
+that leaves some listed set unmatched.  `order_avoiding` lists one set.
+The exact order lists the largest sets.  A set avoidable from a child
+is avoidable from the root, since the branches taken and a completion
+form one sigma.  So a child is optimal exactly when some largest set of
+the root is still avoidable there, and the order is the
+lexicographically first optimal branch sequence.
+
+The incumbent is the first listed set T avoidable at the state, with a
+matching M of its test, whose pairs of arrivals gone are void.  A branch
+whose pick lies in T loses it.  A branch (u, p) with p unused by M or
+M(p) = u keeps it with no search, since M less u's pair still holds in
+the child.  Otherwise M(p) is another arrival w.  T is never taken, so
+at every state an arrival's row is its row where T became the incumbent
+less the vertices taken since, and the child's arrivals next to T are
+the parent's less u.  M less u's pair and (p, w) matches all of them but
+w, so by Berge's lemma the child keeps T exactly when w has an
 augmenting path, which then augments M; a failed search leaves M as it
-was.  Each verdict is exact whatever M is, so the witness is the first
-branch sequence, in ascending arrival order at every state, that leaves
-T unmatched.
+was.  A branch that loses T tests the later listed sets in order,
+skipping each that holds a vertex taken, as the test reads only the
+free part of a set.  The first that passes becomes the incumbent with
+its own matching, and the sets before it are dropped, since a set that
+a state cannot avoid stays unavoidable below it.  Each verdict is exact
+whatever M is.
+
+`budget` bounds the kernel calls, the avoidability tests of the list
+and of the descent together; each listed set cost one call, so it bounds
+the list as well.  Past it the order is `order_avoiding`'s on the
+largest set found so far, flagged inexact.
 """
 
 from __future__ import annotations
 
 import collections
+import math
 import random
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
@@ -133,7 +136,8 @@ class AdversaryResult:
 
 
 class _BudgetExceeded(Exception):
-    pass
+    """More kernel calls than the budget; args[0] is the largest
+    avoidable set found so far, as a rank mask."""
 
 
 SETTING_FLOORS = {
@@ -150,213 +154,6 @@ def _check_settings(**settings: int) -> None:
             raise AnalysisParamError(message)
 
 
-class _ArrivalSearch:
-    """Minimum number of count_mask vertices that greedy matches, over
-    all arrival orders, by the search of the module docstring.
-
-    A state is (V left, U free): V left in rank space keeps only vertices
-    with a free neighbour, U free in label space only vertices with a
-    neighbour left, and its key is V left << n | U free.  The memo stores
-    an exact value v as v and a lower bound b as ~b; `chosen` maps an
-    exact state's key to its optimal child's key << n | the U bit that its
-    lowest vertex takes.  `nodes` counts expanded states, `cuts` the
-    children cut in their parent.  adj_rank and col are `_rank_rows`'s
-    rows and columns.
-    """
-
-    def __init__(
-        self, adj_rank: Sequence[int], n: int, count_mask: int, budget: int, col: Sequence[int]
-    ):
-        self.adj, self.col = list(adj_rank), col
-        self.n, self.count_mask, self.budget = n, count_mask, budget
-        self.nodes = self.cuts = 0
-        self.memo: dict[int, int] = {}
-        self.chosen: dict[int, int] = {}
-        self.full = (1 << n) - 1
-        # The root state (V left, U free, forced picks).
-        vl = uf = forced = 0
-        for u, row in enumerate(self.adj):
-            if row:
-                vl, uf, forced = vl | row, uf | 1 << u, forced | row & -row
-        self.root = (vl, uf, forced)
-
-    def value(self, cap: int, state: Optional[tuple[int, int, int]] = None) -> int:
-        """The minimum from `state` (V left, U free, forced picks), the root
-        by default, if it is below cap, otherwise a lower bound >= cap.
-        Raises _BudgetExceeded once more than `budget` states are expanded."""
-        vl, uf, forced = state or self.root
-        adj, col, n, count_mask = self.adj, self.col, self.n, self.count_mask
-        memo, chosen, budget, nodes, cuts = self.memo, self.chosen, self.budget, self.nodes, self.cuts
-        # Suspended frames, the first unused; the innermost lives in the f_* locals.
-        stack: list[tuple] = []
-        f_key = f_rest = f_i = f_best = f_cap = f_lb = f_gain = f_next = f_pick = 0
-        f_br: list[tuple[int, int, int, int, int]] = []
-        key = vl << n | uf
-        while True:
-            # Enter state (vl, uf) under cap: settle its value in val or
-            # open a frame for it.  Only the root can be cut here by its
-            # forced-pick bound; every other state's was checked by its parent.
-            val = 0
-            if vl & count_mask:
-                val = ~memo.get(key, -1)
-                if val < 0:
-                    val = ~val
-                elif val < cap:
-                    lb = (forced & count_mask).bit_count()
-                    if lb >= cap:
-                        if stack:
-                            raise PropositionViolatedError("a child's bound disagrees with its parent's")
-                        val = lb
-                    else:
-                        nodes += 1
-                        if nodes > budget:
-                            self.nodes, self.cuts = nodes, cuts
-                            raise _BudgetExceeded
-                        stack.append((f_key, f_rest, f_br, f_i, f_best, f_cap, f_lb, f_gain, f_next, f_pick))
-                        # v, the lowest vertex left, goes to one of its takers;
-                        # each other taker's forced pick moves to its next one.
-                        v_bit = vl & -vl
-                        vl ^= v_bit
-                        takers = col[v_bit.bit_length() - 1] & uf
-                        rows, nxt, twice, gone = {}, 0, 0, 0
-                        while takers:
-                            u_bit = takers & -takers
-                            takers ^= u_bit
-                            r = adj[u_bit.bit_length() - 1] & vl
-                            x = r & -r
-                            twice, nxt = twice | nxt & x, nxt | x
-                            gone |= 0 if r else u_bit
-                            rows.setdefault(r, u_bit)
-                        # One branch per class of takers with equal rows left:
-                        # (its bound, taker, row, child's forced picks, U free).
-                        once, forced = nxt & ~twice & ~(forced ^ v_bit), forced ^ v_bit | nxt
-                        gain = 1 if v_bit & count_mask else 0
-                        k = gain + (forced & count_mask).bit_count()
-                        branches = []
-                        for r, u_bit in rows.items():
-                            x = r & -r & once
-                            branches.append(
-                                (k - 1 if x & count_mask else k, u_bit, r, forced ^ x, uf & ~(gone | u_bit))
-                            )
-                        branches.sort()
-                        f_key, f_rest, f_br, f_i, f_best = key, vl, branches, 0, n + 1
-                        f_cap, f_lb, f_gain = cap, lb if lb > val else val, gain
-                        val = None
-            # Hand the settled value up until a frame has a child to search.
-            while True:
-                if val is not None:
-                    if not stack:
-                        self.nodes, self.cuts = nodes, cuts
-                        return val
-                    if f_gain + val < f_best:
-                        f_best, f_pick = f_gain + val, f_next
-                if f_best > f_lb and f_i < len(f_br):
-                    bound = f_cap if f_cap < f_best else f_best
-                    k, u_bit, r, forced, uf = f_br[f_i]
-                    if k < bound:
-                        # The child drops the taker's neighbours it left without one.
-                        f_i, vl, cap = f_i + 1, f_rest, bound - f_gain
-                        while r:
-                            x = r & -r
-                            r ^= x
-                            if not col[x.bit_length() - 1] & uf:
-                                vl ^= x
-                        key = vl << n | uf
-                        f_next = key << n | u_bit
-                        break
-                    # Branches go by ascending bound: this one and every later
-                    # one are cut, and the first bound folds into best.
-                    cuts += len(f_br) - f_i
-                    f_i = len(f_br)
-                    if k < f_best:
-                        f_best = k
-                val = f_best
-                memo[f_key] = val if val < f_cap else ~val
-                if val < f_cap:
-                    chosen[f_key] = f_pick
-                f_key, f_rest, f_br, f_i, f_best, f_cap, f_lb, f_gain, f_next, f_pick = stack.pop()
-
-    def _take(self, vl: int, uf: int, forced: int, p: int, u_bit: int) -> tuple[int, int, int]:
-        """(V left, U free, forced picks) after u_bit takes p, its lowest
-        neighbour left: p's other takers that had it as their pick move on
-        to their next one, and u's neighbours without a taker drop out."""
-        adj, col = self.adj, self.col
-        vl, uf, forced = vl ^ p, uf ^ u_bit, forced ^ p
-        takers = col[p.bit_length() - 1] & uf
-        while takers:
-            w_bit = takers & -takers
-            takers ^= w_bit
-            r = adj[w_bit.bit_length() - 1] & vl
-            if not r:
-                uf ^= w_bit
-            elif not r & (p - 1):
-                forced |= r & -r
-        m = adj[u_bit.bit_length() - 1] & vl
-        while m:
-            x = m & -m
-            m ^= x
-            if not col[x.bit_length() - 1] & uf:
-                vl ^= x
-        return vl, uf, forced
-
-    def replay(self) -> list[int]:
-        """The first optimal branch sequence of the arrival game, after
-        `value` returned a value below its cap, by the descent of the
-        module docstring."""
-        adj, n, full, count_mask = self.adj, self.n, self.full, self.count_mask
-        vl, uf, forced = self.root
-        target = self.memo[vl << n | uf] if vl & count_mask else 0
-        order, dead, mate = [], full ^ uf, None
-        while True:
-            # Arrivals left without a free neighbour join at once, in label order.
-            while dead:
-                order.append((dead & -dead).bit_length() - 1)
-                dead &= dead - 1
-            if not uf:
-                return order
-            if mate is None:
-                # The incumbent: the optimum recorded from this exact state
-                # while a counted vertex is left, as V bits to U bits.
-                mate, x, y = {}, vl, uf
-                while x & count_mask:
-                    step = self.chosen[x << n | y]
-                    mate[x & -x] = step & full
-                    x, y = step >> 2 * n, step >> n & full
-            seen, rest = set(), uf
-            while True:
-                if not rest:
-                    raise PropositionViolatedError("the descent found no optimal branch")
-                u_bit = rest & -rest
-                rest ^= u_bit
-                m = adj[u_bit.bit_length() - 1] & vl
-                if m in seen:
-                    continue
-                seen.add(m)
-                p = m & -m
-                gain = 1 if p & count_mask else 0
-                # The incumbent's own pick is optimal unsearched, and so is
-                # every branch once no counted vertex is left.  A pair names
-                # one arrival of a class with equal free neighbours; classes
-                # only merge as vertices go, so any member may take p, and
-                # the pairs left stand for their classes unchanged.
-                w_bit = mate.get(p, 0)
-                if vl & count_mask and not (w_bit and adj[w_bit.bit_length() - 1] & vl == m):
-                    # Another branch is optimal when its child comes back below the cap.
-                    if target >= gain:
-                        child = self._take(vl, uf, forced, p, u_bit)
-                        cap = target - gain + 1
-                        if (child[2] & count_mask).bit_count() < cap and self.value(cap, child) < cap:
-                            mate = None
-                            break
-                    continue
-                child = self._take(vl, uf, forced, p, u_bit)
-                break
-            order.append(u_bit.bit_length() - 1)
-            dead = uf ^ u_bit ^ child[1]
-            vl, uf, forced = child
-            target -= gain
-
-
 def _rank_mask(pi: Permutation, vs: Sequence[int]) -> int:
     """The ranks of the vertices vs, as a mask."""
     return sum(1 << r for r in {pi.rank[v] for v in vs})
@@ -369,16 +166,16 @@ def _check_subset(g: BipartiteGraph, pi: Permutation, v_subset: Sequence[int]) -
         raise AnalysisParamError("subset contains vertices outside the graph")
 
 
-def _greedy_size(adj_rank: Sequence[int], order: Sequence[int], full: int, count: int) -> int:
-    """How many ranks of the mask `count` greedy_match(g, order, pi)
-    matches, from adj_rank = _rank_rows(g, pi)[0] and full = (1 << n) - 1:
-    each arrival takes its lowest free bit."""
+def _greedy_size(adj_rank: Sequence[int], order: Sequence[int], full: int) -> int:
+    """The size of greedy_match(g, order, pi), from adj_rank =
+    _rank_rows(g, pi)[0] and full = (1 << n) - 1: each arrival takes its
+    lowest free bit."""
     free = full
     for u in order:
         m = adj_rank[u] & free
         if m:
             free ^= m & -m
-    return ((full ^ free) & count).bit_count()
+    return (full ^ free).bit_count()
 
 
 def _replayed(
@@ -401,23 +198,26 @@ def _masked_search(
     g: BipartiteGraph, pi: Permutation, v_subset: Sequence[int], budget: int
 ) -> tuple[int, Permutation, bool, int]:
     """(value, sigma, exact, nodes_expanded) for the least number of
-    distinct v_subset vertices that greedy matches.  sigma is the first
-    optimal branch sequence, checked by greedy replay.  Past `budget`
-    states, in the value and the descent together, a local search of
-    4000 iterations scoring the subset's count gives sigma and an upper
-    bound, and exact is false."""
+    distinct v_subset vertices that greedy matches: their count less the
+    largest avoidable subset's, with sigma the first optimal branch
+    sequence by the descent over the largest sets, checked by greedy
+    replay.  nodes_expanded counts kernel calls.  Past `budget` of them,
+    in the list and the descent together, sigma is `order_avoiding`'s on
+    the largest set found so far and the value its replayed count, an
+    upper bound: exact is false and nodes_expanded is budget + 1."""
     _check_subset(g, pi, v_subset)
     _check_settings(budget=budget)
     (adj, col), mask = _rank_rows(g, pi), _rank_mask(pi, v_subset)
-    search = _ArrivalSearch(adj, g.n, mask, budget, col)
     try:
-        value = search.value(g.n + 1)
-        order = search.replay()
-    except _BudgetExceeded:
-        order, _ = _local_search(adj, g.n, mask, 4000, 0)
-        value, exact, nodes = None, False, budget + 4000
-    else:
-        exact, nodes = True, search.nodes
+        sets, calls = _max_avoidable(adj, col, mask, budget)
+        found = _avoiding_descent(adj, col, g.n, sets, budget - calls)
+        if found is None:
+            raise PropositionViolatedError("no largest avoidable set is avoidable")
+        order, more = found
+        value, exact, nodes = mask.bit_count() - sets[0].bit_count(), True, calls + more
+    except _BudgetExceeded as exc:
+        order = _avoiding_descent(adj, col, g.n, exc.args)[0]
+        value, exact, nodes = None, False, budget + 1
     count, sigma = _replayed(g, pi, v_subset, order, value)
     return count, sigma, exact, nodes
 
@@ -427,10 +227,10 @@ def worst_order_exact(
 ) -> AdversaryResult:
     """Minimize the greedy matched count over all arrival orders: the
     masked search over every vertex.  sigma is the lexicographically
-    first optimal branch sequence; nodes_expanded counts the states
-    whose children were searched, for the value and the descent.
-    `budget` bounds that count: past it the heuristic's fallback is
-    inexact, also when the value alone fit."""
+    first optimal branch sequence; nodes_expanded counts the kernel
+    calls of the list of largest avoidable sets and of the descent.
+    `budget` bounds that count: past it the fallback is inexact, also
+    when the list alone fit."""
     size, sigma, exact, nodes = _masked_search(g, pi, range(g.n), budget)
     return AdversaryResult(sigma=sigma, size=size, exact=exact, nodes_expanded=nodes)
 
@@ -486,6 +286,16 @@ def _augment(
     step it takes the lowest unmatched vertex of the row if there is
     one, else the lowest one not yet seen."""
     for u_bit in starts:
+        # A row with an unmatched vertex ends its path at the first step.
+        x = rows[u_bit] & free
+        while x:
+            v = x & -x
+            if not mate.get(v, 0) & left:
+                break
+            x ^= v
+        if x:
+            mate[v] = u_bit
+            continue
         # path_u[i] takes path_v[i]; the last V on the path was unmatched.
         path_u, path_v, seen = [u_bit], [], ~free
         while True:
@@ -529,18 +339,111 @@ def _avoiding_matching(
     return rows, mate
 
 
-def _avoiding_descent(adj: Sequence[int], col: Sequence[int], n: int, t_mask: int) -> Optional[list[int]]:
-    """The first branch sequence, in ascending arrival order at every
-    state, under which greedy matches no rank of t_mask, or None when
-    there is none: the descent of the module docstring from the root's
-    `_avoiding_matching`.  Its matching keeps the root's rows, which T,
-    never taken, leaves as they are but for the vertices taken."""
+def _avoiding_extension(
+    adj: Sequence[int], col: Sequence[int], rows: dict[int, int], mate: dict[int, int], c: int
+) -> Optional[tuple[dict[int, int], dict[int, int]]]:
+    """The avoidability test of T + c at the start of the game, from
+    T's rows and matching as `_avoiding_matching` returns them and a
+    rank bit c outside T: the same verdict, with the rows and a matching
+    for T + c.  c caps the rows of its neighbours below it and adds the
+    neighbours not yet next to T, so only those arrivals, when new or
+    when their pair leaves the capped row, need an augmenting path."""
+    rows, mate, starts, cap, x = dict(rows), dict(mate), [], c - 1, col[c.bit_length() - 1]
+    while x:
+        u_bit = x & -x
+        x ^= u_bit
+        old = rows.get(u_bit)
+        if old is None:
+            r = adj[u_bit.bit_length() - 1] & cap
+            starts.append(u_bit)
+        else:
+            r, gone = old & cap, old & ~cap
+            while gone:
+                v = gone & -gone
+                gone ^= v
+                if mate.get(v) == u_bit:
+                    del mate[v]
+                    starts.append(u_bit)
+        if not r:
+            return None
+        rows[u_bit] = r
+    # Every arrival counts and every vertex is free: left = free = -1.
+    return (rows, mate) if _augment(rows, mate, starts, -1, -1) else None
+
+
+def _max_avoidable(
+    adj: Sequence[int], col: Sequence[int], count: int, budget: float
+) -> tuple[list[int], int]:
+    """(sets, calls): every largest avoidable subset of the ranks in
+    `count`, as rank masks in the order that the branch-and-bound of the
+    module docstring finds them, and its kernel calls, each one
+    `_avoiding_extension`.  Raises _BudgetExceeded with the first
+    largest set so far past `budget` calls.  A frame is (T, |T|, its
+    candidates as (c, the rows and matching of T + c), the index of the
+    next one to add), on an explicit stack free of the recursion limit."""
+    pool, x = [], count
+    while x:
+        c = 1 << x.bit_length() - 1
+        pool.append((c, None))
+        x ^= c
+    best, sets, calls, frames = 0, [0], 0, []
+    t, k, kernel = 0, 0, ({}, {})
+    while True:
+        # T's candidates among pool, unless too few are left to reach the best size.
+        cands: list[tuple[int, tuple[dict[int, int], dict[int, int]]]] = []
+        for j, (c, _) in enumerate(pool):
+            if k + len(cands) + len(pool) - j < best:
+                break
+            calls += 1
+            if calls > budget:
+                raise _BudgetExceeded(sets[0])
+            child = _avoiding_extension(adj, col, kernel[0], kernel[1], c)
+            if child is not None:
+                cands.append((c, child))
+        else:
+            frames.append((t, k, cands, 0))
+        # The next child, from the deepest frame whose candidates left can reach the best size.
+        while frames:
+            t, k, pool, i = frames[-1]
+            if i == len(pool) or k + len(pool) - i < best:
+                frames.pop()
+                continue
+            frames[-1] = (t, k, pool, i + 1)
+            (c, kernel), pool = pool[i], pool[i + 1 :]
+            t, k = t | c, k + 1
+            if k > best:
+                best, sets = k, [t]
+            elif k == best:
+                sets.append(t)
+            break
+        else:
+            return sets, calls
+
+
+def _avoiding_descent(
+    adj: Sequence[int], col: Sequence[int], n: int, sets: Sequence[int], budget: float = math.inf
+) -> Optional[tuple[list[int], int]]:
+    """(order, calls): the first branch sequence, in ascending arrival
+    order at every state, that leaves some rank mask of `sets` unmatched,
+    by the descent of the module docstring, and its kernel calls, or
+    None when no set is avoidable at the root.  An incumbent's matching
+    keeps the rows of the state where it was found, which its set, never
+    taken, leaves as they are but for the vertices taken.  Raises
+    _BudgetExceeded with the first listed set past `budget` calls."""
     full = (1 << n) - 1
-    root = _avoiding_matching(adj, col, t_mask, full, full)
-    if root is None:
+    for calls, t_mask in enumerate(sets, 1):
+        if calls > budget:
+            raise _BudgetExceeded(sets[0])
+        kernel = _avoiding_matching(adj, col, t_mask, full, full)
+        if kernel is not None:
+            break
+    else:
         return None
-    rows, mate = root
-    dead = sum(1 << u for u, row in enumerate(adj) if not row)
+    (rows, mate), lo, last = kernel, calls - 1, len(sets) - 1
+    dead = 0
+    for u, row in enumerate(adj):
+        if not row:
+            dead |= 1 << u
     order, left, free = [], full ^ dead, full
     while True:
         # Arrivals left without a free neighbour join at once, in label order.
@@ -548,7 +451,7 @@ def _avoiding_descent(adj: Sequence[int], col: Sequence[int], n: int, t_mask: in
             order.append((dead & -dead).bit_length() - 1)
             dead &= dead - 1
         if not left:
-            return order
+            return order, calls
         seen, rest = set(), left
         while True:
             if not rest:
@@ -560,14 +463,30 @@ def _avoiding_descent(adj: Sequence[int], col: Sequence[int], n: int, t_mask: in
                 continue
             seen.add(m)
             p = m & -m
-            if p & t_mask:
+            # The incumbent's pick, or a pick it leaves unmatched, keeps it
+            # unsearched; else the child keeps it exactly when p's partner
+            # has an augmenting path once u and p are gone.
+            if not p & t_mask:
+                w_bit = mate.get(p, 0) & (left ^ u_bit)
+                if not w_bit or _augment(rows, mate, (w_bit,), left ^ u_bit, free ^ p):
+                    break
+            if lo == last:
                 continue
-            # The incumbent's pick, or a pick it leaves unmatched, passes
-            # unsearched; else the child is avoidable exactly when p's
-            # partner has an augmenting path once u and p are gone.
-            w_bit = mate.get(p, 0) & (left ^ u_bit)
-            if not w_bit or _augment(rows, mate, (w_bit,), left ^ u_bit, free ^ p):
-                break
+            # Else the first later set that holds no vertex taken and that
+            # the child avoids becomes the incumbent.
+            for j in range(lo + 1, len(sets)):
+                if sets[j] & (p | ~free):
+                    continue
+                calls += 1
+                if calls > budget:
+                    raise _BudgetExceeded(sets[0])
+                kernel = _avoiding_matching(adj, col, sets[j], left ^ u_bit, free ^ p)
+                if kernel is not None:
+                    lo, t_mask, (rows, mate) = j, sets[j], kernel
+                    break
+            else:
+                continue
+            break
         order.append(u_bit.bit_length() - 1)
         left, free = left ^ u_bit, free ^ p
         takers = col[p.bit_length() - 1] & left
@@ -598,20 +517,28 @@ def order_avoiding(
     checked by greedy replay."""
     _check_subset(g, pi, v_subset)
     adj, col = _rank_rows(g, pi)
-    order = _avoiding_descent(adj, col, g.n, _rank_mask(pi, v_subset))
-    return None if order is None else _replayed(g, pi, v_subset, order, 0)[1]
+    found = _avoiding_descent(adj, col, g.n, [_rank_mask(pi, v_subset)])
+    return None if found is None else _replayed(g, pi, v_subset, found[0], 0)[1]
 
 
-def _local_search(
-    adj: Sequence[int], n: int, count: int, iters: int, seed: int
-) -> tuple[list[int], int]:
-    """The local search of worst_order_heuristic, scoring each arrival
-    order by _greedy_size(adj, order, full, count): (best order, score)."""
+def worst_order_heuristic(
+    g: BipartiteGraph, pi: Permutation, iters: int = 10_000, seed: int = 0
+) -> AdversaryResult:
+    """Random-restart local search over arrival orders.
+
+    Moves are adjacent transpositions and single-block relocations; a
+    move is kept when it does not increase the matched count.  The
+    result is an upper bound on the true minimum and is deterministic
+    for a fixed seed.
+    """
+    _check_dims(g, pi, "pi")
+    _check_settings(iters=iters)
+    adj, n = _rank_rows(g, pi)[0], g.n
     rng = random.Random(seed)
     full = (1 << n) - 1
     cur = list(range(n))
     rng.shuffle(cur)
-    cur_val = _greedy_size(adj, cur, full, count)
+    cur_val = _greedy_size(adj, cur, full)
     best, best_val = cur[:], cur_val
     stale = 0
     restart_after = max(100, 2 * n)
@@ -630,7 +557,7 @@ def _local_search(
                 cand = rest[:c] + block + rest[c:]
         else:
             cand = cur[:]
-        val = _greedy_size(adj, cand, full, count)
+        val = _greedy_size(adj, cand, full)
         if val <= cur_val:
             if val < cur_val:
                 stale = 0
@@ -642,28 +569,12 @@ def _local_search(
         if stale >= restart_after:
             cur = list(range(n))
             rng.shuffle(cur)
-            cur_val = _greedy_size(adj, cur, full, count)
+            cur_val = _greedy_size(adj, cur, full)
             if cur_val < best_val:
                 best, best_val = cur[:], cur_val
             stale = 0
-    return best, best_val
-
-
-def worst_order_heuristic(
-    g: BipartiteGraph, pi: Permutation, iters: int = 10_000, seed: int = 0
-) -> AdversaryResult:
-    """Random-restart local search over arrival orders.
-
-    Moves are adjacent transpositions and single-block relocations; a
-    move is kept when it does not increase the matched count.  The
-    result is an upper bound on the true minimum and is deterministic
-    for a fixed seed.
-    """
-    _check_dims(g, pi, "pi")
-    _check_settings(iters=iters)
-    best, size = _local_search(_rank_rows(g, pi)[0], g.n, (1 << g.n) - 1, iters, seed)
     return AdversaryResult(
-        sigma=Permutation.from_order(best), size=size, exact=False, nodes_expanded=iters
+        sigma=Permutation.from_order(best), size=best_val, exact=False, nodes_expanded=iters
     )
 
 
@@ -681,7 +592,7 @@ def worst_order_sampled(
     for _ in range(draws):
         order = list(range(g.n))
         rng.shuffle(order)
-        val = _greedy_size(adj, order, full, full)
+        val = _greedy_size(adj, order, full)
         if val < best_val:
             best, best_val = order, val
     sigma = Permutation.from_order(best)

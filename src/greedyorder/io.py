@@ -286,9 +286,10 @@ class AdversarySettings:
     """How experiment rows attack a certified order.
 
     mode names an `adversary.ATTACKS` entry: "exact" searches to
-    optimality within the node budget; "heuristic" runs the local search
-    for iters iterations; "sampled" takes the minimum over `trials`
-    random arrival orders; "constructive" runs the family's adversary.
+    optimality within the budget of kernel calls; "heuristic" runs the
+    local search for iters iterations; "sampled" takes the minimum over
+    `trials` random arrival orders; "constructive" runs the family's
+    adversary.
     """
 
     mode: str = DEFAULT_MODE

@@ -13,11 +13,9 @@ every structural fact of a maximal cover that fails; the production
 cover loop applies its steps in place and must reach the same covers.
 ``find_improvement`` reads the production scan as the first entry of
 that loop's step log, so a cover is maximal when it returns None.
-The reference arrival-order searches are the exhaustive memoised game,
-the safety depth-first search, and the branch-and-bound over arrivals
-that the V-side engine replaced; the engine must return their values,
-orders and witnesses exactly, in no more states than the exhaustive
-game.  The V-side oracle is the engine's recursion over V in pi order
+The reference arrival-order searches are the exhaustive memoised game
+and the safety depth-first search; the engine must return their values,
+orders and witnesses exactly.  The V-side oracle is the engine's recursion over V in pi order
 with sets for masks and no bound, so that the lemma it rests on can be
 checked against the factorial sweep and the game.
 The Gale-Shapley oracle runs deferred acceptance from either side, so
@@ -48,14 +46,12 @@ and results, or fail with the same error.
 
 import collections
 import itertools
-import math
 import os
 import random
 import statistics
 import sys
 import time
 from dataclasses import dataclass
-from typing import Sequence
 
 import pytest
 
@@ -69,7 +65,6 @@ from greedyorder import (
 from greedyorder import families
 from greedyorder.adversary import (
     AdversaryResult,
-    _BudgetExceeded,
     adversary_biclique,
     adversary_planted_is,
     adversary_projective,
@@ -296,17 +291,13 @@ def reference_planted_is(g, pi):
     return Permutation.from_order(order)
 
 
-def reference_heuristic(g, pi, iters=10_000, seed=0, subset=None):
-    """The local search scoring every candidate with greedy_match: by its
-    size, or with a subset by how many of its vertices are matched."""
+def reference_heuristic(g, pi, iters=10_000, seed=0):
+    """The local search scoring every candidate by greedy_match's size."""
     rng = random.Random(seed)
     n = g.n
 
     def evaluate(order):
-        out = greedy_match(g, Permutation.from_order(order), pi)
-        if subset is None:
-            return out.size
-        return sum(out.matched_u_of_v[v] is not None for v in set(subset))
+        return greedy_match(g, Permutation.from_order(order), pi).size
 
     cur = list(range(n))
     rng.shuffle(cur)
@@ -705,205 +696,6 @@ def reference_v_side_min(g, pi, v_subset):
         return memo[key]
 
     return f(0, frozenset(range(g.n)))
-
-
-# The branch-and-bound over U arrivals that the V-side engine replaced,
-# as it stood before children were bounded in their parent's scan: every
-# child is scanned on entry, and a child cut by its bound leaves a
-# lower-bound memo entry.  Its bounds are the forced picks of the live
-# arrivals and the Hall bound of `_reference_hall_bound`.
-
-
-def _reference_scan(adj: Sequence[int], alive: int, free: int) -> tuple[int, list[tuple[int, int]], int]:
-    """One state's arrivals, in ascending label order.
-
-    Returns the mask of dead arrivals (no free neighbor; matched V only
-    grows, so they stay dead and are absorbed at once), the branches as
-    (arrival bit, greedy pick bit) pairs with one branch per distinct
-    free-neighbor mask (arrivals with equal masks are interchangeable
-    for good), and the mask of forced picks.  Works in rank space, so
-    the greedy pick is the lowest set bit of the free-neighbor mask.
-    """
-    dead = 0
-    forced = 0
-    branches: list[tuple[int, int]] = []
-    seen: set[int] = set()
-    while alive:
-        u_bit = alive & -alive
-        alive ^= u_bit
-        m = adj[u_bit.bit_length() - 1] & free
-        if not m:
-            dead |= u_bit
-        elif m not in seen:
-            seen.add(m)
-            v_bit = m & -m
-            forced |= v_bit
-            branches.append((u_bit, v_bit))
-    return dead, branches, forced
-
-
-def _reference_hall_bound(adj: Sequence[int], alive: int, free: int, count_mask: int) -> int:
-    """1 when the arrivals with a free counted neighbor cannot all take
-    distinct free uncounted vertices ranked below their lowest free
-    counted neighbor, as a completion that matches nothing counted
-    requires of them; 0 otherwise."""
-    need = 0
-    allowed: set[int] = set()
-    for u in range(len(adj)):
-        if not alive >> u & 1:
-            continue
-        ranks = [r for r in range(len(adj)) if (adj[u] & free) >> r & 1]
-        counted = [r for r in ranks if count_mask >> r & 1]
-        if counted:
-            need += 1
-            allowed.update(r for r in ranks if r < counted[0])
-    return 1 if len(allowed) < need else 0
-
-
-class _ReferenceArrivalSearch:
-    """Minimum number of count_mask vertices that greedy matches, over
-    all arrival orders, by a branch-and-bound over arrivals on the larger
-    of the forced-pick and Hall bounds.
-
-    Memo keys are single ints, processed-U mask << n | matched-V mask.
-    Branches are tried in ascending arrival label, so `replay`, which
-    takes the first branch whose value equals its state's, rebuilds the
-    lexicographically first optimal branch sequence.
-    """
-
-    def __init__(self, adj_rank: Sequence[int], n: int, count_mask: int, budget: float):
-        self.adj = list(adj_rank)
-        self.n = n
-        self.count_mask = count_mask
-        self.budget = budget
-        self.nodes = 0
-        self.exact: dict[int, int] = {}
-        self.lower: dict[int, int] = {}
-        self.full = (1 << n) - 1
-
-    def value(self, ub: int) -> int:
-        """The minimum if it is below ub, otherwise a lower bound >= ub.
-
-        Raises _BudgetExceeded once more than `budget` states are expanded.
-        """
-        adj, n, full, count_mask = self.adj, self.n, self.full, self.count_mask
-        exact, lower = self.exact, self.lower
-        budget = self.budget
-        nodes = self.nodes
-        # Suspended frames; the innermost frame lives in the f_* locals.
-        stack: list[tuple] = []
-        depth = 0
-        f_key = f_u = f_v = f_i = f_best = f_cap = f_lb = f_gain = 0
-        f_br: list[tuple[int, int]] = []
-        u_mask = v_mask = 0
-        cap = ub
-        while True:
-            # Enter state (u_mask, v_mask) under cap: either settle its
-            # value in val or open a frame for it.
-            key = u_mask << n | v_mask
-            val = exact.get(key)
-            if val is None:
-                val = lower.get(key, 0)
-                if val < cap:
-                    dead, branches, forced = _reference_scan(adj, full ^ u_mask, full ^ v_mask)
-                    lb = max(
-                        (forced & count_mask).bit_count(),
-                        _reference_hall_bound(adj, full ^ u_mask, full ^ v_mask, count_mask),
-                    )
-                    if lb >= cap:
-                        val = lower[key] = lb
-                    else:
-                        nodes += 1
-                        if nodes > budget:
-                            self.nodes = nodes
-                            raise _BudgetExceeded
-                        if not branches:
-                            val = exact[key] = 0
-                        else:
-                            if depth:
-                                stack.append(
-                                    (f_key, f_u, f_v, f_br, f_i, f_best, f_cap, f_lb, f_gain)
-                                )
-                            depth += 1
-                            f_key, f_u, f_v, f_br, f_i = key, u_mask | dead, v_mask, branches, 0
-                            f_best, f_cap, f_lb = n + 1, cap, max(lb, val)
-                            val = None
-            # Hand settled values up until some frame has a child to search.
-            while True:
-                if val is not None:
-                    if not depth:
-                        self.nodes = nodes
-                        return val
-                    sub = f_gain + val
-                    if sub < f_best:
-                        f_best = sub
-                if f_best > f_lb:
-                    bound = f_cap if f_cap < f_best else f_best
-                    n_br = len(f_br)
-                    while f_i < n_br:
-                        u_bit, v_bit = f_br[f_i]
-                        f_i += 1
-                        gain = 1 if v_bit & count_mask else 0
-                        # A branch worth at least gain >= bound cannot beat
-                        # best; it only arises once best is 1 (under cap 1 a
-                        # counted pick would have cut the state), so best
-                        # stays a valid bound.
-                        if gain < bound:
-                            break
-                    else:
-                        u_bit = 0
-                    if u_bit:
-                        f_gain = gain
-                        u_mask, v_mask, cap = f_u | u_bit, f_v | v_bit, bound - gain
-                        break
-                val = f_best
-                if val < f_cap:
-                    exact[f_key] = val
-                else:
-                    lower[f_key] = val
-                depth -= 1
-                if depth:
-                    f_key, f_u, f_v, f_br, f_i, f_best, f_cap, f_lb, f_gain = stack.pop()
-
-    def replay(self) -> list[int]:
-        """One minimizing arrival order, rebuilt from the exact table
-        after `value` returned a value below its ub."""
-        adj, n, full, exact = self.adj, self.n, self.full, self.exact
-        order: list[int] = []
-        u_mask = v_mask = 0
-        while True:
-            state_val = exact[u_mask << n | v_mask]
-            dead, branches, _ = _reference_scan(adj, full ^ u_mask, full ^ v_mask)
-            u_mask |= dead
-            while dead:
-                u_bit = dead & -dead
-                dead ^= u_bit
-                order.append(u_bit.bit_length() - 1)
-            if not branches:
-                return order
-            for u_bit, v_bit in branches:
-                gain = 1 if v_bit & self.count_mask else 0
-                sub = exact.get((u_mask | u_bit) << n | v_mask | v_bit)
-                if sub is not None and gain + sub == state_val:
-                    order.append(u_bit.bit_length() - 1)
-                    u_mask |= u_bit
-                    v_mask |= v_bit
-                    break
-            else:
-                raise PropositionViolatedError("replay found no branch matching the searched value")
-
-
-def reference_arrival_search(g, pi, v_subset, cap):
-    """The engine above on (g, pi) counting v_subset under cap: (value,
-    replayed order or None when the value reaches cap, states expanded,
-    lower-bound memo entries)."""
-    rank = pi.rank
-    adj = [sum(1 << rank[v] for v in g.adj_u[u]) for u in range(g.n)]
-    count_mask = sum(1 << rank[v] for v in set(v_subset))
-    search = _ReferenceArrivalSearch(adj, g.n, count_mask, math.inf)
-    value = search.value(cap)
-    order = search.replay() if value < cap else None
-    return value, order, search.nodes, len(search.lower)
 
 
 def reference_is_safe(g, pi, s):

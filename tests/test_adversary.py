@@ -81,6 +81,9 @@ def test_exact_replays_its_witness(corpus):
 
 
 def test_budget_exhaustion_falls_back_to_heuristic():
+    """Past its budget the exact adversary returns an inexact order, the
+    one that avoids the largest avoidable set found so far, which
+    replays to its size and is no better than the exact minimum."""
     g = generate(FamilySpec("biclique_half", {"n": 12}))
     pi = Permutation.identity(12)
     res = worst_order_exact(g, pi, budget=10)
@@ -275,7 +278,7 @@ def test_player_settings_outside_their_domain():
     AnalysisParamError, as trials < 1 does, and `attack` rejects them
     also for a player that does not read them; the smallest valid
     settings still return an order, and a budget of 1 falls back to the
-    heuristic."""
+    order that the fallback's one kernel call builds."""
     g = generate(FamilySpec("fano"))
     pi = Permutation.identity(7)
     for draws in (0, -2):
@@ -295,8 +298,8 @@ def test_player_settings_outside_their_domain():
     assert worst_order_sampled(g, pi, draws=1).sigma is not None
     assert worst_order_heuristic(g, pi, iters=0).nodes_expanded == 0
     res = worst_order_exact(g, pi, budget=1)
-    assert (res.exact, res.nodes_expanded) == (False, 1 + 4000)
-    assert worst_order_masked_min(g, pi, [5, 6], budget=1)[1:] == (False, 1 + 4000)
+    assert (res.exact, res.nodes_expanded) == (False, 1 + 1)
+    assert worst_order_masked_min(g, pi, [5, 6], budget=1)[1:] == (False, 1 + 1)
 
 
 def test_attack_rejects_an_unknown_mode():
@@ -348,14 +351,18 @@ def _random_graph(rng, n):
 
 
 def test_masked_fallback_scores_the_subset():
-    """Past its budget the masked minimum is the local search's best
-    order by how many subset vertices greedy matches, not by how many
-    vertices in all."""
+    """Past its budget the masked minimum is how many subset vertices
+    greedy matches under `order_avoiding` of the largest set found so
+    far, not how many vertices in all.  With a budget that the list of
+    largest sets fits but the descent does not, that set is a largest
+    one, so fano and pg23 still reach 0; with a budget of 1 it is the
+    empty set, whose order is the first branch sequence."""
     for family, subset in (("fano", [5, 6]), ("pg23", [10, 11, 12])):
         g = generate(FamilySpec(family))
         pi = Permutation.identity(g.n)
-        assert worst_order_masked_min(g, pi, subset)[:2] == (0, True)
-        assert worst_order_masked_min(g, pi, subset, budget=1) == (0, False, 1 + 4000)
+        value, exact, nodes = worst_order_masked_min(g, pi, subset)
+        assert (value, exact) == (0, True)
+        assert worst_order_masked_min(g, pi, subset, budget=nodes - 1) == (0, False, nodes)
     rng = random.Random(23)
     fallbacks = 0
     for _ in range(12):
@@ -364,8 +371,8 @@ def test_masked_fallback_scores_the_subset():
         subset = rng.sample(range(g.n), rng.randrange(1, g.n + 1))
         value, exact, nodes = worst_order_masked_min(g, pi, subset, budget=1)
         if not exact:
-            ref = reference_heuristic(g, pi, iters=4000, seed=0, subset=subset)
-            assert (value, nodes) == (ref.size, 1 + 4000)
+            matched = greedy_match(g, order_avoiding(g, pi, []), pi).matched_u_of_v
+            assert (value, nodes) == (sum(matched[v] is not None for v in set(subset)), 1 + 1)
             fallbacks += 1
     assert fallbacks >= 8
 

@@ -32,12 +32,12 @@ from greedyorder.cli import build_parser, main
 PINNED = {
     "bound": "b878db4e9fb59309633a520906ef3a3b3f2bf5c20e98bf6606e34260e04a2d78",
     "bound_constructions": "737c55c607ec8fe998ef7eef05b8ce21c9b34ad421d474c55a24c60ea3689c1b",
-    "worst_order_exact": "6751fe2ff831ba2eb03c0e31d581bf59631f8f17bb28bc9c58d47ad927c1ee64",
-    "worst_order_masked_min": "7e4cfef55fa5297903d2980978acc0991d38ad96333435a625af77f184ba6095",
+    "worst_order_exact": "d32b31325edad27b2eff7528aa2e433536d5be858769a7aacb6b2ea1991865b7",
+    "worst_order_masked_min": "73d5cc577cab9fddcb0dabd044e8b43dc0223f38c676ae46ba140e1f731dfa98",
     "order_avoiding": "d1449210c1598987f575ccca382948d91b09a9cfe25bae0a349a358d60f58546",
     "enumerate_bad_sets": "340743b1536dd45f7e6f0ba234f87df7284756a64228ecb29220d8d363480fa2",
     "iterative_process": "c41f8463a8492e909e5c6dbe38e614587fb3181e27b2d57331743ec89c7fdd34",
-    "cli_adversary_exact": "f4d905d46329497a258d29949243cbbbadc1fcddae26c8023f3aa2f903d6acf7",
+    "cli_adversary_exact": "9c583f29fa0ccb69bda46682d9eff87a3edc3d4de95f70b56fd1164ea10afb5b",
     "cli_adversary_heuristic": "bfbac92c631f266234c4309dcde592ccb3dbbc55af5a73edd11c75dae5362f81",
     "cli_analyze_safety": "ac99a68dc04da4af60555d0cd99ff8dabcd5613b93ddc61433e4f87ae78fc8dc",
     "cli_analyze_montecarlo": "b0b0d1c27ad02def499ec5eb1f8be18173fe8a0a01373f4e1e3a123a7c9c9d4a",
