@@ -211,13 +211,14 @@ def _masked_search(
     try:
         sets, calls = _max_avoidable(adj, col, mask, budget)
         found = _avoiding_descent(adj, col, g.n, sets, budget - calls)
-        if found is None:
-            raise PropositionViolatedError("no largest avoidable set is avoidable")
-        order, more = found
-        value, exact, nodes = mask.bit_count() - sets[0].bit_count(), True, calls + more
+        value, exact = mask.bit_count() - sets[0].bit_count(), True
     except _BudgetExceeded as exc:
-        order = _avoiding_descent(adj, col, g.n, exc.args)[0]
-        value, exact, nodes = None, False, budget + 1
+        found = _avoiding_descent(adj, col, g.n, exc.args)
+        value, exact, calls = None, False, budget + 1
+    if found is None:
+        raise PropositionViolatedError("no largest avoidable set is avoidable")
+    order, more = found
+    nodes = calls + more if exact else calls
     count, sigma = _replayed(g, pi, v_subset, order, value)
     return count, sigma, exact, nodes
 
@@ -286,16 +287,6 @@ def _augment(
     step it takes the lowest unmatched vertex of the row if there is
     one, else the lowest one not yet seen."""
     for u_bit in starts:
-        # A row with an unmatched vertex ends its path at the first step.
-        x = rows[u_bit] & free
-        while x:
-            v = x & -x
-            if not mate.get(v, 0) & left:
-                break
-            x ^= v
-        if x:
-            mate[v] = u_bit
-            continue
         # path_u[i] takes path_v[i]; the last V on the path was unmatched.
         path_u, path_v, seen = [u_bit], [], ~free
         while True:
