@@ -411,6 +411,18 @@ def _max_avoidable(
             return sets, calls
 
 
+def _largest_avoidable(g: BipartiteGraph, pi: Permutation) -> list[tuple[int, ...]]:
+    """Every largest avoidable set of V under pi, as sorted label tuples in
+    `_max_avoidable`'s order.  Raises UsageError past DEFAULT_BUDGET kernel calls."""
+    _check_dims(g, pi, "pi")
+    adj, col = _rank_rows(g, pi)
+    try:
+        sets, _ = _max_avoidable(adj, col, (1 << g.n) - 1, DEFAULT_BUDGET)
+    except _BudgetExceeded:
+        raise UsageError("exact minimization exceeded its budget; instance too large") from None
+    return [tuple(v for v in range(g.n) if t >> pi.rank[v] & 1) for t in sets]
+
+
 def _avoiding_descent(
     adj: Sequence[int], col: Sequence[int], n: int, sets: Sequence[int], budget: float = math.inf
 ) -> Optional[tuple[list[int], int]]:

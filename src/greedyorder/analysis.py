@@ -23,11 +23,12 @@ from .adversary import (
     DEFAULT_MODE,
     _avoidable,
     _check_subset,
+    _largest_avoidable,
     attack,
     order_avoiding,
     worst_order_exact,
 )
-from .core import BipartiteGraph, Permutation, find_perfect_matching, greedy_match
+from .core import BipartiteGraph, Permutation, find_perfect_matching
 from .errors import (
     AnalysisParamError,
     PropositionViolatedError,
@@ -37,10 +38,9 @@ from .families import derived_seed
 
 Rational = Union[int, str, Fraction]
 
-# The names `enumerate_bad_sets` and `iterative_process` accept, in the
-# order the CLI lists them; each first entry is the default.
+# The modes `enumerate_bad_sets` accepts, in the order the CLI lists them,
+# the first the default; `iterative_process`'s are MINIMIZER_POLICIES.
 BAD_SET_MODES = ("full_pi", "canonical_pi")
-MINIMIZER_POLICIES = ("first_found", "max_losers_low", "exhaustive_worst_for_next_round")
 # The largest n the exhaustive cross check of the two game readings takes.
 CROSS_CHECK_MAX_N = 5
 
@@ -365,49 +365,35 @@ class IterativeTrace:
         return len(self.records)
 
 
-def _exact_sigma(g: BipartiteGraph, pi: Permutation):
-    res = worst_order_exact(g, pi)
-    if not res.exact:
-        raise UsageError("exact minimization exceeded its budget; instance too large")
-    return res
-
-
 def _promoted(pi: Permutation, losers: Iterable[int]) -> Permutation:
     """pi with the losers moved to the top, each group kept in pi's order."""
     lset = set(losers)
     return Permutation.from_order(sorted(pi.order, key=lambda v: v not in lset))
 
 
+# Each minimizer policy's sort key over a round's candidates, (g, pi,
+# losers, sigma's order): the least is played.  In the CLI's order.
+_POLICY_KEYS = {
+    "first_found": lambda g, pi, losers, sigma: sigma,
+    "max_losers_low": lambda g, pi, losers, sigma: (
+        -len(set(losers).intersection(pi.order[: (g.n + 1) // 2])), sigma
+    ),
+    "exhaustive_worst_for_next_round": lambda g, pi, losers, sigma: (
+        g.n - len(_largest_avoidable(g, _promoted(pi, losers))[0]), losers, sigma
+    ),
+}
+MINIMIZER_POLICIES = tuple(_POLICY_KEYS)
+
+
 def _minimize_with_policy(g: BipartiteGraph, pi: Permutation, policy: str):
-    n = g.n
+    """(sigma, size, losers): of the largest avoidable sets of V, each with
+    its safety witness as sigma, the one that `policy`'s key ranks least."""
     if policy not in MINIMIZER_POLICIES:
         raise UsageError("unknown minimizer policy %r" % (policy,))
-    if policy == "first_found":
-        res = _exact_sigma(g, pi)
-        out = greedy_match(g, res.sigma, pi)
-        return res.sigma, res.size, tuple(out.unmatched_v())
-    if n > 9:
-        raise UsageError("policy %r enumerates all arrival orders; n <= 9 required" % (policy,))
-    # One pass for both policies keeps, for each loser set at the least
-    # size, the first order that leaves it: permutations() yields orders
-    # lexicographically, and both policies break ties by the smaller order.
-    best_size = n + 1
-    loser_sets: dict[tuple[int, ...], tuple[int, ...]] = {}
-    for perm in itertools.permutations(range(n)):
-        out = greedy_match(g, Permutation.from_order(perm), pi)
-        if out.size < best_size:
-            best_size, loser_sets = out.size, {}
-        if out.size == best_size:
-            loser_sets.setdefault(tuple(out.unmatched_v()), perm)
-    if policy == "max_losers_low":
-        half = set(pi.order[: (n + 1) // 2])
-        losers, perm = min(loser_sets.items(), key=lambda lp: (-len(half & set(lp[0])), lp[1]))
-    else:
-        _, losers, perm = min(
-            (_exact_sigma(g, _promoted(pi, losers)).size, losers, perm)
-            for losers, perm in loser_sets.items()
-        )
-    return Permutation.from_order(perm), best_size, losers
+    key = _POLICY_KEYS[policy]
+    candidates = [(losers, order_avoiding(g, pi, losers)) for losers in _largest_avoidable(g, pi)]
+    losers, sigma = min(candidates, key=lambda ls: key(g, pi, ls[0], ls[1].order))
+    return sigma, g.n - len(losers), losers
 
 
 def iterative_process(
@@ -418,33 +404,32 @@ def iterative_process(
 ) -> IterativeTrace:
     """Promote the losers of each round to the top until a majority wins.
 
-    Each round finds a minimizing arrival order for the current priority
-    order, then rebuilds the priorities with the unmatched right
-    vertices first (internal order preserved on both groups).  The
-    process stops once the round's value exceeds n/2, or after `cap`
-    rounds (reported, not raised).  The graph must have a perfect
-    matching, which is checked first: greedy's matching is maximal, so
-    it is at least half a maximum one, and every round reaches n/2.
+    The loser sets of a round's minimizing arrival orders are exactly
+    the largest avoidable sets of V: a least round's losers are
+    avoidable, and an order that avoids a largest set leaves at most that
+    many losers, which contain it.  So each round lists those sets, at
+    any n, and the policy picks one, with its safety witness as sigma
+    (the least witness is the exact adversary's order).  Then the
+    priorities are rebuilt with the losers first (internal order
+    preserved on both groups).  The process stops once the round's value
+    exceeds n/2, or after `cap` rounds (reported, not raised).  The graph
+    must have a perfect matching, which is checked first: greedy's
+    matching is maximal, so it is at least half a maximum one, and every
+    round reaches n/2.
     """
     if cap < 1:
         raise AnalysisParamError("cap must be positive")
     find_perfect_matching(g)
-    n = g.n
-    pi = pi1
-    records: list[IterationRecord] = []
-    cap_reached = False
-    while True:
-        if len(records) == cap:
-            cap_reached = True
-            break
+    pi, records = pi1, []
+    while len(records) < cap:
         sigma, size, losers = _minimize_with_policy(g, pi, minimizer_policy)
-        if 2 * size < n:
+        if 2 * size < g.n:
             raise PropositionViolatedError("greedy produced a sub-half matching")
         records.append(IterationRecord(pi, sigma, size, losers))
-        if 2 * size > n:
-            break
+        if 2 * size > g.n:
+            return IterativeTrace(tuple(records), False)
         pi = _promoted(pi, losers)
-    return IterativeTrace(tuple(records), cap_reached)
+    return IterativeTrace(tuple(records), True)
 
 
 def _priority_game_value(g: BipartiteGraph) -> int:

@@ -15,8 +15,9 @@ cover loop applies its steps in place and must reach the same covers.
 that loop's step log, so a cover is maximal when it returns None.
 The reference arrival-order searches are the exhaustive memoised game
 and the safety depth-first search; the engine must return their values,
-orders and witnesses exactly.  The V-side oracle is the engine's recursion over V in pi order
-with sets for masks and no bound, so that the lemma it rests on can be
+orders and witnesses exactly.  The V-side oracle is the V-side process
+of the lemma in the `adversary` docstring, a recursion over V in pi
+order with sets for masks and no bound, so that the lemma can be
 checked against the factorial sweep and the game.
 The Gale-Shapley oracle runs deferred acceptance from either side, so
 that greedy's matching can be checked to be the unique stable one; the

@@ -3,6 +3,7 @@ the two-reading cross check."""
 
 import collections
 import itertools
+import json
 import math
 import random
 from fractions import Fraction
@@ -39,12 +40,15 @@ from greedyorder import (
 )
 from greedyorder.errors import (
     AnalysisParamError,
+    DimensionMismatchError,
     FamilyShapeError,
     NoPerfectMatchingError,
     PropositionViolatedError,
     UsageError,
 )
 from greedyorder import adversary, analysis
+from greedyorder import io as gio
+from greedyorder.cli import main
 
 mpmath.mp.dps = 40
 
@@ -591,18 +595,19 @@ def test_iterative_policies_agree_on_values():
 
 def test_exhaustive_policies_follow_their_rules_over_all_orders():
     """Each exhaustive policy's first round against its rule applied to
-    every arrival order of the least size: max_losers_low takes the most
-    losers in pi's first half, then the first order;
+    the loser sets of every arrival order of the least size, each with
+    its safety witness as sigma: max_losers_low takes the most losers in
+    pi's first half, then the least witness;
     exhaustive_worst_for_next_round the least next-round minimum, then
-    the least loser tuple, then the first order."""
+    the least loser tuple, then the least witness."""
     rng = random.Random(389)
     for _ in range(40):
         n = rng.randrange(2, 7)
         g, pi = random_pm_graph(rng, n), random_perm(rng, n)
-        orders = [Permutation.from_order(p) for p in itertools.permutations(range(n))]
-        outs = [(greedy_match(g, sigma, pi), tuple(sigma.order)) for sigma in orders]
-        least = min(out.size for out, _ in outs)
-        low = [(tuple(out.unmatched_v()), order) for out, order in outs if out.size == least]
+        outs = [greedy_match(g, Permutation.from_order(p), pi) for p in itertools.permutations(range(n))]
+        least = min(out.size for out in outs)
+        loser_sets = {tuple(out.unmatched_v()) for out in outs if out.size == least}
+        low = [(losers, adversary.order_avoiding(g, pi, losers).order) for losers in loser_sets]
         half = set(pi.order[: (n + 1) // 2])
 
         def next_min(losers):
@@ -615,15 +620,36 @@ def test_exhaustive_policies_follow_their_rules_over_all_orders():
         }
         for policy, (losers, order) in expected.items():
             rec = iterative_process(g, pi, cap=1, minimizer_policy=policy).records[0]
-            assert (tuple(rec.sigma.order), rec.size, rec.losers) == (order, least, losers)
+            assert (rec.sigma.order, rec.size, rec.losers) == (order, least, losers)
 
 
-def test_exhaustive_policy_needs_small_n():
-    g = generate(FamilySpec("iterative", {"i": 4}))
+def test_exhaustive_policy_needs_small_n(tmp_path, capsys):
+    """The exhaustive policies choose among the largest avoidable sets,
+    so they need no small n after all.  On iterative i=4 (n = 16) the
+    first round's losers are a largest avoidable set, left unmatched by
+    the round's sigma, and `analyze iterate` prints the library's trace
+    with exit 0.  An unknown policy is a usage error."""
+    g, pi = generate(FamilySpec("iterative", {"i": 4})), Permutation.identity(16)
+    trace = iterative_process(g, pi, cap=2, minimizer_policy="max_losers_low")
+    rec = trace.records[0]
+    assert rec.size == worst_order_exact(g, pi).size == 16 - len(rec.losers)
+    assert tuple(greedy_match(g, rec.sigma, pi).unmatched_v()) == rec.losers
+    gpath = tmp_path / "iter4.json"
+    gio.write_graph(str(gpath), g)
+    argv = ["analyze", "iterate", str(gpath), "--cap", "2", "--policy", "max_losers_low"]
+    assert main(argv) == 0
+    assert json.loads(capsys.readouterr().out) == gio.iterative_trace_to_doc(trace)
     with pytest.raises(UsageError):
-        iterative_process(g, Permutation.identity(16), cap=2, minimizer_policy="max_losers_low")
-    with pytest.raises(UsageError):
-        iterative_process(g, Permutation.identity(16), cap=2, minimizer_policy="nonesuch")
+        iterative_process(g, pi, cap=2, minimizer_policy="nonesuch")
+
+
+def test_iterative_process_rejects_a_pi_of_the_wrong_length():
+    """Under every policy, the list of largest avoidable sets checks pi's
+    length before it builds any rows."""
+    g = generate(FamilySpec("iterative", {"i": 2}))
+    for policy in analysis.MINIMIZER_POLICIES:
+        with pytest.raises(DimensionMismatchError):
+            iterative_process(g, Permutation.identity(g.n - 1), cap=2, minimizer_policy=policy)
 
 
 # --- the two game readings -------------------------------------------------

@@ -26,13 +26,13 @@ from conftest import (
     reference_graph_from_doc,
 )
 
+import greedyorder.adversary as adversary
 import greedyorder.cli as cli
 import greedyorder.errors as errors_mod
 import greedyorder.io as gio
 from greedyorder import BipartiteGraph, FamilySpec, Permutation, generate, monte_carlo_random_pi
 from greedyorder.adversary import (
     ADVERSARY_MODES,
-    AdversaryResult,
     worst_order_exact,
     worst_order_heuristic,
 )
@@ -1218,13 +1218,13 @@ def test_cli_analyze_iterate_without_a_perfect_matching_is_a_data_error(tmp_path
 
 
 def test_iterate_refuses_a_round_the_exact_search_could_not_finish(monkeypatch, tmp_path, capsys):
-    """A round whose exact minimum ran out of budget is a usage error in
-    the library and exit 1 from analyze iterate."""
+    """A round whose list of largest avoidable sets ran out of budget is
+    a usage error in the library and exit 1 from analyze iterate."""
 
-    def out_of_budget(g, pi):
-        return AdversaryResult(sigma=pi, size=g.n, exact=False, nodes_expanded=0)
+    def out_of_budget(adj, col, count, budget):
+        raise adversary._BudgetExceeded(0)
 
-    monkeypatch.setattr("greedyorder.analysis.worst_order_exact", out_of_budget)
+    monkeypatch.setattr(adversary, "_max_avoidable", out_of_budget)
     g = generate(FamilySpec("iterative", {"i": 2}))
     message = "exact minimization exceeded its budget; instance too large"
     with pytest.raises(UsageError) as info:

@@ -36,7 +36,8 @@ PINNED = {
     "worst_order_masked_min": "73d5cc577cab9fddcb0dabd044e8b43dc0223f38c676ae46ba140e1f731dfa98",
     "order_avoiding": "d1449210c1598987f575ccca382948d91b09a9cfe25bae0a349a358d60f58546",
     "enumerate_bad_sets": "340743b1536dd45f7e6f0ba234f87df7284756a64228ecb29220d8d363480fa2",
-    "iterative_process": "c41f8463a8492e909e5c6dbe38e614587fb3181e27b2d57331743ec89c7fdd34",
+    "iterative_process": "b018317ca9cf4a726bb81809c000d0463b94c60bbe5dcfa38c323ed7b56d5f63",
+    "iterative_process_beyond_cap": "057cb534dd3a251082c6162d019ca5fd7a8cf4643ab3db3e2d726abe0bd8e7ba",
     "cli_adversary_exact": "9c583f29fa0ccb69bda46682d9eff87a3edc3d4de95f70b56fd1164ea10afb5b",
     "cli_adversary_heuristic": "bfbac92c631f266234c4309dcde592ccb3dbbc55af5a73edd11c75dae5362f81",
     "cli_analyze_safety": "ac99a68dc04da4af60555d0cd99ff8dabcd5613b93ddc61433e4f87ae78fc8dc",
@@ -170,15 +171,27 @@ def test_bad_set_reports_are_pinned(graphs):
     check_pinned("enumerate_bad_sets", doc)
 
 
-def test_iterative_traces_are_pinned(graphs):
+def iterative_traces(graphs, n_min, n_max):
+    """The trace of every policy, with a cap of 8 rounds, on each corpus
+    graph with n_min <= n <= n_max, from a priority order seeded by its
+    index."""
     doc = []
     for idx, (name, g) in enumerate(graphs):
-        if g.n <= 7:
+        if n_min <= g.n <= n_max:
             pi = random_perm(random.Random(idx), g.n)
             for policy in MINIMIZER_POLICIES:
                 trace = iterative_process(g, pi, 8, policy)
                 doc.append([name, policy, gio.iterative_trace_to_doc(trace)])
-    check_pinned("iterative_process", doc)
+    return doc
+
+
+def test_iterative_traces_are_pinned(graphs):
+    check_pinned("iterative_process", iterative_traces(graphs, 0, 7))
+
+
+def test_iterative_traces_beyond_the_old_cap_are_pinned(graphs):
+    """Every policy's trace on the corpus graphs with 8 <= n <= 14."""
+    check_pinned("iterative_process_beyond_cap", iterative_traces(graphs, 8, 14))
 
 
 def cli_run(capsys, argv):

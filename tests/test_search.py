@@ -13,9 +13,12 @@ from it.  The engine's values, orders and safety witnesses must equal
 those of the exhaustive game and of the recursive safety search in
 conftest, its list must hold every largest avoidable set, and the
 largest avoidable set must give the game's value at every state.  The
-descent trusts the incumbent matching where it can, decides each other
-branch by one augmenting path against it, and tests the later listed
-sets only when a branch loses the incumbent.  The engine must handle
+listed sets must be the loser sets of the least-size greedy runs over
+all arrival orders, and the exact order the least of their safety
+witnesses, which the iterate policies rest on.  The descent trusts the
+incumbent matching where it can, decides each other branch by one
+augmenting path against it, and tests the later listed sets only when a
+branch loses the incumbent.  The engine must handle
 inputs far deeper than the interpreter's recursion limit and solve the
 sizes that the search over arrivals could not, and the safety decision
 must settle the queries that the search left unbounded.
@@ -58,6 +61,7 @@ from greedyorder.adversary import (
     _avoiding_extension,
     _avoiding_matching,
     _avoiding_rows,
+    _largest_avoidable,
     _masked_search,
     _max_avoidable,
     _planned_order,
@@ -257,6 +261,41 @@ def test_every_largest_avoidable_set_is_listed():
 
     check()
     assert tally["walk short"] >= 1 and tally["walk largest"] >= 20, tally
+
+
+def small_graphs_and_orders(corpus):
+    """60 random perfect-matching graphs with 2 <= n <= 7 and every corpus
+    graph with n <= 7, each with a seeded priority order."""
+    rng = random.Random(3217)
+    for _ in range(60):
+        n = rng.randint(2, 7)
+        yield random_pm_graph(rng, n), random_perm(rng, n)
+    for idx, inst in enumerate(corpus):
+        if inst.graph.n <= 7:
+            yield inst.graph, random_perm(random.Random(idx), inst.graph.n)
+
+
+def test_the_largest_avoidable_sets_are_the_least_rounds_loser_sets(corpus):
+    """The sets that `_largest_avoidable` lists are exactly the
+    unmatched right sides of the least-size greedy runs over all n!
+    arrival orders, each once and as a sorted tuple."""
+    for g, pi in small_graphs_and_orders(corpus):
+        outs = [greedy_match(g, Permutation.from_order(p), pi) for p in itertools.permutations(range(g.n))]
+        least = min(out.size for out in outs)
+        losers = {tuple(out.unmatched_v()) for out in outs if out.size == least}
+        listed = _largest_avoidable(g, pi)
+        assert len(set(listed)) == len(listed)
+        assert sorted(listed) == sorted(losers)
+
+
+def test_the_exact_order_is_the_least_safety_witness(corpus):
+    """The exact adversary's order is the least, as a tuple, of the
+    safety witnesses of the largest avoidable sets: it is the first
+    branch sequence that leaves some listed set unmatched, so it is the
+    first one for its own set."""
+    for g, pi in small_graphs_and_orders(corpus):
+        witnesses = [order_avoiding(g, pi, losers).order for losers in _largest_avoidable(g, pi)]
+        assert min(witnesses) == worst_order_exact(g, pi).sigma.order
 
 
 def test_the_budget_counts_kernel_calls(monkeypatch):
