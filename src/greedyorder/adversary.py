@@ -29,6 +29,19 @@ the arrivals left and the free V, the lemma decides every state of the
 arrival game, and `_avoiding_matching` is that test: its rows, then one
 augmenting path per arrival.
 
+A set-last order needs no ranks.  Under the order that puts T last,
+every vertex outside T ranks below all of T, so the test asks only for
+a matching of T's U-neighbours into V - T, in label rows less T.  The
+label rows with T's bits shifted up by n, (a & ~T) | ((a & T) << n),
+order V as that order does, each vertex outside T at its label's bit
+below every bit of T, so they serve as its rank rows: the descent reads
+only which bit of a mask is lowest and which bits lie below another, and
+those agree.  The avoidable sets are closed under subsets, since a
+matching for T + c cut down to T's neighbours is one for T.  So a census
+of the sets of one size grows them along the combination tree, tests
+each T + c from T's rows and matching (`_avoiding_extension` with
+keep = ~(T | c)), and a set that fails prunes every set that extends it.
+
 The exact and masked minima ask the same question.  The counted
 vertices that greedy leaves unmatched under a sigma form an avoidable
 set, every avoidable set is left unmatched by some sigma, and every
@@ -210,10 +223,10 @@ def _masked_search(
     (adj, col), mask = _rank_rows(g, pi), _rank_mask(pi, v_subset)
     try:
         sets, calls = _max_avoidable(adj, col, mask, budget)
-        found = _avoiding_descent(adj, col, g.n, sets, budget - calls)
+        found = _avoiding_descent(adj, col, (1 << g.n) - 1, sets, budget - calls)
         value, exact = mask.bit_count() - sets[0].bit_count(), True
     except _BudgetExceeded as exc:
-        found = _avoiding_descent(adj, col, g.n, exc.args)
+        found = _avoiding_descent(adj, col, (1 << g.n) - 1, exc.args)
         value, exact, calls = None, False, budget + 1
     if found is None:
         raise PropositionViolatedError("no largest avoidable set is avoidable")
@@ -331,24 +344,34 @@ def _avoiding_matching(
 
 
 def _avoiding_extension(
-    adj: Sequence[int], col: Sequence[int], rows: dict[int, int], mate: dict[int, int], c: int
+    adj: Sequence[int],
+    col: Sequence[int],
+    rows: dict[int, int],
+    mate: dict[int, int],
+    c: int,
+    keep: Optional[int] = None,
 ) -> Optional[tuple[dict[int, int], dict[int, int]]]:
     """The avoidability test of T + c at the start of the game, from
     T's rows and matching as `_avoiding_matching` returns them and a
-    rank bit c outside T: the same verdict, with the rows and a matching
-    for T + c.  c caps the rows of its neighbours below it and adds the
-    neighbours not yet next to T, so only those arrivals, when new or
-    when their pair leaves the capped row, need an augmenting path."""
-    rows, mate, starts, cap, x = dict(rows), dict(mate), [], c - 1, col[c.bit_length() - 1]
+    bit c outside T: the same verdict, with the rows and a matching for
+    T + c.  The rows of c's neighbours keep only the bits of `keep`:
+    by default c - 1, those below c, when c ranks below all of T (the
+    exact search), or ~(T | c), those outside T + c, when T + c ranks
+    above every other vertex (the census).  The neighbours not yet next
+    to T are added, so only those arrivals, when new or when their pair
+    leaves the capped row, need an augmenting path."""
+    if keep is None:
+        keep = c - 1
+    rows, mate, starts, x = dict(rows), dict(mate), [], col[c.bit_length() - 1]
     while x:
         u_bit = x & -x
         x ^= u_bit
         old = rows.get(u_bit)
         if old is None:
-            r = adj[u_bit.bit_length() - 1] & cap
+            r = adj[u_bit.bit_length() - 1] & keep
             starts.append(u_bit)
         else:
-            r, gone = old & cap, old & ~cap
+            r, gone = old & keep, old & ~keep
             while gone:
                 v = gone & -gone
                 gone ^= v
@@ -424,30 +447,38 @@ def _largest_avoidable(g: BipartiteGraph, pi: Permutation) -> list[tuple[int, ..
 
 
 def _avoiding_descent(
-    adj: Sequence[int], col: Sequence[int], n: int, sets: Sequence[int], budget: float = math.inf
+    adj: Sequence[int],
+    col: Sequence[int],
+    v_mask: int,
+    sets: Sequence[int],
+    budget: float = math.inf,
+    root: Optional[tuple[dict[int, int], dict[int, int]]] = None,
 ) -> Optional[tuple[list[int], int]]:
     """(order, calls): the first branch sequence, in ascending arrival
-    order at every state, that leaves some rank mask of `sets` unmatched,
-    by the descent of the module docstring, and its kernel calls, or
-    None when no set is avoidable at the root.  An incumbent's matching
-    keeps the rows of the state where it was found, which its set, never
-    taken, leaves as they are but for the vertices taken.  Raises
-    _BudgetExceeded with the first listed set past `budget` calls."""
-    full = (1 << n) - 1
-    for calls, t_mask in enumerate(sets, 1):
+    order at every state, that leaves some mask of `sets` unmatched, by
+    the descent of the module docstring, and its kernel calls, or None
+    when no set is avoidable at the root.  Rows, columns and sets share
+    one coordinate space whose bits rank the vertices of v_mask in
+    priority order.  `root`, when given, is the rows and a matching of
+    the first set's test at the root, which the caller has found
+    avoidable.  An incumbent's matching keeps the rows of the state
+    where it was found, which its set, never taken, leaves as they are
+    but for the vertices taken.  Raises _BudgetExceeded with the first
+    listed set past `budget` calls."""
+    u_mask, calls, kernel = (1 << len(adj)) - 1, 0, root
+    while kernel is None:
+        if calls == len(sets):
+            return None
+        calls += 1
         if calls > budget:
             raise _BudgetExceeded(sets[0])
-        kernel = _avoiding_matching(adj, col, t_mask, full, full)
-        if kernel is not None:
-            break
-    else:
-        return None
-    (rows, mate), lo, last = kernel, calls - 1, len(sets) - 1
-    dead = 0
+        kernel = _avoiding_matching(adj, col, sets[calls - 1], u_mask, v_mask)
+    (rows, mate), lo, last = kernel, max(calls - 1, 0), len(sets) - 1
+    t_mask, dead = sets[lo], 0
     for u, row in enumerate(adj):
         if not row:
             dead |= 1 << u
-    order, left, free = [], full ^ dead, full
+    order, left, free = [], u_mask ^ dead, v_mask
     while True:
         # Arrivals left without a free neighbour join at once, in label order.
         while dead:
@@ -501,14 +532,6 @@ def _avoiding_descent(
         left ^= dead
 
 
-def _avoidable(g: BipartiteGraph, pi: Permutation, v_subset: Sequence[int]) -> bool:
-    """Whether some arrival order leaves v_subset unmatched under pi: the
-    avoidability test at the start of the game."""
-    adj, col = _rank_rows(g, pi)
-    full = (1 << g.n) - 1
-    return _avoiding_matching(adj, col, _rank_mask(pi, v_subset), full, full) is not None
-
-
 def order_avoiding(
     g: BipartiteGraph, pi: Permutation, v_subset: Sequence[int]
 ) -> Optional[Permutation]:
@@ -520,7 +543,7 @@ def order_avoiding(
     checked by greedy replay."""
     _check_subset(g, pi, v_subset)
     adj, col = _rank_rows(g, pi)
-    found = _avoiding_descent(adj, col, g.n, [_rank_mask(pi, v_subset)])
+    found = _avoiding_descent(adj, col, (1 << g.n) - 1, [_rank_mask(pi, v_subset)])
     return None if found is None else _replayed(g, pi, v_subset, found[0], 0)[1]
 
 

@@ -16,19 +16,22 @@ import random
 import statistics
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .adversary import (
     DEFAULT_BUDGET,
     DEFAULT_MODE,
-    _avoidable,
+    _avoiding_descent,
+    _avoiding_extension,
+    _avoiding_matching,
     _check_subset,
     _largest_avoidable,
+    _replayed,
     attack,
     order_avoiding,
     worst_order_exact,
 )
-from .core import BipartiteGraph, Permutation, find_perfect_matching
+from .core import BipartiteGraph, Permutation, _rank_rows, find_perfect_matching
 from .errors import (
     AnalysisParamError,
     PropositionViolatedError,
@@ -226,59 +229,121 @@ class BadSetReport:
     witnesses: dict[tuple[int, ...], tuple[Permutation, Permutation]]
 
 
-def _first_exposing_pi(g: BipartiteGraph, s: Sequence[int]) -> Permutation:
-    """The first priority order, in itertools.permutations order, that
-    exposes s, a set some order exposes.  Moving the vertices of s later
-    only loosens the avoidability test, so the orders that start with a
-    prefix expose s exactly when the prefix, then the other vertices
-    outside s, then the rest of s, does; the order is built one position
-    at a time.  A vertex outside s always extends an exposing prefix: it
-    only reorders the block outside s after the prefix, which keeps its
-    set of positions, and every rank bound of the test lies in the prefix
-    or in the tail of s.  So only the candidates in s are tested."""
-    n, s_set = g.n, set(s)
+def _first_exposing_pi(
+    adj: Sequence[int], col: Sequence[int], s_mask: int
+) -> tuple[Permutation, list[int], list[int]]:
+    """(pi, rows, cols): the first priority order, in
+    itertools.permutations order, that exposes the label mask s_mask, a
+    set some order exposes, with its `_rank_rows`.  adj and col are the
+    label rows, `_rank_rows` under the identity.  Moving the vertices of
+    s later only loosens the avoidability test, so the orders that start
+    with a prefix expose s exactly when the prefix, then the other
+    vertices outside s, then the rest of s, does; the order is built one
+    position at a time.  A vertex outside s always extends an exposing
+    prefix: it only reorders the block outside s after the prefix, which
+    keeps its set of positions, and every rank bound of the test lies in
+    the prefix or in the tail of s.  So only the candidates in s are
+    tested.  Each probe reads rows kept in coordinates of that order:
+    prefix position i at bit i, then each other vertex v at bit n + v,
+    or at 2n + v when it lies in s.  Placing v moves its bit in the rows
+    of its neighbours, and a probe that fails moves it back."""
+    n = len(adj)
+    full = rest = (1 << n) - 1
+    rows = [(a & ~s_mask) << n | (a & s_mask) << 2 * n for a in adj]
+    cols, t_mask = col * 3, s_mask << 2 * n
+    v_mask = (full ^ s_mask) << n | t_mask
+    order: list[int] = []
+    for k in range(n):
+        x = rest
+        while True:
+            v_bit = x & -x
+            x ^= v_bit
+            v = v_bit.bit_length() - 1
+            move = 1 << k | 1 << v + (2 * n if v_bit & s_mask else n)
+            cols[k] = col[v]
+            _move_bit(rows, col[v], move)
+            if not v_bit & s_mask:
+                break
+            if _avoiding_matching(rows, cols, t_mask ^ move, full, v_mask ^ move) is not None:
+                t_mask ^= move
+                break
+            _move_bit(rows, col[v], move)
+        order.append(v)
+        rest ^= v_bit
+        v_mask ^= move
+    return Permutation.from_order(order), rows, cols
 
-    def exposes(prefix: list[int]) -> bool:
-        tail = sorted((v for v in range(n) if v not in prefix), key=s_set.__contains__)
-        return _avoidable(g, Permutation.from_order(prefix + tail), s)
 
-    prefix: list[int] = []
-    while len(prefix) < n:
-        rest = (v for v in range(n) if v not in prefix)
-        prefix.append(next(v for v in rest if v not in s_set or exposes(prefix + [v])))
-    return Permutation.from_order(prefix)
+def _move_bit(rows: list[int], u_mask: int, move: int) -> None:
+    """Flip the two bits of `move` in the row of each U vertex of u_mask."""
+    while u_mask:
+        u_bit = u_mask & -u_mask
+        u_mask ^= u_bit
+        rows[u_bit.bit_length() - 1] ^= move
+
+
+def _exposable_sets(
+    adj: Sequence[int], col: Sequence[int], size: int
+) -> Iterator[tuple[int, tuple[dict[int, int], dict[int, int]]]]:
+    """Yield (T, kernel) for each size-`size` label mask T that its
+    set-last order exposes, in itertools.combinations order, with kernel
+    the rows and matching of its test: the census of the `adversary`
+    docstring, which tests each T + c from T's kernel and prunes the
+    subtree of a set that fails.  The stack holds (T, |T|, the least
+    label a child may add, kernel)."""
+    n = len(adj)
+    stack = [(0, 0, 0, ({}, {}))]
+    while stack:
+        t, k, lo, (rows, mate) = stack.pop()
+        if k == size:
+            yield t, (rows, mate)
+            continue
+        children = []
+        for v in range(lo, n - size + k + 1):
+            c = 1 << v
+            kernel = _avoiding_extension(adj, col, rows, mate, c, ~(t | c))
+            if kernel is not None:
+                children.append((t | c, k + 1, v + 1, kernel))
+        stack.extend(reversed(children))
 
 
 def enumerate_bad_sets(g: BipartiteGraph, size: int, mode: str = "full_pi") -> BadSetReport:
     """List every size-`size` right-side set some priority order exposes.
 
     By the avoidability lemma of the `adversary` docstring, a set is
-    exposed by some priority order exactly when it is exposed by the
-    order that places it at the lowest priority, so each set is decided
-    once, under that set-last order.  The mode picks only the witness:
-    canonical_pi keeps the set-last order, and full_pi the first exposing
-    order in itertools.permutations order.  So full_pi decides a set by
-    the avoidability test alone and runs the descent of `order_avoiding`
-    only for a bad set, under the order that witnesses it.
+    exposed by some priority order exactly when the order that places it
+    last exposes it, and that test needs no ranks.  So the label rows are
+    built once and `_exposable_sets` decides each set once, along the
+    combination tree; no order is built for a safe set.  The mode picks
+    only the witness of a bad set: canonical_pi keeps the set-last
+    order, and full_pi the first exposing order in itertools.permutations
+    order.  Its sigma is the descent of `order_avoiding` under that
+    order, checked by greedy replay: canonical_pi's runs in set-last
+    coordinates from the census's matching, and full_pi's on the rank
+    rows that `_first_exposing_pi` leaves.
     """
     n = g.n
     if not (1 <= size <= n):
         raise AnalysisParamError("size %d out of range for n=%d" % (size, n))
     if mode not in BAD_SET_MODES:
         raise UsageError("unknown mode %r" % (mode,))
+    adj, col = _rank_rows(g, Permutation.identity(n))
+    full, col2 = (1 << n) - 1, col * 2
     bad: list[tuple[int, ...]] = []
     witnesses: dict[tuple[int, ...], tuple[Permutation, Permutation]] = {}
-    for comb in itertools.combinations(range(n), size):
-        pi = Permutation.from_order([v for v in range(n) if v not in comb] + list(comb))
+    for t, kernel in _exposable_sets(adj, col, size):
+        comb = tuple(v for v in range(n) if t >> v & 1)
         if mode == "full_pi":
-            if not _avoidable(g, pi, comb):
-                continue
-            pi = _first_exposing_pi(g, comb)
-        witness = order_avoiding(g, pi, comb)
-        if witness is None:
-            continue
+            pi, rows, cols = _first_exposing_pi(adj, col, t)
+            found = _avoiding_descent(rows, cols, full, [sum(1 << pi.rank[v] for v in comb)])
+        else:
+            pi = Permutation.from_order([v for v in range(n) if not t >> v & 1] + list(comb))
+            rows = [a & ~t | (a & t) << n for a in adj]
+            found = _avoiding_descent(rows, col2, full ^ t | t << n, [t << n], root=kernel)
+        if found is None:
+            raise PropositionViolatedError("the census exposed a set that its order does not")
         bad.append(comb)
-        witnesses[comb] = (pi, witness)
+        witnesses[comb] = (pi, _replayed(g, pi, comb, found[0], 0)[1])
     return BadSetReport(size, mode, tuple(bad), witnesses)
 
 

@@ -31,6 +31,7 @@ from greedyorder import (
     cross_check_interpretations,
     entropy,
     enumerate_bad_sets,
+    find_perfect_matching,
     generate,
     greedy_match,
     is_safe,
@@ -296,78 +297,107 @@ def test_chain1_bad_pairs_exact():
 
 
 def test_full_pi_builds_the_orders_only_for_a_set_that_needs_them(monkeypatch):
-    """Every pair of this graph is safe under every pi, so the census
-    decides each pair by one `_avoidable` call, under the order that puts
-    it last, and builds no other order nor probes one.  chain1 has unsafe
-    pairs and reports them as before; each witness pi is built one
-    position at a time, at most n tests a position, plus the pi and sigma
-    it returns, and no list of all n! orders is built.  Only the
-    candidates in the set are probed, so a bad set T costs at most |T|
+    """The census builds the label rows by one `_rank_rows` call per
+    graph and decides each set once, by one `_avoiding_extension` call
+    from its prefix's test, with the verdict of its set-last order; a set
+    whose prefix fails is never tested.  Every pair of this graph is safe
+    under every pi, so the census builds no order, probes none and makes
+    no `_rank_rows` call for a set.  chain1 has unsafe pairs and reports
+    them as before; each witness pi is built one position at a time, and
+    only it and its sigma are built, so no list of all n! orders is.  Only
+    the candidates in the set are probed, so a bad set T costs at most |T|
     probes a position."""
     safe = generate(FamilySpec("hamiltonian_random", {"n": 5, "extra_edges": 2}, seed=1))
     chain1 = generate(FamilySpec("badset_chain", {"copies": 1}))
-    built, calls = [], []
-    from_order, avoidable = Permutation.from_order, analysis._avoidable
+    built, ranked, decided, probes, exposing = [], [], [], [], []
+    from_order, rank_rows = Permutation.from_order, analysis._rank_rows
+    extend, probe, first = (
+        analysis._avoiding_extension, analysis._avoiding_matching, analysis._first_exposing_pi
+    )
+
+    def extend_logged(adj, col, rows, mate, c, keep):
+        kernel = extend(adj, col, rows, mate, c, keep)
+        decided.append((~keep, kernel is not None))
+        return kernel
+
     monkeypatch.setattr(
         Permutation, "from_order", lambda order: built.append(list(order)) or from_order(order)
     )
     monkeypatch.setattr(
-        analysis, "_avoidable", lambda g, pi, s: calls.append((s, pi.order)) or avoidable(g, pi, s)
+        analysis, "_rank_rows", lambda g, pi: ranked.append(pi.order) or rank_rows(g, pi)
+    )
+    monkeypatch.setattr(analysis, "_avoiding_extension", extend_logged)
+    monkeypatch.setattr(
+        analysis, "_first_exposing_pi", lambda adj, col, s: exposing.append(s) or first(adj, col, s)
+    )
+    monkeypatch.setattr(
+        analysis, "_avoiding_matching", lambda *args: probes.append(exposing[-1]) or probe(*args)
     )
 
-    def set_last(n, s):
-        return tuple(v for v in range(n) if v not in s) + tuple(s)
+    def labels(mask):
+        return tuple(v for v in range(mask.bit_length()) if mask >> v & 1)
 
-    pairs = list(itertools.combinations(range(5), 2))
+    def check_decided(g):
+        """Each set decided once, with its set-last verdict; the pairs
+        decided are those whose first vertex passed alone."""
+        n = g.n
+        sets = [labels(t) for t, _ in decided]
+        assert len(set(sets)) == len(sets)
+        passed = {labels(t) for t, ok in decided if ok}
+        assert {s for s in sets if len(s) == 1} == {(v,) for v in range(n - 1)}
+        pairs = {(a, b) for a, b in itertools.combinations(range(n), 2) if (a,) in passed}
+        assert {s for s in sets if len(s) == 2} == pairs
+        for s in sets:
+            pi = Permutation.from_order([v for v in range(n) if v not in s] + list(s))
+            assert (s in passed) == (adversary.order_avoiding(g, pi, s) is not None)
+        return {s for s in passed if len(s) == 2}
+
     assert enumerate_bad_sets(safe, 2, mode="full_pi").bad_sets == ()
-    assert built == [list(set_last(5, pair)) for pair in pairs]
-    assert calls == [(pair, set_last(5, pair)) for pair in pairs]
-    built.clear()
-    calls.clear()
+    assert (built, probes, ranked) == ([], [], [tuple(range(5))])
+    assert check_decided(safe) == set()
+    for log in (built, ranked, decided):
+        log.clear()
     n = chain1.n
     report = enumerate_bad_sets(chain1, 2, mode="full_pi")
     assert set(report.bad_sets) == {(0, 1), (0, 2)}
-    assert len(built) <= math.comb(n, 2) + len(report.bad_sets) * (n * (n + 1) // 2 + 2)
-    assert 0 < len(calls) - math.comb(n, 2) <= len(report.bad_sets) * 2 * n
-    # Each set is decided first, under its set-last order.  Then, for a bad
-    # set, each position tests, in label order, the free vertices of the
-    # set up to the one it takes, and no vertex outside the set.
+    assert len(built) == 2 * len(report.bad_sets)
+    assert ranked == [tuple(range(n))]
+    assert 0 < len(probes) <= len(report.bad_sets) * 2 * n
+    # For a bad set, each position tests, in label order, the free
+    # vertices of the set up to the one it takes, and no vertex outside
+    # the set.
     expected = []
-    for t in itertools.combinations(range(n), 2):
-        expected.append(t)
-        if t in report.witnesses:
-            w = report.witnesses[t][0].order
-            expected += [t for k, x in enumerate(w) for v in t if v <= x and v not in w[:k]]
-    assert [s for s, _ in calls] == expected
-    first = {}
-    for s, order in calls:
-        first.setdefault(s, order)
-    assert first == {t: set_last(n, t) for t in itertools.combinations(range(n), 2)}
+    for t in report.bad_sets:
+        w = report.witnesses[t][0].order
+        expected += [t for k, x in enumerate(w) for v in t if v <= x and v not in w[:k]]
+    assert [labels(s) for s in probes] == expected
+    assert check_decided(chain1) == set(report.bad_sets)
 
 
 def test_full_pi_runs_one_descent_per_bad_set(monkeypatch):
-    """full_pi decides each set by the avoidability test under its
-    set-last order and runs the witness descent only for a bad set,
-    under the order it reports, not under the set-last order as well.
-    All 36 pairs of this graph are bad, so its census makes 36 descents;
-    canonical_pi, whose descent also decides the set, makes one a set."""
+    """Both modes decide each set by the census's avoidability test and
+    run the witness descent only for a bad set, under the order it
+    reports, not under the set-last order as well.  All 36 pairs of this
+    graph are bad, so each census makes 36 descents; a graph whose pairs
+    are all safe makes none."""
     g = generate(FamilySpec("random_regular", {"n": 9, "d": 3}, seed=1))
     descents = []
-    descend = adversary._avoiding_descent
+    descend = analysis._avoiding_descent
     monkeypatch.setattr(
-        adversary,
+        analysis,
         "_avoiding_descent",
-        lambda adj, col, n, t_mask: descents.append(t_mask) or descend(adj, col, n, t_mask),
+        lambda adj, col, v_mask, sets, **kw: descents.append(sets)
+        or descend(adj, col, v_mask, sets, **kw),
     )
-    report = enumerate_bad_sets(g, 2, mode="full_pi")
-    assert len(report.bad_sets) == math.comb(9, 2)
-    assert len(descents) == len(report.bad_sets)
-    descents.clear()
+    for mode in ("full_pi", "canonical_pi"):
+        report = enumerate_bad_sets(g, 2, mode=mode)
+        assert len(report.bad_sets) == math.comb(9, 2)
+        assert len(descents) == len(report.bad_sets)
+        descents.clear()
     safe = generate(FamilySpec("hamiltonian_random", {"n": 5, "extra_edges": 2}, seed=1))
-    assert enumerate_bad_sets(safe, 2, mode="full_pi").bad_sets == ()
+    for mode in ("full_pi", "canonical_pi"):
+        assert enumerate_bad_sets(safe, 2, mode=mode).bad_sets == ()
     assert descents == []
-    assert enumerate_bad_sets(safe, 2, mode="canonical_pi").bad_sets == ()
-    assert len(descents) == math.comb(5, 2)
 
 
 def test_a_vertex_outside_the_set_extends_every_exposing_prefix():
@@ -387,7 +417,8 @@ def test_a_vertex_outside_the_set_extends_every_exposing_prefix():
 
         def exposes(prefix):
             tail = sorted((v for v in range(n) if v not in prefix), key=t.__contains__)
-            return adversary._avoidable(g, Permutation.from_order(prefix + tail), sorted(t))
+            pi = Permutation.from_order(prefix + tail)
+            return adversary.order_avoiding(g, pi, sorted(t)) is not None
 
         prefix, outside = [], [v for v in range(n) if v not in t]
         while outside and exposes(prefix):
@@ -439,6 +470,45 @@ def test_every_exposed_set_is_exposed_by_the_set_last_order():
 
     check()
     assert seen["bad"] >= 50 and seen["safe"] >= 50, seen
+
+
+def test_census_agrees_with_the_recursive_reference():
+    """Both census modes against the recursive reference, on random
+    graphs with n <= 9 that may have empty rows, isolated vertices and no
+    perfect matching, at every size up to 4: each reported set is unsafe
+    under its witness pi, with the reference's witness as sigma, and each
+    set left out is safe under the order that puts it last."""
+    seen = collections.Counter()
+
+    @settings(
+        max_examples=120,
+        derandomize=True,
+        database=None,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(st.randoms(use_true_random=True), st.integers(1, 9), st.floats(0.0, 0.6))
+    def check(rng, n, density):
+        edges = [(u, v) for u in range(n) for v in range(n) if rng.random() < density]
+        g = BipartiteGraph.from_edges(n, edges)
+        seen["empty row"] += any(not row for row in g.adj_u)
+        seen["no perfect matching"] += isinstance(outcome(find_perfect_matching, g), tuple)
+        for size in range(1, min(n, 4) + 1):
+            for mode in ("full_pi", "canonical_pi"):
+                report = enumerate_bad_sets(g, size, mode=mode)
+                for s in itertools.combinations(range(n), size):
+                    if s in report.witnesses:
+                        pi, sigma = report.witnesses[s]
+                        assert reference_is_safe(g, pi, s) == (False, list(sigma.order))
+                        seen["bad"] += 1
+                    else:
+                        rest = [v for v in range(n) if v not in s]
+                        assert reference_is_safe(g, Permutation.from_order(rest + list(s)), s)[0]
+                        seen["safe"] += 1
+                assert report.bad_sets == tuple(sorted(report.witnesses))
+
+    check()
+    assert min(seen.values()) >= 20, seen
 
 
 def test_enumerate_bad_sets_guards():

@@ -36,6 +36,7 @@ PINNED = {
     "worst_order_masked_min": "73d5cc577cab9fddcb0dabd044e8b43dc0223f38c676ae46ba140e1f731dfa98",
     "order_avoiding": "d1449210c1598987f575ccca382948d91b09a9cfe25bae0a349a358d60f58546",
     "enumerate_bad_sets": "340743b1536dd45f7e6f0ba234f87df7284756a64228ecb29220d8d363480fa2",
+    "enumerate_bad_sets_canonical": "6e0e9122a6d3c3275b559ea9433e93f52e8532927189ecdbdbda61aa1146ab56",
     "iterative_process": "b018317ca9cf4a726bb81809c000d0463b94c60bbe5dcfa38c323ed7b56d5f63",
     "iterative_process_beyond_cap": "057cb534dd3a251082c6162d019ca5fd7a8cf4643ab3db3e2d726abe0bd8e7ba",
     "cli_adversary_exact": "9c583f29fa0ccb69bda46682d9eff87a3edc3d4de95f70b56fd1164ea10afb5b",
@@ -169,6 +170,19 @@ def test_bad_set_reports_are_pinned(graphs):
         if 2 <= g.n <= 6:
             doc[name] = gio.badset_report_to_doc(enumerate_bad_sets(g, 2, "full_pi"))
     check_pinned("enumerate_bad_sets", doc)
+
+
+def test_canonical_bad_set_reports_are_pinned(graphs):
+    """The canonical_pi census at sizes 1 to 3 on every corpus graph with
+    n <= 9: its bad sets and each witness (pi, sigma)."""
+    doc = {}
+    for name, g in graphs:
+        if g.n <= 9:
+            doc[name] = [
+                gio.badset_report_to_doc(enumerate_bad_sets(g, size, "canonical_pi"))
+                for size in range(1, min(g.n, 3) + 1)
+            ]
+    check_pinned("enumerate_bad_sets_canonical", doc)
 
 
 def iterative_traces(graphs, n_min, n_max):
