@@ -26,21 +26,14 @@ arrival took a vertex ranked at most its own partner's, so u's partner
 is still free when u arrives, and u takes a vertex ranked at most that
 one, outside T; the other U vertices have no edge into T.  Applied to
 the arrivals left and the free V, the lemma decides every state of the
-arrival game, and `_avoiding_matching` is that test: its rows, then one
-augmenting path per arrival.
-
-A set-last order needs no ranks.  Under the order that puts T last,
-every vertex outside T ranks below all of T, so the test asks only for
-a matching of T's U-neighbours into V - T, in label rows less T.  The
-label rows with T's bits shifted up by n, (a & ~T) | ((a & T) << n),
-order V as that order does, each vertex outside T at its label's bit
-below every bit of T, so they serve as its rank rows: the descent reads
-only which bit of a mask is lowest and which bits lie below another, and
-those agree.  The avoidable sets are closed under subsets, since a
-matching for T + c cut down to T's neighbours is one for T.  So a census
-of the sets of one size grows them along the combination tree, tests
-each T + c from T's rows and matching (`_avoiding_extension` with
-keep = ~(T | c)), and a set that fails prunes every set that extends it.
+arrival game.  The avoidable sets are closed under subsets, since a
+matching for T + c cut down to T's neighbours is one for T, so the test
+grows T one vertex at a time.  `_avoiding_extension` tests T + c from
+T's rows and matching, with c's neighbours' rows kept to a mask: c caps
+the rows of its neighbours and adds those not yet next to T, so only
+those arrivals need an augmenting path.  `_avoiding_matching` is the
+test at a state: it adds T's free vertices in descending rank, each
+kept to the free vertices below it, so below all of T added before it.
 
 The exact and masked minima ask the same question.  The counted
 vertices that greedy leaves unmatched under a sigma form an avoidable
@@ -50,13 +43,25 @@ counted set C that greedy matches is |C| - alpha, where alpha is the
 size of the largest avoidable subset of C.  `_max_avoidable` lists
 every largest one by a branch-and-bound: candidates go in descending
 rank, a node T keeps the candidates c for which T + c stays avoidable,
-and a node is cut when |T| plus its candidates is below the best size
-so far.  The cut is strict, so every largest set is listed, in the
-order found.  The first leaf adds, from pi's lowest priority upward,
-each vertex that keeps the set avoidable.  Each test of T + c starts
-from T's rows and matching, at the start of the game: c caps the rows
-of its neighbours below it and adds those not yet next to T, so only
-those arrivals need an augmenting path (`_avoiding_extension`).
+its children test only the later ones it kept, and a node is cut when
+|T| plus its candidates is below the best size so far.  The cut is
+strict, so every largest set is listed, in the order found.  The first
+leaf adds, from pi's lowest priority upward, each vertex that keeps the
+set avoidable.  Each test of T + c is one `_avoiding_extension` at the
+start of the game, keeping c's neighbours' rows below c.
+
+A set-last order needs no ranks.  Under the order that puts T last,
+every vertex outside T ranks below all of T, so the test asks only for
+a matching of T's U-neighbours into V - T, in label rows less T.  The
+label rows with T's bits shifted up by n, (a & ~T) | ((a & T) << n),
+order V as that order does, each vertex outside T at its label's bit
+below every bit of T, so they serve as its rank rows: the descent reads
+only which bit of a mask is lowest and which bits lie below another, and
+those agree.  So a census of the sets of one size is the same walk at
+that fixed size on the label rows: candidates go in ascending label, so
+the sets come in combination order, each T + c keeps c's neighbours'
+rows off c (a new neighbour of c has no edge into T), and a set that
+fails prunes every set that extends it.
 
 Every order is a descent over the arrival game.  At each state the dead
 arrivals join at once in label order, there is one branch per distinct
@@ -88,9 +93,10 @@ a state cannot avoid stays unavoidable below it.  Each verdict is exact
 whatever M is.
 
 `budget` bounds the kernel calls, the avoidability tests of the list
-and of the descent together; each listed set cost one call, so it bounds
-the list as well.  Past it the order is `order_avoiding`'s on the
-largest set found so far, flagged inexact.
+and of the descent together, a test at a state counting as one call;
+each listed set cost one call, so it bounds the list as well.  Past it
+the order is `order_avoiding`'s on the largest set found so far,
+flagged inexact.
 """
 
 from __future__ import annotations
@@ -173,10 +179,13 @@ def _rank_mask(pi: Permutation, vs: Sequence[int]) -> int:
 
 
 def _check_subset(g: BipartiteGraph, pi: Permutation, v_subset: Sequence[int]) -> None:
-    """Raise unless pi has g.n entries and v_subset lies in 0..n-1."""
+    """Raise unless pi has g.n entries and v_subset holds ints in 0..n-1:
+    a bool, float or str is no vertex, as in `Permutation.from_order`."""
     _check_dims(g, pi, "pi")
-    if any(not 0 <= v < g.n for v in v_subset):
-        raise AnalysisParamError("subset contains vertices outside the graph")
+    if any(type(v) is not int or not 0 <= v < g.n for v in v_subset):
+        if all(type(v) is int for v in v_subset):
+            raise AnalysisParamError("subset contains vertices outside the graph")
+        raise AnalysisParamError("subset entries must be ints: %r" % (list(v_subset),))
 
 
 def _greedy_size(adj_rank: Sequence[int], order: Sequence[int], full: int) -> int:
@@ -222,7 +231,8 @@ def _masked_search(
     _check_settings(budget=budget)
     (adj, col), mask = _rank_rows(g, pi), _rank_mask(pi, v_subset)
     try:
-        sets, calls = _max_avoidable(adj, col, mask, budget)
+        listed, calls = _max_avoidable(adj, col, mask, budget)
+        sets = [t for t, _ in listed]
         found = _avoiding_descent(adj, col, (1 << g.n) - 1, sets, budget - calls)
         value, exact = mask.bit_count() - sets[0].bit_count(), True
     except _BudgetExceeded as exc:
@@ -259,33 +269,6 @@ def worst_order_masked_min(
     v_subset get matched.  Returns (value, exact, nodes_expanded)."""
     value, _, exact, nodes = _masked_search(g, pi, v_subset, budget)
     return value, exact, nodes
-
-
-def _avoiding_rows(
-    adj: Sequence[int], col: Sequence[int], t_mask: int, left: int, free: int
-) -> Optional[dict[int, int]]:
-    """The rows of the avoidability test of the module docstring at the
-    state with the arrivals `left` (U bits) and the `free` V (rank bits):
-    {U bit: the free vertices outside t_mask that rank below all of its
-    free t_mask neighbours} for each arrival left next to a free vertex
-    of t_mask, in label order, or None at the first empty row.  adj and
-    col are `_rank_rows`'s rows and columns."""
-    near, ts = 0, t_mask & free
-    while ts:
-        x = ts & -ts
-        ts ^= x
-        near |= col[x.bit_length() - 1]
-    near &= left
-    rows: dict[int, int] = {}
-    while near:
-        u_bit = near & -near
-        near ^= u_bit
-        r = adj[u_bit.bit_length() - 1] & free
-        x = r & t_mask
-        rows[u_bit] = r = r & ~t_mask & (x & -x) - 1
-        if not r:
-            return None
-    return rows
 
 
 def _augment(
@@ -332,15 +315,19 @@ def _avoiding_matching(
     adj: Sequence[int], col: Sequence[int], t_mask: int, left: int, free: int
 ) -> Optional[tuple[dict[int, int], dict[int, int]]]:
     """The avoidability test of the module docstring at the state with
-    the arrivals `left` and the `free` V: (rows, mate), the rows of
-    `_avoiding_rows` and a matching, as {V bit: U bit}, of each of their
-    arrivals into its row, or None when there is none.  The arrivals go
-    in label order, each by `_augment`."""
-    rows = _avoiding_rows(adj, col, t_mask, left, free)
-    mate: dict[int, int] = {}
-    if rows is None or not _augment(rows, mate, rows, left, free):
-        return None
-    return rows, mate
+    the arrivals `left` (U bits) and the `free` V (rank bits): (rows,
+    mate), {U bit: the free vertices outside t_mask that rank below all
+    of its free t_mask neighbours} for each arrival left next to a free
+    vertex of t_mask, and a matching, as {V bit: U bit}, of each of them
+    into its row, or None when there is none.  adj and col are
+    `_rank_rows`'s rows and columns.  The free bits of t_mask go in
+    descending rank, each by `_avoiding_extension`."""
+    kernel, ts = ({}, {}), t_mask & free
+    while kernel is not None and ts:
+        c = 1 << ts.bit_length() - 1
+        ts ^= c
+        kernel = _avoiding_extension(adj, col, kernel[0], kernel[1], c, (c - 1) & free, left)
+    return kernel
 
 
 def _avoiding_extension(
@@ -349,20 +336,19 @@ def _avoiding_extension(
     rows: dict[int, int],
     mate: dict[int, int],
     c: int,
-    keep: Optional[int] = None,
+    keep: int,
+    left: int,
 ) -> Optional[tuple[dict[int, int], dict[int, int]]]:
-    """The avoidability test of T + c at the start of the game, from
-    T's rows and matching as `_avoiding_matching` returns them and a
-    bit c outside T: the same verdict, with the rows and a matching for
-    T + c.  The rows of c's neighbours keep only the bits of `keep`:
-    by default c - 1, those below c, when c ranks below all of T (the
-    exact search), or ~(T | c), those outside T + c, when T + c ranks
-    above every other vertex (the census).  The neighbours not yet next
-    to T are added, so only those arrivals, when new or when their pair
-    leaves the capped row, need an augmenting path."""
-    if keep is None:
-        keep = c - 1
-    rows, mate, starts, x = dict(rows), dict(mate), [], col[c.bit_length() - 1]
+    """The avoidability test of T + c, from T's rows and matching as
+    `_avoiding_matching` returns them and a bit c outside T: the same
+    verdict, with the rows and a matching for T + c, grown in place from
+    T's, which a caller that keeps them passes as copies.  The rows of c's
+    neighbours among the arrivals `left` keep only the bits of `keep`:
+    the free vertices below c, when c ranks below all of T, or ~c, when
+    T + c ranks above every other vertex (the census).  The neighbours
+    not yet next to T are added, so only those arrivals, when new or
+    when their pair leaves the capped row, need an augmenting path."""
+    starts, x = [], col[c.bit_length() - 1] & left
     while x:
         u_bit = x & -x
         x ^= u_bit
@@ -381,39 +367,46 @@ def _avoiding_extension(
         if not r:
             return None
         rows[u_bit] = r
-    # Every arrival counts and every vertex is free: left = free = -1.
+    # keep and left already cut the rows to the free V and the pairs to the
+    # arrivals left, so every arrival counts and every vertex is free.
     return (rows, mate) if _augment(rows, mate, starts, -1, -1) else None
 
 
 def _max_avoidable(
-    adj: Sequence[int], col: Sequence[int], count: int, budget: float
-) -> tuple[list[int], int]:
+    adj: Sequence[int], col: Sequence[int], count: int, budget: float, size: Optional[int] = None
+) -> tuple[list[tuple[int, tuple[dict[int, int], dict[int, int]]]], int]:
     """(sets, calls): every largest avoidable subset of the ranks in
-    `count`, as rank masks in the order that the branch-and-bound of the
-    module docstring finds them, and its kernel calls, each one
-    `_avoiding_extension`.  Raises _BudgetExceeded with the first
-    largest set so far past `budget` calls.  A frame is (T, |T|, its
-    candidates as (c, the rows and matching of T + c), the index of the
-    next one to add), on an explicit stack free of the recursion limit."""
-    pool, x = [], count
-    while x:
-        c = 1 << x.bit_length() - 1
-        pool.append((c, None))
-        x ^= c
-    best, sets, calls, frames = 0, [0], 0, []
+    `count`, as (rank mask, its rows and matching) in the order that the
+    branch-and-bound of the module docstring finds them, and its kernel
+    calls, each one `_avoiding_extension`.  With a `size`, every
+    avoidable subset of that size instead, by the census's walk: count
+    is then a mask of labels of the label rows, and the sets come in
+    itertools.combinations order.  Raises _BudgetExceeded with the first
+    largest set so far past `budget` calls.  A candidate is (c, its keep
+    mask, the rows and matching of T + c); a frame is (T, |T|, its
+    candidates, the index of the next one to add), on an explicit stack
+    free of the recursion limit."""
+    bits = [1 << r for r in range(count.bit_length()) if count >> r & 1]
+    pool = [(c, ~c, None) for c in bits] if size else [(c, c - 1, None) for c in reversed(bits)]
+    best, sets, calls, frames = size or 0, [], 0, []
     t, k, kernel = 0, 0, ({}, {})
     while True:
-        # T's candidates among pool, unless too few are left to reach the best size.
-        cands: list[tuple[int, tuple[dict[int, int], dict[int, int]]]] = []
-        for j, (c, _) in enumerate(pool):
-            if k + len(cands) + len(pool) - j < best:
+        if k > best:
+            best, sets = k, []
+        if k == best:
+            sets.append((t, kernel))
+        # T's candidates among pool, unless T has the fixed size or too few
+        # are left to reach the best size.
+        cands: list[tuple[int, int, tuple[dict[int, int], dict[int, int]]]] = []
+        for j, (c, keep, _) in enumerate(pool):
+            if k == size or k + len(cands) + len(pool) - j < best:
                 break
             calls += 1
             if calls > budget:
-                raise _BudgetExceeded(sets[0])
-            child = _avoiding_extension(adj, col, kernel[0], kernel[1], c)
+                raise _BudgetExceeded(sets[0][0])
+            child = _avoiding_extension(adj, col, dict(kernel[0]), dict(kernel[1]), c, keep, -1)
             if child is not None:
-                cands.append((c, child))
+                cands.append((c, keep, child))
         else:
             frames.append((t, k, cands, 0))
         # The next child, from the deepest frame whose candidates left can reach the best size.
@@ -423,12 +416,8 @@ def _max_avoidable(
                 frames.pop()
                 continue
             frames[-1] = (t, k, pool, i + 1)
-            (c, kernel), pool = pool[i], pool[i + 1 :]
+            (c, _, kernel), pool = pool[i], pool[i + 1 :]
             t, k = t | c, k + 1
-            if k > best:
-                best, sets = k, [t]
-            elif k == best:
-                sets.append(t)
             break
         else:
             return sets, calls
@@ -443,7 +432,7 @@ def _largest_avoidable(g: BipartiteGraph, pi: Permutation) -> list[tuple[int, ..
         sets, _ = _max_avoidable(adj, col, (1 << g.n) - 1, DEFAULT_BUDGET)
     except _BudgetExceeded:
         raise UsageError("exact minimization exceeded its budget; instance too large") from None
-    return [tuple(v for v in range(g.n) if t >> pi.rank[v] & 1) for t in sets]
+    return [tuple(v for v in range(g.n) if t >> pi.rank[v] & 1) for t, _ in sets]
 
 
 def _avoiding_descent(

@@ -16,16 +16,16 @@ import random
 import statistics
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
 from .adversary import (
     DEFAULT_BUDGET,
     DEFAULT_MODE,
     _avoiding_descent,
-    _avoiding_extension,
     _avoiding_matching,
     _check_subset,
     _largest_avoidable,
+    _max_avoidable,
     _replayed,
     attack,
     order_avoiding,
@@ -211,7 +211,7 @@ def is_safe(g: BipartiteGraph, pi: Permutation, s: Iterable[int]) -> SafetyResul
     ascending arrival order at every state, that leaves s unmatched,
     checked by replay through greedy_match.
     """
-    s_list = sorted(set(s))
+    s_list = list(s)
     _check_subset(g, pi, s_list)
     if not s_list:
         return SafetyResult(True, None)
@@ -282,47 +282,26 @@ def _move_bit(rows: list[int], u_mask: int, move: int) -> None:
         rows[u_bit.bit_length() - 1] ^= move
 
 
-def _exposable_sets(
-    adj: Sequence[int], col: Sequence[int], size: int
-) -> Iterator[tuple[int, tuple[dict[int, int], dict[int, int]]]]:
-    """Yield (T, kernel) for each size-`size` label mask T that its
-    set-last order exposes, in itertools.combinations order, with kernel
-    the rows and matching of its test: the census of the `adversary`
-    docstring, which tests each T + c from T's kernel and prunes the
-    subtree of a set that fails.  The stack holds (T, |T|, the least
-    label a child may add, kernel)."""
-    n = len(adj)
-    stack = [(0, 0, 0, ({}, {}))]
-    while stack:
-        t, k, lo, (rows, mate) = stack.pop()
-        if k == size:
-            yield t, (rows, mate)
-            continue
-        children = []
-        for v in range(lo, n - size + k + 1):
-            c = 1 << v
-            kernel = _avoiding_extension(adj, col, rows, mate, c, ~(t | c))
-            if kernel is not None:
-                children.append((t | c, k + 1, v + 1, kernel))
-        stack.extend(reversed(children))
-
-
 def enumerate_bad_sets(g: BipartiteGraph, size: int, mode: str = "full_pi") -> BadSetReport:
     """List every size-`size` right-side set some priority order exposes.
 
     By the avoidability lemma of the `adversary` docstring, a set is
     exposed by some priority order exactly when the order that places it
-    last exposes it, and that test needs no ranks.  So the label rows are
-    built once and `_exposable_sets` decides each set once, along the
-    combination tree; no order is built for a safe set.  The mode picks
-    only the witness of a bad set: canonical_pi keeps the set-last
-    order, and full_pi the first exposing order in itertools.permutations
-    order.  Its sigma is the descent of `order_avoiding` under that
-    order, checked by greedy replay: canonical_pi's runs in set-last
-    coordinates from the census's matching, and full_pi's on the rank
-    rows that `_first_exposing_pi` leaves.
+    last exposes it, and that test needs no ranks.  So the label rows
+    are built once and the census walk of `_max_avoidable` at this size
+    decides the sets along the combination tree, testing a set only when
+    every set it extends passed; no order is built for a safe set.  The
+    mode picks only the witness of a bad set: canonical_pi keeps the
+    set-last order, and full_pi the first exposing order in
+    itertools.permutations order.  Its sigma is the descent of
+    `order_avoiding` under that order, checked by greedy replay:
+    canonical_pi's runs in set-last coordinates from the census's
+    matching, and full_pi's on the rank rows that `_first_exposing_pi`
+    leaves.
     """
     n = g.n
+    if type(size) is not int:
+        raise AnalysisParamError("size must be an int, got %r" % (size,))
     if not (1 <= size <= n):
         raise AnalysisParamError("size %d out of range for n=%d" % (size, n))
     if mode not in BAD_SET_MODES:
@@ -331,7 +310,8 @@ def enumerate_bad_sets(g: BipartiteGraph, size: int, mode: str = "full_pi") -> B
     full, col2 = (1 << n) - 1, col * 2
     bad: list[tuple[int, ...]] = []
     witnesses: dict[tuple[int, ...], tuple[Permutation, Permutation]] = {}
-    for t, kernel in _exposable_sets(adj, col, size):
+    sets, _ = _max_avoidable(adj, col, full, math.inf, size)
+    for t, kernel in sets:
         comb = tuple(v for v in range(n) if t >> v & 1)
         if mode == "full_pi":
             pi, rows, cols = _first_exposing_pi(adj, col, t)

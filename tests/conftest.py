@@ -15,7 +15,11 @@ cover loop applies its steps in place and must reach the same covers.
 that loop's step log, so a cover is maximal when it returns None.
 The reference arrival-order searches are the exhaustive memoised game
 and the safety depth-first search; the engine must return their values,
-orders and witnesses exactly.  The V-side oracle is the V-side process
+orders and witnesses exactly.  The reference avoidability test builds
+its rows from the definition in the `adversary` docstring, one vertex
+at a time, and decides it by Hopcroft-Karp, so that the kernel, which
+grows its rows and matching one vertex of the set at a time, is not
+checked against itself.  The V-side oracle is the V-side process
 of the lemma in the `adversary` docstring, a recursion over V in pi
 order with sets for masks and no bound, so that the lemma can be
 checked against the factorial sweep and the game.
@@ -76,7 +80,7 @@ from greedyorder.adversary import (
 from greedyorder.analysis import AnalysisParams, ExponentReport, MonteCarloSummary, entropy
 from greedyorder.certify import build_certificate
 from greedyorder.cli import CSV_COLUMNS
-from greedyorder.core import GreedyOutcome, PerfectMatching
+from greedyorder.core import GreedyOutcome, PerfectMatching, max_matching
 from greedyorder.errors import (
     AnalysisParamError,
     DimensionMismatchError,
@@ -697,6 +701,28 @@ def reference_v_side_min(g, pi, v_subset):
         return memo[key]
 
     return f(0, frozenset(range(g.n)))
+
+
+def reference_avoiding(adj, t_mask, left, free):
+    """(rows, avoidable): the avoidability test of the `adversary`
+    docstring at the state with the arrivals `left` and the `free` V,
+    from its definition.  adj holds each U vertex's neighbours as rank
+    bits.  Each arrival u of `left` with a free neighbour in t_mask gets
+    the row of the free vertices outside t_mask that rank below every
+    free neighbour of u in t_mask, as {1 << u: rank mask}; the set is
+    avoidable when core.max_matching matches every such arrival into its
+    row."""
+    rows = {}
+    for u, row in enumerate(adj):
+        if not left >> u & 1:
+            continue
+        near = [r for r in range(row.bit_length()) if row >> r & 1 and free >> r & 1]
+        in_t = [r for r in near if t_mask >> r & 1]
+        if in_t:
+            rows[1 << u] = sum(1 << r for r in near if r < min(in_t))
+    lists = [[r for r in range(m.bit_length()) if m >> r & 1] for m in rows.values()]
+    width = max((m.bit_length() for m in rows.values()), default=0)
+    return rows, len(max_matching(lists, width)) == len(rows)
 
 
 def reference_is_safe(g, pi, s):

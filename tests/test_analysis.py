@@ -196,6 +196,23 @@ def test_safety_rejects_foreign_vertices():
         is_safe(fig1(), Permutation.identity(3), {3})
 
 
+def test_a_vertex_or_size_that_is_not_an_int_is_rejected():
+    """A bool, float or str is no vertex and no set size, as in
+    `Permutation.from_order`: is_safe, worst_order_masked_min and
+    order_avoiding reject it in a subset, and enumerate_bad_sets as a
+    size, with AnalysisParamError, not a TypeError or True read as 1."""
+    g, pi = generate(FamilySpec("fano")), Permutation.identity(7)
+    for bad in (1.0, True, "1"):
+        for call in (
+            lambda: is_safe(g, pi, [bad]),
+            lambda: adversary.worst_order_masked_min(g, pi, [bad]),
+            lambda: adversary.order_avoiding(g, pi, [bad]),
+            lambda: enumerate_bad_sets(g, bad),
+        ):
+            with pytest.raises(AnalysisParamError, match="int"):
+                call()
+
+
 def static_bad(g, s):
     """Set-is-bad oracle: some maximal matching of g avoids s entirely.
 
@@ -300,7 +317,8 @@ def test_full_pi_builds_the_orders_only_for_a_set_that_needs_them(monkeypatch):
     """The census builds the label rows by one `_rank_rows` call per
     graph and decides each set once, by one `_avoiding_extension` call
     from its prefix's test, with the verdict of its set-last order; a set
-    whose prefix fails is never tested.  Every pair of this graph is safe
+    is tested only when every set it extends passed, so a pair only when
+    both its vertices passed alone.  Every pair of this graph is safe
     under every pi, so the census builds no order, probes none and makes
     no `_rank_rows` call for a set.  chain1 has unsafe pairs and reports
     them as before; each witness pi is built one position at a time, and
@@ -312,12 +330,20 @@ def test_full_pi_builds_the_orders_only_for_a_set_that_needs_them(monkeypatch):
     built, ranked, decided, probes, exposing = [], [], [], [], []
     from_order, rank_rows = Permutation.from_order, analysis._rank_rows
     extend, probe, first = (
-        analysis._avoiding_extension, analysis._avoiding_matching, analysis._first_exposing_pi
+        adversary._avoiding_extension, analysis._avoiding_matching, analysis._first_exposing_pi
     )
 
-    def extend_logged(adj, col, rows, mate, c, keep):
-        kernel = extend(adj, col, rows, mate, c, keep)
-        decided.append((~keep, kernel is not None))
+    def extend_logged(adj, col, rows, mate, c, keep, left):
+        # The census keeps c's neighbours' rows off c, where a probe's fold
+        # keeps them below c.  Each census row is its arrival's neighbours
+        # less T, and every vertex here has a neighbour, so T + c is c and
+        # the neighbours that the rows lack.
+        t = c
+        for u_bit, row in rows.items():
+            t |= adj[u_bit.bit_length() - 1] & ~row
+        kernel = extend(adj, col, rows, mate, c, keep, left)
+        if keep == ~c:
+            decided.append((t, kernel is not None))
         return kernel
 
     monkeypatch.setattr(
@@ -326,7 +352,7 @@ def test_full_pi_builds_the_orders_only_for_a_set_that_needs_them(monkeypatch):
     monkeypatch.setattr(
         analysis, "_rank_rows", lambda g, pi: ranked.append(pi.order) or rank_rows(g, pi)
     )
-    monkeypatch.setattr(analysis, "_avoiding_extension", extend_logged)
+    monkeypatch.setattr(adversary, "_avoiding_extension", extend_logged)
     monkeypatch.setattr(
         analysis, "_first_exposing_pi", lambda adj, col, s: exposing.append(s) or first(adj, col, s)
     )
@@ -338,14 +364,15 @@ def test_full_pi_builds_the_orders_only_for_a_set_that_needs_them(monkeypatch):
         return tuple(v for v in range(mask.bit_length()) if mask >> v & 1)
 
     def check_decided(g):
-        """Each set decided once, with its set-last verdict; the pairs
-        decided are those whose first vertex passed alone."""
+        """Each set decided once, with its set-last verdict; every
+        vertex is decided alone, and the pairs decided are those whose
+        vertices both passed alone."""
         n = g.n
         sets = [labels(t) for t, _ in decided]
         assert len(set(sets)) == len(sets)
         passed = {labels(t) for t, ok in decided if ok}
-        assert {s for s in sets if len(s) == 1} == {(v,) for v in range(n - 1)}
-        pairs = {(a, b) for a, b in itertools.combinations(range(n), 2) if (a,) in passed}
+        assert {s for s in sets if len(s) == 1} == {(v,) for v in range(n)}
+        pairs = {(a, b) for a, b in itertools.combinations(range(n), 2) if {(a,), (b,)} <= passed}
         assert {s for s in sets if len(s) == 2} == pairs
         for s in sets:
             pi = Permutation.from_order([v for v in range(n) if v not in s] + list(s))

@@ -31,7 +31,7 @@ import math
 import random
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
@@ -39,6 +39,7 @@ from conftest import (
     brute_force_min,
     random_perm,
     random_pm_graph,
+    reference_avoiding,
     reference_is_safe,
     reference_min_game,
     reference_v_side_min,
@@ -60,7 +61,6 @@ from greedyorder.adversary import (
     DEFAULT_BUDGET,
     _avoiding_extension,
     _avoiding_matching,
-    _avoiding_rows,
     _largest_avoidable,
     _masked_search,
     _max_avoidable,
@@ -210,13 +210,25 @@ def test_engine_equals_the_references():
     assert seen["unsafe"] >= 20 and seen["safe"] >= 20, seen
 
 
+# Under pi = (3, 0, 2, 4, 1) the walk from the lowest priority keeps
+# vertex 1 alone, while {0, 4} is avoidable: a short walk.
+SHORT_WALK = (
+    BipartiteGraph.from_edges(
+        5, [(0, 0), (0, 3), (0, 4), (1, 1), (1, 2), (2, 2), (3, 1), (3, 3), (4, 2), (4, 4)]
+    ),
+    Permutation.from_order([3, 0, 2, 4, 1]),
+    [1],
+)
+
+
 def test_every_largest_avoidable_set_is_listed():
     """`_max_avoidable` lists every largest avoidable subset of the
-    counted set once, by the verdicts of the kernel on every subset.
-    Its first set is the walk that adds, from pi's lowest priority
-    upward, each vertex that keeps the set avoidable, whenever that walk
-    reaches the largest size; both outcomes occur.  Its incremental test
-    gives the kernel's verdict on each set it tries, with the kernel's
+    counted set once, by the verdicts of `conftest.reference_avoiding`
+    on every subset.  Its first set is the walk that adds, from pi's
+    lowest priority upward, each vertex that keeps the set avoidable,
+    whenever that walk reaches the largest size; both outcomes occur,
+    the short walk at least in SHORT_WALK.  Its incremental test gives
+    the reference's verdict on each set it tries, with the reference's
     rows and a matching of every arrival into its row."""
     tally = collections.Counter()
 
@@ -228,39 +240,84 @@ def test_every_largest_avoidable_set_is_listed():
         suppress_health_check=[HealthCheck.too_slow],
     )
     @given(graph_pi_subset(8))
+    @example(SHORT_WALK)
     def check(case):
         g, pi, subset = case
         n, full = g.n, (1 << g.n) - 1
         adj, col = _rank_rows(g, pi)
         for v_subset in (range(n), subset):
             count = _rank_mask(pi, v_subset)
-            sets, _ = _max_avoidable(adj, col, count, math.inf)
-            kernels = {t: _avoiding_matching(adj, col, t, full, full) for t in _subsets(count)}
-            avoidable = [t for t, kernel in kernels.items() if kernel is not None]
+            sets = [t for t, _ in _max_avoidable(adj, col, count, math.inf)[0]]
+            tests = {t: reference_avoiding(adj, t, full, full) for t in _subsets(count)}
+            avoidable = [t for t, (_, passed) in tests.items() if passed]
             alpha = max(t.bit_count() for t in avoidable)
             assert len(set(sets)) == len(sets)
             assert sorted(sets) == sorted(t for t in avoidable if t.bit_count() == alpha)
             walk = 0
             for r in reversed(range(n)):
-                if count >> r & 1 and kernels[walk | 1 << r] is not None:
+                if count >> r & 1 and tests[walk | 1 << r][1]:
                     walk |= 1 << r
             if walk.bit_count() == alpha:
                 assert sets[0] == walk
             tally["walk short" if walk.bit_count() < alpha else "walk largest"] += 1
             for t in avoidable:
-                rows, mate = kernels[t]
+                rows, mate = _avoiding_matching(adj, col, t, full, full)
                 for r in range(n):
                     c = 1 << r
                     if not count & c & ~t:
                         continue
-                    got = _avoiding_extension(adj, col, rows, mate, c)
-                    assert (got is None) == (kernels[t | c] is None)
+                    got = _avoiding_extension(adj, col, dict(rows), dict(mate), c, c - 1, -1)
+                    assert (got is not None) == tests[t | c][1]
                     if got is not None:
-                        assert got[0] == _avoiding_rows(adj, col, t | c, full, full)
+                        assert got[0] == tests[t | c][0]
                         assert set(_live_pairs(got[0], got[1], full, full)) == set(got[0])
 
     check()
     assert tally["walk short"] >= 1 and tally["walk largest"] >= 20, tally
+
+
+def test_the_kernel_equals_its_definition_at_every_state():
+    """At the root and at every state along a drawn arrival order, the
+    fold of `_avoiding_matching` gives the verdict of
+    `conftest.reference_avoiding`, which builds the rows from their
+    definition and decides by Hopcroft-Karp, for the subset and for a
+    random set; when it passes, its rows are the reference's and its
+    matching, counting only the arrivals left and the free V, holds one
+    pair in each row.  Both verdicts occur at least 50 times, and so do
+    passing tests at states past the root."""
+    tally = collections.Counter()
+
+    @settings(
+        max_examples=200,
+        derandomize=True,
+        database=None,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(graph_pi_subset(), st.randoms(use_true_random=True))
+    def check(case, rng):
+        g, pi, subset = case
+        n, full = g.n, (1 << g.n) - 1
+        adj, col = _rank_rows(g, pi)
+        order = list(range(n))
+        rng.shuffle(order)
+        u_mask = v_mask = 0
+        for u in order:
+            left, free = full ^ u_mask, full ^ v_mask
+            for t in (_rank_mask(pi, subset), rng.getrandbits(n)):
+                kernel = _avoiding_matching(adj, col, t, left, free)
+                rows, passed = reference_avoiding(adj, t, left, free)
+                assert (kernel is not None) == passed
+                if passed:
+                    assert kernel[0] == rows
+                    assert set(_live_pairs(rows, kernel[1], left, free)) == set(rows)
+                tally[passed] += 1
+                tally["past the root"] += passed and u_mask != 0
+            m = adj[u] & free
+            u_mask, v_mask = u_mask | 1 << u, v_mask | m & -m
+
+    check()
+    assert min(tally[True], tally[False], tally["past the root"]) >= 50, tally
 
 
 def small_graphs_and_orders(corpus):
@@ -300,17 +357,29 @@ def test_the_exact_order_is_the_least_safety_witness(corpus):
 
 def test_the_budget_counts_kernel_calls(monkeypatch):
     """nodes_expanded counts the calls of `_avoiding_extension` and
-    `_avoiding_matching`, in the list and the descent together.  A
-    budget of that count gives the same result; one less falls back to
+    `_avoiding_matching`, in the list and the descent together, a
+    matching's fold of extensions counting as its one call.  A budget of
+    that count gives the same result; one less falls back to
     `order_avoiding` on the largest set found so far, which the list has
     finished, so the fallback still reaches the minimum, flagged
     inexact, with nodes_expanded the budget plus the fallback's call."""
-    calls = collections.Counter()
-    for name in ("_avoiding_extension", "_avoiding_matching"):
-        real = getattr(adversary, name)
-        monkeypatch.setattr(
-            adversary, name, lambda *args, real=real, name=name: calls.update([name]) or real(*args)
-        )
+    calls, folding = collections.Counter(), []
+    extend, match = adversary._avoiding_extension, adversary._avoiding_matching
+
+    def extend_counted(*args):
+        calls["_avoiding_extension"] += not folding
+        return extend(*args)
+
+    def match_counted(*args):
+        calls["_avoiding_matching"] += 1
+        folding.append(True)
+        try:
+            return match(*args)
+        finally:
+            folding.pop()
+
+    monkeypatch.setattr(adversary, "_avoiding_extension", extend_counted)
+    monkeypatch.setattr(adversary, "_avoiding_matching", match_counted)
 
     @settings(
         max_examples=200,
@@ -346,7 +415,7 @@ def test_the_budget_covers_the_descent():
     g, pi = generate(FamilySpec("fano")), Permutation.identity(7)
     adj, col = _rank_rows(g, pi)
     sets, calls = _max_avoidable(adj, col, (1 << 7) - 1, math.inf)
-    assert (sets, calls) == ([0b1100000, 0b1010000, 0b1001000], 16)
+    assert ([t for t, _ in sets], calls) == ([0b1100000, 0b1010000, 0b1001000], 16)
     res = worst_order_exact(g, pi, budget=23)
     assert (res.size, res.exact, res.nodes_expanded) == (5, True, 23)
     res = worst_order_exact(g, pi, budget=22)
@@ -387,7 +456,7 @@ def test_the_largest_avoidable_set_is_the_game_value():
         for count_mask in (_rank_mask(pi, subset), full):
             game = _ReferenceMinGame(adj, n, count_mask)
             sets, _ = _max_avoidable(adj, col, count_mask, math.inf)
-            assert count_mask.bit_count() - sets[0].bit_count() == game.value()
+            assert count_mask.bit_count() - sets[0][0].bit_count() == game.value()
             if n <= 7:
                 root = {t for t in _subsets(count_mask) if _avoiding_matching(adj, col, t, full, full)}
             u_mask = v_mask = 0
@@ -462,7 +531,7 @@ def test_a_largest_set_that_no_order_avoids_is_caught(monkeypatch):
     def out_of_budget(adj, col, count, budget):
         raise adversary._BudgetExceeded(count)
 
-    for listed in (lambda adj, col, count, budget: ([count], 1), out_of_budget):
+    for listed in (lambda adj, col, count, budget: ([(count, None)], 1), out_of_budget):
         monkeypatch.setattr(adversary, "_max_avoidable", listed)
         for call in (lambda: worst_order_exact(g, pi), lambda: worst_order_masked_min(g, pi, [0, 5, 6])):
             with pytest.raises(PropositionViolatedError, match="^no largest avoidable set is avoidable$"):
@@ -627,7 +696,9 @@ def test_each_searched_branch_is_one_augmenting_path(monkeypatch):
 
     def counted(rows, mate, starts, left, free):
         near = {w for w in rows if w & left}
-        if starts is rows:
+        # The kernel's fold augments with every vertex free; a branch's
+        # search runs at a state, with the free V it leaves.
+        if free == -1:
             return augment(rows, mate, starts, left, free)
         (start,) = starts
         assert set(_live_pairs(rows, mate, left, free)) == near - {start}
