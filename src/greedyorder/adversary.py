@@ -159,17 +159,24 @@ class _BudgetExceeded(Exception):
     avoidable set found so far, as a rank mask."""
 
 
+# The floor of each integer setting; trials and cap are `analysis`'s.
 SETTING_FLOORS = {
     "budget": (1, "budget must be positive"),
     "iters": (0, "iters must be nonnegative"),
     "draws": (1, "draws must be positive"),
+    "trials": (1, "trials must be positive"),
+    "cap": (1, "cap must be positive"),
 }
 
 
 def _check_settings(**settings: int) -> None:
-    """Raise AnalysisParamError for the first setting below its floor."""
+    """Raise AnalysisParamError for the first setting that is not an int
+    (a bool or a float is not one) or lies below its floor."""
     for name, (floor, message) in SETTING_FLOORS.items():
-        if settings.get(name, floor) < floor:
+        value = settings.get(name, floor)
+        if type(value) is not int:
+            raise AnalysisParamError("%s must be an int, got %r" % (name, value))
+        if value < floor:
             raise AnalysisParamError(message)
 
 
@@ -344,10 +351,12 @@ def _avoiding_extension(
     verdict, with the rows and a matching for T + c, grown in place from
     T's, which a caller that keeps them passes as copies.  The rows of c's
     neighbours among the arrivals `left` keep only the bits of `keep`:
-    the free vertices below c, when c ranks below all of T, or ~c, when
-    T + c ranks above every other vertex (the census).  The neighbours
-    not yet next to T are added, so only those arrivals, when new or
-    when their pair leaves the capped row, need an augmenting path."""
+    the free vertices below c, when c ranks below all of T; ~c, when
+    T + c ranks above every other vertex (the census); or, for a c in T
+    that `analysis._first_exposing_pi` moves into its prefix, the
+    vertices outside T placed before c, which only caps rows.  The
+    neighbours not yet next to T are added, so only those arrivals, when
+    new or when their pair leaves the capped row, need an augmenting path."""
     starts, x = [], col[c.bit_length() - 1] & left
     while x:
         u_bit = x & -x
@@ -685,6 +694,8 @@ def adversary_projective(
     order matches one of them.
     """
     n = g.n
+    if type(target_size) is not int:
+        raise FamilyShapeError("target_size must be an int, got %r" % (target_size,))
     if not (1 <= target_size <= n):
         raise FamilyShapeError("target_size %d out of range" % target_size)
     sigma = order_avoiding(g, pi, pi.order[n - target_size :])

@@ -22,8 +22,8 @@ from .adversary import (
     DEFAULT_BUDGET,
     DEFAULT_MODE,
     _avoiding_descent,
-    _avoiding_matching,
-    _check_subset,
+    _avoiding_extension,
+    _check_settings,
     _largest_avoidable,
     _max_avoidable,
     _replayed,
@@ -31,7 +31,7 @@ from .adversary import (
     order_avoiding,
     worst_order_exact,
 )
-from .core import BipartiteGraph, Permutation, _rank_rows, find_perfect_matching
+from .core import BipartiteGraph, Permutation, _check_dims, _rank_rows, find_perfect_matching
 from .errors import (
     AnalysisParamError,
     PropositionViolatedError,
@@ -212,8 +212,8 @@ def is_safe(g: BipartiteGraph, pi: Permutation, s: Iterable[int]) -> SafetyResul
     checked by replay through greedy_match.
     """
     s_list = list(s)
-    _check_subset(g, pi, s_list)
     if not s_list:
+        _check_dims(g, pi, "pi")
         return SafetyResult(True, None)
     witness = order_avoiding(g, pi, s_list)
     return SafetyResult(witness is None, witness)
@@ -230,56 +230,42 @@ class BadSetReport:
 
 
 def _first_exposing_pi(
-    adj: Sequence[int], col: Sequence[int], s_mask: int
-) -> tuple[Permutation, list[int], list[int]]:
-    """(pi, rows, cols): the first priority order, in
-    itertools.permutations order, that exposes the label mask s_mask, a
-    set some order exposes, with its `_rank_rows`.  adj and col are the
-    label rows, `_rank_rows` under the identity.  Moving the vertices of
-    s later only loosens the avoidability test, so the orders that start
-    with a prefix expose s exactly when the prefix, then the other
-    vertices outside s, then the rest of s, does; the order is built one
-    position at a time.  A vertex outside s always extends an exposing
-    prefix: it only reorders the block outside s after the prefix, which
-    keeps its set of positions, and every rank bound of the test lies in
-    the prefix or in the tail of s.  So only the candidates in s are
-    tested.  Each probe reads rows kept in coordinates of that order:
-    prefix position i at bit i, then each other vertex v at bit n + v,
-    or at 2n + v when it lies in s.  Placing v moves its bit in the rows
-    of its neighbours, and a probe that fails moves it back."""
-    n = len(adj)
-    full = rest = (1 << n) - 1
-    rows = [(a & ~s_mask) << n | (a & s_mask) << 2 * n for a in adj]
-    cols, t_mask = col * 3, s_mask << 2 * n
-    v_mask = (full ^ s_mask) << n | t_mask
-    order: list[int] = []
-    for k in range(n):
+    adj: Sequence[int],
+    col: Sequence[int],
+    s_mask: int,
+    kernel: tuple[dict[int, int], dict[int, int]],
+) -> Permutation:
+    """The first priority order, in itertools.permutations order, that
+    exposes the label mask s_mask, from the label rows adj and col and
+    the census's kernel of s: the rows adj & ~s and a matching of its
+    set-last test.  Moving the vertices of s later only loosens the
+    avoidability test, so the orders that start with a prefix expose s
+    exactly when the prefix, then the other vertices outside s, then the
+    rest of s, does, and the order is built one position at a time.  A
+    vertex outside s always extends an exposing prefix: it only reorders
+    the block outside s after the prefix, which keeps its positions, and
+    every rank bound of the test lies in the prefix or in the tail of s.
+    So only the vertices of s are probed.  A row holds the vertices
+    outside s below its first neighbour in s, so placing c of s caps c's
+    neighbours' rows to the vertices outside s placed before it: one
+    `_avoiding_extension` with that mask as keep, on copies that a
+    failed probe drops."""
+    rest, before, order = (1 << len(adj)) - 1, 0, []
+    while rest:
         x = rest
         while True:
-            v_bit = x & -x
-            x ^= v_bit
-            v = v_bit.bit_length() - 1
-            move = 1 << k | 1 << v + (2 * n if v_bit & s_mask else n)
-            cols[k] = col[v]
-            _move_bit(rows, col[v], move)
-            if not v_bit & s_mask:
+            c = x & -x
+            x ^= c
+            if not c & s_mask:
+                before |= c
                 break
-            if _avoiding_matching(rows, cols, t_mask ^ move, full, v_mask ^ move) is not None:
-                t_mask ^= move
+            probe = _avoiding_extension(adj, col, dict(kernel[0]), dict(kernel[1]), c, before, -1)
+            if probe is not None:
+                kernel = probe
                 break
-            _move_bit(rows, col[v], move)
-        order.append(v)
-        rest ^= v_bit
-        v_mask ^= move
-    return Permutation.from_order(order), rows, cols
-
-
-def _move_bit(rows: list[int], u_mask: int, move: int) -> None:
-    """Flip the two bits of `move` in the row of each U vertex of u_mask."""
-    while u_mask:
-        u_bit = u_mask & -u_mask
-        u_mask ^= u_bit
-        rows[u_bit.bit_length() - 1] ^= move
+        order.append(c.bit_length() - 1)
+        rest ^= c
+    return Permutation.from_order(order)
 
 
 def enumerate_bad_sets(g: BipartiteGraph, size: int, mode: str = "full_pi") -> BadSetReport:
@@ -293,11 +279,12 @@ def enumerate_bad_sets(g: BipartiteGraph, size: int, mode: str = "full_pi") -> B
     every set it extends passed; no order is built for a safe set.  The
     mode picks only the witness of a bad set: canonical_pi keeps the
     set-last order, and full_pi the first exposing order in
-    itertools.permutations order.  Its sigma is the descent of
-    `order_avoiding` under that order, checked by greedy replay:
+    itertools.permutations order, which `_first_exposing_pi` grows from
+    the census's rows and matching of the set.  Its sigma is the descent
+    of `order_avoiding` under that order, checked by greedy replay:
     canonical_pi's runs in set-last coordinates from the census's
-    matching, and full_pi's on the rank rows that `_first_exposing_pi`
-    leaves.
+    matching, and full_pi's is `order_avoiding`'s own, on the rank rows
+    of its pi.
     """
     n = g.n
     if type(size) is not int:
@@ -314,16 +301,17 @@ def enumerate_bad_sets(g: BipartiteGraph, size: int, mode: str = "full_pi") -> B
     for t, kernel in sets:
         comb = tuple(v for v in range(n) if t >> v & 1)
         if mode == "full_pi":
-            pi, rows, cols = _first_exposing_pi(adj, col, t)
-            found = _avoiding_descent(rows, cols, full, [sum(1 << pi.rank[v] for v in comb)])
+            pi = _first_exposing_pi(adj, col, t, kernel)
+            sigma = order_avoiding(g, pi, comb)
         else:
             pi = Permutation.from_order([v for v in range(n) if not t >> v & 1] + list(comb))
             rows = [a & ~t | (a & t) << n for a in adj]
             found = _avoiding_descent(rows, col2, full ^ t | t << n, [t << n], root=kernel)
-        if found is None:
+            sigma = None if found is None else _replayed(g, pi, comb, found[0], 0)[1]
+        if sigma is None:
             raise PropositionViolatedError("the census exposed a set that its order does not")
         bad.append(comb)
-        witnesses[comb] = (pi, _replayed(g, pi, comb, found[0], 0)[1])
+        witnesses[comb] = (pi, sigma)
     return BadSetReport(size, mode, tuple(bad), witnesses)
 
 
@@ -362,8 +350,7 @@ def monte_carlo_random_pi(
     and sampled players reuse the trial seed that shuffled pi, so the
     first arrival order each tries is pi's order: sigma and pi correlate.
     """
-    if trials < 1:
-        raise AnalysisParamError("trials must be positive")
+    _check_settings(trials=trials)
     n = g.n
     sizes: list[int] = []
     upper_only = False
@@ -462,8 +449,7 @@ def iterative_process(
     matching is maximal, so it is at least half a maximum one, and every
     round reaches n/2.
     """
-    if cap < 1:
-        raise AnalysisParamError("cap must be positive")
+    _check_settings(cap=cap)
     find_perfect_matching(g)
     pi, records = pi1, []
     while len(records) < cap:

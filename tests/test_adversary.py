@@ -32,6 +32,7 @@ from greedyorder import (
     adversary_regular_gadget,
     generate,
     greedy_match,
+    iterative_process,
     monte_carlo_random_pi,
     worst_order_exact,
     worst_order_heuristic,
@@ -300,6 +301,36 @@ def test_player_settings_outside_their_domain():
     res = worst_order_exact(g, pi, budget=1)
     assert (res.exact, res.nodes_expanded) == (False, 1 + 1)
     assert worst_order_masked_min(g, pi, [5, 6], budget=1)[1:] == (False, 1 + 1)
+
+
+def test_settings_that_are_not_ints_are_rejected():
+    """A bool or float is no setting, count or size, as it is no vertex:
+    each player's setting, Monte Carlo's trials and the iterate cap raise
+    AnalysisParamError naming it, and the projective adversary's
+    target_size FamilyShapeError, where a float budget used to run and
+    report a float nodes_expanded, True was read as 1, and the others
+    raised a bare TypeError or ran.  The type is checked before the
+    floor, so a float below it names the type."""
+    g = generate(FamilySpec("fano"))
+    pi = Permutation.identity(7)
+    for bad in (2.5, True, 2.0, -0.5):
+        for call, name in (
+            (lambda: worst_order_exact(g, pi, budget=bad), "budget"),
+            (lambda: worst_order_masked_min(g, pi, [5, 6], budget=bad), "budget"),
+            (lambda: worst_order_heuristic(g, pi, iters=bad), "iters"),
+            (lambda: worst_order_sampled(g, pi, draws=bad), "draws"),
+            (lambda: attack("sampled", g, pi, draws=bad), "draws"),
+            (lambda: attack("constructive", g, pi, iters=bad), "iters"),
+            (lambda: monte_carlo_random_pi(g, bad), "trials"),
+            (lambda: monte_carlo_random_pi(g, 1, budget=bad), "budget"),
+            (lambda: iterative_process(g, pi, cap=bad), "cap"),
+        ):
+            with pytest.raises(AnalysisParamError) as info:
+                call()
+            assert str(info.value) == "%s must be an int, got %r" % (name, bad)
+        with pytest.raises(FamilyShapeError) as info:
+            adversary_projective(g, pi, bad)
+        assert str(info.value) == "target_size must be an int, got %r" % (bad,)
 
 
 def test_attack_rejects_an_unknown_mode():

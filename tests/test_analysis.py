@@ -17,6 +17,7 @@ from conftest import (
     outcome,
     random_perm,
     random_pm_graph,
+    reference_avoiding,
     reference_is_safe,
     reference_bound_exponents,
     reference_monte_carlo,
@@ -321,23 +322,25 @@ def test_full_pi_builds_the_orders_only_for_a_set_that_needs_them(monkeypatch):
     both its vertices passed alone.  Every pair of this graph is safe
     under every pi, so the census builds no order, probes none and makes
     no `_rank_rows` call for a set.  chain1 has unsafe pairs and reports
-    them as before; each witness pi is built one position at a time, and
-    only it and its sigma are built, so no list of all n! orders is.  Only
-    the candidates in the set are probed, so a bad set T costs at most |T|
-    probes a position."""
+    them as before; each witness pi is built one position at a time from
+    the census's kernel of the set, and only it and its sigma are built,
+    so no list of all n! orders is.  Each bad full_pi set makes one more
+    `_rank_rows` call, under its witness pi, in `order_avoiding`, which
+    gives its sigma.  The probes are the `_avoiding_extension` calls of
+    `_first_exposing_pi`, each capping the placed vertex's neighbours to
+    the vertices outside the set placed before it.  Only the candidates
+    in the set are probed, in label order, so a bad set T costs at most
+    |T| probes a position."""
     safe = generate(FamilySpec("hamiltonian_random", {"n": 5, "extra_edges": 2}, seed=1))
     chain1 = generate(FamilySpec("badset_chain", {"copies": 1}))
-    built, ranked, decided, probes, exposing = [], [], [], [], []
+    built, ranked, per_set, decided, probes, exposing = [], [], [], [], [], []
     from_order, rank_rows = Permutation.from_order, analysis._rank_rows
-    extend, probe, first = (
-        adversary._avoiding_extension, analysis._avoiding_matching, analysis._first_exposing_pi
-    )
+    extend, first = adversary._avoiding_extension, analysis._first_exposing_pi
 
     def extend_logged(adj, col, rows, mate, c, keep, left):
-        # The census keeps c's neighbours' rows off c, where a probe's fold
-        # keeps them below c.  Each census row is its arrival's neighbours
-        # less T, and every vertex here has a neighbour, so T + c is c and
-        # the neighbours that the rows lack.
+        # The census keeps c's neighbours' rows off c.  Each census row is
+        # its arrival's neighbours less T, and every vertex here has a
+        # neighbour, so T + c is c and the neighbours that the rows lack.
         t = c
         for u_bit, row in rows.items():
             t |= adj[u_bit.bit_length() - 1] & ~row
@@ -346,18 +349,25 @@ def test_full_pi_builds_the_orders_only_for_a_set_that_needs_them(monkeypatch):
             decided.append((t, kernel is not None))
         return kernel
 
+    def probe_logged(adj, col, rows, mate, c, keep, left):
+        probes.append((exposing[-1], c.bit_length() - 1, keep))
+        return extend(adj, col, rows, mate, c, keep, left)
+
     monkeypatch.setattr(
         Permutation, "from_order", lambda order: built.append(list(order)) or from_order(order)
     )
     monkeypatch.setattr(
         analysis, "_rank_rows", lambda g, pi: ranked.append(pi.order) or rank_rows(g, pi)
     )
-    monkeypatch.setattr(adversary, "_avoiding_extension", extend_logged)
     monkeypatch.setattr(
-        analysis, "_first_exposing_pi", lambda adj, col, s: exposing.append(s) or first(adj, col, s)
+        adversary, "_rank_rows", lambda g, pi: per_set.append(pi.order) or rank_rows(g, pi)
     )
+    monkeypatch.setattr(adversary, "_avoiding_extension", extend_logged)
+    monkeypatch.setattr(analysis, "_avoiding_extension", probe_logged)
     monkeypatch.setattr(
-        analysis, "_avoiding_matching", lambda *args: probes.append(exposing[-1]) or probe(*args)
+        analysis,
+        "_first_exposing_pi",
+        lambda adj, col, s, kernel: exposing.append(labels(s)) or first(adj, col, s, kernel),
     )
 
     def labels(mask):
@@ -380,42 +390,47 @@ def test_full_pi_builds_the_orders_only_for_a_set_that_needs_them(monkeypatch):
         return {s for s in passed if len(s) == 2}
 
     assert enumerate_bad_sets(safe, 2, mode="full_pi").bad_sets == ()
-    assert (built, probes, ranked) == ([], [], [tuple(range(5))])
+    assert (built, probes, ranked, per_set) == ([], [], [tuple(range(5))], [])
     assert check_decided(safe) == set()
-    for log in (built, ranked, decided):
+    for log in (built, ranked, per_set, decided):
         log.clear()
     n = chain1.n
     report = enumerate_bad_sets(chain1, 2, mode="full_pi")
     assert set(report.bad_sets) == {(0, 1), (0, 2)}
     assert len(built) == 2 * len(report.bad_sets)
     assert ranked == [tuple(range(n))]
+    assert per_set == [report.witnesses[t][0].order for t in report.bad_sets]
     assert 0 < len(probes) <= len(report.bad_sets) * 2 * n
     # For a bad set, each position tests, in label order, the free
     # vertices of the set up to the one it takes, and no vertex outside
-    # the set.
+    # the set, each capped to the vertices outside the set placed so far.
     expected = []
     for t in report.bad_sets:
         w = report.witnesses[t][0].order
-        expected += [t for k, x in enumerate(w) for v in t if v <= x and v not in w[:k]]
-    assert [labels(s) for s in probes] == expected
+        for k, x in enumerate(w):
+            before = sum(1 << y for y in w[:k] if y not in t)
+            expected += [(t, v, before) for v in t if v <= x and v not in w[:k]]
+    assert probes == expected
     assert check_decided(chain1) == set(report.bad_sets)
 
 
 def test_full_pi_runs_one_descent_per_bad_set(monkeypatch):
     """Both modes decide each set by the census's avoidability test and
     run the witness descent only for a bad set, under the order it
-    reports, not under the set-last order as well.  All 36 pairs of this
-    graph are bad, so each census makes 36 descents; a graph whose pairs
-    are all safe makes none."""
+    reports, not under the set-last order as well: canonical_pi in the
+    census and full_pi in `order_avoiding`, so descents are counted in
+    both modules.  All 36 pairs of this graph are bad, so each census
+    makes 36 descents; a graph whose pairs are all safe makes none."""
     g = generate(FamilySpec("random_regular", {"n": 9, "d": 3}, seed=1))
     descents = []
-    descend = analysis._avoiding_descent
-    monkeypatch.setattr(
-        analysis,
-        "_avoiding_descent",
-        lambda adj, col, v_mask, sets, **kw: descents.append(sets)
-        or descend(adj, col, v_mask, sets, **kw),
-    )
+
+    def logged(descend):
+        return lambda adj, col, v_mask, sets, *args, **kw: descents.append(sets) or descend(
+            adj, col, v_mask, sets, *args, **kw
+        )
+
+    for module in (analysis, adversary):
+        monkeypatch.setattr(module, "_avoiding_descent", logged(module._avoiding_descent))
     for mode in ("full_pi", "canonical_pi"):
         report = enumerate_bad_sets(g, 2, mode=mode)
         assert len(report.bad_sets) == math.comb(9, 2)
@@ -458,6 +473,63 @@ def test_a_vertex_outside_the_set_extends_every_exposing_prefix():
             prefix.append(rng.choice(grow or outside))
             outside = [v for v in outside if v not in prefix]
     assert 4 * holding_t >= prefixes, (holding_t, prefixes)
+
+
+def test_each_probe_equals_the_reference_under_its_order(monkeypatch):
+    """Each probe of `_first_exposing_pi` places a vertex c of the set s
+    and caps the rows of c's neighbours to the vertices outside s placed
+    before it, the third keep of `_avoiding_extension` after c - 1 and
+    ~c.  Its verdict and rows equal `conftest.reference_avoiding` under
+    the probe's order: the prefix, then c, then the other vertices
+    outside s, then the rest of s; when it passes, its matching holds one
+    pair in each row.  The probes come per position, in label order, for
+    the free vertices of s up to the one placed.  Random graphs with
+    n <= 8, empty rows allowed, at sizes 1 to 4; both verdicts occur, and
+    so do passing probes with a vertex of s already placed."""
+    rng = random.Random(35)
+    extend, probes = analysis._avoiding_extension, []
+
+    def probe_logged(adj, col, rows, mate, c, keep, left):
+        kernel = extend(adj, col, rows, mate, c, keep, left)
+        probes.append((c.bit_length() - 1, keep, kernel))
+        return kernel
+
+    def ranked(mask, pi):
+        return sum(1 << pi.rank[y] for y in range(mask.bit_length()) if mask >> y & 1)
+
+    monkeypatch.setattr(analysis, "_avoiding_extension", probe_logged)
+    tally = collections.Counter()
+    for _ in range(400):
+        n = rng.randrange(1, 9)
+        density = rng.random() * 0.7
+        g = BipartiteGraph.from_edges(
+            n, [(u, v) for u in range(n) for v in range(n) if rng.random() < density]
+        )
+        probes.clear()
+        report = enumerate_bad_sets(g, rng.randrange(1, min(n, 4) + 1), mode="full_pi")
+        expected = []
+        for s in report.bad_sets:
+            w = report.witnesses[s][0].order
+            for k, x in enumerate(w):
+                expected += [(s, w[:k], v) for v in s if v <= x and v not in w[:k]]
+        assert len(probes) == len(expected)
+        for (s, prefix, v), (c, keep, kernel) in zip(expected, probes):
+            assert (c, keep) == (v, sum(1 << y for y in prefix if y not in s))
+            tail = sorted((y for y in range(n) if y not in prefix and y != v), key=s.__contains__)
+            pi = Permutation.from_order(list(prefix) + [v] + tail)
+            full = (1 << n) - 1
+            rows, passed = reference_avoiding(
+                adversary._rank_rows(g, pi)[0], ranked(sum(1 << y for y in s), pi), full, full
+            )
+            assert (kernel is not None) == passed, (g.edges, s, prefix, v)
+            if passed:
+                got, mate = kernel
+                assert {u: ranked(r, pi) for u, r in got.items()} == rows
+                assert sorted(mate.values()) == sorted(got)
+                assert all(y & got[u] for y, u in mate.items())
+            tally[passed] += 1
+            tally["placed"] += passed and not set(s).isdisjoint(prefix)
+    assert min(tally[True], tally[False], tally["placed"]) >= 500, tally
 
 
 def test_every_exposed_set_is_exposed_by_the_set_last_order():
